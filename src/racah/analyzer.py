@@ -41,7 +41,7 @@ from .params import (
     varphi,
 )
 from .poly import Poly, squarefree
-from .rational import HALF, ONE, ZERO, Rat, rat
+from .rational import HALF, ONE, ZERO, Rat, is_square, rat
 
 
 class ConsistencyError(AssertionError):
@@ -83,7 +83,8 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
             continue
         seen.append(lam)
         line = eigenspace(b, lam)
-        assert line.dim == 1, "nonzero superdiagonal must leave 1-dim eigenspaces"
+        if line.dim != 1:
+            raise ConsistencyError("nonzero superdiagonal must leave 1-dim eigenspaces")
         generated = spin(n, line.basis, ops)
         if not generated.is_full():
             return False, generated
@@ -155,10 +156,8 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         rows = []
         for i in range(n):
             m = prod_b * partials[i]
-            for r in range(1, n):
-                assert all(
-                    x == 0 for x in m.entries[r]
-                ), "B-annihilator product must land in the top row"
+            if any(x != 0 for row in m.entries[1:] for x in row):
+                raise ConsistencyError("B-annihilator product must land in the top row")
             rows.append(list(m.entries[0]))
         return Mat(rows)
 
@@ -181,22 +180,33 @@ def diagonalizable(p: ParamTriple, d: int, generator: str, mode: str = "both") -
     if mode not in ("criterion", "oracle", "both"):
         raise ValueError(f"mode must be criterion, oracle or both, got {mode!r}")
 
-    verdict_c = None
-    if mode in ("criterion", "both"):
+    if mode != "oracle":
         ok, _ = in_P(p, d)
         if not ok:
             raise ValueError(
                 "the coordinate criterion only classifies irreducible modules; "
                 "use mode='oracle' here"
             )
-        x = p[_GENERATOR_COORD[generator]]
-        verdict_c = all(x != rat(i - d - 1, 2) for i in range(1, 2 * d))
         if mode == "criterion":
-            return verdict_c
+            return _coordinate_criterion(p, d, generator)
 
-    rep = build_R(p, d, "v")
-    verdict_o = squarefree(minimal_polynomial(rep.generator(generator)))
-    if mode == "both" and verdict_c != verdict_o:
+    minpoly = minimal_polynomial(build_R(p, d, "v").generator(generator))
+    if mode == "both":
+        return _checked_diagonalizable(p, d, generator, minpoly)
+    return squarefree(minpoly)
+
+
+def _coordinate_criterion(p: ParamTriple, d: int, generator: str) -> bool:
+    x = p[_GENERATOR_COORD[generator]]
+    return all(x != rat(i - d - 1, 2) for i in range(1, 2 * d))
+
+
+def _checked_diagonalizable(p: ParamTriple, d: int, generator: str, minpoly: Poly) -> bool:
+    """Oracle verdict from the generator's minimal polynomial, insisting
+    that the coordinate criterion (valid for irreducible p) agrees."""
+    verdict_o = squarefree(minpoly)
+    verdict_c = _coordinate_criterion(p, d, generator)
+    if verdict_c != verdict_o:
         raise ConsistencyError(
             f"diagonalizability of {generator} at {p}, d={d}: "
             f"criterion {verdict_c}, oracle {verdict_o}"
@@ -240,20 +250,13 @@ def identify(a_mat: Mat, b_mat: Mat, c_mat: Mat) -> IdentifyResult:
         tr = m.trace()
         const = shift - tr / (d + 1)
         quad = Poly([const, ONE, ONE])
-        disc = 1 - 4 * const
-        root = None
-        if disc >= 0:
-            num, den = int(disc.numerator), int(disc.denominator)
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                s = rat(rn, rd)
-                root = ((-1 + s) * HALF, (-1 - s) * HALF)
-        if root is None:
-            all_rational = False
-            per[name] = GeneratorIdentification(tr, quad, None)
-        else:
-            per[name] = GeneratorIdentification(tr, quad, root)
+        rational, s = is_square(1 - 4 * const)
+        root = ((-1 + s) * HALF, (-1 - s) * HALF) if rational else None
+        per[name] = GeneratorIdentification(tr, quad, root)
+        if rational:
             coords[name] = root[0]
+        else:
+            all_rational = False
     candidate = (
         ParamTriple(coords["A"], coords["B"], coords["C"]) if all_rational else None
     )
@@ -282,29 +285,37 @@ def isomorphic(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
         raise ValueError(
             "isomorphism testing is defined here for irreducible modules only"
         )
-    same_orbit = canonical(p1)[0] == canonical(p2)[0]
-    r1 = build_R(p1, d, "v")
-    r2 = build_R(p2, d, "v")
-    if r1.scalars.eta != r2.scalars.eta:
-        basis = []
-    else:
-        basis = intertwiner_space(r1.A, r1.B, r2.A, r2.B)
+    basis = module_maps(build_R(p1, d, "v"), build_R(p2, d, "v"))
     hom_dim = len(basis)
-    witness = None
-    iso = False
-    if hom_dim == 1 and invertible(basis[0]):
-        iso = True
-        witness = basis[0]
     if hom_dim not in (0, 1):
         raise ConsistencyError(
             f"hom space between irreducible modules has dimension {hom_dim}"
         )
+    same_orbit, iso = orbit_check(p1, p2, d, basis)
+    return IsoResult(d, p1, p2, same_orbit, hom_dim, iso, basis[0] if iso else None)
+
+
+def module_maps(r1: ModuleRep, r2: ModuleRep) -> list[Mat]:
+    """Basis of the module maps from r1 to r2, in any pair of bases.  The
+    central eta acts on each module as a scalar, so unequal eta forces the
+    zero map and skips the linear solve."""
+    if r1.scalars.eta != r2.scalars.eta:
+        return []
+    return intertwiner_space(r1.A, r1.B, r2.A, r2.B)
+
+
+def orbit_check(p1: ParamTriple, p2: ParamTriple, d: int, maps: list[Mat]) -> tuple[bool, bool]:
+    """(same_orbit, iso) for irreducible R_d(p1), R_d(p2), given a basis of
+    the module maps between them; raises ConsistencyError when the orbit
+    criterion and the intertwiner oracle disagree."""
+    same_orbit = canonical(p1)[0] == canonical(p2)[0]
+    iso = len(maps) == 1 and invertible(maps[0])
     if iso != same_orbit:
         raise ConsistencyError(
             f"orbit criterion ({same_orbit}) disagrees with intertwiner oracle "
             f"({iso}) at {p1} vs {p2}, d={d}"
         )
-    return IsoResult(d, p1, p2, same_orbit, hom_dim, iso, witness)
+    return same_orbit, iso
 
 
 @dataclass(frozen=True)
@@ -346,17 +357,10 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
         )
 
     minpolys = {name: minimal_polynomial(rep.generator(name)) for name in ("A", "B", "C")}
-    diag = {}
-    for name in ("A", "B", "C"):
-        verdict_o = squarefree(minpolys[name])
-        if crit:
-            verdict_c = diagonalizable(p, d, name, mode="criterion")
-            if verdict_c != verdict_o:
-                raise ConsistencyError(
-                    f"diagonalizability of {name} at {p}, d={d}: "
-                    f"criterion {verdict_c}, oracle {verdict_o}"
-                )
-        diag[name] = verdict_o
+    diag = {
+        name: _checked_diagonalizable(p, d, name, mp) if crit else squarefree(mp)
+        for name, mp in minpolys.items()
+    }
 
     lmat = l_matrix(p, d, "closed")
     l_diag = tuple(lmat.entries[i][i] for i in range(d + 1))

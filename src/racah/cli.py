@@ -18,12 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 # as negative numbers out of the box)
 _NEGATIVE_RAT = re.compile(r"^-\d+(/\d+)?$")
 
-from .analyzer import ConsistencyError, analyze, isomorphic
+from .analyzer import ConsistencyError, analyze, isomorphic, module_maps, orbit_check
 from .golden import golden_example
-from .linalg import intertwiner_space, invertible
 from .matrix import Mat
 from .modules import build_R, verify_relations
-from .params import ParamTriple, canonical, in_P
+from .params import ParamTriple, in_P
 from .rational import Rat, format_rat, parse_rat, rat
 from .rewriter import ParseError, evaluate, format_element, normal_form, parse
 from .serialize import (
@@ -378,12 +377,7 @@ def _cmd_intertwine(args) -> int:
             doc["verdict"] = "isomorphic" if result.iso else "distinct"
             _emit_intertwine(args, doc)
             return 0
-    r1 = build_R(p1, d, args.basis)
-    r2 = build_R(p2, d, args.basis2)
-    if r1.scalars.eta != r2.scalars.eta:
-        basis = []
-    else:
-        basis = intertwiner_space(r1.A, r1.B, r2.A, r2.B)
+    basis = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
     doc = {
         "d": d,
         "params_1": params_to_doc(p1),
@@ -397,14 +391,10 @@ def _cmd_intertwine(args) -> int:
     irr1, _ = in_P(p1, d)
     irr2, _ = in_P(p2, d)
     if irr1 and irr2:
-        iso = len(basis) == 1 and invertible(basis[0])
-        same_orbit = canonical(p1)[0] == canonical(p2)[0]
-        if iso != same_orbit:
-            print(
-                f"internal cross-check failed: orbit criterion {same_orbit} "
-                f"vs intertwiner {iso}",
-                file=sys.stderr,
-            )
+        try:
+            _, iso = orbit_check(p1, p2, d, basis)
+        except ConsistencyError as exc:
+            print(f"internal cross-check failed: {exc}", file=sys.stderr)
             return 1
         doc["verdict"] = "isomorphic" if iso else "distinct"
     _emit_intertwine(args, doc)

@@ -12,7 +12,13 @@ from __future__ import annotations
 import json
 from importlib.resources import files
 
-from .analyzer import diagonalizable, identify, irreducible_criterion, irreducible_oracle
+from .analyzer import (
+    ConsistencyError,
+    diagonalizable,
+    identify,
+    irreducible_criterion,
+    irreducible_oracle,
+)
 from .linalg import Subspace, eigenspace, minimal_polynomial
 from .matrix import Mat, commutator, upper_bidiagonal
 from .modules import ModuleRep, build_R, verify_relations
@@ -130,7 +136,7 @@ def golden_example(varphi_sign: int = 1) -> dict:
     try:
         crit_says = [diagonalizable(p, d, g, mode="both") for g in ("A", "B", "C")]
         agree = not any(crit_says)
-    except Exception as exc:  # ConsistencyError means the routes split
+    except ConsistencyError as exc:
         agree = False
         diag_detail = str(exc)
     _claim(

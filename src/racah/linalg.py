@@ -150,18 +150,22 @@ class _Reducer:
         self.rows: list[list[Rat]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec):
+    def reduce(self, vec, factors=None):
+        """vec minus multiples of the kept rows.  When a list is given as
+        factors, (t, f) is appended to it for each f * rows[t] subtracted."""
         v = list(vec)
-        for row, pcol in zip(self.rows, self.pivots):
+        for t, (row, pcol) in enumerate(zip(self.rows, self.pivots)):
             if v[pcol] != 0:
                 f = v[pcol] / row[pcol]
                 for j in range(self.ncols):
                     if row[j] != 0:
                         v[j] = v[j] - f * row[j]
+                if factors is not None:
+                    factors.append((t, f))
         return v
 
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
+    def add(self, vec, factors=None) -> bool:
+        v = self.reduce(vec, factors)
         lead = next((j for j, x in enumerate(v) if x != 0), None)
         if lead is None:
             return False
@@ -208,23 +212,15 @@ def minimal_polynomial(m: Mat) -> Poly:
     power = Mat.identity(n)
     k = 0
     while True:
-        flat = [x for row in power.entries for x in row]
+        factors: list[tuple[int, Rat]] = []
+        independent = red.add([x for row in power.entries for x in row], factors)
         combo = [ZERO] * (k + 1)
         combo[k] = ONE
-        v = list(flat)
-        for row, pcol, pcombo in zip(red.rows, red.pivots, combos):
-            if v[pcol] != 0:
-                f = v[pcol] / row[pcol]
-                for j in range(n * n):
-                    if row[j] != 0:
-                        v[j] = v[j] - f * row[j]
-                for i, c in enumerate(pcombo):
-                    combo[i] = combo[i] - f * c
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
+        for t, f in factors:
+            for i, c in enumerate(combos[t]):
+                combo[i] = combo[i] - f * c
+        if not independent:
             return Poly(combo)  # leading coefficient stayed 1: already monic
-        red.rows.append(v)
-        red.pivots.append(lead)
         combos.append(combo)
         power = power * m
         k += 1

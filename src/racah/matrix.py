@@ -165,7 +165,8 @@ def lower_bidiagonal(diag, sub) -> Mat:
     """Square matrix with the given diagonal and first subdiagonal."""
     diag, sub = list(diag), list(sub)
     n = len(diag)
-    assert len(sub) == n - 1
+    if len(sub) != n - 1:
+        raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(sub)}")
     m = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = diag[i]

@@ -139,13 +139,19 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
                 _compare(f"{name} commutes with {gname}", central * gen, gen * central)
             )
 
+    for name, lhs, rhs in presentation_identities(a, b, ab, ba, ident, rep.scalars):
+        checks.append(_compare(f"{name} presentation identity", lhs, rhs))
+
+    return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
+
+
+def presentation_identities(a: Mat, b: Mat, ab: Mat, ba: Mat, ident: Mat, sc: Scalars):
+    """(name, lhs, rhs) of the AAB and ABB degree-3 presentation identities,
+    built from the products ab = A*B and ba = B*A the caller already holds."""
+    zeta, zeta_star, eta, _ = sc
     a2, b2 = a * a, b * b
     lhs_aab = a2 * b - (a * ba).scale(2) + ba * a - ab.scale(2) - ba.scale(2)
     rhs_aab = a2.scale(2) - a.scale(2 * eta) + ident.scale(2 * zeta)
-    checks.append(_compare("AAB presentation identity", lhs_aab, rhs_aab))
-
     lhs_abb = a * b2 - (b * ab).scale(2) + b2 * a - ab.scale(2) - ba.scale(2)
     rhs_abb = b2.scale(2) - b.scale(2 * eta) - ident.scale(2 * zeta_star)
-    checks.append(_compare("ABB presentation identity", lhs_abb, rhs_abb))
-
-    return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
+    return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))

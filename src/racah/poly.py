@@ -2,13 +2,11 @@
 
 Coefficients are stored lowest-degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.  Division,
-gcd and derivative are what squarefreeness and root finding need; nothing
-fancier lives here.
+gcd and derivative are what the squarefreeness test needs; nothing fancier
+lives here.
 """
 
 from __future__ import annotations
-
-import math
 
 from .rational import Rat, ZERO, ONE, rat, format_rat
 
@@ -142,18 +140,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift_divide(self, r) -> "Poly":
-        """Exact quotient by (x - r); raises if r is not a root."""
-        r = rat(r)
-        if self(r) != 0:
-            raise ValueError(f"{format_rat(r)} is not a root")
-        out = [ZERO] * self.degree
-        carry = ZERO
-        for i in range(self.degree, 0, -1):
-            carry = self.coeffs[i] + r * carry
-            out[i - 1] = carry
-        return Poly(out)
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -193,57 +179,3 @@ def squarefree(p: Poly) -> bool:
         return True
     return poly_gcd(p, p.derivative()).degree == 0
 
-
-def _divisors(n: int) -> list[int]:
-    # factorint is Pollard-rho backed; trial division chokes on the ~1e17
-    # constant terms that honest minimal polynomials produce.
-    from sympy import factorint
-
-    divs = [1]
-    for prime, mult in factorint(n).items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(divs)
-
-
-def rational_roots(p: Poly) -> tuple[list[tuple[Rat, int]], Poly]:
-    """All rational roots with multiplicities, plus the rootless cofactor.
-
-    The cofactor is the monic exact quotient of p by prod (x-r)^mult; it has
-    no rational roots.  Roots are returned sorted increasing.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has every root")
-    roots: list[tuple[Rat, int]] = []
-    work = p.monic()
-
-    mult0 = 0
-    while not work.is_zero() and work.coeffs and work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
-        mult0 += 1
-    if mult0:
-        roots.append((ZERO, mult0))
-    if work.degree <= 0:
-        return roots, Poly([ONE])
-
-    denoms = [int(c.denominator) for c in work.coeffs]
-    scale = math.lcm(*denoms)
-    ints = [int(c.numerator) * (scale // int(c.denominator)) for c in work.coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-
-    a0, an = abs(ints[0]), abs(ints[-1])
-    candidates = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            if math.gcd(num, den) == 1:
-                candidates.add(rat(num, den))
-                candidates.add(rat(-num, den))
-    for cand in sorted(candidates):
-        mult = 0
-        while work.degree > 0 and work(cand) == 0:
-            work = work.shift_divide(cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0])
-    return roots, work.monic()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrix import Mat, lower_bidiagonal, upper_bidiagonal
-from .modules import build_R
+from .modules import build_R, presentation_identities
 from .params import ParamTriple, Scalars, scalars, theta, theta_star, varphi
 from .rational import HALF, ONE, ZERO, Rat, format_rat, rat
 
@@ -137,9 +137,10 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     )
 
     # central elements on m_0, assembled from the truncated matrices
+    ab, ba = a_mat * b_mat, b_mat * a_mat
     c_mat = ident.scale(eta) - a_mat - b_mat
-    d_mat = (a_mat * b_mat - b_mat * a_mat).scale(HALF)
-    alpha_col = (a_mat * d_mat - d_mat * a_mat + a_mat * c_mat - b_mat * a_mat).apply(e0)
+    d_mat = (ab - ba).scale(HALF)
+    alpha_col = (a_mat * d_mat - d_mat * a_mat + a_mat * c_mat - ba).apply(e0)
     checks.append(
         VermaCheck(
             "alpha acts as zeta on the highest vector",
@@ -147,7 +148,7 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
             f"zeta = {format_rat(zeta)}",
         )
     )
-    beta_col = (b_mat * d_mat - d_mat * b_mat + b_mat * a_mat - c_mat * b_mat).apply(e0)
+    beta_col = (b_mat * d_mat - d_mat * b_mat + ba - c_mat * b_mat).apply(e0)
     checks.append(
         VermaCheck(
             "beta acts as zeta_star on the highest vector",
@@ -177,14 +178,8 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
         )
     )
 
-    ab, ba = a_mat * b_mat, b_mat * a_mat
-    a2, b2 = a_mat * a_mat, b_mat * b_mat
-    lhs_aab = a2 * b_mat - (a_mat * ba).scale(2) + ba * a_mat - ab.scale(2) - ba.scale(2)
-    rhs_aab = a2.scale(2) - a_mat.scale(2 * eta) + ident.scale(2 * zeta)
-    lhs_abb = a_mat * b2 - (b_mat * ab).scale(2) + b2 * a_mat - ab.scale(2) - ba.scale(2)
-    rhs_abb = b2.scale(2) - b_mat.scale(2 * eta) - ident.scale(2 * zeta_star)
     pres_bad = None
-    for name, lhs, rhs in (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb)):
+    for name, lhs, rhs in presentation_identities(a_mat, b_mat, ab, ba, ident, vt.scalars):
         for j in range(0, window + 1):
             for i in range(n):
                 if lhs.entries[i][j] != rhs.entries[i][j]:

@@ -1,7 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import racah.analyzer as analyzer
 from racah import (
+    ConsistencyError,
+    IDENTITY_FLIP,
     Mat,
     ParamTriple,
     Poly,
@@ -309,3 +315,56 @@ def test_analyze_internal_cross_checks(p, d):
     # analyze() raises ConsistencyError if any criterion and oracle split
     report = analyze(p, d)
     assert report.irreducible == report.l_det_nonzero
+
+
+# ------------------------------------------------------ injected disagreements
+
+def _negate_criterion(monkeypatch):
+    real = analyzer._coordinate_criterion
+    monkeypatch.setattr(analyzer, "_coordinate_criterion", lambda *args: not real(*args))
+
+
+def test_analyze_catches_diagonalizability_split(monkeypatch):
+    _negate_criterion(monkeypatch)
+    with pytest.raises(ConsistencyError, match="diagonalizability of A"):
+        analyze(P, 2)
+
+
+def test_diagonalizable_both_catches_split(monkeypatch):
+    _negate_criterion(monkeypatch)
+    with pytest.raises(ConsistencyError, match="diagonalizability of B"):
+        diagonalizable(P, 2, "B", mode="both")
+
+
+def test_isomorphic_catches_orbit_split(monkeypatch):
+    # every triple becomes its own orbit, so a flip partner looks distinct
+    monkeypatch.setattr(analyzer, "canonical", lambda p: (p, IDENTITY_FLIP))
+    with pytest.raises(ConsistencyError, match="orbit criterion"):
+        isomorphic(P, act(P, ALL_FLIPS[1]), 2)
+
+
+_OPTIMIZED_PROBE = """
+import sys
+import racah.analyzer as analyzer
+from racah import ConsistencyError, ParamTriple, ShapeError, analyze
+from racah.matrix import lower_bidiagonal
+
+try:
+    lower_bidiagonal([1, 2, 3], [7])
+except ShapeError:
+    print("shape")
+analyzer.in_P = lambda p, d: (True, [])
+try:
+    analyze(ParamTriple.of("1/5", "1/5", "-7/5"), 2)
+except ConsistencyError:
+    print("consistency")
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_runtime_checks_survive_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["shape", "consistency", "optimize", "1"]

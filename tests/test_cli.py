@@ -254,6 +254,18 @@ def test_intertwine_reducible_is_unclassified(capsys):
     assert doc["hom_dim"] >= 1
 
 
+def test_intertwine_across_bases_catches_orbit_split(capsys, monkeypatch):
+    import racah.analyzer as analyzer
+
+    # a triple and its flip partner stop sharing an orbit
+    monkeypatch.setattr(analyzer, "canonical", lambda p: (p, None))
+    argv = ["intertwine", *GENERIC, "--a2", "-4/3", "--b2", "-2/5", "--c2", "7/4"]
+    code, out, err = run_cli(capsys, [*argv, "--d", "2", "--basis2", "w"])
+    assert code == 1
+    assert out == ""
+    assert "internal cross-check failed" in err
+
+
 def test_intertwine_partial_second_triple(capsys):
     code, out, err = run_cli(
         capsys, ["intertwine", *GENERIC, "--d", "2", "--a2", "0"]
@@ -353,6 +365,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_runs_without_sympy():
+    probe = (
+        "import sys; sys.modules['sympy'] = None;"
+        "from racah import ParamTriple, analyze, golden_example;"
+        "assert golden_example()['ok'];"
+        "print(analyze(ParamTriple.of('1/3', '-2/5', '7/4'), 3).irreducible)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_module_entry_point_usage():

@@ -193,15 +193,11 @@ def test_minpoly_annihilates_and_is_monic(m):
 
 @given(mats(3))
 def test_minpoly_minimality(m):
-    # no monic proper divisor obtained by deleting one rational root of the
-    # minimal polynomial may annihilate
-    from racah import rational_roots
-
+    # I, M, ..., M^(deg-1) are linearly independent, so no nonzero polynomial
+    # of smaller degree (in particular no proper divisor) annihilates M
     p = minimal_polynomial(m)
-    roots, _ = rational_roots(p)
-    for r, _mult in roots:
-        q = p.shift_divide(r)
-        assert not apply_poly(q, m).is_zero()
+    powers = [m**k for k in range(p.degree)]
+    assert rank(Mat([[x for row in q.entries for x in row] for q in powers])) == p.degree
 
 
 # ------------------------------------------------------------------- spin

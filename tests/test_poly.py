@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from racah import Poly, poly_gcd, rat, rational_roots, squarefree
+from racah import Poly, poly_gcd, rat, squarefree
 
 from conftest import rationals
 
@@ -83,50 +83,3 @@ def test_squarefree():
     assert squarefree(Poly([5]))
     with pytest.raises(ValueError):
         squarefree(Poly([]))
-
-
-def test_rational_roots_known_cases():
-    roots, rest = rational_roots(Poly([-1, 0, 1]))
-    assert roots == [(rat(-1), 1), (rat(1), 1)]
-    assert rest == Poly([1])
-
-    roots, rest = rational_roots(Poly([1, 0, 1]))  # x^2 + 1
-    assert roots == []
-    assert rest == Poly([1, 0, 1])
-
-    roots, rest = rational_roots(Poly([0, 0, 0, 1]))  # x^3
-    assert roots == [(rat(0), 3)]
-    assert rest == Poly([1])
-
-    # 6x^2 - 5x + 1 = (2x-1)(3x-1)
-    roots, rest = rational_roots(Poly([1, -5, 6]))
-    assert roots == [(rat(1, 3), 1), (rat(1, 2), 1)]
-    assert rest == Poly([1])
-
-
-def test_rational_roots_quintic_with_multiplicities():
-    p = Poly.from_roots([rat(-1, 4), rat(3, 4), rat(3, 4), rat(15, 4), rat(15, 4)])
-    roots, rest = rational_roots(p)
-    assert roots == [(rat(-1, 4), 1), (rat(3, 4), 2), (rat(15, 4), 2)]
-    assert rest == Poly([1])
-
-
-def test_rational_roots_rejects_zero():
-    with pytest.raises(ValueError):
-        rational_roots(Poly([]))
-
-
-@given(
-    st.lists(rationals(max_num=6, max_den=4), min_size=0, max_size=4),
-    st.booleans(),
-)
-def test_rational_roots_recovers_constructed_roots(root_list, add_irrational):
-    p = Poly.from_roots(root_list)
-    if add_irrational:
-        p = p * Poly([1, 1, 1])  # x^2 + x + 1, no rational roots
-    roots, rest = rational_roots(p)
-    expected = {}
-    for r in root_list:
-        expected[r] = expected.get(r, 0) + 1
-    assert dict(roots) == expected
-    assert rest == (Poly([1, 1, 1]) if add_irrational else Poly([1]))
