@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from racah import Mat, ShapeError, commutator, rat
+from racah.rational import Rat
 from racah.matrix import lower_bidiagonal, upper_bidiagonal
 
 from conftest import rationals
@@ -96,3 +97,35 @@ def test_trace_and_transpose_identities(a, b):
 def test_immutability(a):
     with pytest.raises(AttributeError):
         a.entries = ()
+
+
+def dense_product(a, b):
+    """The schoolbook product over every term, kept as the oracle for the
+    zero-skipping Mat.__mul__."""
+    bt = list(zip(*b.entries))
+    return Mat([[sum(x * y for x, y in zip(arow, bcol)) for bcol in bt] for arow in a.entries])
+
+
+def sparse_mats(n, m):
+    """n x m matrices with most entries zero, like the bidiagonal generators."""
+    entry = st.one_of(st.just(rat(0)), st.just(rat(0)), rationals())
+    return st.lists(
+        st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n
+    ).map(Mat)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_mul_matches_dense_product(n, k, m, data):
+    a = data.draw(sparse_mats(n, k))
+    b = data.draw(sparse_mats(k, m))
+    product = a * b
+    assert product == dense_product(a, b)
+    assert product.shape() == (n, m)
+    assert all(type(x) is Rat for row in product.entries for x in row)
+
+
+@given(mats(3), mats(3))
+def test_arithmetic_results_hold_backend_rationals(a, b):
+    for m in (a + b, a - b, a.scale(rat(2, 3)), -a, a.transpose(), a * b):
+        assert all(type(x) is Rat for row in m.entries for x in row)
+        assert m == Mat(m.entries) and hash(m) == hash(Mat(m.entries))
