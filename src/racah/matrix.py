@@ -1,8 +1,7 @@
 """Dense matrices over the exact rationals.
 
 Mat is immutable (entries stored as a tuple of row tuples).  Arithmetic is
-schoolbook, except that products skip zero entries: the generators are
-bidiagonal or tridiagonal, so most terms of a dense product are 0 * x.
+schoolbook, with products skipping zero terms; sizes top out around 30x30.
 Shape mismatches raise ShapeError naming both shapes.
 """
 
@@ -19,7 +18,7 @@ class Mat:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries):
-        rows = tuple(tuple(rat(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Rat else rat(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise ShapeError("matrix needs at least one row and one column")
         ncols = len(rows[0])
@@ -31,17 +30,6 @@ class Mat:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
-
-    @classmethod
-    def _of(cls, rows) -> "Mat":
-        """Mat from rows whose entries are already backend rationals; the
-        arithmetic below builds its results here and skips re-coercion."""
-        m = object.__new__(cls)
-        rows = tuple(tuple(r) for r in rows)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]))
-        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -85,7 +73,7 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeError(f"cannot add {self.rows}x{self.cols} to {other.rows}x{other.cols}")
-        return Mat._of(
+        return Mat(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -95,7 +83,7 @@ class Mat:
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
-        return Mat._of(
+        return Mat(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -104,7 +92,7 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat._of([[c * x for x in row] for row in self.entries])
+        return Mat([[c * x for x in row] for row in self.entries])
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -115,19 +103,14 @@ class Mat:
                 raise ShapeError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            nonzero = [
-                [(j, b) for j, b in enumerate(brow) if b != 0]
-                for brow in other.entries
-            ]
-            out = []
-            for arow in self.entries:
-                acc = [ZERO] * other.cols
+            nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+            out = [[ZERO] * other.cols for _ in range(self.rows)]
+            for acc, arow in zip(out, self.entries):
                 for a, bterms in zip(arow, nonzero):
-                    if a != 0:
+                    if a:
                         for j, b in bterms:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Mat._of(out)
+                            acc[j] += a * b
+            return Mat(out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -144,7 +127,7 @@ class Mat:
         return acc
 
     def transpose(self) -> "Mat":
-        return Mat._of(zip(*self.entries))
+        return Mat(list(zip(*self.entries)))
 
     def trace(self) -> Rat:
         if self.rows != self.cols:
