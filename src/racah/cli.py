@@ -3,7 +3,8 @@
 Subcommands: construct, verify, analyze, sweep, intertwine, reduce, eval,
 verma, golden.  Documents go to stdout (or --out) as canonical JSON;
 --format text switches to a plain rendering.  Exit codes: 0 success /
-all checks pass, 1 any check failure, 2 usage or malformed input.
+all checks pass, 1 any check failure or an exceeded rewrite limit, 2 usage
+or malformed input (an oversize sweep grid included).
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ _NEGATIVE_RAT = re.compile(r"^-\d+(/\d+)?$")
 
 from .analyzer import ConsistencyError, analyze, isomorphic, module_maps, orbit_check
 from .golden import golden_example
-from .matrix import Mat
 from .modules import build_R, verify_relations
 from .params import ParamTriple, in_P
-from .rational import Rat, format_rat, parse_rat, rat
-from .rewriter import ParseError, evaluate, format_element, normal_form, parse
+from .rational import Rat, format_rat, parse_rat
+from .rewriter import ParseError, RewriteLimitError, evaluate, format_element, normal_form, parse
 from .serialize import (
     analysis_to_doc,
     dumps,
@@ -197,8 +197,13 @@ def run_sweep(points, jobs: int = 1) -> dict:
     }
 
 
+# a sweep grid with more points is rejected before any of it is built
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[tuple[ParamTriple, int]]:
     values: dict[str, list] = {}
+    size = 1
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -222,16 +227,19 @@ def _parse_grid(spec: str) -> list[tuple[ParamTriple, int]]:
                 raise ValueError(f"range step must be positive in {body!r}")
             if hi < lo:
                 raise ValueError(f"empty range {body!r}")
-            vals = []
-            x = lo
-            while x <= hi:
-                vals.append(x)
-                x = x + step
+            count = (hi - lo) // step + 1
+            vals = (lo + k * step for k in range(count))  # built after the size check
         else:
             vals = [parse_rat(v) for v in body.split(",") if v.strip()]
-        if not vals:
+            count = len(vals)
+        if not count:
             raise ValueError(f"no values for grid key {key!r}")
-        values[key] = vals
+        size *= count
+        if size > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has at least {size} points, more than the limit of {MAX_GRID_POINTS}"
+            )
+        values[key] = list(vals)
     missing = [k for k in ("a", "b", "c", "d") if k not in values]
     if missing:
         raise ValueError(f"grid is missing keys: {', '.join(missing)}")
@@ -364,9 +372,9 @@ def _cmd_intertwine(args) -> int:
         return 2
     p2 = ParamTriple(*second) if second[0] is not None else p1
     d = args.d
+    irr1, _ = in_P(p1, d)
+    irr2, _ = in_P(p2, d)
     if args.basis == "v" and args.basis2 == "v":
-        irr1, _ = in_P(p1, d)
-        irr2, _ = in_P(p2, d)
         if irr1 and irr2:
             try:
                 result = isomorphic(p1, p2, d)
@@ -388,8 +396,6 @@ def _cmd_intertwine(args) -> int:
         "intertwiners": [mat_to_rows(m) for m in basis],
         "verdict": "unclassified",
     }
-    irr1, _ = in_P(p1, d)
-    irr2, _ = in_P(p2, d)
     if irr1 and irr2:
         try:
             _, iso = orbit_check(p1, p2, d, basis)
@@ -413,7 +419,11 @@ def _cmd_reduce(args, parser) -> int:
         element = parse(args.expr)
     except ParseError as exc:
         parser.error(str(exc))
-    normal = normal_form(element)
+    try:
+        normal = normal_form(element)
+    except RewriteLimitError as exc:
+        print(f"rewrite limit exceeded: {exc}", file=sys.stderr)
+        return 1
     text = format_element(normal)
     terms = [
         {

@@ -19,6 +19,8 @@ def rref(vectors) -> list[tuple[Rat, ...]]:
 
     Zero rows are dropped; the result is the canonical basis of the span
     (pivot columns strictly increasing, pivots 1, pivot columns cleared).
+    A forward pass leaves a semi-echelon basis; each of its rows is scaled
+    to pivot 1 and, last pivot first, reduced against the rows already done.
     """
     rows = [list(v) for v in vectors]
     if not rows:
@@ -27,37 +29,20 @@ def rref(vectors) -> list[tuple[Rat, ...]]:
     for r in rows:
         if len(r) != ncols:
             raise ShapeError("vectors of mixed lengths cannot span a subspace")
-    out: list[list[Rat]] = []
-    pivots: list[int] = []
+    forward, back = _Reducer(ncols), _Reducer(ncols)
     for row in rows:
-        # reduce against what we already have
-        for prow, pcol in zip(out, pivots):
-            if row[pcol] != 0:
-                f = row[pcol]
-                for j in range(pcol, ncols):
-                    row[j] = row[j] - f * prow[j]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        inv = ONE / row[lead]
-        for j in range(lead, ncols):
-            row[j] = row[j] * inv
-        # clear the new pivot column above
-        for prow in out:
-            if prow[lead] != 0:
-                f = prow[lead]
-                for j in range(lead, ncols):
-                    prow[j] = prow[j] - f * row[j]
-        pos = next((k for k, pc in enumerate(pivots) if pc > lead), len(pivots))
-        out.insert(pos, row)
-        pivots.insert(pos, lead)
-    return [tuple(r) for r in out]
+        forward.add(row)
+    for t in sorted(range(forward.dim), key=forward.pivots.__getitem__, reverse=True):
+        row = forward.rows[t]
+        inv = ONE / row[forward.pivots[t]]
+        back.add([x * inv if x != 0 else x for x in row])
+    return [tuple(r) for r in reversed(back.rows)]
 
 
 class Subspace:
     """A subspace of Q^n held by its canonical (RREF) basis of row vectors."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, vectors):
         basis = tuple(rref(vectors))
@@ -68,6 +53,8 @@ class Subspace:
                 )
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        pivots = tuple(next(j for j, x in enumerate(v) if x != 0) for v in basis)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -86,13 +73,8 @@ class Subspace:
         vec = list(vec)
         if len(vec) != self.ambient_dim:
             return False
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-        for row, pcol in zip(self.basis, pivots):
-            if vec[pcol] != 0:
-                f = vec[pcol]
-                for j in range(pcol, self.ambient_dim):
-                    vec[j] = vec[j] - f * row[j]
-        return all(x == 0 for x in vec)
+        rest = _Reducer(self.ambient_dim, self.basis, self.pivots).reduce(vec)
+        return all(x == 0 for x in rest)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -121,14 +103,13 @@ def invertible(m: Mat) -> bool:
 
 def kernel(m: Mat) -> Subspace:
     """Right kernel {v : Mv = 0} as a subspace of Q^cols."""
-    reduced = rref(m.entries)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in reduced]
-    free = [j for j in range(m.cols) if j not in pivots]
+    row_space = Subspace(m.cols, m.entries)
+    free = [j for j in range(m.cols) if j not in row_space.pivots]
     vectors = []
     for fj in free:
         v = [ZERO] * m.cols
         v[fj] = ONE
-        for row, pcol in zip(reduced, pivots):
+        for row, pcol in zip(row_space.basis, row_space.pivots):
             v[pcol] = -row[fj]
         vectors.append(v)
     return Subspace(m.cols, vectors)
@@ -141,23 +122,25 @@ def eigenspace(m: Mat, lam) -> Subspace:
 
 
 class _Reducer:
-    """Semi-echelon accumulator: rows with remembered pivot columns, not
-    normalized or back-substituted.  add() reduces a vector and keeps it if
-    independent; cheap enough to drive both spin() and the Krylov loop."""
+    """Semi-echelon accumulator: rows with remembered pivot columns (each
+    row's first nonzero entry), not normalized or back-substituted.  add()
+    reduces a vector and keeps it if independent.  The one elimination loop:
+    it drives rref(), Subspace.contains(), spin() and the Krylov loop."""
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows=(), pivots=()):
         self.ncols = ncols
-        self.rows: list[list[Rat]] = []
-        self.pivots: list[int] = []
+        self.rows: list = list(rows)
+        self.pivots: list[int] = list(pivots)
 
     def reduce(self, vec, factors=None):
         """vec minus multiples of the kept rows.  When a list is given as
-        factors, (t, f) is appended to it for each f * rows[t] subtracted."""
-        v = list(vec)
+        factors, (t, f) is appended to it for each f * rows[t] subtracted.
+        Entries become rationals first: int / int would be a float."""
+        v = [x if type(x) is Rat else rat(x) for x in vec]
         for t, (row, pcol) in enumerate(zip(self.rows, self.pivots)):
             if v[pcol] != 0:
                 f = v[pcol] / row[pcol]
-                for j in range(self.ncols):
+                for j in range(pcol, self.ncols):
                     if row[j] != 0:
                         v[j] = v[j] - f * row[j]
                 if factors is not None:

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from racah import Mat, ParamTriple, build_R, rat
-from racah.cli import main, _parse_grid
+import racah.rewriter
+from racah.cli import MAX_GRID_POINTS, main, _parse_grid
 from racah.serialize import (
     mat_from_rows,
     mat_from_text,
@@ -161,6 +162,20 @@ def test_sweep_rejects_malformed_grids(spec, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "a=0..1000:1/1000000;b=0;c=0;d=1",  # 10^9 values in one range
+        "a=0..99:1;b=0..99:1;c=0..10:1;d=1",  # each key small, product too big
+    ],
+)
+def test_sweep_rejects_oversize_grid(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--grid", spec])
+    assert exc.value.code == 2
+    assert f"limit of {MAX_GRID_POINTS}" in capsys.readouterr().err
+
+
 def test_sweep_summary(capsys):
     code, doc, err = run_json(
         capsys, ["sweep", "--grid", "a=1/3,1/5;b=1/3;c=1;d=2"]
@@ -299,6 +314,14 @@ def test_reduce_bad_expression(capsys):
         main(["reduce", "--expr", "A**B"])
     assert exc.value.code == 2
     assert "position 3" in capsys.readouterr().err
+
+
+def test_reduce_rewrite_limit_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(racah.rewriter, "REWRITE_LIMIT", 5)
+    code, out, err = run_cli(capsys, ["reduce", "--expr", "(A+B)^6"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rewrite limit exceeded: normal ordering exceeded 5")
 
 
 def test_eval_relation_vanishes(capsys):

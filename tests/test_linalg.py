@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import racah.linalg as linalg
 from racah import (
     Mat,
     Poly,
     ShapeError,
     Subspace,
+    build_R,
     eigenspace,
     intertwiner_space,
     invertible,
@@ -20,7 +22,7 @@ from racah import (
 )
 from racah.linalg import apply_poly
 
-from conftest import rationals
+from conftest import rationals, triples
 
 
 def mats(n, m=None):
@@ -40,6 +42,12 @@ def test_rref_hand_example():
         (rat(1), rat(0), rat(-7)),
         (rat(0), rat(1), rat(5)),
     ]
+
+
+def test_rref_of_ints_is_exact():
+    got = rref([[3, 1], [1, 1]])
+    assert got == [(rat(1), rat(0)), (rat(0), rat(1))]
+    assert all(type(x) is type(rat(1)) for row in got for x in row)
 
 
 def test_rref_empty_and_zero():
@@ -217,6 +225,11 @@ def test_spin_respects_block_structure():
     assert s.dim == 1 and s.basis == ((rat(0), rat(1), rat(0)),)
 
 
+def test_spin_of_int_seeds_is_exact():
+    s = spin(3, [[3, 1, 1], [1, 1, 2]], [Mat.identity(3)])
+    assert s.basis == ((rat(1), rat(0), rat(-1, 2)), (rat(0), rat(1), rat(5, 2)))
+
+
 def test_spin_shape_check():
     with pytest.raises(ShapeError):
         spin(3, [[1, 0, 0]], [Mat.identity(2)])
@@ -267,3 +280,111 @@ def test_intertwiner_defining_property(a1, b1, a2, b2):
     for x in intertwiner_space(a1, b1, a2, b2):
         assert a2 * x == x * a1
         assert b2 * x == x * b1
+
+
+# ------------------------------------- differential: Gauss-Jordan oracle
+
+def gauss_jordan_rref(vectors):
+    """The retired rref: Gauss-Jordan, clearing each new pivot column above
+    and keeping the rows sorted by pivot.  Oracle for the elimination that
+    rref, Subspace.contains and kernel now share."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    out, pivots = [], []
+    for row in rows:
+        for prow, pcol in zip(out, pivots):
+            if row[pcol] != 0:
+                f = row[pcol]
+                for j in range(pcol, ncols):
+                    row[j] = row[j] - f * prow[j]
+        lead = next((j for j in range(ncols) if row[j] != 0), None)
+        if lead is None:
+            continue
+        inv = rat(1) / row[lead]
+        for j in range(lead, ncols):
+            row[j] = row[j] * inv
+        for prow in out:
+            if prow[lead] != 0:
+                f = prow[lead]
+                for j in range(lead, ncols):
+                    prow[j] = prow[j] - f * row[j]
+        pos = next((k for k, pc in enumerate(pivots) if pc > lead), len(pivots))
+        out.insert(pos, row)
+        pivots.insert(pos, lead)
+    return [tuple(r) for r in out]
+
+
+def gauss_jordan_kernel(rows, ncols):
+    """The retired kernel, on the oracle rref: one vector per free column."""
+    reduced = gauss_jordan_rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in reduced]
+    vectors = []
+    for fj in (j for j in range(ncols) if j not in pivots):
+        v = [rat(0)] * ncols
+        v[fj] = rat(1)
+        for r, pcol in zip(reduced, pivots):
+            v[pcol] = -r[fj]
+        vectors.append(v)
+    return gauss_jordan_rref(vectors)
+
+
+@st.composite
+def planted_rows(draw):
+    """(ncols, rows): up to 8 mostly-zero rows of length up to 9, some of
+    them combinations of the others."""
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(rat(0)), st.just(rat(0)), rationals(max_num=5, max_den=3))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        cx, cy = draw(rationals(3, 2)), draw(rationals(3, 2))
+        planted = [cx * a + cy * b for a, b in zip(x, y)]
+        rows.insert(draw(st.integers(0, len(rows))), planted)
+    return ncols, rows
+
+
+@given(planted_rows())
+def test_rref_matches_gauss_jordan(case):
+    _, rows = case
+    assert rref(rows) == gauss_jordan_rref(rows)
+
+
+@given(planted_rows(), st.data())
+def test_contains_matches_gauss_jordan(case, data):
+    ncols, rows = case
+    s = Subspace(ncols, rows)
+    if s.basis and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(rationals(3, 2), min_size=s.dim, max_size=s.dim))
+        v = [sum((c * b[j] for c, b in zip(coeffs, s.basis)), rat(0)) for j in range(ncols)]
+    else:
+        v = data.draw(st.lists(rationals(5, 3), min_size=ncols, max_size=ncols))
+    assert s.contains(v) == (gauss_jordan_rref(list(s.basis) + [v]) == list(s.basis))
+
+
+@given(planted_rows())
+def test_kernel_matches_gauss_jordan(case):
+    ncols, rows = case
+    assume(rows)
+    assert list(kernel(Mat(rows)).basis) == gauss_jordan_kernel(rows, ncols)
+
+
+@given(triples(5, 3), triples(5, 3), st.booleans(), st.integers(0, 3),
+       st.sampled_from(["v", "w", "u"]))
+def test_elimination_matches_gauss_jordan_on_sylvester_systems(p1, p2, same, d, basis2):
+    # the stacked system intertwiner_space hands to kernel, for a module pair
+    r1, r2 = build_R(p1, d, "v"), build_R(p1 if same else p2, d, basis2)
+    systems = []
+    real_kernel = linalg.kernel
+
+    def recording_kernel(m):
+        systems.append(m)
+        return real_kernel(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "kernel", recording_kernel)
+        intertwiner_space(r1.A, r1.B, r2.A, r2.B)
+    (m,) = systems
+    assert rref(m.entries) == gauss_jordan_rref(m.entries)
+    assert list(kernel(m).basis) == gauss_jordan_kernel(m.entries, m.cols)
