@@ -59,6 +59,9 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):
+        return (Subspace, (self.ambient_dim, self.basis))
+
     @property
     def dim(self) -> int:
         return len(self.basis)

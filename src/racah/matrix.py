@@ -34,6 +34,9 @@ class Mat:
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
+    def __reduce__(self):
+        return (Mat, (self.entries,))
+
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])

@@ -23,6 +23,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return (Poly, (self.coeffs,))
+
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls([c])

@@ -51,7 +51,11 @@ HALF = _make(1, 2)
 
 def rat(num, den=1) -> Rat:
     """Exact rational from ints, a backend scalar, or another exact rational."""
-    return _make(num, den)
+    try:
+        return _make(num, den)
+    except TypeError:
+        value = repr(num) if den == 1 else f"{num!r}/{den!r}"
+        raise TypeError(f"only exact rationals are accepted, got {value}") from None
 
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

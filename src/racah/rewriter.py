@@ -2,28 +2,34 @@
 
 Expressions over A, B, C, D, alpha, beta, gamma, delta are parsed into
 formal sums of words.  Normal ordering first eliminates C = delta - A - B
-and gamma = -alpha - beta, then straightens the remaining letters into the
-ordered monomials A^i D^j B^k alpha^r delta^s beta^t using
+and gamma = -alpha - beta, then multiplies the remaining letters out in the
+basis of ordered monomials A^i D^j B^k alpha^r delta^s beta^t, using
 
     B A -> A B - 2 D
     D A -> A D + A delta - A^2 - 2 A B + 2 D - alpha
     B D -> D B + B delta - B^2 - 2 A B + 2 D + beta
 
-(alpha, beta, delta are central and commute with everything).  Each rule
-application strictly drops the measure (total degree, inversion count), so
-the straightening terminates; an iteration cap guards it anyway.
+(alpha, beta, delta are central and commute with everything).  By
+Bergman's diamond lemma the ordered monomials form a basis, so the normal
+form is unique however the rules are applied.  A monomial times a letter
+that is out of order splits off the monomial's last letter, applies the
+rule for the pair and multiplies the replacement into the shorter prefix;
+a sum of words is normalized by grouping on its last letters.  Both are
+memoized for one call.  Each rule drops the measure (total degree,
+inversion count), so the recursion ends.  A rewrite step is one
+out-of-order monomial times letter product, memo hits included, and
+REWRITE_LIMIT caps their number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrix import Mat
 from .modules import ModuleRep
-from .rational import ONE, Rat, ZERO, format_rat, parse_rat, rat
+from .rational import ONE, ZERO, format_rat, parse_rat, rat
 
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
+WORD_LIMIT = 2**16  # most words a parsed product, power or commutator may expand to
 REWRITE_LIMIT = 10**6
 
 
@@ -49,6 +55,9 @@ class _Element:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.terms,))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -216,17 +225,25 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
+    def check_size(self, bound: int, position: int) -> None:
+        if bound > WORD_LIMIT:
+            raise ParseError(
+                f"expansion exceeds the limit of {WORD_LIMIT} words", position
+            )
+
     def term(self) -> FreeElement:
         value = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            value = value * self.factor()
+            pos = self.take()[2]
+            rhs = self.factor()
+            self.check_size(len(value.terms) * len(rhs.terms), pos)
+            value = value * rhs
         return value
 
     def factor(self) -> FreeElement:
         value = self.atom()
         if self.peek()[0] == "^":
-            self.take()
+            caret = self.take()[2]
             tok = self.peek()
             if tok[0] != "num" or "/" in tok[1]:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
@@ -236,6 +253,7 @@ class _Parser:
                 raise ParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", tok[2]
                 )
+            self.check_size(len(value.terms) ** e, caret)
             value = value**e
         return value
 
@@ -264,6 +282,7 @@ class _Parser:
             self.expect(",", "commutator bracket needs two comma-separated arguments")
             right = self.expr()
             self.expect("]", "unclosed commutator bracket", opened_at=pos)
+            self.check_size(len(left.terms) * len(right.terms), pos)
             return left * right - right * left
         if kind == "-":
             self.take()
@@ -282,108 +301,192 @@ def parse(text: str) -> FreeElement:
 
 # ------------------------------------------------------------ elimination
 
-_C_EXPANSION = FreeElement(
-    {("delta",): ONE, ("A",): -ONE, ("B",): -ONE}
-)
-_GAMMA_EXPANSION = FreeElement({("alpha",): -ONE, ("beta",): -ONE})
+def _accumulate(out: dict, items) -> None:
+    """Add (key, coeff) pairs into out."""
+    for key, c in items:
+        out[key] = out[key] + c if key in out else c
+
+
+_EXPANSIONS = {
+    "C": (("delta", ONE), ("A", -ONE), ("B", -ONE)),
+    "gamma": (("alpha", -ONE), ("beta", -ONE)),
+}
 
 
 def eliminate(x: FreeElement) -> FreeElement:
     """Rewrite C and gamma away: C = delta - A - B, gamma = -alpha - beta."""
-    out = FreeElement.zero()
+    out: dict = {}
     for word, coeff in x.terms.items():
-        acc = FreeElement.scalar(coeff)
+        if "C" not in word and "gamma" not in word:
+            out[word] = out[word] + coeff if word in out else coeff
+            continue
+        acc = {(): coeff}
         for sym in word:
-            if sym == "C":
-                acc = acc * _C_EXPANSION
-            elif sym == "gamma":
-                acc = acc * _GAMMA_EXPANSION
+            expansion = _EXPANSIONS.get(sym)
+            if expansion is None:
+                acc = {w + (sym,): c for w, c in acc.items()}
             else:
-                acc = acc * FreeElement.symbol(sym)
-        out = out + acc
-    return out
+                acc = {w + (e,): c * f for w, c in acc.items() for e, f in expansion}
+        _accumulate(out, acc.items())
+    return FreeElement(out)
 
 
 # --------------------------------------------------------- normal ordering
 
-_CENTRAL = ("alpha", "delta", "beta")
-_RANK = {"A": 0, "D": 1, "B": 2}
+# Replacement terms for each out-of-order pair left*right:
+# (core letters, coeff, extra alpha, extra delta, extra beta).  The
+# coefficients are ints, so monomial * letter products stay in int
+# arithmetic; only the input's own coefficients are rationals.
+_REWRITE_RULES = {
+    ("B", "A"): (
+        (("A", "B"), 1, 0, 0, 0),
+        (("D",), -2, 0, 0, 0),
+    ),
+    ("D", "A"): (
+        (("A", "D"), 1, 0, 0, 0),
+        (("A",), 1, 0, 1, 0),
+        (("A", "A"), -1, 0, 0, 0),
+        (("A", "B"), -2, 0, 0, 0),
+        (("D",), 2, 0, 0, 0),
+        ((), -1, 1, 0, 0),
+    ),
+    ("B", "D"): (
+        (("D", "B"), 1, 0, 0, 0),
+        (("B",), 1, 0, 1, 0),
+        (("B", "B"), -1, 0, 0, 0),
+        (("A", "B"), -2, 0, 0, 0),
+        (("D",), 2, 0, 0, 0),
+        ((), 1, 0, 0, 1),
+    ),
+}
+
+_UNIT = (0, 0, 0, 0, 0, 0)
+_CENTRAL_SLOT = {"alpha": 3, "delta": 4, "beta": 5}
 
 
-def _rewrite_pair(left: str, right: str):
-    """Replacement terms for the out-of-order pair left*right: a list of
-    (core letters, coeff, extra alpha, extra delta, extra beta)."""
-    if (left, right) == ("B", "A"):
-        return (
-            (("A", "B"), ONE, 0, 0, 0),
-            (("D",), rat(-2), 0, 0, 0),
-        )
-    if (left, right) == ("D", "A"):
-        return (
-            (("A", "D"), ONE, 0, 0, 0),
-            (("A",), ONE, 0, 1, 0),
-            (("A", "A"), -ONE, 0, 0, 0),
-            (("A", "B"), rat(-2), 0, 0, 0),
-            (("D",), rat(2), 0, 0, 0),
-            ((), -ONE, 1, 0, 0),
-        )
-    if (left, right) == ("B", "D"):
-        return (
-            (("D", "B"), ONE, 0, 0, 0),
-            (("B",), ONE, 0, 1, 0),
-            (("B", "B"), -ONE, 0, 0, 0),
-            (("A", "B"), rat(-2), 0, 0, 0),
-            (("D",), rat(2), 0, 0, 0),
-            ((), ONE, 0, 0, 1),
-        )
-    raise AssertionError(f"no rule for {left}*{right}")
+def _run(task):
+    """Run a generator that yields sub-generators and is sent back their
+    return values.  The explicit stack keeps deep recursion (long words,
+    high degrees) off the interpreter's call stack."""
+    stack = [task]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+class _Orderer:
+    """Multiplication in the ordered-monomial basis, memoized for one
+    normal_form call.  An element is a dict monomial -> coefficient, a
+    monomial the exponents (i, j, k, r, s, t) of
+    A^i D^j B^k alpha^r delta^s beta^t.  The methods are generators for
+    _run."""
+
+    def __init__(self):
+        self.products: dict = {}  # (monomial, letter) -> element
+        self.sums: dict = {}  # frozenset of words -> (word coefficients, element)
+        self.steps = 0
+
+    def times(self, elem: dict, letter: str):
+        """elem * letter.  A letter in order is appended; any other
+        monomial * letter product is one rewrite step."""
+        slot = _CENTRAL_SLOT.get(letter)
+        if slot is not None:
+            return {m[:slot] + (m[slot] + 1,) + m[slot + 1 :]: c for m, c in elem.items()}
+        out: dict = {}
+        for m, c in elem.items():
+            i, j, k, r, s, t = m
+            if letter == "B":
+                key = (i, j, k + 1, r, s, t)
+            elif letter == "D" and not k:
+                key = (i, j + 1, 0, r, s, t)
+            elif letter == "A" and not (j or k):
+                key = (i + 1, 0, 0, r, s, t)
+            else:
+                self.steps += 1
+                if self.steps > REWRITE_LIMIT:
+                    raise RewriteLimitError(
+                        f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps"
+                    )
+                prod = self.products.get((m, letter))
+                if prod is None:
+                    prod = yield self._product(m, letter)
+                for key, f in prod.items():
+                    out[key] = out[key] + c * f if key in out else c * f
+                continue
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
+        return out
+
+    def _product(self, m: tuple, letter: str):
+        """m * letter for an out-of-order pair: split off m's last core
+        letter, apply its rule with letter and fold the replacement letters
+        into the shorter prefix."""
+        i, j, k, r, s, t = m
+        last, prefix = ("B", (i, j, k - 1)) if k else ("D", (i, j - 1, 0))
+        out: dict = {}
+        for letters, coeff, dr, ds, dt in _REWRITE_RULES[last, letter]:
+            acc = {prefix + (r + dr, s + ds, t + dt): coeff}
+            for x in letters:
+                acc = yield from self.times(acc, x)
+            _accumulate(out, acc.items())
+        out = {key: c for key, c in out.items() if c}
+        self.products[m, letter] = out
+        return out
+
+    def normal(self, x: dict):
+        """Normal form of a sum of words x (word -> nonzero coefficient) by
+        its last letters: NF(x) = c*1 + sum over L of NF(x_L)*L, where x_L
+        holds the words ending in L with that L removed.  A sum met before
+        up to a scalar factor is not computed again."""
+        if len(x) == 1:
+            ((word, c),) = x.items()
+            acc = {_UNIT: c}
+            for letter in word:
+                acc = yield from self.times(acc, letter)
+            return acc
+        key = frozenset(x)
+        seen = self.sums.get(key)
+        if seen is not None:
+            old, value = seen
+            w = next(iter(old))
+            ratio = x[w] / old[w]
+            if all(x[v] == ratio * c for v, c in old.items()):
+                return value if ratio == 1 else {m: ratio * c for m, c in value.items()}
+        groups: dict = {}
+        out: dict = {}
+        for word, c in x.items():
+            if word:
+                groups.setdefault(word[-1], {})[word[:-1]] = c
+            else:
+                out[_UNIT] = c
+        for letter, sub in groups.items():
+            part = yield self.normal(sub)
+            part = yield from self.times(part, letter)
+            _accumulate(out, part.items())
+        out = {m: c for m, c in out.items() if c}
+        self.sums[key] = (x, out)
+        return out
 
 
 def normal_form(x: FreeElement) -> NormalElement:
-    """Straighten a free expression into the ordered monomial basis.
-
-    The result is reached by leftmost-first rule application; soundness is
-    checked elsewhere by evaluating both sides on concrete modules."""
-    y = eliminate(x)
-    work: dict = {}
-    for word, coeff in y.terms.items():
-        r = sum(1 for s in word if s == "alpha")
-        s = sum(1 for sym in word if sym == "delta")
-        t = sum(1 for sym in word if sym == "beta")
-        core = tuple(sym for sym in word if sym in _RANK)
-        key = (core, r, s, t)
-        work[key] = work.get(key, ZERO) + coeff
-    done: dict = {}
-    steps = 0
-    while work:
-        (core, r, s, t), coeff = work.popitem()
-        if coeff == 0:
-            continue
-        bad = next(
-            (
-                idx
-                for idx in range(len(core) - 1)
-                if _RANK[core[idx]] > _RANK[core[idx + 1]]
-            ),
-            None,
-        )
-        if bad is None:
-            i = sum(1 for sym in core if sym == "A")
-            j = sum(1 for sym in core if sym == "D")
-            k = sum(1 for sym in core if sym == "B")
-            key = (i, j, k, r, s, t)
-            done[key] = done.get(key, ZERO) + coeff
-            continue
-        steps += 1
-        if steps > REWRITE_LIMIT:
-            raise RewriteLimitError(
-                f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps"
-            )
-        head, tail = core[:bad], core[bad + 2 :]
-        for letters, factor, dr, ds, dt in _rewrite_pair(core[bad], core[bad + 1]):
-            nkey = (head + letters + tail, r + dr, s + ds, t + dt)
-            work[nkey] = work.get(nkey, ZERO) + coeff * factor
-    return NormalElement(done)
+    """Normal-order a free expression: eliminate C and gamma, then multiply
+    the words out in the ordered-monomial basis A^i D^j B^k alpha^r delta^s
+    beta^t.  Each out-of-order monomial * letter product is one rewrite
+    step, memo hits included; more than REWRITE_LIMIT steps raise
+    RewriteLimitError.  Soundness is checked elsewhere by evaluating both
+    sides on concrete modules."""
+    return NormalElement(_run(_Orderer().normal(eliminate(x).terms)))
 
 
 # -------------------------------------------------------------- evaluation

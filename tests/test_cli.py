@@ -324,6 +324,22 @@ def test_reduce_rewrite_limit_exits_1(capsys, monkeypatch):
     assert err.startswith("rewrite limit exceeded: normal ordering exceeded 5")
 
 
+def test_reduce_ninth_power(capsys):
+    code, doc, err = run_json(capsys, ["reduce", "--expr", "(A+B)^9"])
+    assert code == 0 and err == ""
+    assert len(doc["terms"]) == 450
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["eval", *GENERIC, "--d", "2"]])
+def test_oversize_expression_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--expr", "(A+B)^30", *command[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expansion exceeds the limit of {racah.rewriter.WORD_LIMIT} words at position 6" in captured.err
+
+
 def test_eval_relation_vanishes(capsys):
     code, doc, _ = run_json(
         capsys, ["eval", "--expr", "[A,B] - 2*D", *GENERIC, "--d", "2"]

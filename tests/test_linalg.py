@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -83,6 +84,12 @@ def test_subspace_basics():
     assert s == Subspace(3, [[2, 2, 2], [0, 0, 1]])
     assert Subspace(2, []).is_zero()
     assert Subspace(2, [[1, 0], [0, 1]]).is_full()
+
+
+def test_subspace_pickle_round_trip():
+    for s in (Subspace(3, [[1, 1, 0], [0, 0, 2]]), Subspace(2, [])):
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.pivots == s.pivots
 
 
 def test_subspace_containment_order():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +100,17 @@ def test_trace_and_transpose_identities(a, b):
 def test_immutability(a):
     with pytest.raises(AttributeError):
         a.entries = ()
+
+
+def test_pickle_round_trip():
+    m = Mat([[1, rat(-2, 3)], [0, 5]])
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back.shape() == (2, 2)
+
+
+def test_float_entries_are_rejected_by_name():
+    with pytest.raises(TypeError, match="only exact rationals are accepted, got 0.5"):
+        Mat([[0.5]])
 
 
 def dense_product(a, b):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,11 @@ def test_from_roots_and_eval():
     assert p(rat(1, 2)) == 0 and p(rat(-3)) == 0
     assert p.leading() == 1
     assert p == Poly([rat(-3, 2), rat(5, 2), 1])
+
+
+def test_pickle_round_trip():
+    for p in (Poly([rat(1, 2), 0, -3]), Poly([])):
+        assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_str_rendering():

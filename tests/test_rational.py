@@ -18,6 +18,13 @@ def test_basic_arithmetic():
     assert rat(-6, 4) == rat(-3, 2)
 
 
+@pytest.mark.parametrize("args,shown", [((0.5,), "0.5"), ((1, 0.5), "1/0.5"), (("1/2",), "'1/2'")])
+def test_rat_rejects_inexact_values_by_name(args, shown):
+    with pytest.raises(TypeError) as exc:
+        rat(*args)
+    assert str(exc.value) == f"only exact rationals are accepted, got {shown}"
+
+
 def test_parse_accepts_plain_and_fraction():
     assert parse_rat("3") == rat(3)
     assert parse_rat("-7/2") == rat(-7, 2)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,9 @@ from racah import (
     parse,
     rat,
 )
-from racah.rewriter import EXPONENT_LIMIT, SYMBOLS
+import racah.rewriter as rw
+from racah.rational import Rat
+from racah.rewriter import EXPONENT_LIMIT, REWRITE_LIMIT, SYMBOLS, WORD_LIMIT, _REWRITE_RULES, _run
 
 from conftest import rationals
 
@@ -78,6 +82,33 @@ def test_exponent_limit_boundary():
     assert parse(f"A^{EXPONENT_LIMIT}").terms == {("A",) * EXPONENT_LIMIT: rat(1)}
     with pytest.raises(ParseError):
         parse(f"A^{EXPONENT_LIMIT + 1}")
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("(A+B)^17", 6),
+        ("(A+B)^30", 6),
+        ("(A+B)^8*(A+B)^9", 8),
+        ("D + [(A+B)^8,(A+B)^9]", 5),
+        ("((A+B+C+D)^4)^3", 14),
+    ],
+)
+def test_word_limit_rejects_at_the_operator(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert f"exceeds the limit of {WORD_LIMIT} words" in str(exc.value)
+
+
+def test_word_limit_boundary(monkeypatch):
+    monkeypatch.setattr(rw, "WORD_LIMIT", 8)
+    assert len(parse("(A+B)^3").terms) == 8
+    assert len(parse("(A+B)*(A+B+C+D)").terms) == 8
+    assert parse("(A+A)^20") == parse("2^20*A^20")
+    for text in ("(A+B)^4", "(A+B)^2*(A+B+C)", "[(A+B)^2,A+B+C]"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 # ------------------------------------------------------------- formatting
@@ -174,6 +205,102 @@ def test_central_elements_commute(central, gen):
     assert normal_form(parse(f"[{central},{gen}]")).is_zero()
 
 
+def eliminate_by_products(x: FreeElement) -> FreeElement:
+    """The retired eliminate: one FreeElement product per letter."""
+    expansions = {"C": parse("delta - A - B"), "gamma": parse("-alpha - beta")}
+    out = FreeElement.zero()
+    for word, coeff in x.terms.items():
+        acc = FreeElement.scalar(coeff)
+        for sym in word:
+            acc = acc * expansions.get(sym, FreeElement.symbol(sym))
+        out = out + acc
+    return out
+
+
+def straighten(x: FreeElement) -> NormalElement:
+    """Normal ordering by straightening each word, leftmost out-of-order
+    pair first: the loop normal_form ran before it multiplied in the
+    ordered-monomial basis, kept as the differential oracle."""
+    rank = {"A": 0, "D": 1, "B": 2}
+    work: dict = {}
+    for word, coeff in eliminate_by_products(x).terms.items():
+        r = sum(1 for sym in word if sym == "alpha")
+        s = sum(1 for sym in word if sym == "delta")
+        t = sum(1 for sym in word if sym == "beta")
+        core = tuple(sym for sym in word if sym in rank)
+        key = (core, r, s, t)
+        work[key] = work.get(key, rat(0)) + coeff
+    done: dict = {}
+    steps = 0
+    while work:
+        (core, r, s, t), coeff = work.popitem()
+        if coeff == 0:
+            continue
+        bad = next(
+            (idx for idx in range(len(core) - 1) if rank[core[idx]] > rank[core[idx + 1]]),
+            None,
+        )
+        if bad is None:
+            key = (core.count("A"), core.count("D"), core.count("B"), r, s, t)
+            done[key] = done.get(key, rat(0)) + coeff
+            continue
+        steps += 1
+        if steps > REWRITE_LIMIT:
+            raise RewriteLimitError(f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps")
+        head, tail = core[:bad], core[bad + 2 :]
+        for letters, factor, dr, ds, dt in _REWRITE_RULES[core[bad], core[bad + 1]]:
+            nkey = (head + letters + tail, r + dr, s + ds, t + dt)
+            work[nkey] = work.get(nkey, rat(0)) + coeff * factor
+    return NormalElement(done)
+
+
+long_words = st.lists(st.sampled_from(SYMBOLS), max_size=7).map(tuple)
+
+
+@given(st.lists(st.tuples(long_words, rationals(max_num=5, max_den=4)), max_size=4))
+def test_normal_form_matches_straightening_oracle(items):
+    elem = FreeElement.zero()
+    for word, coeff in items:
+        elem = elem + FreeElement({word: coeff})
+    assert eliminate(elem) == eliminate_by_products(elem)
+    nf = normal_form(elem)
+    assert nf == straighten(elem)
+    assert all(type(c) is Rat for c in nf.terms.values())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(A+B)^6", "(2*A - 3/2*B)^5", "(A+D)^4", "(A+C)^4", "[3*D, (1/2*A + B)^4]", "(alpha*A + gamma*B)^4"],
+)
+def test_repeated_sums_match_straightening_oracle(text):
+    x = parse(text)
+    assert normal_form(x) == straighten(x)
+
+
+@pytest.mark.parametrize("d,basis", [(2, "v"), (2, "w"), (3, "v"), (3, "w")])
+def test_ninth_power_reduces_and_evaluates(d, basis):
+    x = parse("(A+B)^9")
+    nf = normal_form(x)
+    assert len(nf.terms) == 450
+    rep = build_R(P, d, basis)
+    assert evaluate(nf, rep) == evaluate(x, rep)
+
+
+def test_long_words_do_not_exhaust_the_call_stack():
+    # 1500 letters: a recursive descent over the words would overflow
+    nf = normal_form(parse("(A+D)*(B^50)^30"))
+    assert nf.terms == {(1, 0, 1500, 0, 0, 0): rat(1), (0, 1, 1500, 0, 0, 0): rat(1)}
+
+
+def test_run_unwinds_deep_recursion():
+    def depth(n):
+        if n == 0:
+            return 0
+        return (yield depth(n - 1)) + 1
+
+    assert _run(depth(20000)) == 20000
+
+
 def test_rewrite_limit_guard(monkeypatch):
     import racah.rewriter as rw
 
@@ -227,3 +354,10 @@ def test_free_element_algebra():
 def test_normal_element_to_free():
     nf = NormalElement({(2, 0, 1, 0, 0, 0): rat(5)})
     assert nf.to_free().terms == {("A", "A", "B"): rat(5)}
+
+
+def test_elements_pickle_round_trip():
+    free = parse("3/2*A*B - C + 2")
+    for elem in (free, normal_form(free), FreeElement.zero()):
+        back = pickle.loads(pickle.dumps(elem))
+        assert type(back) is type(elem) and back == elem
