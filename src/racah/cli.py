@@ -4,7 +4,7 @@ Subcommands: construct, verify, analyze, sweep, intertwine, reduce, eval,
 verma, golden.  Documents go to stdout (or --out) as canonical JSON;
 --format text switches to a plain rendering.  Exit codes: 0 success /
 all checks pass, 1 any check failure or an exceeded rewrite limit, 2 usage
-or malformed input (an oversize sweep grid included).
+or malformed input (an oversize sweep grid, d or verma cutoff included).
 """
 
 from __future__ import annotations
@@ -63,6 +63,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# the largest module parameter d and verma truncation cutoff accepted; at
+# these sizes every subcommand finishes within a minute
+MAX_D = 24
+MAX_CUTOFF = 128
+
+
+def _int_at_most(limit: int):
+    """argparse type: a nonnegative integer no larger than limit."""
+
+    def parse(text: str) -> int:
+        value = _nonneg_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the limit of {limit}")
+        return value
+
+    return parse
+
+
 class _SubParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -92,19 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_construct = subs.add_parser("construct", help="build the module matrices")
     _add_params(p_construct)
-    p_construct.add_argument("--d", type=_nonneg_int, required=True)
+    p_construct.add_argument("--d", type=_int_at_most(MAX_D), required=True)
     p_construct.add_argument("--basis", choices=("v", "w", "u"), default="v")
     _add_common(p_construct)
 
     p_verify = subs.add_parser("verify", help="check the defining relations")
     _add_params(p_verify)
-    p_verify.add_argument("--d", type=_nonneg_int, required=True)
+    p_verify.add_argument("--d", type=_int_at_most(MAX_D), required=True)
     p_verify.add_argument("--basis", choices=("v", "w", "u"), default="v")
     _add_common(p_verify)
 
     p_analyze = subs.add_parser("analyze", help="full classification report")
     _add_params(p_analyze)
-    p_analyze.add_argument("--d", type=_nonneg_int, required=True)
+    p_analyze.add_argument("--d", type=_int_at_most(MAX_D), required=True)
     _add_common(p_analyze)
 
     p_sweep = subs.add_parser("sweep", help="analyze a parameter grid")
@@ -120,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "intertwine", help="basis of maps intertwining two modules"
     )
     _add_params(p_inter)
-    p_inter.add_argument("--d", type=_nonneg_int, required=True)
+    p_inter.add_argument("--d", type=_int_at_most(MAX_D), required=True)
     p_inter.add_argument("--basis", choices=("v", "w", "u"), default="v")
     p_inter.add_argument("--a2", type=_rat_arg, help="second triple (defaults to the first)")
     p_inter.add_argument("--b2", type=_rat_arg)
@@ -135,15 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="evaluate an expression on a module")
     p_eval.add_argument("--expr", required=True)
     _add_params(p_eval)
-    p_eval.add_argument("--d", type=_nonneg_int, required=True)
+    p_eval.add_argument("--d", type=_int_at_most(MAX_D), required=True)
     p_eval.add_argument("--basis", choices=("v", "w", "u"), default="v")
     _add_common(p_eval)
 
     p_verma = subs.add_parser("verma", help="truncated ladder module checks")
     _add_params(p_verma)
     p_verma.add_argument("--nu", type=_rat_arg, required=True)
-    p_verma.add_argument("--d", type=_nonneg_int)
-    p_verma.add_argument("--cutoff", type=_nonneg_int)
+    p_verma.add_argument("--d", type=_int_at_most(MAX_D))
+    p_verma.add_argument("--cutoff", type=_int_at_most(MAX_CUTOFF))
     _add_common(p_verma)
 
     p_golden = subs.add_parser("golden", help="run the pinned worked example")
@@ -247,6 +265,8 @@ def _parse_grid(spec: str) -> list[tuple[ParamTriple, int]]:
     for v in values["d"]:
         if v.denominator != 1 or v < 0:
             raise ValueError(f"d values must be nonnegative integers, got {format_rat(v)}")
+        if v > MAX_D:
+            raise ValueError(f"d value {format_rat(v)} exceeds the limit of {MAX_D}")
         ds.append(int(v))
     points = []
     for a in values["a"]:
@@ -471,9 +491,15 @@ def _cmd_eval(args, parser) -> int:
 
 def _cmd_verma(args, parser) -> int:
     p = ParamTriple(args.a, args.b, args.c)
+    whole_nu = args.nu.denominator == 1 and args.nu >= 0
+    if args.cutoff is None and whole_nu and args.nu + 10 > MAX_CUTOFF:
+        parser.error(
+            f"the default cutoff nu + 10 = {format_rat(args.nu + 10)} "
+            f"exceeds the limit of {MAX_CUTOFF}"
+        )
     d = args.d
     if d is None:
-        if args.nu.denominator == 1 and args.nu >= 0:
+        if whole_nu:
             d = int(args.nu)
         else:
             parser.error("--d is required when --nu is not a nonnegative integer")

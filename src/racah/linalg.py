@@ -2,12 +2,23 @@
 eigenspaces, spinning a set of vectors under operators, and intertwiner
 spaces.
 
+All elimination is fraction-free and sparse.  A vector enters it once, as
+an integer row: its nonzero entries times the lcm of their denominators,
+held as a dict {column: int}.  Rows are combined by cross-multiplication
+(Bareiss 1968, Math. Comp. 22) and kept with their content divided out, so
+the loop does integer arithmetic on nonzero entries only.  Entries become
+backend rationals again only at the Subspace boundary, when rref divides
+each row of the reduced basis by its pivot.
+
 Subspaces are stored with their reduced-row-echelon basis.  RREF of a given
 row space is unique, so two Subspace values are equal iff they are literally
 the same tuple of vectors; no extra canonicalization step is ever needed.
 """
 
 from __future__ import annotations
+
+from itertools import count
+from math import gcd, lcm
 
 from .matrix import Mat, ShapeError
 from .poly import Poly
@@ -19,8 +30,9 @@ def rref(vectors) -> list[tuple[Rat, ...]]:
 
     Zero rows are dropped; the result is the canonical basis of the span
     (pivot columns strictly increasing, pivots 1, pivot columns cleared).
-    A forward pass leaves a semi-echelon basis; each of its rows is scaled
-    to pivot 1 and, last pivot first, reduced against the rows already done.
+    A forward pass leaves a semi-echelon basis of integer rows.  Last pivot
+    first, each of them is reduced against the rows already done, and the
+    rows are divided by their pivots only on the way out.
     """
     rows = [list(v) for v in vectors]
     if not rows:
@@ -33,10 +45,15 @@ def rref(vectors) -> list[tuple[Rat, ...]]:
     for row in rows:
         forward.add(row)
     for t in sorted(range(forward.dim), key=forward.pivots.__getitem__, reverse=True):
-        row = forward.rows[t]
-        inv = ONE / row[forward.pivots[t]]
-        back.add([x * inv if x != 0 else x for x in row])
-    return [tuple(r) for r in reversed(back.rows)]
+        back.keep(back.reduce(forward.rows[t]))
+    out = []
+    for row, pcol in zip(reversed(back.rows), reversed(back.pivots)):
+        lead = row[pcol]
+        dense = [ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = Rat(x, lead)
+        out.append(tuple(dense))
+    return out
 
 
 class Subspace:
@@ -76,8 +93,8 @@ class Subspace:
         vec = list(vec)
         if len(vec) != self.ambient_dim:
             return False
-        rest = _Reducer(self.ambient_dim, self.basis, self.pivots).reduce(vec)
-        return all(x == 0 for x in rest)
+        basis = _Reducer(self.ambient_dim, map(_integer_row, self.basis), self.pivots)
+        return not basis.reduce(_integer_row(vec))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -124,40 +141,83 @@ def eigenspace(m: Mat, lam) -> Subspace:
     return kernel(m - Mat.identity(m.rows).scale(lam))
 
 
+def _integer_row(vec) -> dict[int, int]:
+    """The nonzero entries of vec times the lcm of their denominators, as a
+    sparse row {column: int}.  Entries become rationals first, so a float
+    is rejected by rat()."""
+    row = {}
+    for j, x in enumerate(vec):
+        if x is ZERO:  # most entries, and cheaper than testing a Rat for zero
+            continue
+        if type(x) is not Rat and type(x) is not int:
+            x = rat(x)
+        if x:
+            row[j] = x
+    den = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
 class _Reducer:
-    """Semi-echelon accumulator: rows with remembered pivot columns (each
-    row's first nonzero entry), not normalized or back-substituted.  add()
-    reduces a vector and keeps it if independent.  The one elimination loop:
-    it drives rref(), Subspace.contains(), spin() and the Krylov loop."""
+    """Semi-echelon accumulator of sparse primitive integer rows.
+
+    Each kept row is a dict {column: int} of its nonzero entries with their
+    gcd divided out.  Its pivot is its smallest column, and it is zero at
+    the pivots of the rows kept before it.  add() reduces a vector and keeps
+    it if independent; rows are never normalized here.  The one elimination
+    loop: it drives rref(), Subspace.contains(), spin() and
+    minimal_polynomial()."""
 
     def __init__(self, ncols: int, rows=(), pivots=()):
         self.ncols = ncols
-        self.rows: list = list(rows)
+        self.rows: list[dict[int, int]] = list(rows)
         self.pivots: list[int] = list(pivots)
 
-    def reduce(self, vec, factors=None):
-        """vec minus multiples of the kept rows.  When a list is given as
-        factors, (t, f) is appended to it for each f * rows[t] subtracted.
-        Entries become rationals first: int / int would be a float."""
-        v = [x if type(x) is Rat else rat(x) for x in vec]
-        for t, (row, pcol) in enumerate(zip(self.rows, self.pivots)):
-            if v[pcol] != 0:
-                f = v[pcol] / row[pcol]
-                for j in range(pcol, self.ncols):
-                    if row[j] != 0:
-                        v[j] = v[j] - f * row[j]
-                if factors is not None:
-                    factors.append((t, f))
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """A nonzero multiple of the sparse integer row v minus multiples of
+        the kept rows, zero at every kept pivot; empty iff v lies in their
+        span.  v is consumed.  Against each kept row r whose pivot p is
+        nonzero in v, v becomes (r[p]/g) v - (v[p]/g) r with
+        g = gcd(r[p], v[p]); besides scaling v this touches only the
+        nonzero entries of r."""
+        for row, pcol in zip(self.rows, self.pivots):
+            a = v.get(pcol)
+            if a is None:
+                continue
+            b = row[pcol]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                v = {j: b * x for j, x in v.items()}
+            for j, x in row.items():
+                y = v.get(j, 0) - a * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
         return v
 
-    def add(self, vec, factors=None) -> bool:
-        v = self.reduce(vec, factors)
-        lead = next((j for j, x in enumerate(v) if x != 0), None)
-        if lead is None:
+    def keep(self, v: dict[int, int]) -> bool:
+        """Keep a reduced row, content divided out, unless it is zero."""
+        if not v:
             return False
+        g = gcd(*v.values())
+        if g != 1:
+            v = {j: x // g for j, x in v.items()}
         self.rows.append(v)
-        self.pivots.append(lead)
+        self.pivots.append(min(v))
         return True
+
+    def add(self, vec) -> bool:
+        return self.keep(self.reduce(_integer_row(vec)))
+
+    def dense(self, t: int) -> list[int]:
+        """Kept row t as a list of ints."""
+        out = [0] * self.ncols
+        for j, x in self.rows[t].items():
+            out[j] = x
+        return out
 
     @property
     def dim(self) -> int:
@@ -173,43 +233,39 @@ def spin(ambient_dim: int, seeds, operators) -> Subspace:
                 f"operator {op.rows}x{op.cols} cannot act on dimension {ambient_dim}"
             )
     red = _Reducer(ambient_dim)
-    queue = []
     for s in seeds:
-        if red.add(s):
-            queue.append(red.rows[-1])
-    while queue and red.dim < ambient_dim:
-        v = queue.pop(0)
+        red.add(s)
+    done = 0  # rows before this one have been hit by every operator
+    while done < red.dim < ambient_dim:
+        v = red.dense(done)
+        done += 1
         for op in operators:
-            if red.add(op.apply(v)):
-                queue.append(red.rows[-1])
-    return Subspace(ambient_dim, red.rows)
+            red.add(op.apply(v))
+    return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
 
 
 def minimal_polynomial(m: Mat) -> Poly:
     """Monic minimal polynomial via the first linear dependency among
-    I, M, M^2, ... viewed as vectors of length n^2."""
+    I, M, M^2, ... viewed as vectors of length n^2.  Each power is reduced
+    with a marker e_k appended; once the power part reduces to zero, the
+    marker columns hold the dependency."""
     if m.rows != m.cols:
         raise ShapeError(
             f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
         )
     n = m.rows
-    red = _Reducer(n * n)
-    combos: list[list[Rat]] = []  # combos[t] expresses red.rows[t] in powers of m
+    width = n * n
+    red = _Reducer(width + n + 1)  # degree is at most n
     power = Mat.identity(n)
-    k = 0
-    while True:
-        factors: list[tuple[int, Rat]] = []
-        independent = red.add([x for row in power.entries for x in row], factors)
-        combo = [ZERO] * (k + 1)
-        combo[k] = ONE
-        for t, f in factors:
-            for i, c in enumerate(combos[t]):
-                combo[i] = combo[i] - f * c
-        if not independent:
-            return Poly(combo)  # leading coefficient stayed 1: already monic
-        combos.append(combo)
+    for k in count():
+        marker = [0] * (n + 1)
+        marker[k] = 1
+        red.add([x for row in power.entries for x in row] + marker)
+        if red.pivots[-1] >= width:
+            row = red.rows[-1]
+            lead = row[width + k]
+            return Poly([Rat(row.get(width + i, 0), lead) for i in range(k + 1)])
         power = power * m
-        k += 1
 
 
 def apply_poly(p: Poly, m: Mat) -> Mat:

@@ -138,13 +138,17 @@ class Mat:
         return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
 
     def apply(self, vec):
-        """Matrix times column vector (a sequence of Rat)."""
+        """Matrix times column vector (a sequence of Rat or int), adding only
+        products of nonzero entries."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ShapeError(
                 f"cannot apply {self.rows}x{self.cols} to a vector of length {len(vec)}"
             )
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        nonzero = [(j, b) for j, b in enumerate(vec) if b]
+        return tuple(
+            sum([row[j] * b for j, b in nonzero if row[j]]) or ZERO for row in self.entries
+        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

@@ -30,6 +30,7 @@ from .rational import ONE, ZERO, format_rat, parse_rat, rat
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
 WORD_LIMIT = 2**16  # most words a parsed product, power or commutator may expand to
+LETTER_LIMIT = 2**20  # most letters (words times the longest word) it may expand to
 REWRITE_LIMIT = 10**6
 
 
@@ -225,18 +226,26 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def check_size(self, bound: int, position: int) -> None:
-        if bound > WORD_LIMIT:
+    def check_size(self, words: int, longest: int, position: int) -> None:
+        if words > WORD_LIMIT:
             raise ParseError(
                 f"expansion exceeds the limit of {WORD_LIMIT} words", position
+            )
+        if words * longest > LETTER_LIMIT:
+            raise ParseError(
+                f"expansion exceeds the limit of {LETTER_LIMIT} letters", position
             )
 
     def term(self) -> FreeElement:
         value = self.factor()
+        longest = None  # of value's words, computed at the first "*"
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs = self.factor()
-            self.check_size(len(value.terms) * len(rhs.terms), pos)
+            if longest is None:
+                longest = _longest(value)
+            longest += _longest(rhs)
+            self.check_size(len(value.terms) * len(rhs.terms), longest, pos)
             value = value * rhs
         return value
 
@@ -253,7 +262,7 @@ class _Parser:
                 raise ParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", tok[2]
                 )
-            self.check_size(len(value.terms) ** e, caret)
+            self.check_size(len(value.terms) ** e, e * _longest(value), caret)
             value = value**e
         return value
 
@@ -282,7 +291,9 @@ class _Parser:
             self.expect(",", "commutator bracket needs two comma-separated arguments")
             right = self.expr()
             self.expect("]", "unclosed commutator bracket", opened_at=pos)
-            self.check_size(len(left.terms) * len(right.terms), pos)
+            self.check_size(
+                len(left.terms) * len(right.terms), _longest(left) + _longest(right), pos
+            )
             return left * right - right * left
         if kind == "-":
             self.take()
@@ -291,6 +302,10 @@ class _Parser:
             self.take()
             return self.factor()
         raise ParseError("expected a number, generator, parenthesis or bracket", pos)
+
+
+def _longest(x: FreeElement) -> int:
+    return max(map(len, x.terms), default=0)
 
 
 def parse(text: str) -> FreeElement:

@@ -6,7 +6,7 @@ import pytest
 
 from racah import Mat, ParamTriple, build_R, rat
 import racah.rewriter
-from racah.cli import MAX_GRID_POINTS, main, _parse_grid
+from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, main, _parse_grid
 from racah.serialize import (
     mat_from_rows,
     mat_from_text,
@@ -340,6 +340,16 @@ def test_oversize_expression_exits_2(capsys, command):
     assert f"expansion exceeds the limit of {racah.rewriter.WORD_LIMIT} words at position 6" in captured.err
 
 
+def test_overlong_word_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--expr", "(((A^64)^64)^64)^64"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = racah.rewriter.LETTER_LIMIT
+    assert f"expansion exceeds the limit of {limit} letters at position 17" in captured.err
+
+
 def test_eval_relation_vanishes(capsys):
     code, doc, _ = run_json(
         capsys, ["eval", "--expr", "[A,B] - 2*D", *GENERIC, "--d", "2"]
@@ -383,6 +393,48 @@ def test_verma_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verma", *GENERIC, "--nu", "3", "--cutoff", "2"])  # cutoff < 3
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------- size caps
+
+TOO_BIG = str(MAX_D + 1)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", *GENERIC, "--d", "2000"], f"--d: 2000 exceeds the limit of {MAX_D}"),
+        (["verify", *GENERIC, "--d", TOO_BIG], f"--d: {TOO_BIG} exceeds the limit of {MAX_D}"),
+        (["analyze", *GENERIC, "--d", TOO_BIG], f"--d: {TOO_BIG} exceeds the limit of {MAX_D}"),
+        (["intertwine", *GENERIC, "--d", TOO_BIG], f"--d: {TOO_BIG} exceeds the limit"),
+        (["eval", "--expr", "A", *GENERIC, "--d", TOO_BIG], f"--d: {TOO_BIG} exceeds the limit"),
+        (["verma", *GENERIC, "--nu", "1/2", "--d", TOO_BIG], f"--d: {TOO_BIG} exceeds the limit"),
+        (
+            ["sweep", "--grid", f"a=0;b=0;c=0;d=1,{TOO_BIG}"],
+            f"d value {TOO_BIG} exceeds the limit of {MAX_D}",
+        ),
+        (
+            ["verma", *GENERIC, "--nu", "1/2", "--d", "2", "--cutoff", str(MAX_CUTOFF + 1)],
+            f"--cutoff: {MAX_CUTOFF + 1} exceeds the limit of {MAX_CUTOFF}",
+        ),
+        (
+            ["verma", *GENERIC, "--nu", str(MAX_CUTOFF - 9)],
+            f"default cutoff nu + 10 = {MAX_CUTOFF + 1} exceeds the limit of {MAX_CUTOFF}",
+        ),
+    ],
+)
+def test_oversize_module_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_largest_d_is_accepted(capsys):
+    code, doc, _ = run_json(capsys, ["construct", *GENERIC, "--d", str(MAX_D)])
+    assert code == 0 and doc["d"] == MAX_D
 
 
 # ---------------------------------------------------------------- golden

@@ -22,6 +22,7 @@ from racah import (
     spin,
 )
 from racah.linalg import apply_poly
+from racah.rational import Rat
 
 from conftest import rationals, triples
 
@@ -337,13 +338,111 @@ def gauss_jordan_kernel(rows, ncols):
     return gauss_jordan_rref(vectors)
 
 
+class FractionReducer:
+    """The retired _Reducer: dense rows of rationals with remembered pivot
+    columns, reduced by rational multiples.  When a list is given as
+    factors, reduce() appends (t, f) to it for each f * rows[t] subtracted.
+    Oracle for the sparse integer _Reducer behind rref, Subspace.contains,
+    spin and minimal_polynomial."""
+
+    def __init__(self, ncols, rows=(), pivots=()):
+        self.ncols = ncols
+        self.rows = list(rows)
+        self.pivots = list(pivots)
+
+    def reduce(self, vec, factors=None):
+        v = [rat(x) for x in vec]
+        for t, (row, pcol) in enumerate(zip(self.rows, self.pivots)):
+            if v[pcol] != 0:
+                f = v[pcol] / row[pcol]
+                for j in range(pcol, self.ncols):
+                    if row[j] != 0:
+                        v[j] = v[j] - f * row[j]
+                if factors is not None:
+                    factors.append((t, f))
+        return v
+
+    def add(self, vec, factors=None):
+        v = self.reduce(vec, factors)
+        lead = next((j for j, x in enumerate(v) if x != 0), None)
+        if lead is None:
+            return False
+        self.rows.append(v)
+        self.pivots.append(lead)
+        return True
+
+
+def fraction_rref(vectors):
+    """The retired rref: a forward pass through the Fraction reducer, then
+    each row scaled to pivot 1 and reduced, last pivot first."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return []
+    forward, back = FractionReducer(len(rows[0])), FractionReducer(len(rows[0]))
+    for row in rows:
+        forward.add(row)
+    for t in sorted(range(len(forward.rows)), key=forward.pivots.__getitem__, reverse=True):
+        row = forward.rows[t]
+        inv = rat(1) / row[forward.pivots[t]]
+        back.add([x * inv for x in row])
+    return [tuple(r) for r in reversed(back.rows)]
+
+
+def fraction_spin(ambient_dim, seeds, operators):
+    """The retired spin's basis (not canonical): the Fraction reducer's
+    rows, each new one hit by every operator once."""
+    red = FractionReducer(ambient_dim)
+    queue = []
+    for s in seeds:
+        if red.add(s):
+            queue.append(red.rows[-1])
+    while queue and len(red.rows) < ambient_dim:
+        v = queue.pop(0)
+        for op in operators:
+            if red.add(op.apply(v)):
+                queue.append(red.rows[-1])
+    return red.rows
+
+
+def fraction_minimal_polynomial(m):
+    """The retired Krylov loop: each row of the Fraction reducer carries
+    its combination of powers of m, updated from the reported factors."""
+    n = m.rows
+    red = FractionReducer(n * n)
+    combos = []
+    power = Mat.identity(n)
+    k = 0
+    while True:
+        factors = []
+        independent = red.add([x for row in power.entries for x in row], factors)
+        combo = [rat(0)] * (k + 1)
+        combo[k] = rat(1)
+        for t, f in factors:
+            for i, c in enumerate(combos[t]):
+                combo[i] = combo[i] - f * c
+        if not independent:
+            return Poly(combo)
+        combos.append(combo)
+        power = power * m
+        k += 1
+
+
+def all_rat(rows):
+    return all(type(x) is Rat for row in rows for x in row)
+
+
+# mostly zero, otherwise a small rational or int
+sparse_entries = st.one_of(
+    st.just(rat(0)), st.just(rat(0)), rationals(max_num=5, max_den=3), st.integers(-4, 4)
+)
+
+
 @st.composite
 def planted_rows(draw):
     """(ncols, rows): up to 8 mostly-zero rows of length up to 9, some of
     them combinations of the others."""
     ncols = draw(st.integers(1, 9))
-    entry = st.one_of(st.just(rat(0)), st.just(rat(0)), rationals(max_num=5, max_den=3))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols), max_size=6))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         cx, cy = draw(rationals(3, 2)), draw(rationals(3, 2))
@@ -355,7 +454,9 @@ def planted_rows(draw):
 @given(planted_rows())
 def test_rref_matches_gauss_jordan(case):
     _, rows = case
-    assert rref(rows) == gauss_jordan_rref(rows)
+    got = rref(rows)
+    assert got == gauss_jordan_rref(rows) == fraction_rref(rows)
+    assert all_rat(got)
 
 
 @given(planted_rows(), st.data())
@@ -367,14 +468,18 @@ def test_contains_matches_gauss_jordan(case, data):
         v = [sum((c * b[j] for c, b in zip(coeffs, s.basis)), rat(0)) for j in range(ncols)]
     else:
         v = data.draw(st.lists(rationals(5, 3), min_size=ncols, max_size=ncols))
-    assert s.contains(v) == (gauss_jordan_rref(list(s.basis) + [v]) == list(s.basis))
+    expect = gauss_jordan_rref(list(s.basis) + [v]) == list(s.basis)
+    rest = FractionReducer(ncols, s.basis, s.pivots).reduce(v)
+    assert s.contains(v) == expect == all(x == 0 for x in rest)
 
 
 @given(planted_rows())
 def test_kernel_matches_gauss_jordan(case):
     ncols, rows = case
     assume(rows)
-    assert list(kernel(Mat(rows)).basis) == gauss_jordan_kernel(rows, ncols)
+    got = kernel(Mat(rows)).basis
+    assert list(got) == gauss_jordan_kernel(rows, ncols)
+    assert all_rat(got)
 
 
 @given(triples(5, 3), triples(5, 3), st.booleans(), st.integers(0, 3),
@@ -393,5 +498,48 @@ def test_elimination_matches_gauss_jordan_on_sylvester_systems(p1, p2, same, d, 
         mp.setattr(linalg, "kernel", recording_kernel)
         intertwiner_space(r1.A, r1.B, r2.A, r2.B)
     (m,) = systems
-    assert rref(m.entries) == gauss_jordan_rref(m.entries)
-    assert list(kernel(m).basis) == gauss_jordan_kernel(m.entries, m.cols)
+    got = rref(m.entries)
+    assert got == gauss_jordan_rref(m.entries) == fraction_rref(m.entries)
+    null = kernel(m).basis
+    assert list(null) == gauss_jordan_kernel(m.entries, m.cols)
+    assert all_rat(got) and all_rat(null)
+
+
+def sparse_square(n):
+    row = st.lists(sparse_entries, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(Mat)
+
+
+@given(st.integers(1, 6).flatmap(sparse_square))
+def test_minpoly_matches_fraction_reducer(m):
+    got = minimal_polynomial(m)
+    assert got == fraction_minimal_polynomial(m)
+    assert all_rat([got.coeffs])
+
+
+@given(st.integers(1, 7), st.data())
+def test_spin_matches_fraction_reducer(n, data):
+    ops = data.draw(st.lists(sparse_square(n), min_size=1, max_size=2))
+    seeds = data.draw(
+        st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=2)
+    )
+    got = spin(n, seeds, ops).basis
+    assert list(got) == gauss_jordan_rref(fraction_spin(n, seeds, ops))
+    assert all_rat(got)
+
+
+@given(triples(5, 3), st.integers(0, 6), st.sampled_from(["v", "w", "u"]))
+def test_elimination_matches_fraction_reducer_on_generators(p, d, basis):
+    rep = build_R(p, d, basis)
+    n = d + 1
+    gens = [rep.generator(name) for name in ("A", "B", "C", "D")]
+    for g in gens:
+        assert minimal_polynomial(g) == fraction_minimal_polynomial(g)
+        got = rref(g.entries)
+        assert got == fraction_rref(g.entries) and all_rat(got)
+        shifted = g - Mat.identity(n).scale(g.entries[0][0])
+        assert list(kernel(shifted).basis) == gauss_jordan_kernel(shifted.entries, n)
+    seed = [[1] + [0] * d]
+    got = spin(n, seed, gens[:2]).basis
+    assert list(got) == gauss_jordan_rref(fraction_spin(n, seed, gens[:2]))
+    assert all_rat(got)

@@ -136,3 +136,19 @@ def test_mul_matches_dense_product(n, k, m, data):
     assert product == dense_product(a, b)
     assert product.shape() == (n, m)
     assert all(type(x) is Rat for row in product.entries for x in row)
+
+
+def dense_apply(a, vec):
+    """The apply over every term, kept as the oracle for the zero-skipping
+    Mat.apply."""
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in a.entries)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_apply_matches_dense_apply(n, m, int_vector, data):
+    a = data.draw(sparse_mats(n, m))
+    entry = st.integers(-3, 3) if int_vector else st.one_of(st.just(rat(0)), rationals())
+    vec = data.draw(st.lists(entry, min_size=m, max_size=m))
+    got = a.apply(vec)
+    assert got == dense_apply(a, vec)
+    assert all(type(x) is Rat for x in got)

@@ -19,7 +19,15 @@ from racah import (
 )
 import racah.rewriter as rw
 from racah.rational import Rat
-from racah.rewriter import EXPONENT_LIMIT, REWRITE_LIMIT, SYMBOLS, WORD_LIMIT, _REWRITE_RULES, _run
+from racah.rewriter import (
+    EXPONENT_LIMIT,
+    LETTER_LIMIT,
+    REWRITE_LIMIT,
+    SYMBOLS,
+    WORD_LIMIT,
+    _REWRITE_RULES,
+    _run,
+)
 
 from conftest import rationals
 
@@ -109,6 +117,24 @@ def test_word_limit_boundary(monkeypatch):
     for text in ("(A+B)^4", "(A+B)^2*(A+B+C)", "[(A+B)^2,A+B+C]"):
         with pytest.raises(ParseError):
             parse(text)
+
+
+def test_letter_limit_rejects_nested_powers():
+    # one word, under the word limit, but of 64^4 = 16.7M letters
+    with pytest.raises(ParseError) as exc:
+        parse("(((A^64)^64)^64)^64")
+    assert exc.value.position == 17
+    assert f"exceeds the limit of {LETTER_LIMIT} letters" in str(exc.value)
+
+
+def test_letter_limit_boundary(monkeypatch):
+    monkeypatch.setattr(rw, "LETTER_LIMIT", 12)
+    assert parse("A^12") == parse("A^6*A^6")
+    assert len(parse("(A+B)^2*C").terms) == 4
+    for text, position in (("A^13", 2), ("(A+B)^2*C*D", 10), ("[A^6,B^7]", 1)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
 
 
 # ------------------------------------------------------------- formatting
