@@ -10,6 +10,10 @@ the loop does integer arithmetic on nonzero entries only.  Entries become
 backend rationals again only at the Subspace boundary, when rref divides
 each row of the reduced basis by its pivot.
 
+spin() and minimal_polynomial() also act with integer operators: a matrix
+is cleared once to sparse integer columns, den*M, and applied to integer
+rows, so their loops build no rational at all.
+
 Subspaces are stored with their reduced-row-echelon basis.  RREF of a given
 row space is unique, so two Subspace values are equal iff they are literally
 the same tuple of vectors; no extra canonicalization step is ever needed.
@@ -17,7 +21,6 @@ the same tuple of vectors; no extra canonicalization step is ever needed.
 
 from __future__ import annotations
 
-from itertools import count
 from math import gcd, lcm
 
 from .matrix import Mat, ShapeError
@@ -95,9 +98,6 @@ class Subspace:
             return False
         basis = _Reducer(self.ambient_dim, map(_integer_row, self.basis), self.pivots)
         return not basis.reduce(_integer_row(vec))
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def __eq__(self, other):
         return (
@@ -224,58 +224,122 @@ class _Reducer:
         return len(self.rows)
 
 
+def _integer_columns(m: Mat) -> tuple[list[dict[int, int]], int]:
+    """(cols, den): den is the lcm of m's denominators and cols[j] holds
+    the nonzero entries of column j of den*m as a sparse dict {row: int}."""
+    den = lcm(*[x.denominator for row in m.entries for x in row if x])
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x.numerator * (den // x.denominator)
+    return cols, den
+
+
+def _apply_columns(cols: list[dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """The integer matrix with columns cols times the sparse integer
+    vector v, as a sparse dict."""
+    out: dict[int, int] = {}
+    for j, y in v.items():
+        for i, x in cols[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}
+
+
 def spin(ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seed vectors and stable under every
-    operator.  Each new basis vector is hit by each operator exactly once."""
+    operator.  Each new basis vector is hit by each operator exactly once.
+    The operators are cleared of denominators once: a span does not change
+    when its vectors are scaled, so the integer image of each kept row goes
+    straight back into the reducer."""
     for op in operators:
         if op.shape() != (ambient_dim, ambient_dim):
             raise ShapeError(
                 f"operator {op.rows}x{op.cols} cannot act on dimension {ambient_dim}"
             )
+    ops = [_integer_columns(op)[0] for op in operators]
     red = _Reducer(ambient_dim)
     for s in seeds:
         red.add(s)
     done = 0  # rows before this one have been hit by every operator
     while done < red.dim < ambient_dim:
-        v = red.dense(done)
+        v = red.rows[done]
         done += 1
-        for op in operators:
-            red.add(op.apply(v))
+        for cols in ops:
+            red.keep(red.reduce(_apply_columns(cols, v)))
     return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
 
 
 def minimal_polynomial(m: Mat) -> Poly:
-    """Monic minimal polynomial via the first linear dependency among
-    I, M, M^2, ... viewed as vectors of length n^2.  Each power is reduced
-    with a marker e_k appended; once the power part reduces to zero, the
-    marker columns hold the dependency."""
+    """Monic minimal polynomial as the lcm of the local minimal polynomials
+    of the unit vectors (Krylov sequences as in Wiedemann 1986, IEEE Trans.
+    Inf. Theory 32), all on the integer matrix N = den*M.
+
+    P starts at 1 and takes the seeds e_0, e_(n-1), e_1, ..., e_(n-2) until
+    its degree is n.  Since mu of P(N)v is mu_v / gcd(mu_v, P), multiplying
+    P by the local minimal polynomial of w = P(N)e_j keeps it the lcm of
+    those seen so far, with no gcd taken; a seed with w = 0 adds nothing.
+    That of w is the first dependency among w, Nw, N^2 w, ...: each is
+    reduced with its combination of powers carried in marker columns, and
+    the first row whose vector part vanishes holds it there.  P stays a
+    primitive integer polynomial, and mu_M(x) = P(den x) made monic."""
     if m.rows != m.cols:
         raise ShapeError(
             f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
         )
     n = m.rows
-    width = n * n
-    red = _Reducer(width + n + 1)  # degree is at most n
-    power = Mat.identity(n)
-    for k in count():
-        marker = [0] * (n + 1)
-        marker[k] = 1
-        red.add([x for row in power.entries for x in row] + marker)
-        if red.pivots[-1] >= width:
-            row = red.rows[-1]
-            lead = row[width + k]
-            return Poly([Rat(row.get(width + i, 0), lead) for i in range(k + 1)])
-        power = power * m
+    cols, den = _integer_columns(m)
+    p = [1]  # coefficients of P, lowest degree first
+    for j in [0, n - 1, *range(1, n - 1)][:n]:  # [:n] keeps n = 1 to e_0
+        if len(p) > n:
+            break
+        w = {j: p[-1]}  # P(N) e_j by Horner
+        for c in reversed(p[:-1]):
+            w = _apply_columns(cols, w)
+            if c:
+                w[j] = w.get(j, 0) + c
+                if not w[j]:
+                    del w[j]
+        if w:
+            p = _poly_product(p, _local_minimal_polynomial(cols, w, n))
+    lead = p[-1] * den ** (len(p) - 1)
+    return Poly([Rat(c * den**i, lead) for i, c in enumerate(p)])
 
 
-def apply_poly(p: Poly, m: Mat) -> Mat:
-    """p(M) by Horner."""
-    if m.rows != m.cols:
-        raise ShapeError(f"cannot evaluate a polynomial at a {m.rows}x{m.cols} matrix")
-    acc = Mat.zero(m.rows)
-    for c in reversed(p.coeffs):
-        acc = acc * m + Mat.identity(m.rows).scale(c)
-    return acc
+def _local_minimal_polynomial(cols, w: dict[int, int], n: int) -> list[int]:
+    """Integer coefficients, lowest degree first, of a nonzero multiple of
+    the minimal polynomial of the nonzero vector w under the matrix N with
+    columns cols.  Each row holds q(N) w in columns 0..n-1 and the
+    coefficients of q in the marker columns n, n+1, ...; the next row is N
+    times the vector part of the last kept one, its markers shifted up by
+    one."""
+    red = _Reducer(2 * n + 1)  # the degree is at most n
+    row = dict(w)
+    row[n] = 1
+    while True:
+        red.keep(red.reduce(row))
+        row = red.rows[-1]
+        if red.pivots[-1] >= n:
+            return [row.get(n + i, 0) for i in range(max(row) - n + 1)]
+        nxt = _apply_columns(cols, {j: x for j, x in row.items() if j < n})
+        for j, x in row.items():
+            if j >= n:
+                nxt[j + 1] = x
+        row = nxt
+
+
+def _poly_product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, content divided out and the
+    leading coefficient made positive."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    g = gcd(*out)
+    if out[-1] < 0:
+        g = -g
+    return [x // g for x in out]
 
 
 def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:

@@ -2,11 +2,14 @@
 
 Coefficients are stored lowest-degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.  Division,
-gcd and derivative are what the squarefreeness test needs; nothing fancier
-lives here.
+gcd and derivative serve the squarefreeness test.  That test first tries a
+certificate on the integer polynomial reduced mod the prime 2^61 - 1, and
+runs the exact Euclid over Q only when the certificate fails.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .rational import Rat, ZERO, ONE, rat, format_rat
 
@@ -25,14 +28,6 @@ class Poly:
 
     def __reduce__(self):
         return (Poly, (self.coeffs,))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([ZERO, ONE])
 
     @classmethod
     def from_roots(cls, roots) -> "Poly":
@@ -174,11 +169,51 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
+_Q = 2**61 - 1  # a prime
+
+
 def squarefree(p: Poly) -> bool:
-    """A nonzero polynomial is squarefree iff gcd(p, p') is constant."""
+    """A nonzero polynomial is squarefree iff gcd(p, p') is constant.
+
+    A modular certificate settles most cases (modular gcds as in Brown
+    1971, J. ACM 18): clear p to an integer polynomial P, and take the
+    prime q = 2^61 - 1.  If q does not divide P's leading coefficient and
+    gcd(P mod q, P' mod q) is constant, p is squarefree.  Were g^2 to
+    divide P for a nonconstant g, Gauss's lemma gives a primitive integer
+    such g, which keeps its degree mod q and divides both residues.  When
+    the certificate fails, the exact Euclid over Q decides."""
     if p.is_zero():
         raise ValueError("squarefreeness of the zero polynomial is undefined")
     if p.degree == 0:
         return True
+    den = lcm(*[c.denominator for c in p.coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    if ints[-1] % _Q:
+        f = [c % _Q for c in ints]
+        df = [i * c % _Q for i, c in enumerate(ints)][1:]
+        if _degree_of_gcd_mod_q(f, df) == 0:
+            return True
     return poly_gcd(p, p.derivative()).degree == 0
 
+
+def _degree_of_gcd_mod_q(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over the integers mod _Q, for residue
+    coefficient lists (lowest degree first) that are not both zero."""
+    a, b = _strip(a), _strip(b)
+    while b:
+        inv = pow(b[-1], -1, _Q)
+        while len(a) >= len(b):
+            f = a[-1] * inv % _Q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % _Q
+            a = _strip(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _strip(cs: list[int]) -> list[int]:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs

@@ -31,6 +31,8 @@ SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
 WORD_LIMIT = 2**16  # most words a parsed product, power or commutator may expand to
 LETTER_LIMIT = 2**20  # most letters (words times the longest word) it may expand to
+SUM_WORD_LIMIT = 2**16  # most words, summed over its summands, a parsed sum may hold
+SUM_LETTER_LIMIT = 2**20  # most letters, summed over its words, it may hold
 REWRITE_LIMIT = 10**6
 
 
@@ -220,9 +222,18 @@ class _Parser:
 
     def expr(self) -> FreeElement:
         value = self.term()
+        words = letters = None  # of the summands so far, counted at the first "+" or "-"
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.term()
+            if words is None:
+                words, letters = len(value.terms), _letters(value)
+            words += len(rhs.terms)
+            letters += _letters(rhs)
+            if words > SUM_WORD_LIMIT:
+                raise ParseError(f"sum exceeds the limit of {SUM_WORD_LIMIT} words", pos)
+            if letters > SUM_LETTER_LIMIT:
+                raise ParseError(f"sum exceeds the limit of {SUM_LETTER_LIMIT} letters", pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -306,6 +317,10 @@ class _Parser:
 
 def _longest(x: FreeElement) -> int:
     return max(map(len, x.terms), default=0)
+
+
+def _letters(x: FreeElement) -> int:
+    return sum(map(len, x.terms))
 
 
 def parse(text: str) -> FreeElement:

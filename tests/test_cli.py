@@ -340,6 +340,17 @@ def test_oversize_expression_exits_2(capsys, command):
     assert f"expansion exceeds the limit of {racah.rewriter.WORD_LIMIT} words at position 6" in captured.err
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["eval", *GENERIC, "--d", "2"]])
+def test_oversize_sum_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--expr", "(A+B)^16-A", *command[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = racah.rewriter.SUM_WORD_LIMIT
+    assert f"sum exceeds the limit of {limit} words at position 9" in captured.err
+
+
 def test_overlong_word_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "--expr", "(((A^64)^64)^64)^64"])

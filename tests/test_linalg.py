@@ -1,5 +1,6 @@
 import pickle
 import random
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -7,11 +8,13 @@ from hypothesis import assume, given, strategies as st
 import racah.linalg as linalg
 from racah import (
     Mat,
+    ParamTriple,
     Poly,
     ShapeError,
     Subspace,
     build_R,
     eigenspace,
+    in_P,
     intertwiner_space,
     invertible,
     kernel,
@@ -21,7 +24,6 @@ from racah import (
     rref,
     spin,
 )
-from racah.linalg import apply_poly
 from racah.rational import Rat
 
 from conftest import rationals, triples
@@ -93,11 +95,15 @@ def test_subspace_pickle_round_trip():
         assert back == s and back.pivots == s.pivots
 
 
+def contains_space(big: Subspace, small: Subspace) -> bool:
+    return all(big.contains(v) for v in small.basis)
+
+
 def test_subspace_containment_order():
     big = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     small = Subspace(3, [[1, 1, 0]])
-    assert big.contains_space(small)
-    assert not small.contains_space(big)
+    assert contains_space(big, small)
+    assert not contains_space(small, big)
 
 
 # ----------------------------------------------------------------- kernel
@@ -142,6 +148,14 @@ def test_eigenspace_known():
 
 
 # ------------------------------------------------------ minimal polynomial
+
+def apply_poly(p: Poly, m: Mat) -> Mat:
+    """p(M) by Horner."""
+    acc = Mat.zero(m.rows)
+    for c in reversed(p.coeffs):
+        acc = acc * m + Mat.identity(m.rows).scale(c)
+    return acc
+
 
 def companion(poly: Poly) -> Mat:
     """Companion matrix; its minimal polynomial is the (monic) polynomial
@@ -543,3 +557,133 @@ def test_elimination_matches_fraction_reducer_on_generators(p, d, basis):
     got = spin(n, seed, gens[:2]).basis
     assert list(got) == gauss_jordan_rref(fraction_spin(n, seed, gens[:2]))
     assert all_rat(got)
+
+
+# --------------------------- differential: power Krylov and Mat.apply spin
+
+def power_krylov_minimal_polynomial(m):
+    """The retired minimal_polynomial: the first dependency among I, M,
+    M^2, ... viewed as vectors of length n^2.  Each power is reduced with a
+    marker e_k appended; once the power part reduces to zero, the marker
+    columns hold the dependency.  Oracle for the vector Krylov sequences."""
+    n = m.rows
+    width = n * n
+    red = linalg._Reducer(width + n + 1)
+    power = Mat.identity(n)
+    for k in count():
+        marker = [0] * (n + 1)
+        marker[k] = 1
+        red.add([x for row in power.entries for x in row] + marker)
+        if red.pivots[-1] >= width:
+            row = red.rows[-1]
+            lead = row[width + k]
+            return Poly([rat(row.get(width + i, 0), lead) for i in range(k + 1)])
+        power = power * m
+
+
+def apply_spin(ambient_dim, seeds, operators):
+    """The retired spin: each kept row, made dense, is hit by every
+    rational operator through Mat.apply.  Oracle for the integer spin."""
+    red = linalg._Reducer(ambient_dim)
+    for s in seeds:
+        red.add(s)
+    done = 0
+    while done < red.dim < ambient_dim:
+        v = red.dense(done)
+        done += 1
+        for op in operators:
+            red.add(op.apply(v))
+    return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
+
+
+def unit_triangular(n, entries, lower):
+    """Ones on the diagonal, entries below it (lower) or above it."""
+    return Mat([
+        [1 if i == j else entries[i * n + j] if (i > j) == lower else 0 for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def inverse(m):
+    n = m.rows
+    aug = rref([list(row) + [1 if i == j else 0 for j in range(n)]
+                for i, row in enumerate(m.entries)])
+    return Mat([row[n:] for row in aug])
+
+
+@st.composite
+def conjugated_jordan(draw):
+    """(M, expected minimal polynomial): a block diagonal of Jordan blocks
+    whose eigenvalues repeat across blocks, so M is often derogatory,
+    conjugated by a product of unit triangular matrices."""
+    eigenvalues = draw(st.lists(rationals(3, 2), min_size=1, max_size=2, unique=True))
+    blocks = draw(st.lists(
+        st.tuples(st.sampled_from(eigenvalues), st.integers(1, 3)), min_size=1, max_size=4
+    ))
+    n = sum(size for _, size in blocks)
+    jordan = [[rat(0)] * n for _ in range(n)]
+    off = 0
+    for lam, size in blocks:
+        for i in range(off, off + size):
+            jordan[i][i] = lam
+            if i > off:
+                jordan[i - 1][i] = rat(1)
+        off += size
+    coeffs = st.lists(sparse_entries, min_size=n * n, max_size=n * n)
+    s = (unit_triangular(n, draw(coeffs), lower=True)
+         * unit_triangular(n, draw(coeffs), lower=False))
+    largest = {}
+    for lam, size in blocks:
+        largest[lam] = max(largest.get(lam, 0), size)
+    expect = Poly.from_roots([lam for lam, k in largest.items() for _ in range(k)])
+    return s * Mat(jordan) * inverse(s), expect
+
+
+@given(st.integers(1, 6).flatmap(sparse_square))
+def test_minpoly_matches_power_krylov(m):
+    assert minimal_polynomial(m) == power_krylov_minimal_polynomial(m)
+
+
+@given(conjugated_jordan())
+def test_minpoly_matches_power_krylov_on_derogatory_matrices(case):
+    m, expect = case
+    got = minimal_polynomial(m)
+    assert got == power_krylov_minimal_polynomial(m) == expect
+    assert all_rat([got.coeffs])
+
+
+def reducible_triple(form, d, x, y, i):
+    """A triple whose named linear form equals the forbidden value d/2 - i."""
+    v = rat(d, 2) - i
+    if form == "a+b+c+1":
+        return ParamTriple(v - 1 - x - y, x, y)
+    if form == "-a+b+c":
+        return ParamTriple(x + y - v, x, y)
+    if form == "a-b+c":
+        return ParamTriple(x, x + y - v, y)
+    return ParamTriple(x, y, x + y - v)
+
+
+@given(st.sampled_from(["a+b+c+1", "-a+b+c", "a-b+c", "a+b-c"]), st.integers(1, 8),
+       rationals(5, 3), rationals(5, 3), st.data())
+def test_oracles_match_at_reducible_points(form, d, x, y, data):
+    p = reducible_triple(form, d, x, y, data.draw(st.integers(1, d)))
+    assert not in_P(p, d)[0]
+    n = d + 1
+    for basis in ("v", "w", "u"):
+        rep = build_R(p, d, basis)
+        gens = [rep.generator(name) for name in ("A", "B", "C", "D")]
+        for g in gens:
+            assert minimal_polynomial(g) == power_krylov_minimal_polynomial(g)
+        for lam in set(rep.B.entries[i][i] for i in range(n)):
+            seeds = eigenspace(rep.B, lam).basis
+            assert spin(n, seeds, gens[:2]) == apply_spin(n, seeds, gens[:2])
+
+
+@given(st.integers(1, 7), st.data())
+def test_spin_matches_apply_spin(n, data):
+    ops = data.draw(st.lists(sparse_square(n), min_size=1, max_size=3))
+    seeds = data.draw(
+        st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=2)
+    )
+    assert spin(n, seeds, ops) == apply_spin(n, seeds, ops)

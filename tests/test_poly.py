@@ -3,6 +3,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+import racah.poly
 from racah import Poly, poly_gcd, rat, squarefree
 
 from conftest import rationals
@@ -13,11 +14,15 @@ def polys(max_deg=5):
 
 
 def x():
-    return Poly.x()
+    return Poly([0, 1])
+
+
+def constant(c):
+    return Poly([c])
 
 
 def test_basic_arithmetic():
-    p = (x() - Poly.constant(1)) * (x() + Poly.constant(1))
+    p = (x() - constant(1)) * (x() + constant(1))
     assert p == Poly([-1, 0, 1])
     assert p(rat(2)) == 3
     assert p.degree == 2
@@ -90,3 +95,62 @@ def test_squarefree():
     assert squarefree(Poly([5]))
     with pytest.raises(ValueError):
         squarefree(Poly([]))
+
+
+# ------------------------- differential: the modular certificate vs Euclid
+
+Q = 2**61 - 1
+
+
+def euclid_squarefree(p):
+    """squarefree without the modular certificate: gcd(p, p') over Q."""
+    return p.degree == 0 or poly_gcd(p, p.derivative()).degree == 0
+
+
+@st.composite
+def squarefree_candidates(draw):
+    """Products of small rational linear and quadratic factors with
+    repeats, or plain random polynomials, times a rational scale."""
+    if draw(st.booleans()):
+        p = polys(6).filter(lambda p: not p.is_zero())
+        return draw(p)
+    factors = draw(st.lists(polys(2).filter(lambda f: f.degree >= 1), min_size=1, max_size=4))
+    out = Poly([1])
+    for f in factors:
+        out = out * f
+        if draw(st.integers(0, 3)) == 0:
+            out = out * f
+    return out.scale(draw(rationals().filter(bool)))
+
+
+@given(squarefree_candidates())
+def test_squarefree_matches_euclid(p):
+    assert squarefree(p) == euclid_squarefree(p)
+
+
+def euclid_calls(p, monkeypatch):
+    """(verdict, number of exact Euclid calls) of squarefree(p)."""
+    calls = []
+
+    def recording_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(racah.poly, "poly_gcd", recording_gcd)
+    return squarefree(p), len(calls)
+
+
+def test_certificate_settles_squarefree_cases(monkeypatch):
+    assert euclid_calls(Poly([-2, 0, 1]), monkeypatch) == (True, 0)
+
+
+def test_fallback_when_the_residue_is_not_squarefree(monkeypatch):
+    # x^2 - q is squarefree over Q, but x^2 mod q is a square
+    assert euclid_calls(Poly([-Q, 0, 1]), monkeypatch) == (True, 1)
+    assert euclid_calls(Poly([Q * Q, 2 * Q, 1]), monkeypatch) == (False, 1)
+
+
+def test_fallback_when_q_divides_the_leading_coefficient(monkeypatch):
+    assert euclid_calls(Poly([1, 0, Q]), monkeypatch) == (True, 1)
+    assert euclid_calls(Poly([rat(1, Q), 2, Q]), monkeypatch) == (False, 1)
+    assert euclid_calls(Poly([-1, 0, rat(Q, 7)]), monkeypatch) == (True, 1)

@@ -23,6 +23,7 @@ from racah.rewriter import (
     EXPONENT_LIMIT,
     LETTER_LIMIT,
     REWRITE_LIMIT,
+    SUM_WORD_LIMIT,
     SYMBOLS,
     WORD_LIMIT,
     _REWRITE_RULES,
@@ -135,6 +136,42 @@ def test_letter_limit_boundary(monkeypatch):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("(A+B)^16+(A+C)^16+(A+D)^16+(B+C)^16", 9),
+        ("A-(A+B)^16", 2),
+    ],
+)
+def test_sum_word_limit_rejects_at_the_operator(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert f"sum exceeds the limit of {SUM_WORD_LIMIT} words" in str(exc.value)
+
+
+def test_sum_word_limit_boundary(monkeypatch):
+    monkeypatch.setattr(rw, "SUM_WORD_LIMIT", 8)
+    assert len(parse("(A+B)^2 + (C+D)^2").terms) == 8
+    assert len(parse("A+B+C+D+A*B+A*C+A*D+B*C").terms) == 8
+    # summands are counted before like words merge
+    cases = (("(A+B)^3+C", 8), ("A+B+C+D+A*B+A*C+A*D+B*C+1", 24), ("A^2 + (A+B)^3 - A^2", 5))
+    for text, position in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+
+
+def test_sum_letter_limit_boundary(monkeypatch):
+    monkeypatch.setattr(rw, "SUM_LETTER_LIMIT", 12)
+    assert len(parse("A^6 + B^6").terms) == 2
+    assert len(parse("A^4 - (B+C)^2 + 7").terms) == 6
+    with pytest.raises(ParseError) as exc:
+        parse("A^6 + B^6 + C")
+    assert exc.value.position == 11
+    assert "sum exceeds the limit of 12 letters" in str(exc.value)
 
 
 # ------------------------------------------------------------- formatting
