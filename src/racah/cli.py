@@ -280,9 +280,14 @@ def _parse_grid(spec: str) -> list[tuple[ParamTriple, int]]:
 # ----------------------------------------------------------------- output
 
 def _emit(args, text: str):
+    """Write to --out, or stdout.  An unwritable --out exits 2."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     else:
         sys.stdout.write(text)
 

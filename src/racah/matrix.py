@@ -61,12 +61,6 @@ class Mat:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
 

@@ -38,9 +38,6 @@ class SignFlip(NamedTuple):
     sb: int
     sc: int
 
-    def compose(self, other: "SignFlip") -> "SignFlip":
-        return SignFlip(self.sa * other.sa, self.sb * other.sb, self.sc * other.sc)
-
 
 IDENTITY_FLIP = SignFlip(1, 1, 1)
 

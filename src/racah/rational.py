@@ -1,58 +1,32 @@
 """Exact rational scalars.
 
-Every number in this package is an exact rational.  Two interchangeable
-backends provide them: gmpy2's mpq (C-backed, default when importable) and
-the stdlib fractions.Fraction.  Selection is via the environment variable
-RACAH_RATIONAL_BACKEND = "gmpy2" | "fractions" | "auto" (default auto).
-
-Both backends normalize to lowest terms with the sign on the numerator and
-print as "p/q" (or "p" for integers), which is exactly the package's
-external rational syntax.  Strings coming from outside must pass through
-parse_rat(), which rejects anything that is not plain p or p/q (both
-backends would otherwise happily accept decimals like "0.5").
+Every number in this package is an exact rational, a fractions.Fraction:
+lowest terms, sign on the numerator, printed as "p/q" (or "p" for
+integers), which is exactly the package's external rational syntax.
+Strings coming from outside must pass through parse_rat(), which rejects
+anything that is not plain p or p/q (Fraction would otherwise happily
+accept decimals like "0.5").
 """
 
 from __future__ import annotations
 
-import os
+import math
 import re
 from fractions import Fraction
 
-_requested = os.environ.get("RACAH_RATIONAL_BACKEND", "auto")
-if _requested not in ("auto", "gmpy2", "fractions"):
-    raise RuntimeError(
-        "RACAH_RATIONAL_BACKEND must be one of auto, gmpy2, fractions; "
-        f"got {_requested!r}"
-    )
+BACKEND = "fractions"  # the one rational type, recorded by bench/run.py
 
-if _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _make
+Rat = Fraction
 
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        _make = Fraction
-        BACKEND = "fractions"
-else:
-    _make = Fraction
-    BACKEND = "fractions"
-
-# Rat is intentionally loose: mpq and Fraction share the operator surface
-# (+ - * / ** abs comparisons, .numerator/.denominator) and hash equal on
-# equal values, so they can be annotated interchangeably.
-Rat = _make("0").__class__
-
-ZERO = _make(0)
-ONE = _make(1)
-HALF = _make(1, 2)
+ZERO = Fraction(0)
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def rat(num, den=1) -> Rat:
-    """Exact rational from ints, a backend scalar, or another exact rational."""
+    """Exact rational from ints or another exact rational."""
     try:
-        return _make(num, den)
+        return Fraction(num, den)
     except TypeError:
         value = repr(num) if den == 1 else f"{num!r}/{den!r}"
         raise TypeError(f"only exact rationals are accepted, got {value}") from None
@@ -71,25 +45,23 @@ def parse_rat(text: str) -> Rat:
         num, den = s.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return _make(int(num), int(den))
-    return _make(int(s))
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
 
 
 def format_rat(x: Rat) -> str:
     """Canonical "p/q" (or "p") in lowest terms, sign on the numerator."""
-    return str(_make(x))
+    return str(Fraction(x))
 
 
 def is_square(x: Rat) -> tuple[bool, Rat]:
     """Is x the square of a rational?  Returns (flag, nonnegative root)."""
-    import math
-
     if x < 0:
         return False, ZERO
-    num = int(x.numerator)
-    den = int(x.denominator)
+    num = x.numerator
+    den = x.denominator
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return True, _make(rn, rd)
+        return True, Fraction(rn, rd)
     return False, ZERO

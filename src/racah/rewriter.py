@@ -33,6 +33,7 @@ WORD_LIMIT = 2**16  # most words a parsed product, power or commutator may expan
 LETTER_LIMIT = 2**20  # most letters (words times the longest word) it may expand to
 SUM_WORD_LIMIT = 2**16  # most words, summed over its summands, a parsed sum may hold
 SUM_LETTER_LIMIT = 2**20  # most letters, summed over its words, it may hold
+DEPTH_LIMIT = 64  # most nested parentheses, brackets and unary signs
 REWRITE_LIMIT = 10**6
 
 
@@ -197,6 +198,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -212,6 +214,13 @@ class _Parser:
             pos = opened_at if opened_at is not None else tok[2]
             raise ParseError(what, pos)
         return self.take()
+
+    def nest(self) -> None:
+        """Take an opening "(", "[" or unary sign, one level deeper."""
+        pos = self.take()[2]
+        self.depth += 1
+        if self.depth > DEPTH_LIMIT:
+            raise ParseError(f"nesting exceeds the limit of {DEPTH_LIMIT} levels", pos)
 
     def parse(self) -> FreeElement:
         value = self.expr()
@@ -291,13 +300,13 @@ class _Parser:
             if text not in SYMBOLS:
                 raise ParseError(f"unknown generator {text!r}", pos)
             return FreeElement.symbol(text)
+        if kind not in ("(", "[", "-", "+"):
+            raise ParseError("expected a number, generator, parenthesis or bracket", pos)
+        self.nest()
         if kind == "(":
-            self.take()
             value = self.expr()
             self.expect(")", "unclosed parenthesis", opened_at=pos)
-            return value
-        if kind == "[":
-            self.take()
+        elif kind == "[":
             left = self.expr()
             self.expect(",", "commutator bracket needs two comma-separated arguments")
             right = self.expr()
@@ -305,14 +314,11 @@ class _Parser:
             self.check_size(
                 len(left.terms) * len(right.terms), _longest(left) + _longest(right), pos
             )
-            return left * right - right * left
-        if kind == "-":
-            self.take()
-            return -self.factor()
-        if kind == "+":
-            self.take()
-            return self.factor()
-        raise ParseError("expected a number, generator, parenthesis or bracket", pos)
+            value = left * right - right * left
+        else:
+            value = -self.factor() if kind == "-" else self.factor()
+        self.depth -= 1
+        return value
 
 
 def _longest(x: FreeElement) -> int:

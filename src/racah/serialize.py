@@ -1,6 +1,6 @@
 """External formats: canonical JSON documents and the plain-text matrix
-format (rows split by ';' or newline, entries space-separated, every
-rational rendered p/q in lowest terms).
+rendering (one row per line, entries space-separated, every rational
+rendered p/q in lowest terms).
 
 Documents are emitted deterministically: sorted keys, two-space indent,
 trailing newline.  All rationals cross the boundary as strings so no
@@ -34,18 +34,6 @@ def mat_from_rows(rows) -> Mat:
 
 def mat_to_text(m: Mat, row_sep: str = "\n") -> str:
     return row_sep.join(" ".join(format_rat(x) for x in row) for row in m.entries)
-
-
-def mat_from_text(text: str) -> Mat:
-    rows = []
-    for chunk in text.replace(";", "\n").splitlines():
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        rows.append([parse_rat(x) for x in chunk.split()])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    return Mat(rows)
 
 
 def params_to_doc(p: ParamTriple) -> dict:

@@ -9,7 +9,6 @@ import racah.rewriter
 from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, main, _parse_grid
 from racah.serialize import (
     mat_from_rows,
-    mat_from_text,
     mat_to_rows,
     mat_to_text,
     params_from_doc,
@@ -21,6 +20,15 @@ from racah.serialize import (
 GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
 SYMMETRIC = ["--a", "-1/2", "--b", "-1/2", "--c", "-1/2"]
 REDUCIBLE = ["--a", "1/5", "--b", "1/5", "--c", "-7/5"]
+
+
+def mat_from_text(text):
+    """Read the text matrix format: rows split by ';' or newline, entries
+    split by spaces."""
+    rows = [line.split() for line in text.replace(";", "\n").splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("no matrix rows found")
+    return mat_from_rows(rows)
 
 
 def run_cli(capsys, argv):
@@ -446,6 +454,43 @@ def test_oversize_module_exits_2(capsys, argv, message):
 def test_largest_d_is_accepted(capsys):
     code, doc, _ = run_json(capsys, ["construct", *GENERIC, "--d", str(MAX_D)])
     assert code == 0 and doc["d"] == MAX_D
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["eval", *GENERIC, "--d", "2"]])
+@pytest.mark.parametrize(
+    "expr", ["(" * 250 + "A" + ")" * 250, "-" * 1000 + "A"], ids=["parens", "signs"]
+)
+def test_deep_nesting_exits_2(command, expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "racah", command[0], f"--expr={expr}", *command[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    limit = racah.rewriter.DEPTH_LIMIT
+    assert f"nesting exceeds the limit of {limit} levels at position {limit + 1}" in proc.stderr
+
+
+# ------------------------------------------------------------------ --out
+
+@pytest.mark.parametrize(
+    "command", [["golden"], ["sweep", "--grid", "a=0;b=0;c=0;d=1"]]
+)
+@pytest.mark.parametrize(
+    "target,reason", [("missing/x.json", "No such file or directory"), (".", "Is a directory")]
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target, reason):
+    path = str(tmp_path / target)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {path}: {reason}\n" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 # ---------------------------------------------------------------- golden

@@ -1,0 +1,30 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import racah
+
+PACKAGE = Path(racah.__file__).parent
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    outside = {
+        f"{path.name}: {name}"
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside

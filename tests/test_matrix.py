@@ -70,8 +70,6 @@ def test_apply_and_accessors():
     a = Mat([[1, 2], [3, 4]])
     assert a.apply((1, 1)) == (3, 7)
     assert a[0, 1] == 2
-    assert a.row(1) == (rat(3), rat(4))
-    assert a.column(0) == (rat(1), rat(3))
     assert a.first_nonzero() == (0, 0, rat(1))
     assert Mat.zero(2).first_nonzero() is None
 

@@ -20,6 +20,7 @@ from racah import (
 import racah.rewriter as rw
 from racah.rational import Rat
 from racah.rewriter import (
+    DEPTH_LIMIT,
     EXPONENT_LIMIT,
     LETTER_LIMIT,
     REWRITE_LIMIT,
@@ -172,6 +173,45 @@ def test_sum_letter_limit_boundary(monkeypatch):
         parse("A^6 + B^6 + C")
     assert exc.value.position == 11
     assert "sum exceeds the limit of 12 letters" in str(exc.value)
+
+
+def _nested(kind: str, depth: int) -> str:
+    if kind == "(":
+        return "(" * depth + "A" + ")" * depth
+    if kind == "[":
+        return "[" * depth + "A" + ",A]" * depth
+    return kind * depth + "A"
+
+
+@pytest.mark.parametrize("kind,value", [("(", "A"), ("[", "0"), ("-", "A"), ("+", "A")])
+def test_depth_limit_boundary(kind, value):
+    assert parse(_nested(kind, DEPTH_LIMIT)) == parse(value)
+    with pytest.raises(ParseError) as exc:
+        parse(_nested(kind, DEPTH_LIMIT + 1))
+    assert exc.value.position == DEPTH_LIMIT + 1
+    assert f"nesting exceeds the limit of {DEPTH_LIMIT} levels" in str(exc.value)
+
+
+def test_depth_counts_every_kind_of_nesting():
+    mixed = "(-[" * (DEPTH_LIMIT // 3) + "A" + ",B])" * (DEPTH_LIMIT // 3)
+    parse(mixed)
+    parse("-" * (DEPTH_LIMIT - 1) + "(A)")
+    with pytest.raises(ParseError) as exc:
+        parse("-" * DEPTH_LIMIT + "(A)")
+    assert exc.value.position == DEPTH_LIMIT + 1
+    # levels close again: siblings at the limit do not add up
+    parse("*".join([_nested("(", DEPTH_LIMIT)] * 3))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 250 + "A" + ")" * 250, "-" * 1000 + "A", "[" * 10**5],
+    ids=["parens", "signs", "brackets"],
+)
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.position == DEPTH_LIMIT + 1
 
 
 # ------------------------------------------------------------- formatting
