@@ -18,6 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 # let option values like -1/2 through (argparse only recognizes -N and -N.N
 # as negative numbers out of the box)
 _NEGATIVE_RAT = re.compile(r"^-\d+(/\d+)?$")
+# reduce and eval also let an expression like -A+B through: any argument
+# that starts with a single '-' and names no option is a value there
+_LEADING_MINUS = re.compile(r"^-[^-]")
 
 from .analyzer import ConsistencyError, analyze, isomorphic, module_maps, orbit_check
 from .golden import golden_example
@@ -147,10 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_inter)
 
     p_reduce = subs.add_parser("reduce", help="normal-order an expression")
+    p_reduce._negative_number_matcher = _LEADING_MINUS
     p_reduce.add_argument("--expr", required=True)
     _add_common(p_reduce)
 
     p_eval = subs.add_parser("eval", help="evaluate an expression on a module")
+    p_eval._negative_number_matcher = _LEADING_MINUS
     p_eval.add_argument("--expr", required=True)
     _add_params(p_eval)
     p_eval.add_argument("--d", type=_int_at_most(MAX_D), required=True)

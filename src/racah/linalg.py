@@ -14,6 +14,13 @@ spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once to sparse integer columns, den*M, and applied to integer
 rows, so their loops build no rational at all.
 
+intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
+through A when both A are lower bidiagonal with a nonzero subdiagonal (the
+shape of A in every basis of the modules): each row of X follows from the
+row below it, so the unknowns are the n entries of the last row, and only
+the row-0 A-equations and the B-equations reach the reducer.  Any other A
+falls back to the full Sylvester system over the mn entries of X.
+
 Subspaces are stored with their reduced-row-echelon basis.  RREF of a given
 row space is unique, so two Subspace values are equal iff they are literally
 the same tuple of vectors; no extra canonicalization step is ever needed.
@@ -123,16 +130,23 @@ def invertible(m: Mat) -> bool:
 
 def kernel(m: Mat) -> Subspace:
     """Right kernel {v : Mv = 0} as a subspace of Q^cols."""
-    row_space = Subspace(m.cols, m.entries)
-    free = [j for j in range(m.cols) if j not in row_space.pivots]
+    return Subspace(m.cols, _kernel_vectors(Subspace(m.cols, m.entries)))
+
+
+def _kernel_vectors(row_space: Subspace) -> list[list[Rat]]:
+    """A basis of the vectors orthogonal to every row of row_space: one per
+    non-pivot column."""
+    n = row_space.ambient_dim
     vectors = []
-    for fj in free:
-        v = [ZERO] * m.cols
+    for fj in range(n):
+        if fj in row_space.pivots:
+            continue
+        v = [ZERO] * n
         v[fj] = ONE
         for row, pcol in zip(row_space.basis, row_space.pivots):
             v[pcol] = -row[fj]
         vectors.append(v)
-    return Subspace(m.cols, vectors)
+    return vectors
 
 
 def eigenspace(m: Mat, lam) -> Subspace:
@@ -343,37 +357,145 @@ def _poly_product(a: list[int], b: list[int]) -> list[int]:
 
 
 def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
-    """All X with A2 X = X A1 and B2 X = X B1, as a list of basis matrices.
+    """All X with A2 X = X A1 and B2 X = X B1, as the canonical (RREF)
+    basis of vec(X) (row-major) reshaped into matrices.
 
     X is m x n where the pair (A1,B1) acts on dimension n and (A2,B2) on m.
-    The two Sylvester conditions are stacked into one homogeneous system on
-    vec(X) (row-major); the kernel basis is reshaped back into matrices.
+    The four matrices are cleared of denominators once, A1 with A2 and B1
+    with B2.  When A1 and A2 are both lower bidiagonal with a nonzero
+    subdiagonal, as in every basis of the modules, A2 X = X A1 gives row
+    i-1 of X from row i, so each entry of X is an integer linear form in
+    the n entries of the last row, and only the row-0 A-equations and the
+    B-equations remain: n unknowns.  Otherwise the unknowns are the mn
+    entries of X and every equation of the two Sylvester systems stays.
+
+    Equations go to a _Reducer last row of X first.  Once one reduces to
+    zero, X is assembled in integers for each solution of the kept
+    equations, and every later equation these X satisfy is skipped.  The
+    solutions are canonicalized as a Subspace of vec(X).
     """
     n = a1.rows
     m = a2.rows
     for mat, dim, name in ((a1, n, "A1"), (b1, n, "B1"), (a2, m, "A2"), (b2, m, "B2")):
         if mat.shape() != (dim, dim):
             raise ShapeError(f"{name} must be square of the right size, got {mat.rows}x{mat.cols}")
-    nvars = m * n
+    ia1, ia2 = _cleared(a1, a2)
+    ib1, ib2 = _cleared(b1, b2)
+    if _lower_bidiagonal(ia1) and _lower_bidiagonal(ia2):
+        nvars, a_rows = n, [0]
+        forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
+        weights = [scales[0] // c for c in scales]  # X times scales[0], in integers
 
-    def var(i: int, j: int) -> int:
-        return i * n + j
+        def solution(y):
+            rows, _ = _substituted_rows(ia1, ia2, [{0: y[j]} if j in y else {} for j in range(n)])
+            return [[w * f.get(0, 0) for f in row] for row, w in zip(rows, weights)]
 
-    rows = []
-    for lhs, rhs in ((a2, a1), (b2, b1)):
-        # (LHS X - X RHS)[i][j] = sum_k LHS[i][k] X[k][j] - sum_k X[i][k] RHS[k][j]
-        for i in range(m):
-            for j in range(n):
-                row = [ZERO] * nvars
-                for k in range(m):
-                    if lhs.entries[i][k] != 0:
-                        row[var(k, j)] = row[var(k, j)] + lhs.entries[i][k]
-                for k in range(n):
-                    if rhs.entries[k][j] != 0:
-                        row[var(i, k)] = row[var(i, k)] - rhs.entries[k][j]
-                rows.append(row)
-    null = kernel(Mat(rows)) if rows else Subspace(nvars, [])
-    basis = []
-    for v in null.basis:
-        basis.append(Mat([[v[var(i, j)] for j in range(n)] for i in range(m)]))
-    return basis
+    else:
+        nvars, a_rows = m * n, range(m)
+        forms, scales = [[{i * n + j: 1} for j in range(n)] for i in range(m)], [1] * m
+
+        def solution(y):
+            return [[y.get(i * n + j, 0) for j in range(n)] for i in range(m)]
+
+    # the last rows of X first: under substitution their forms are the
+    # smallest, and they usually leave few candidate solutions
+    b_cols, a_cols = _sparse_columns(ib1), _sparse_columns(ia1)
+    conditions = [(ib2, b_cols, i) for i in reversed(range(m))]
+    conditions += [(ia2, a_cols, i) for i in a_rows]
+    red = _Reducer(nvars)
+    xs = None  # X for each solution of the kept equations, once one reduced to zero
+    for lhs, rhs_cols, i in conditions:
+        left = [(k, x) for k, x in enumerate(lhs[i]) if x]
+        top = scales[min([i] + [k for k, _ in left])]
+        for j, right in enumerate(rhs_cols):
+            if xs is not None and not any(
+                sum([c * sol[k][j] for k, c in left]) != sum([sol[i][k] * c for k, c in right])
+                for sol in xs
+            ):
+                continue
+            # (LHS X - X RHS)[i][j] in the unknowns, times the scale of the
+            # topmost row it involves (every lower row's scale divides it)
+            terms = [(c * (top // scales[k]), forms[k][j]) for k, c in left]
+            terms += [(-c * (top // scales[i]), forms[i][k]) for k, c in right]
+            eq: dict[int, int] = {}
+            for c, f in terms:
+                for k, x in f.items():
+                    eq[k] = eq.get(k, 0) + c * x
+            eq = {k: x for k, x in eq.items() if x}
+            if not eq:  # holds for every X, and says nothing about the solutions
+                continue
+            if red.keep(red.reduce(eq)):
+                xs = None
+                if red.dim == nvars:
+                    return []
+            elif xs is None:
+                xs = [solution(y) for y in _null_space(red)]
+    if xs is None:
+        xs = [solution(y) for y in _null_space(red)]
+    space = Subspace(m * n, [[v for row in sol for v in row] for sol in xs])
+    return [Mat([v[i * n : (i + 1) * n] for i in range(m)]) for v in space.basis]
+
+
+def _cleared(*mats: Mat) -> list[list[list[int]]]:
+    """The matrices times the lcm of all their denominators, as dense rows
+    of ints."""
+    den = lcm(*[x.denominator for mat in mats for row in mat.entries for x in row])
+    return [
+        [[x.numerator * (den // x.denominator) for x in row] for row in mat.entries]
+        for mat in mats
+    ]
+
+
+def _sparse_columns(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The (row, entry) pairs of the nonzero entries of each column of a
+    square matrix."""
+    return [[(k, x) for k, row in enumerate(rows) if (x := row[j])] for j in range(len(rows))]
+
+
+def _lower_bidiagonal(rows: list[list[int]]) -> bool:
+    """Is the square matrix zero off its diagonal and first subdiagonal,
+    and nonzero on that subdiagonal?"""
+    return all(
+        (x != 0) if j == i - 1 else (j == i or x == 0)
+        for i, row in enumerate(rows)
+        for j, x in enumerate(row)
+    )
+
+
+def _substituted_rows(a1: list[list[int]], a2: list[list[int]], last: list[dict[int, int]]):
+    """(rows, scales) for the integer lower bidiagonal A1 (n x n) and A2
+    (m x m), given the last row of X as n sparse integer forms: row i of X
+    is rows[i] / scales[i] when A2 X = X A1.  Entry (i, j) of that
+    equation reads t X[i-1][j] = (A1[j][j] - A2[i][i]) X[i][j] +
+    A1[j+1][j] X[i][j+1] with t = A2[i][i-1], so each row carries the
+    product of the A2 subdiagonal entries below it as its scale, and no
+    division is needed.  With forms {j: 1} the rows are the forms of X in
+    the last row's entries; with {0: y_j} they are X at that last row."""
+    n, m = len(a1), len(a2)
+    row = last
+    rows, scales = [row], [1]
+    for i in range(m - 1, 0, -1):
+        beta = a2[i][i]
+        nxt = []
+        for j in range(n):
+            c = a1[j][j] - beta
+            f = {k: c * x for k, x in row[j].items()} if c else {}
+            if j + 1 < n:
+                s = a1[j + 1][j]
+                for k, x in row[j + 1].items():
+                    y = f.get(k, 0) + s * x
+                    if y:
+                        f[k] = y
+                    else:
+                        del f[k]
+            nxt.append(f)
+        row = nxt
+        rows.append(row)
+        scales.append(scales[-1] * a2[i][i - 1])
+    return rows[::-1], scales[::-1]
+
+
+def _null_space(red: _Reducer) -> list[dict[int, int]]:
+    """An integer basis of the vectors orthogonal to the kept rows."""
+    rows = Subspace(red.ncols, [red.dense(t) for t in range(red.dim)])
+    return [_integer_row(v) for v in _kernel_vectors(rows)]

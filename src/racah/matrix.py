@@ -1,7 +1,9 @@
 """Dense matrices over the exact rationals.
 
 Mat is immutable (entries stored as a tuple of row tuples).  Arithmetic is
-schoolbook, with products skipping zero terms; sizes top out around 30x30.
+schoolbook and skips zeros: products add no term with a zero factor, and
+sums, differences and scalings pass a zero operand's partner through (its
+negation, or ZERO) without arithmetic.
 Shape mismatches raise ShapeError naming both shapes.
 """
 
@@ -72,7 +74,7 @@ class Mat:
             raise ShapeError(f"cannot add {self.rows}x{self.cols} to {other.rows}x{other.cols}")
         return Mat(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -82,14 +84,16 @@ class Mat:
             raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
         return Mat(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat([[c * x for x in row] for row in self.entries])
+        if not c:
+            return Mat.zero(self.rows, self.cols)
+        return Mat([[c * x if x else ZERO for x in row] for row in self.entries])
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -163,20 +167,30 @@ def commutator(x: Mat, y: Mat) -> Mat:
     return x * y - y * x
 
 
-def lower_bidiagonal(diag, sub) -> Mat:
-    """Square matrix with the given diagonal and first subdiagonal."""
-    diag, sub = list(diag), list(sub)
+def tridiagonal(diag, sub, sup) -> Mat:
+    """Square matrix with the given diagonal, first subdiagonal (entries
+    [i+1][i]) and first superdiagonal (entries [i][i+1])."""
+    diag, sub, sup = list(diag), list(sub), list(sup)
     n = len(diag)
-    if len(sub) != n - 1:
-        raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(sub)}")
+    for off in (sub, sup):
+        if len(off) != n - 1:
+            raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(off)}")
     m = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = diag[i]
     for i in range(n - 1):
         m[i + 1][i] = sub[i]
+        m[i][i + 1] = sup[i]
     return Mat(m)
+
+
+def lower_bidiagonal(diag, sub) -> Mat:
+    """Square matrix with the given diagonal and first subdiagonal."""
+    sub = list(sub)
+    return tridiagonal(diag, sub, [ZERO] * len(sub))
 
 
 def upper_bidiagonal(diag, sup) -> Mat:
     """Square matrix with the given diagonal and first superdiagonal."""
-    return lower_bidiagonal(diag, sup).transpose()
+    sup = list(sup)
+    return tridiagonal(diag, [ZERO] * len(sup), sup)

@@ -10,16 +10,17 @@ Three distinguished bases are supported:
      phi_1..phi_d);
   u: A as in v, B upper bidiagonal with reversed diagonal theta*_d..theta*_0
      and superdiagonal phi_d..phi_1.
-In every basis C = eta*I - A - B and D = (AB - BA)/2.
+In every basis C = eta*I - A - B and D = (AB - BA)/2, both tridiagonal and
+built entry by entry on their band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrix import Mat, commutator, lower_bidiagonal, upper_bidiagonal
+from .matrix import Mat, commutator, lower_bidiagonal, tridiagonal, upper_bidiagonal
 from .params import ParamTriple, Scalars, phi, scalars, theta, theta_star, varphi
-from .rational import HALF, ONE, Rat
+from .rational import HALF, ONE, ZERO, Rat
 
 BASES = ("v", "w", "u")
 
@@ -57,19 +58,24 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
     ts = [theta_star(p, d, i) for i in range(n)]
     ph = [phi(p, d, i) for i in range(1, n)]
     vp = [varphi(p, d, i) for i in range(1, n)]
-    ones = [ONE] * d
     if basis == "v":
-        a_mat = lower_bidiagonal(th, ones)
-        b_mat = upper_bidiagonal(ts, vp)
+        a, b, u = th, ts, vp
     elif basis == "w":
-        a_mat = lower_bidiagonal(list(reversed(th)), ones)
-        b_mat = upper_bidiagonal(ts, ph)
+        a, b, u = th[::-1], ts, ph
     else:  # u
-        a_mat = lower_bidiagonal(th, ones)
-        b_mat = upper_bidiagonal(list(reversed(ts)), list(reversed(ph)))
+        a, b, u = th, ts[::-1], ph[::-1]
     sc = scalars(p, d)
-    c_mat = Mat.identity(n).scale(sc.eta) - a_mat - b_mat
-    d_mat = commutator(a_mat, b_mat).scale(HALF)
+    # C and D on their band, from the diagonals a, b and B's superdiagonal u
+    # (A's subdiagonal is all ones)
+    c_mat = tridiagonal([sc.eta - x - y for x, y in zip(a, b)], [-ONE] * d, [-x for x in u])
+    uu = [ZERO, *u, ZERO]
+    d_mat = tridiagonal(
+        [(uu[i] - uu[i + 1]) * HALF for i in range(n)],
+        [(b[i] - b[i + 1]) * HALF for i in range(d)],
+        [(a[i] - a[i + 1]) * x * HALF for i, x in enumerate(u)],
+    )
+    a_mat = lower_bidiagonal(a, [ONE] * d)
+    b_mat = upper_bidiagonal(b, u)
     return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc)
 
 

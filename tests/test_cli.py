@@ -317,6 +317,19 @@ def test_reduce_text(capsys):
     assert out == "2*D\n"
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["eval", *GENERIC, "--d", "2"]])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("expr", ["-A+B", "-1/2*A", "-[A,B]"])
+def test_expression_may_start_with_a_minus(capsys, command, fmt, expr):
+    # a separate value that starts with '-' is read as the expression,
+    # exactly as the --expr=VALUE form is
+    tail = [*command[1:], "--format", fmt]
+    joined = run_cli(capsys, [command[0], f"--expr={expr}", *tail])
+    separate = run_cli(capsys, [command[0], "--expr", expr, *tail])
+    assert separate == joined
+    assert joined[0] == 0 and joined[1] and not joined[2]
+
+
 def test_reduce_bad_expression(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce", "--expr", "A**B"])

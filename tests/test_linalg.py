@@ -7,11 +7,13 @@ from hypothesis import assume, given, strategies as st
 
 import racah.linalg as linalg
 from racah import (
+    ALL_FLIPS,
     Mat,
     ParamTriple,
     Poly,
     ShapeError,
     Subspace,
+    act,
     build_R,
     eigenspace,
     in_P,
@@ -24,7 +26,9 @@ from racah import (
     rref,
     spin,
 )
-from racah.rational import Rat
+from racah.matrix import lower_bidiagonal
+from racah.modules import BASES
+from racah.rational import Rat, parse_rat
 
 from conftest import rationals, triples
 
@@ -299,7 +303,9 @@ def test_intertwiner_rectangular():
 
 @given(mats(3), mats(3), mats(2), mats(2))
 def test_intertwiner_defining_property(a1, b1, a2, b2):
-    for x in intertwiner_space(a1, b1, a2, b2):
+    # also the retired Sylvester solve as oracle, on whichever path runs
+    substituted = lower_bidiagonal_shape(a1) and lower_bidiagonal_shape(a2)
+    for x in check_against_sylvester(a1, b1, a2, b2, substituted):
         assert a2 * x == x * a1
         assert b2 * x == x * b1
 
@@ -499,19 +505,10 @@ def test_kernel_matches_gauss_jordan(case):
 @given(triples(5, 3), triples(5, 3), st.booleans(), st.integers(0, 3),
        st.sampled_from(["v", "w", "u"]))
 def test_elimination_matches_gauss_jordan_on_sylvester_systems(p1, p2, same, d, basis2):
-    # the stacked system intertwiner_space hands to kernel, for a module pair
+    # the stacked Sylvester system of a module pair, as the retired
+    # intertwiner_space built it for kernel
     r1, r2 = build_R(p1, d, "v"), build_R(p1 if same else p2, d, basis2)
-    systems = []
-    real_kernel = linalg.kernel
-
-    def recording_kernel(m):
-        systems.append(m)
-        return real_kernel(m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "kernel", recording_kernel)
-        intertwiner_space(r1.A, r1.B, r2.A, r2.B)
-    (m,) = systems
+    m = sylvester_system(r1.A, r1.B, r2.A, r2.B)
     got = rref(m.entries)
     assert got == gauss_jordan_rref(m.entries) == fraction_rref(m.entries)
     null = kernel(m).basis
@@ -687,3 +684,150 @@ def test_spin_matches_apply_spin(n, data):
         st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=1, max_size=2)
     )
     assert spin(n, seeds, ops) == apply_spin(n, seeds, ops)
+
+
+# ------------------------- differential: the Sylvester intertwiner system
+
+def sylvester_system(a1, b1, a2, b2):
+    """The retired intertwiner system: the entries of A2 X - X A1 and
+    B2 X - X B1 as dense rows over vec(X) (row-major), 2mn x mn.  Oracle
+    for the substitution through A and for the sparse Sylvester rows."""
+    n, m = a1.rows, a2.rows
+    nvars = m * n
+
+    def var(i, j):
+        return i * n + j
+
+    rows = []
+    for lhs, rhs in ((a2, a1), (b2, b1)):
+        for i in range(m):
+            for j in range(n):
+                row = [rat(0)] * nvars
+                for k in range(m):
+                    if lhs.entries[i][k] != 0:
+                        row[var(k, j)] = row[var(k, j)] + lhs.entries[i][k]
+                for k in range(n):
+                    if rhs.entries[k][j] != 0:
+                        row[var(i, k)] = row[var(i, k)] - rhs.entries[k][j]
+                rows.append(row)
+    return Mat(rows)
+
+
+def sylvester_intertwiners(a1, b1, a2, b2):
+    n, m = a1.rows, a2.rows
+    null = kernel(sylvester_system(a1, b1, a2, b2))
+    return [Mat([v[i * n : (i + 1) * n] for i in range(m)]) for v in null.basis]
+
+
+def check_against_sylvester(a1, b1, a2, b2, substituted):
+    """intertwiner_space equals the retired Sylvester solve, and takes the
+    substitution through A exactly when substituted is True."""
+    calls = []
+    real = linalg._substituted_rows
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_substituted_rows", counting)
+        got = intertwiner_space(a1, b1, a2, b2)
+    assert bool(calls) == substituted
+    assert got == sylvester_intertwiners(a1, b1, a2, b2)
+    assert all(all_rat(x.entries) for x in got)
+    for x in got:
+        assert a2 * x == x * a1 and b2 * x == x * b1
+    return got
+
+
+@given(triples(5, 3), st.integers(0, 5), st.sampled_from(ALL_FLIPS),
+       st.sampled_from(BASES), st.sampled_from(BASES))
+def test_intertwiner_matches_sylvester_across_bases(p, d, flip, basis1, basis2):
+    # a flip partner in another basis, and two permutations of the triple:
+    # the same eta, usually not isomorphic
+    r1 = build_R(p, d, basis1)
+    for q in (act(p, flip), ParamTriple(p.b, p.a, p.c), ParamTriple(p.c, p.b, p.a)):
+        r2 = build_R(q, d, basis2)
+        assert r2.scalars.eta == r1.scalars.eta
+        check_against_sylvester(r1.A, r1.B, r2.A, r2.B, True)
+
+
+@given(st.sampled_from(["a+b+c+1", "-a+b+c", "a-b+c", "a+b-c"]), st.integers(1, 5),
+       rationals(5, 3), rationals(5, 3), st.sampled_from(BASES), st.sampled_from(BASES),
+       st.data())
+def test_intertwiner_matches_sylvester_at_reducible_points(form, d, x, y, basis1, basis2, data):
+    p = reducible_triple(form, d, x, y, data.draw(st.integers(1, d)))
+    r1, r2 = build_R(p, d, basis1), build_R(p, d, basis2)
+    check_against_sylvester(r1.A, r1.B, r2.A, r2.B, True)
+
+
+@pytest.mark.parametrize(
+    "form, d, x, y, i",
+    [("-a+b+c", 5, "-1/2", "-4", 4), ("a+b-c", 3, "5/2", "-1/2", 3),
+     ("a-b+c", 2, "-1", "-1/2", 2), ("a+b+c+1", 1, "-1/2", "-5/2", 1)],
+)
+def test_intertwiners_of_reducible_modules_with_two_dimensional_hom(form, d, x, y, i):
+    p = reducible_triple(form, d, parse_rat(x), parse_rat(y), i)
+    for basis1 in BASES:
+        for basis2 in BASES:
+            r1, r2 = build_R(p, d, basis1), build_R(p, d, basis2)
+            assert len(check_against_sylvester(r1.A, r1.B, r2.A, r2.B, True)) == 2
+
+
+nonzero = rationals(5, 3).filter(bool)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_intertwiner_matches_sylvester_on_rectangular_pairs(n, k, data):
+    # A1 lower bidiagonal with a non-unit subdiagonal and B1 lower
+    # triangular keep the span of the last k < n + k unit vectors, so the
+    # inclusion of the trailing k x k blocks is a map from (A2, B2) to
+    # (A1, B1): m = k unknowns rows against n + k columns and back
+    size = n + k
+    diag = data.draw(st.lists(rationals(5, 3), min_size=size, max_size=size))
+    sub = data.draw(st.lists(nonzero, min_size=size - 1, max_size=size - 1))
+    a1 = lower_bidiagonal(diag, sub)
+    b1 = Mat([
+        [data.draw(sparse_entries) if j <= i else 0 for j in range(size)] for i in range(size)
+    ])
+    a2 = Mat([row[n:] for row in a1.entries[n:]])
+    b2 = Mat([row[n:] for row in b1.entries[n:]])
+    into = check_against_sylvester(a2, b2, a1, b1, True)
+    assert into and (into[0].rows, into[0].cols) == (size, k)
+    check_against_sylvester(a1, b1, a2, b2, True)
+
+
+def lower_bidiagonal_shape(a):
+    """Zero off the diagonal and first subdiagonal, nonzero on that
+    subdiagonal: the shape the substitution through A needs."""
+    return all(
+        (x != 0) if j == i - 1 else (j == i or x == 0)
+        for i, row in enumerate(a.entries)
+        for j, x in enumerate(row)
+    )
+
+
+@given(triples(5, 3), st.integers(1, 4), st.sampled_from(BASES), st.data())
+def test_intertwiner_matches_sylvester_under_conjugation(p, d, basis, data):
+    # a diagonal conjugation keeps A lower bidiagonal with a non-unit
+    # subdiagonal; a unit triangular one fills A in, and the Sylvester
+    # system is solved instead
+    n = d + 1
+    rep = build_R(p, d, basis)
+    s = Mat.diagonal(data.draw(st.lists(nonzero, min_size=n, max_size=n)))
+    a, b = s * rep.A * inverse(s), s * rep.B * inverse(s)
+    assert len(check_against_sylvester(rep.A, rep.B, a, b, True)) >= 1
+    t = unit_triangular(n, data.draw(st.lists(nonzero, min_size=n * n, max_size=n * n)), lower=False)
+    a, b = t * rep.A * inverse(t), t * rep.B * inverse(t)
+    filled = not lower_bidiagonal_shape(a)
+    assert len(check_against_sylvester(rep.A, rep.B, a, b, not filled)) >= 1
+    assert len(check_against_sylvester(a, b, rep.A, rep.B, not filled)) >= 1
+
+
+def test_intertwiner_falls_back_to_the_sylvester_system():
+    rep = build_R(ParamTriple.of("1/3", "-2/5", "3/7"), 3, "w")
+    t = unit_triangular(4, [rat(k % 5 + 1, 2) for k in range(16)], lower=False)
+    a, b = t * rep.A * inverse(t), t * rep.B * inverse(t)
+    assert not lower_bidiagonal_shape(a)
+    (x,) = check_against_sylvester(rep.A, rep.B, a, b, False)
+    assert invertible(x)

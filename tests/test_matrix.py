@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from racah import Mat, ShapeError, commutator, rat
 from racah.rational import Rat
-from racah.matrix import lower_bidiagonal, upper_bidiagonal
+from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 
 from conftest import rationals
 
@@ -79,6 +79,13 @@ def test_bidiagonal_builders():
     assert m == Mat([[1, 0, 0], [7, 2, 0], [0, 8, 3]])
     u = upper_bidiagonal([1, 2, 3], [7, 8])
     assert u == Mat([[1, 7, 0], [0, 2, 8], [0, 0, 3]])
+    t = tridiagonal([1, 2, 3], [7, 8], [4, 5])
+    assert t == Mat([[1, 4, 0], [7, 2, 5], [0, 8, 3]])
+    assert tridiagonal([6], [], []) == Mat([[6]])
+    with pytest.raises(ShapeError, match="3 diagonal entries need 2"):
+        tridiagonal([1, 2, 3], [7, 8], [4])
+    with pytest.raises(ShapeError, match="3 diagonal entries need 2"):
+        upper_bidiagonal([1, 2, 3], [7])
 
 
 @given(mats(3), mats(3), mats(3))
@@ -150,3 +157,36 @@ def test_apply_matches_dense_apply(n, m, int_vector, data):
     got = a.apply(vec)
     assert got == dense_apply(a, vec)
     assert all(type(x) is Rat for x in got)
+
+
+def dense_add(a, b):
+    """Entrywise a + b with no zero skipped: the oracle for Mat.__add__."""
+    return Mat([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def dense_sub(a, b):
+    """Entrywise a - b with no zero skipped: the oracle for Mat.__sub__."""
+    return Mat([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def dense_scale(a, c):
+    """c times every entry: the oracle for Mat.scale."""
+    return Mat([[c * x for x in row] for row in a.entries])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_elementwise_ops_match_dense_ops(n, m, data):
+    a = data.draw(sparse_mats(n, m))
+    b = data.draw(sparse_mats(n, m))
+    c = data.draw(st.one_of(st.just(0), st.integers(-3, 3), rationals()))
+    pairs = [
+        (a + b, dense_add(a, b)),
+        (a - b, dense_sub(a, b)),
+        (b - a, dense_sub(b, a)),
+        (a.scale(c), dense_scale(a, rat(c))),
+        (c * a, dense_scale(a, rat(c))),
+        (-a, dense_scale(a, rat(-1))),
+    ]
+    for got, want in pairs:
+        assert got == want and got.shape() == (n, m)
+        assert all(type(x) is Rat for row in got.entries for x in row)

@@ -9,11 +9,13 @@ from racah import (
     SignFlip,
     act,
     build_R,
+    commutator,
     rat,
     scalars,
     verify_relations,
 )
 from racah.modules import BASES
+from racah.rational import HALF, Rat
 
 from conftest import triples
 
@@ -118,3 +120,27 @@ def test_tampered_module_is_reported_with_location():
     i, j, lhs, rhs = first.mismatch
     assert (i, j) == (0, 0)
     assert lhs != rhs
+
+
+def dense_c_and_d(rep):
+    """C and D as build_R made them before it built them on their band:
+    eta*I - A - B and the commutator [A,B]/2 over whole matrices.  Oracle
+    for the band construction."""
+    c = Mat.identity(rep.dim).scale(rep.scalars.eta) - rep.A - rep.B
+    return c, commutator(rep.A, rep.B).scale(HALF)
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 12), st.sampled_from(BASES))
+def test_band_c_and_d_match_the_dense_construction(p, d, basis):
+    rep = build_R(p, d, basis)
+    assert (rep.C, rep.D) == dense_c_and_d(rep)
+    for m in (rep.C, rep.D):
+        assert all(type(x) is Rat for row in m.entries for x in row)
+        assert all(
+            x == 0 for i, row in enumerate(m.entries) for j, x in enumerate(row) if abs(i - j) > 1
+        )
+
+
+def test_band_c_and_d_at_a_large_six_digit_point():
+    rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 24, "u")
+    assert (rep.C, rep.D) == dense_c_and_d(rep)
