@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .intmat import clear, combine, mul, scalar
 from .linalg import (
     Subspace,
     eigenspace,
@@ -41,7 +42,7 @@ from .params import (
     varphi,
 )
 from .poly import Poly, squarefree
-from .rational import HALF, ONE, ZERO, Rat, is_square, rat
+from .rational import HALF, ONE, ZERO, Rat, format_rat, is_square, rat
 
 
 class ConsistencyError(AssertionError):
@@ -99,7 +100,8 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     recurrence: first column from products, then
                 L[i][j] = (theta_i - theta_(j-1)) L[i][j-1] + L[i-1][j-1];
     direct:     read off row 0 of prod_h (B - theta*_h) times the partial
-                A-products, straight from the v-basis matrices.
+                A-products, straight from the v-basis matrices (products
+                of their cleared integer rows).
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
@@ -143,22 +145,34 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         return Mat(grid)
 
     if method == "direct":
+        # on A and B cleared together with the theta_h and theta*_h, so
+        # that a product of k factors (A - theta_h) or (B - theta*_h) sits
+        # at den^k
         rep = build_R(p, d, "v")
-        prod_b = Mat.identity(n)
+        den, (a, b), shifts = clear((rep.A, rep.B), th + ts)
+        ident = scalar(n, 1)
+        prod_b = ident
         for h in range(1, n):
-            prod_b = prod_b * (rep.B - Mat.identity(n).scale(ts[h]))
-        partial = Mat.identity(n)  # prod_(h=1..d-i) (A - theta_(d-h+1)), built downward
+            prod_b = mul(prod_b, combine((1, b), (-shifts[n + h], ident)))
+        partial = ident  # prod_(h=1..d-i) (A - theta_(d-h+1)), built downward
         partials = [None] * n
         partials[d] = partial
         for i in range(d - 1, -1, -1):
-            partial = partial * (rep.A - Mat.identity(n).scale(th[i + 1]))
+            partial = mul(partial, combine((1, a), (-shifts[i + 1], ident)))
             partials[i] = partial
         rows = []
         for i in range(n):
-            m = prod_b * partials[i]
-            if any(x != 0 for row in m.entries[1:] for x in row):
-                raise ConsistencyError("B-annihilator product must land in the top row")
-            rows.append(list(m.entries[0]))
+            m = mul(prod_b, partials[i])
+            scale = den ** (2 * d - i)
+            below = next(((r, min(row)) for r, row in enumerate(m) if r and row), None)
+            if below is not None:
+                r, j = below
+                raise ConsistencyError(
+                    f"B-annihilator product must land in the top row at {p}, d={d}: "
+                    f"for partial product i={i} it has {format_rat(Rat(m[r][j], scale))} "
+                    f"at row {r}, column {j}"
+                )
+            rows.append([Rat(x, scale) if (x := m[0].get(j)) else ZERO for j in range(n)])
         return Mat(rows)
 
     raise ValueError(f"method must be closed, recurrence or direct, got {method!r}")

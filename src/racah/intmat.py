@@ -1,0 +1,80 @@
+"""Sparse integer matrices: rational matrices cleared of denominators.
+
+Several Mat values (and scalars) are cleared together: each is multiplied
+by den, the lcm of all their denominators, and held as sparse rows, one
+dict {column: int} of the nonzero entries per row.  Products and linear
+combinations then run on Python ints over nonzero entries only, and every
+result drops its zeros, so two matrices at the same scale are equal iff
+their row lists are.  A product of k cleared factors sits at scale den^k;
+a caller comparing two sides brings each term to a common power of den.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+
+Rows = list[dict[int, int]]  # the sparse integer rows of a matrix
+
+
+def clear(mats, scalars=()) -> tuple[int, list[Rows], list[int]]:
+    """(den, rows, ints): den is the lcm of the denominators of every entry
+    of the matrices and of the scalars, rows[k] is den*mats[k] as sparse
+    integer rows and ints[k] is den*scalars[k]."""
+    den = lcm(
+        *[x.denominator for m in mats for row in m.entries for x in row if x],
+        *[x.denominator for x in scalars],
+    )
+    rows = [
+        [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in m.entries
+        ]
+        for m in mats
+    ]
+    return den, rows, [x.numerator * (den // x.denominator) for x in scalars]
+
+
+def scalar(n: int, c: int) -> Rows:
+    """c times the n x n identity."""
+    return [{i: c} if c else {} for i in range(n)]
+
+
+def mul(x: Rows, y: Rows) -> Rows:
+    """The product x*y, adding only products of nonzero entries."""
+    out = []
+    for row in x:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in y[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def combine(*terms: tuple[int, Rows]) -> Rows:
+    """The sum of c*m over the (c, m) terms, all of one shape."""
+    out: list[dict[int, int]] = [{} for _ in terms[0][1]]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return [{j: v for j, v in acc.items() if v} for acc in out]
+
+
+def columns(rows: Rows) -> list[dict[int, int]]:
+    """The sparse columns {row: int} of a square matrix given by its rows."""
+    cols: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
+def apply_columns(cols: list[dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """The integer matrix with columns cols times the sparse integer
+    vector v, as a sparse dict."""
+    out: dict[int, int] = {}
+    for j, y in v.items():
+        for i, x in cols[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}

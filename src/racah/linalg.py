@@ -11,8 +11,8 @@ backend rationals again only at the Subspace boundary, when rref divides
 each row of the reduced basis by its pivot.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
-is cleared once to sparse integer columns, den*M, and applied to integer
-rows, so their loops build no rational at all.
+is cleared once (racah.intmat) to sparse integer columns, den*M, and
+applied to integer rows, so their loops build no rational at all.
 
 intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
 through A when both A are lower bidiagonal with a nonzero subdiagonal (the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from .intmat import Rows, apply_columns, clear, columns
 from .matrix import Mat, ShapeError
 from .poly import Poly
 from .rational import Rat, ZERO, ONE, rat
@@ -238,28 +239,6 @@ class _Reducer:
         return len(self.rows)
 
 
-def _integer_columns(m: Mat) -> tuple[list[dict[int, int]], int]:
-    """(cols, den): den is the lcm of m's denominators and cols[j] holds
-    the nonzero entries of column j of den*m as a sparse dict {row: int}."""
-    den = lcm(*[x.denominator for row in m.entries for x in row if x])
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x.numerator * (den // x.denominator)
-    return cols, den
-
-
-def _apply_columns(cols: list[dict[int, int]], v: dict[int, int]) -> dict[int, int]:
-    """The integer matrix with columns cols times the sparse integer
-    vector v, as a sparse dict."""
-    out: dict[int, int] = {}
-    for j, y in v.items():
-        for i, x in cols[j].items():
-            out[i] = out.get(i, 0) + x * y
-    return {i: x for i, x in out.items() if x}
-
-
 def spin(ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seed vectors and stable under every
     operator.  Each new basis vector is hit by each operator exactly once.
@@ -271,7 +250,7 @@ def spin(ambient_dim: int, seeds, operators) -> Subspace:
             raise ShapeError(
                 f"operator {op.rows}x{op.cols} cannot act on dimension {ambient_dim}"
             )
-    ops = [_integer_columns(op)[0] for op in operators]
+    ops = [columns(clear([op])[1][0]) for op in operators]
     red = _Reducer(ambient_dim)
     for s in seeds:
         red.add(s)
@@ -280,7 +259,7 @@ def spin(ambient_dim: int, seeds, operators) -> Subspace:
         v = red.rows[done]
         done += 1
         for cols in ops:
-            red.keep(red.reduce(_apply_columns(cols, v)))
+            red.keep(red.reduce(apply_columns(cols, v)))
     return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
 
 
@@ -302,14 +281,15 @@ def minimal_polynomial(m: Mat) -> Poly:
             f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
         )
     n = m.rows
-    cols, den = _integer_columns(m)
+    den, (rows,), _ = clear([m])
+    cols = columns(rows)
     p = [1]  # coefficients of P, lowest degree first
     for j in [0, n - 1, *range(1, n - 1)][:n]:  # [:n] keeps n = 1 to e_0
         if len(p) > n:
             break
         w = {j: p[-1]}  # P(N) e_j by Horner
         for c in reversed(p[:-1]):
-            w = _apply_columns(cols, w)
+            w = apply_columns(cols, w)
             if c:
                 w[j] = w.get(j, 0) + c
                 if not w[j]:
@@ -335,7 +315,7 @@ def _local_minimal_polynomial(cols, w: dict[int, int], n: int) -> list[int]:
         row = red.rows[-1]
         if red.pivots[-1] >= n:
             return [row.get(n + i, 0) for i in range(max(row) - n + 1)]
-        nxt = _apply_columns(cols, {j: x for j, x in row.items() if j < n})
+        nxt = apply_columns(cols, {j: x for j, x in row.items() if j < n})
         for j, x in row.items():
             if j >= n:
                 nxt[j + 1] = x
@@ -379,8 +359,8 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     for mat, dim, name in ((a1, n, "A1"), (b1, n, "B1"), (a2, m, "A2"), (b2, m, "B2")):
         if mat.shape() != (dim, dim):
             raise ShapeError(f"{name} must be square of the right size, got {mat.rows}x{mat.cols}")
-    ia1, ia2 = _cleared(a1, a2)
-    ib1, ib2 = _cleared(b1, b2)
+    _, (ia1, ia2), _ = clear([a1, a2])
+    _, (ib1, ib2), _ = clear([b1, b2])
     if _lower_bidiagonal(ia1) and _lower_bidiagonal(ia2):
         nvars, a_rows = n, [0]
         forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
@@ -399,24 +379,25 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
 
     # the last rows of X first: under substitution their forms are the
     # smallest, and they usually leave few candidate solutions
-    b_cols, a_cols = _sparse_columns(ib1), _sparse_columns(ia1)
+    b_cols, a_cols = columns(ib1), columns(ia1)
     conditions = [(ib2, b_cols, i) for i in reversed(range(m))]
     conditions += [(ia2, a_cols, i) for i in a_rows]
     red = _Reducer(nvars)
     xs = None  # X for each solution of the kept equations, once one reduced to zero
     for lhs, rhs_cols, i in conditions:
-        left = [(k, x) for k, x in enumerate(lhs[i]) if x]
+        left = list(lhs[i].items())
         top = scales[min([i] + [k for k, _ in left])]
         for j, right in enumerate(rhs_cols):
             if xs is not None and not any(
-                sum([c * sol[k][j] for k, c in left]) != sum([sol[i][k] * c for k, c in right])
+                sum([c * sol[k][j] for k, c in left])
+                != sum([sol[i][k] * c for k, c in right.items()])
                 for sol in xs
             ):
                 continue
             # (LHS X - X RHS)[i][j] in the unknowns, times the scale of the
             # topmost row it involves (every lower row's scale divides it)
             terms = [(c * (top // scales[k]), forms[k][j]) for k, c in left]
-            terms += [(-c * (top // scales[i]), forms[i][k]) for k, c in right]
+            terms += [(-c * (top // scales[i]), forms[i][k]) for k, c in right.items()]
             eq: dict[int, int] = {}
             for c, f in terms:
                 for k, x in f.items():
@@ -436,33 +417,15 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     return [Mat([v[i * n : (i + 1) * n] for i in range(m)]) for v in space.basis]
 
 
-def _cleared(*mats: Mat) -> list[list[list[int]]]:
-    """The matrices times the lcm of all their denominators, as dense rows
-    of ints."""
-    den = lcm(*[x.denominator for mat in mats for row in mat.entries for x in row])
-    return [
-        [[x.numerator * (den // x.denominator) for x in row] for row in mat.entries]
-        for mat in mats
-    ]
-
-
-def _sparse_columns(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
-    """The (row, entry) pairs of the nonzero entries of each column of a
-    square matrix."""
-    return [[(k, x) for k, row in enumerate(rows) if (x := row[j])] for j in range(len(rows))]
-
-
-def _lower_bidiagonal(rows: list[list[int]]) -> bool:
+def _lower_bidiagonal(rows: Rows) -> bool:
     """Is the square matrix zero off its diagonal and first subdiagonal,
     and nonzero on that subdiagonal?"""
     return all(
-        (x != 0) if j == i - 1 else (j == i or x == 0)
-        for i, row in enumerate(rows)
-        for j, x in enumerate(row)
+        row.keys() <= {i - 1, i} and (i == 0 or i - 1 in row) for i, row in enumerate(rows)
     )
 
 
-def _substituted_rows(a1: list[list[int]], a2: list[list[int]], last: list[dict[int, int]]):
+def _substituted_rows(a1: Rows, a2: Rows, last: Rows):
     """(rows, scales) for the integer lower bidiagonal A1 (n x n) and A2
     (m x m), given the last row of X as n sparse integer forms: row i of X
     is rows[i] / scales[i] when A2 X = X A1.  Entry (i, j) of that
@@ -475,10 +438,10 @@ def _substituted_rows(a1: list[list[int]], a2: list[list[int]], last: list[dict[
     row = last
     rows, scales = [row], [1]
     for i in range(m - 1, 0, -1):
-        beta = a2[i][i]
+        beta = a2[i].get(i, 0)
         nxt = []
         for j in range(n):
-            c = a1[j][j] - beta
+            c = a1[j].get(j, 0) - beta
             f = {k: c * x for k, x in row[j].items()} if c else {}
             if j + 1 < n:
                 s = a1[j + 1][j]

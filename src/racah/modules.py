@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrix import Mat, commutator, lower_bidiagonal, tridiagonal, upper_bidiagonal
+from .intmat import Rows, clear, combine, mul, scalar
+from .matrix import Mat, lower_bidiagonal, tridiagonal, upper_bidiagonal
 from .params import ParamTriple, Scalars, phi, scalars, theta, theta_star, varphi
 from .rational import HALF, ONE, ZERO, Rat
 
@@ -103,61 +104,80 @@ class RelationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _compare(name: str, lhs: Mat, rhs: Mat) -> RelationCheck:
-    diff = lhs - rhs
-    hit = diff.first_nonzero()
-    if hit is None:
-        return RelationCheck(name, True)
-    i, j, _ = hit
-    return RelationCheck(name, False, (i, j, lhs.entries[i][j], rhs.entries[i][j]))
+def _compare(name: str, lhs: Rows, rhs: Rows, scale: int) -> RelationCheck:
+    """Compare two sides given at the same scale, as cleared integer rows;
+    a mismatch is the first differing entry in row-major order."""
+    for i, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            j = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            return RelationCheck(
+                name, False, (i, j, Rat(left.get(j, 0), scale), Rat(right.get(j, 0), scale))
+            )
+    return RelationCheck(name, True)
 
 
 def verify_relations(rep: ModuleRep) -> RelationReport:
     """Check every defining relation of the algebra on the four matrices:
     the commutator relations, the scalar action of the central elements,
-    centrality itself, and the two degree-3 presentation identities."""
-    a, b, c, dd = rep.A, rep.B, rep.C, rep.D
+    centrality itself, and the two degree-3 presentation identities.
+
+    The matrices and the central scalars are cleared together once (den
+    times each, as sparse integer rows), and each identity is compared at
+    den^k for its degree k: a product of k generators, or of scalars and
+    generators, is a product of k cleared factors, and a term of lower
+    degree is multiplied up by the missing powers of den."""
     n = rep.dim
-    ident = Mat.identity(n)
-    zeta, zeta_star, eta, gamma = rep.scalars
+    den, (a, b, c, dd), (zeta, zeta_star, eta, gamma) = clear(
+        (rep.A, rep.B, rep.C, rep.D), rep.scalars
+    )
+    sq = den * den
 
-    ab, ba = a * b, b * a
-    bc, cb = b * c, c * b
-    ca, ac = c * a, a * c
-    two_d = dd.scale(2)
+    ab, ba = mul(a, b), mul(b, a)
+    bc, cb = mul(b, c), mul(c, b)
+    ca, ac = mul(c, a), mul(a, c)
+    two_d = combine((2 * den, dd))
 
-    alpha_mat = commutator(a, dd) + ac - ba
-    beta_mat = commutator(b, dd) + ba - cb
-    gamma_mat = commutator(c, dd) + cb - ac
+    # the central elements at den^2
+    alpha_mat = combine((1, mul(a, dd)), (-1, mul(dd, a)), (1, ac), (-1, ba))
+    beta_mat = combine((1, mul(b, dd)), (-1, mul(dd, b)), (1, ba), (-1, cb))
+    gamma_mat = combine((1, mul(c, dd)), (-1, mul(dd, c)), (1, cb), (-1, ac))
 
     checks = [
-        _compare("[A,B] = 2D", ab - ba, two_d),
-        _compare("[B,C] = 2D", bc - cb, two_d),
-        _compare("[C,A] = 2D", ca - ac, two_d),
-        _compare("alpha = zeta I", alpha_mat, ident.scale(zeta)),
-        _compare("beta = zeta_star I", beta_mat, ident.scale(zeta_star)),
-        _compare("gamma = gamma_scalar I", gamma_mat, ident.scale(gamma)),
-        _compare("A + B + C = eta I", a + b + c, ident.scale(eta)),
+        _compare("[A,B] = 2D", combine((1, ab), (-1, ba)), two_d, sq),
+        _compare("[B,C] = 2D", combine((1, bc), (-1, cb)), two_d, sq),
+        _compare("[C,A] = 2D", combine((1, ca), (-1, ac)), two_d, sq),
+        _compare("alpha = zeta I", alpha_mat, scalar(n, den * zeta), sq),
+        _compare("beta = zeta_star I", beta_mat, scalar(n, den * zeta_star), sq),
+        _compare("gamma = gamma_scalar I", gamma_mat, scalar(n, den * gamma), sq),
+        _compare("A + B + C = eta I", combine((1, a), (1, b), (1, c)), scalar(n, eta), den),
     ]
+    cube = sq * den
     for name, central in (("alpha", alpha_mat), ("beta", beta_mat), ("gamma", gamma_mat)):
         for gname, gen in (("A", a), ("B", b), ("C", c), ("D", dd)):
             checks.append(
-                _compare(f"{name} commutes with {gname}", central * gen, gen * central)
+                _compare(
+                    f"{name} commutes with {gname}", mul(central, gen), mul(gen, central), cube
+                )
             )
 
-    for name, lhs, rhs in presentation_identities(a, b, ab, ba, ident, rep.scalars):
-        checks.append(_compare(f"{name} presentation identity", lhs, rhs))
+    for name, lhs, rhs in presentation_identities(a, b, ab, ba, den, zeta, zeta_star, eta):
+        checks.append(_compare(f"{name} presentation identity", lhs, rhs, cube))
 
     return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
 
 
-def presentation_identities(a: Mat, b: Mat, ab: Mat, ba: Mat, ident: Mat, sc: Scalars):
-    """(name, lhs, rhs) of the AAB and ABB degree-3 presentation identities,
-    built from the products ab = A*B and ba = B*A the caller already holds."""
-    zeta, zeta_star, eta, _ = sc
-    a2, b2 = a * a, b * b
-    lhs_aab = a2 * b - (a * ba).scale(2) + ba * a - ab.scale(2) - ba.scale(2)
-    rhs_aab = a2.scale(2) - a.scale(2 * eta) + ident.scale(2 * zeta)
-    lhs_abb = a * b2 - (b * ab).scale(2) + b2 * a - ab.scale(2) - ba.scale(2)
-    rhs_abb = b2.scale(2) - b.scale(2 * eta) - ident.scale(2 * zeta_star)
+def presentation_identities(
+    a: Rows, b: Rows, ab: Rows, ba: Rows, den: int, zeta: int, zeta_star: int, eta: int
+):
+    """(name, lhs, rhs) of the AAB and ABB degree-3 presentation identities
+    at den^3, as integer rows.  a, b and the scalars are cleared with den,
+    and ab = a*b, ba = b*a (at den^2) are the products the caller already
+    holds."""
+    ident = scalar(len(a), 1)
+    a2, b2 = mul(a, a), mul(b, b)
+    quadratic = ((-2 * den, ab), (-2 * den, ba))
+    lhs_aab = combine((1, mul(a2, b)), (-2, mul(a, ba)), (1, mul(ba, a)), *quadratic)
+    rhs_aab = combine((2 * den, a2), (-2 * den * eta, a), (2 * den * den * zeta, ident))
+    lhs_abb = combine((1, mul(a, b2)), (-2, mul(b, ab)), (1, mul(b2, a)), *quadratic)
+    rhs_abb = combine((2 * den, b2), (-2 * den * eta, b), (-2 * den * den * zeta_star, ident))
     return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))

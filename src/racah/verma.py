@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat, lower_bidiagonal, upper_bidiagonal
 from .modules import build_R, presentation_identities
 from .params import ParamTriple, Scalars, scalars, theta, theta_star, varphi
-from .rational import HALF, ONE, ZERO, Rat, format_rat, rat
+from .rational import ONE, ZERO, Rat, format_rat, rat
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,6 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     n = vt.dim
     window = vt.safe_window
     a_mat, b_mat = vt.A, vt.B
-    ident = Mat.identity(n)
     zeta, zeta_star, eta, _ = vt.scalars
     checks: list[VermaCheck] = []
 
@@ -136,37 +136,52 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
         )
     )
 
-    # central elements on m_0, assembled from the truncated matrices
-    ab, ba = a_mat * b_mat, b_mat * a_mat
-    c_mat = ident.scale(eta) - a_mat - b_mat
-    d_mat = (ab - ba).scale(HALF)
-    alpha_col = (a_mat * d_mat - d_mat * a_mat + a_mat * c_mat - ba).apply(e0)
+    # the central elements on m_0 and the presentation identities, on the
+    # truncated matrices cleared together with the scalars and the theta_h
+    # of the ladder check
+    den, (a, b), ints = clear(
+        (a_mat, b_mat), (zeta, zeta_star, eta, *(theta(p, nu, h) for h in range(window + 1)))
+    )
+    zeta_i, zeta_star_i, eta_i, thetas = ints[0], ints[1], ints[2], ints[3:]
+    ab, ba = mul(a, b), mul(b, a)
+    two_d = combine((1, ab), (-1, ba))  # 2D at den^2
+    c = combine((eta_i, scalar(n, 1)), (-1, a), (-1, b))
+    # m_0 as a one-column matrix, so that X*m0 is column 0 of X; alpha and
+    # beta act on it through their factors, at 2 den^3
+    m0 = [{0: 1}] + [{} for _ in range(n - 1)]
+    ae, be, de = mul(a, m0), mul(b, m0), mul(two_d, m0)
+    alpha_col = combine(
+        (1, mul(a, de)), (-1, mul(two_d, ae)), (2 * den, mul(a, mul(c, m0))), (-2 * den, mul(b, ae))
+    )
     checks.append(
         VermaCheck(
             "alpha acts as zeta on the highest vector",
-            "pass" if alpha_col == tuple(zeta * e for e in e0) else "fail",
+            "pass" if alpha_col == combine((2 * den * den * zeta_i, m0)) else "fail",
             f"zeta = {format_rat(zeta)}",
         )
     )
-    beta_col = (b_mat * d_mat - d_mat * b_mat + ba - c_mat * b_mat).apply(e0)
+    beta_col = combine(
+        (1, mul(b, de)), (-1, mul(two_d, be)), (2 * den, mul(b, ae)), (-2 * den, mul(c, be))
+    )
     checks.append(
         VermaCheck(
             "beta acts as zeta_star on the highest vector",
-            "pass" if beta_col == tuple(zeta_star * e for e in e0) else "fail",
+            "pass" if beta_col == combine((2 * den * den * zeta_star_i, m0)) else "fail",
             f"zeta_star = {format_rat(zeta_star)}",
         )
     )
 
+    # prod_(h=i..j)(A - theta_h) m_i = m_(j+1) for all i <= j on the window
+    # holds iff every rung (A - theta_h) m_h = m_(h+1) does, for h = 0..window:
+    # each product climbs one rung at a time.  So the first (i, j) at which
+    # the products fail is (0, h) for the first failing rung h.
+    a_cols = columns(a)
     ladder_bad = None
-    for i in range(0, window + 1):
-        vec = _unit(n, i)
-        for j in range(i, window + 1):
-            thj = theta(p, nu, j)
-            vec = tuple(x - thj * y for x, y in zip(a_mat.apply(vec), vec))
-            if vec != _unit(n, j + 1):
-                ladder_bad = (i, j)
-                break
-        if ladder_bad:
+    for h in range(window + 1):
+        rung = dict(a_cols[h])
+        rung[h] = rung.get(h, 0) - thetas[h]
+        if {k: x for k, x in rung.items() if x} != {h + 1: den}:
+            ladder_bad = (0, h)
             break
     checks.append(
         VermaCheck(
@@ -178,16 +193,19 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
         )
     )
 
+    # the first mismatch on columns 0..window, in column-major order
     pres_bad = None
-    for name, lhs, rhs in presentation_identities(a_mat, b_mat, ab, ba, ident, vt.scalars):
-        for j in range(0, window + 1):
-            for i in range(n):
-                if lhs.entries[i][j] != rhs.entries[i][j]:
-                    pres_bad = (name, i, j)
-                    break
-            if pres_bad:
-                break
-        if pres_bad:
+    for name, lhs, rhs in presentation_identities(a, b, ab, ba, den, zeta_i, zeta_star_i, eta_i):
+        bad = [
+            (j, i)
+            for i, (left, right) in enumerate(zip(lhs, rhs))
+            if left != right
+            for j in left.keys() | right.keys()
+            if j <= window and left.get(j) != right.get(j)
+        ]
+        if bad:
+            j, i = min(bad)
+            pres_bad = (name, i, j)
             break
     checks.append(
         VermaCheck(

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -23,10 +24,12 @@ from racah import (
     l_matrix,
     rat,
     theta,
+    theta_star,
 )
 from racah import ALL_FLIPS
+from racah.rational import Rat, format_rat
 
-from conftest import triples
+from conftest import nudged, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -150,6 +153,101 @@ def test_l_matrix_diagonal_product(p, d):
         for h in range(1, i + 1):
             expect = expect * varphi(p, d, h)
         assert closed.entries[i][i] == expect
+
+
+def direct_l_matrix_oracle(rep, p, d):
+    """l_matrix's direct route as dense Fraction Mat products, before it
+    ran on cleared integer rows.  Returns the matrix, or, where the route
+    raises, (i, r, c, value): the partial product i whose B-annihilator
+    product leaves the top row, and its first nonzero entry below row 0."""
+    n = d + 1
+    th = [theta(p, d, i) for i in range(n)]
+    ts = [theta_star(p, d, i) for i in range(n)]
+    prod_b = Mat.identity(n)
+    for h in range(1, n):
+        prod_b = prod_b * (rep.B - Mat.identity(n).scale(ts[h]))
+    partial = Mat.identity(n)
+    partials = [None] * n
+    partials[d] = partial
+    for i in range(d - 1, -1, -1):
+        partial = partial * (rep.A - Mat.identity(n).scale(th[i + 1]))
+        partials[i] = partial
+    rows = []
+    for i in range(n):
+        m = prod_b * partials[i]
+        hit = Mat(m.entries[1:]).first_nonzero() if n > 1 else None
+        if hit is not None:
+            r, c, value = hit
+            return (i, r + 1, c, value)
+        rows.append(list(m.entries[0]))
+    return Mat(rows)
+
+
+def direct_route_failure(oracle, p, d):
+    i, r, c, value = oracle
+    return (
+        f"B-annihilator product must land in the top row at {p}, d={d}: "
+        f"for partial product i={i} it has {format_rat(value)} at row {r}, column {c}"
+    )
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 12))
+def test_direct_l_matrix_matches_the_mat_product_oracle(p, d):
+    got = l_matrix(p, d, "direct")
+    assert got == direct_l_matrix_oracle(build_R(p, d, "v"), p, d)
+    assert all(type(x) is Rat for row in got.entries for x in row)
+
+
+def test_direct_l_matrix_at_a_large_six_digit_point():
+    p = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+    assert l_matrix(p, 12, "direct") == direct_l_matrix_oracle(build_R(p, 12, "v"), p, 12)
+
+
+def tampered_build_R(*nudges):
+    """build_R with delta added to entry (i, j) of generator gen, for each
+    (gen, i, j, delta) in nudges."""
+    real = analyzer.build_R
+
+    def build(p, d, basis="v"):
+        rep = real(p, d, basis)
+        for gen, i, j, delta in nudges:
+            rep = dataclasses.replace(rep, **{gen: nudged(rep.generator(gen), i, j, delta)})
+        return rep
+
+    return build
+
+
+@given(triples(max_num=9, max_den=6), st.integers(1, 8), st.sampled_from("AB"),
+       rationals(9, 6).filter(bool), st.data())
+def test_tampered_direct_l_matrix_matches_the_oracle(p, d, gen, delta, data):
+    # one entry of A or B moved, anywhere, off the band included
+    i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
+    build = tampered_build_R((gen, i, j, delta))
+    expect = direct_l_matrix_oracle(build(p, d), p, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "build_R", build)
+        if isinstance(expect, Mat):
+            assert l_matrix(p, d, "direct") == expect
+        else:
+            with pytest.raises(ConsistencyError) as err:
+                l_matrix(p, d, "direct")
+            assert str(err.value) == direct_route_failure(expect, p, d)
+
+
+def test_direct_l_matrix_failure_names_the_point_and_entry(monkeypatch):
+    # B(1, 0) != 0 moves the B-annihilator product off the top row, and
+    # A(0, 2) != 0 fills row 1 of the product in columns 0 to 2
+    monkeypatch.setattr(
+        analyzer, "build_R", tampered_build_R(("B", 1, 0, rat(1, 3)), ("A", 0, 2, rat(2, 5)))
+    )
+    with pytest.raises(ConsistencyError) as err:
+        l_matrix(P, 3, "direct")
+    message = str(err.value)
+    assert message.startswith(f"B-annihilator product must land in the top row at {P}, d=3: ")
+    assert "partial product i=0" in message and "at row 1, column 0" in message
+    expect = direct_l_matrix_oracle(analyzer.build_R(P, 3), P, 3)
+    assert expect[:3] == (0, 1, 0)
+    assert message == direct_route_failure(expect, P, 3)
 
 
 # -------------------------------------------------------- diagonalizability

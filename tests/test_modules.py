@@ -14,10 +14,10 @@ from racah import (
     scalars,
     verify_relations,
 )
-from racah.modules import BASES
+from racah.modules import BASES, RelationCheck, RelationReport
 from racah.rational import HALF, Rat
 
-from conftest import triples
+from conftest import nudged, presentation_identities_oracle, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -144,3 +144,76 @@ def test_band_c_and_d_match_the_dense_construction(p, d, basis):
 def test_band_c_and_d_at_a_large_six_digit_point():
     rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 24, "u")
     assert (rep.C, rep.D) == dense_c_and_d(rep)
+
+
+def verify_relations_oracle(rep):
+    """verify_relations as dense Fraction Mat products and sums, before it
+    ran on cleared integer rows.  Oracle for the integer route."""
+    a, b, c, dd = rep.A, rep.B, rep.C, rep.D
+    ident = Mat.identity(rep.dim)
+    zeta, zeta_star, eta, gamma = rep.scalars
+
+    def compare(name, lhs, rhs):
+        hit = (lhs - rhs).first_nonzero()
+        if hit is None:
+            return RelationCheck(name, True)
+        i, j, _ = hit
+        return RelationCheck(name, False, (i, j, lhs.entries[i][j], rhs.entries[i][j]))
+
+    ab, ba = a * b, b * a
+    bc, cb = b * c, c * b
+    ca, ac = c * a, a * c
+    two_d = dd.scale(2)
+    alpha_mat = commutator(a, dd) + ac - ba
+    beta_mat = commutator(b, dd) + ba - cb
+    gamma_mat = commutator(c, dd) + cb - ac
+    checks = [
+        compare("[A,B] = 2D", ab - ba, two_d),
+        compare("[B,C] = 2D", bc - cb, two_d),
+        compare("[C,A] = 2D", ca - ac, two_d),
+        compare("alpha = zeta I", alpha_mat, ident.scale(zeta)),
+        compare("beta = zeta_star I", beta_mat, ident.scale(zeta_star)),
+        compare("gamma = gamma_scalar I", gamma_mat, ident.scale(gamma)),
+        compare("A + B + C = eta I", a + b + c, ident.scale(eta)),
+    ]
+    for name, central in (("alpha", alpha_mat), ("beta", beta_mat), ("gamma", gamma_mat)):
+        for gname, gen in (("A", a), ("B", b), ("C", c), ("D", dd)):
+            checks.append(compare(f"{name} commutes with {gname}", central * gen, gen * central))
+    for name, lhs, rhs in presentation_identities_oracle(a, b, ab, ba, ident, rep.scalars):
+        checks.append(compare(f"{name} presentation identity", lhs, rhs))
+    return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
+
+
+def assert_same_report(rep):
+    report = verify_relations(rep)
+    assert report == verify_relations_oracle(rep)
+    for check in report.checks:
+        if check.mismatch is not None:
+            assert all(type(x) is Rat for x in check.mismatch[2:])
+    return report
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 12), st.sampled_from(BASES))
+def test_relations_match_the_fraction_oracle(p, d, basis):
+    assert assert_same_report(build_R(p, d, basis)).all_pass
+
+
+nonzero_rationals = rationals(9, 6).filter(bool)
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 12), st.sampled_from(BASES),
+       st.sampled_from("ABCD"), nonzero_rationals, st.data())
+def test_tampered_relations_match_the_fraction_oracle(p, d, basis, gen, delta, data):
+    # one entry of one generator moved, anywhere, off the band included
+    rep = build_R(p, d, basis)
+    i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
+    tampered = dataclasses.replace(rep, **{gen: nudged(rep.generator(gen), i, j, delta)})
+    assert not assert_same_report(tampered).all_pass
+
+
+def test_tampered_relations_at_a_large_six_digit_point():
+    rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 16, "w")
+    assert_same_report(rep)
+    for gen, i, j in (("A", 0, 16), ("B", 9, 3), ("C", 16, 0), ("D", 5, 5)):
+        bad = nudged(rep.generator(gen), i, j, rat(7, 999979))
+        assert not assert_same_report(dataclasses.replace(rep, **{gen: bad})).all_pass

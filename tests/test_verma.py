@@ -3,9 +3,11 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from racah import Mat, ParamTriple, build_R, build_verma, rat, verma_checks
+from racah import Mat, ParamTriple, build_R, build_verma, rat, theta, verma_checks
+from racah.rational import HALF, ONE, ZERO, format_rat
+from racah.verma import VermaCheck
 
-from conftest import triples
+from conftest import nudged, presentation_identities_oracle, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -94,3 +96,121 @@ def test_tampered_truncation_fails_annihilator():
 def test_specialization_property(p, d):
     report = verma_checks(build_verma(p, d), d)
     assert report.all_pass, [c for c in report.checks if c.status == "fail"]
+
+
+def unit(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def moved_checks_oracle(vt):
+    """The alpha, beta, ladder and presentation checks of verma_checks as
+    they were computed before they moved to cleared integer rows: dense
+    Fraction Mat products, and the ladder products stepped as dense
+    length-n tuples for every i <= j.  Oracle for checks[2:6]."""
+    p, nu, n, window = vt.params, vt.nu, vt.dim, vt.safe_window
+    a_mat, b_mat = vt.A, vt.B
+    ident = Mat.identity(n)
+    zeta, zeta_star, eta, _ = vt.scalars
+    e0 = unit(n, 0)
+    ab, ba = a_mat * b_mat, b_mat * a_mat
+    c_mat = ident.scale(eta) - a_mat - b_mat
+    d_mat = (ab - ba).scale(HALF)
+    alpha_col = (a_mat * d_mat - d_mat * a_mat + a_mat * c_mat - ba).apply(e0)
+    beta_col = (b_mat * d_mat - d_mat * b_mat + ba - c_mat * b_mat).apply(e0)
+    checks = [
+        VermaCheck(
+            "alpha acts as zeta on the highest vector",
+            "pass" if alpha_col == tuple(zeta * e for e in e0) else "fail",
+            f"zeta = {format_rat(zeta)}",
+        ),
+        VermaCheck(
+            "beta acts as zeta_star on the highest vector",
+            "pass" if beta_col == tuple(zeta_star * e for e in e0) else "fail",
+            f"zeta_star = {format_rat(zeta_star)}",
+        ),
+    ]
+    ladder_bad = None
+    for i in range(0, window + 1):
+        vec = unit(n, i)
+        for j in range(i, window + 1):
+            thj = theta(p, nu, j)
+            vec = tuple(x - thj * y for x, y in zip(a_mat.apply(vec), vec))
+            if vec != unit(n, j + 1):
+                ladder_bad = (i, j)
+                break
+        if ladder_bad:
+            break
+    checks.append(
+        VermaCheck(
+            "ladder product identity on the safe window",
+            "fail" if ladder_bad else "pass",
+            f"prod_(h=i..j)(A - theta_h) m_i = m_(j+1) failed at (i,j) = {ladder_bad}"
+            if ladder_bad
+            else f"prod_(h=i..j)(A - theta_h) m_i = m_(j+1) for 0 <= i <= j <= {window}",
+        )
+    )
+    pres_bad = None
+    for name, lhs, rhs in presentation_identities_oracle(a_mat, b_mat, ab, ba, ident, vt.scalars):
+        for j in range(0, window + 1):
+            for i in range(n):
+                if lhs.entries[i][j] != rhs.entries[i][j]:
+                    pres_bad = (name, i, j)
+                    break
+            if pres_bad:
+                break
+        if pres_bad:
+            break
+    checks.append(
+        VermaCheck(
+            "presentation identities on the safe window",
+            "fail" if pres_bad else "pass",
+            f"first mismatch {pres_bad}" if pres_bad
+            else f"AAB and ABB identities agree on columns 0..{window}",
+        )
+    )
+    return tuple(checks)
+
+
+def assert_matches_oracle(vt, d):
+    report = verma_checks(vt, d)
+    assert report.checks[2:6] == moved_checks_oracle(vt)
+    return report
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 12), st.integers(0, 4))
+def test_checks_at_nu_equal_d_match_the_fraction_oracle(p, d, extra):
+    report = assert_matches_oracle(build_verma(p, d, max(3, d + 2) + extra), d)
+    assert all(c.status == "pass" for c in report.checks[2:6])
+
+
+@given(triples(max_num=9, max_den=6), rationals(40, 7).filter(lambda x: x.denominator > 1),
+       st.integers(0, 10), st.integers(2, 6))
+def test_checks_at_non_integral_nu_match_the_fraction_oracle(p, nu, d, extra):
+    assert_matches_oracle(build_verma(p, nu, max(3, d + extra)), d)
+
+
+nonzero_rationals = rationals(9, 6).filter(bool)
+
+
+@given(triples(max_num=9, max_den=6), st.integers(0, 10), st.sampled_from("AB"),
+       nonzero_rationals, st.booleans(), st.data())
+def test_tampered_truncations_match_the_fraction_oracle(p, d, gen, delta, integral, data):
+    # one entry of A or B moved, anywhere in the truncation
+    nu = d if integral else rat(2 * d + 1, 2)
+    vt = build_verma(p, nu, d + 4)
+    i, j = data.draw(st.integers(0, vt.cutoff)), data.draw(st.integers(0, vt.cutoff))
+    assert_matches_oracle(dataclasses.replace(vt, **{gen: nudged(getattr(vt, gen), i, j, delta)}), d)
+
+
+@pytest.mark.parametrize("gen, i, j, statuses", [
+    ("A", 4, 3, ("pass", "pass", "fail", "pass")),  # one rung of the ladder
+    ("A", 0, 12, ("pass", "pass", "pass", "fail")),  # past the window, seen by the identities
+    ("A", 0, 1, ("fail", "pass", "fail", "fail")),
+    ("B", 0, 2, ("fail", "pass", "pass", "fail")),
+    ("B", 1, 0, ("fail", "fail", "pass", "fail")),
+])
+def test_tampered_truncation_reports_the_moved_checks(gen, i, j, statuses):
+    vt = build_verma(P, 3)
+    bad = nudged(getattr(vt, gen), i, j, rat(1, 7))
+    report = assert_matches_oracle(dataclasses.replace(vt, **{gen: bad}), 3)
+    assert tuple(c.status for c in report.checks[2:6]) == statuses
