@@ -178,6 +178,17 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     raise ValueError(f"method must be closed, recurrence or direct, got {method!r}")
 
 
+def l_diagonal(p: ParamTriple, d: int) -> tuple:
+    """The diagonal of l_matrix(p, d) without the rest of it:
+    L[i][i] = prod_(h=1..d-i) phi_h * prod_(h=1..i) varphi_h."""
+    phi_tail = [ONE]  # phi_tail[k] = prod_(h=1..k) phi_h
+    varphi_head = [ONE]  # varphi_head[k] = prod_(h=1..k) varphi_h
+    for h in range(1, d + 1):
+        phi_tail.append(phi_tail[-1] * phi(p, d, h))
+        varphi_head.append(varphi_head[-1] * varphi(p, d, h))
+    return tuple(phi_tail[d - i] * varphi_head[i] for i in range(d + 1))
+
+
 _GENERATOR_COORD = {"A": 0, "B": 1, "C": 2}
 
 
@@ -376,8 +387,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
         for name, mp in minpolys.items()
     }
 
-    lmat = l_matrix(p, d, "closed")
-    l_diag = tuple(lmat.entries[i][i] for i in range(d + 1))
+    l_diag = l_diagonal(p, d)
     det_nonzero = all(x != 0 for x in l_diag)
     if det_nonzero != crit:
         raise ConsistencyError(

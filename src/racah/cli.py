@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: construct, verify, analyze, sweep, intertwine, reduce, eval,
-verma, golden.  Documents go to stdout (or --out) as canonical JSON;
---format text switches to a plain rendering.  Exit codes: 0 success /
-all checks pass, 1 any check failure or an exceeded rewrite limit, 2 usage
-or malformed input (an oversize sweep grid, d or verma cutoff included).
+verma, golden.  Each returns its document, its text rendering and its exit
+code; main writes the document to stdout (or --out) as canonical JSON, or
+the text under --format text.  Exit codes: 0 success / all checks pass,
+1 any check failure, a tripped cross-check, an exceeded rewrite limit or a
+result too large to print, 2 usage or malformed input (an oversize sweep
+grid, d, verma cutoff or --jobs included).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .analyzer import ConsistencyError, analyze, isomorphic, module_maps, orbit_
 from .golden import golden_example
 from .modules import build_R, verify_relations
 from .params import ParamTriple, in_P
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, RationalTooLargeError, format_rat, parse_rat
 from .rewriter import ParseError, RewriteLimitError, evaluate, format_element, normal_form, parse
 from .serialize import (
     analysis_to_doc,
@@ -38,6 +40,7 @@ from .serialize import (
     relation_report_to_doc,
     rep_to_doc,
     verma_report_to_doc,
+    witnesses_to_doc,
 )
 from .verma import build_verma, verma_checks
 
@@ -59,17 +62,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
-
-
 # the largest module parameter d and verma truncation cutoff accepted; at
 # these sizes every subcommand finishes within a minute
 MAX_D = 24
 MAX_CUTOFF = 128
+# the most sweep worker processes; under the fork start method the pool
+# starts all of them up front
+MAX_JOBS = 64
 
 
 def _int_at_most(limit: int):
@@ -84,16 +83,31 @@ def _int_at_most(limit: int):
     return parse
 
 
+def _jobs_arg(text: str) -> int:
+    value = _int_at_most(MAX_JOBS)(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return value
+
+
 class _SubParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_RAT
 
 
-def _add_params(sub, required=True):
-    sub.add_argument("--a", type=_rat_arg, required=required, help="parameter a (p/q)")
-    sub.add_argument("--b", type=_rat_arg, required=required, help="parameter b (p/q)")
-    sub.add_argument("--c", type=_rat_arg, required=required, help="parameter c (p/q)")
+def _add_params(sub):
+    sub.add_argument("--a", type=_rat_arg, required=True, help="parameter a (p/q)")
+    sub.add_argument("--b", type=_rat_arg, required=True, help="parameter b (p/q)")
+    sub.add_argument("--c", type=_rat_arg, required=True, help="parameter c (p/q)")
+
+
+def _add_module(sub, basis=True):
+    """The triple, --d and (unless basis is False) --basis of one module."""
+    _add_params(sub)
+    sub.add_argument("--d", type=_int_at_most(MAX_D), required=True)
+    if basis:
+        sub.add_argument("--basis", choices=("v", "w", "u"), default="v")
 
 
 def _add_common(sub):
@@ -112,20 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser)
 
     p_construct = subs.add_parser("construct", help="build the module matrices")
-    _add_params(p_construct)
-    p_construct.add_argument("--d", type=_int_at_most(MAX_D), required=True)
-    p_construct.add_argument("--basis", choices=("v", "w", "u"), default="v")
+    _add_module(p_construct)
     _add_common(p_construct)
 
     p_verify = subs.add_parser("verify", help="check the defining relations")
-    _add_params(p_verify)
-    p_verify.add_argument("--d", type=_int_at_most(MAX_D), required=True)
-    p_verify.add_argument("--basis", choices=("v", "w", "u"), default="v")
+    _add_module(p_verify)
     _add_common(p_verify)
 
     p_analyze = subs.add_parser("analyze", help="full classification report")
-    _add_params(p_analyze)
-    p_analyze.add_argument("--d", type=_int_at_most(MAX_D), required=True)
+    _add_module(p_analyze, basis=False)
     _add_common(p_analyze)
 
     p_sweep = subs.add_parser("sweep", help="analyze a parameter grid")
@@ -134,15 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="grid spec like 'a=-1/2,0,1/2;b=0..1:1/2;c=1/4;d=1,2,3'",
     )
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
+    p_sweep.add_argument("--jobs", type=_jobs_arg, default=1)
     _add_common(p_sweep)
 
     p_inter = subs.add_parser(
         "intertwine", help="basis of maps intertwining two modules"
     )
-    _add_params(p_inter)
-    p_inter.add_argument("--d", type=_int_at_most(MAX_D), required=True)
-    p_inter.add_argument("--basis", choices=("v", "w", "u"), default="v")
+    _add_module(p_inter)
     p_inter.add_argument("--a2", type=_rat_arg, help="second triple (defaults to the first)")
     p_inter.add_argument("--b2", type=_rat_arg)
     p_inter.add_argument("--c2", type=_rat_arg)
@@ -157,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = subs.add_parser("eval", help="evaluate an expression on a module")
     p_eval._negative_number_matcher = _LEADING_MINUS
     p_eval.add_argument("--expr", required=True)
-    _add_params(p_eval)
-    p_eval.add_argument("--d", type=_int_at_most(MAX_D), required=True)
-    p_eval.add_argument("--basis", choices=("v", "w", "u"), default="v")
+    _add_module(p_eval)
     _add_common(p_eval)
 
     p_verma = subs.add_parser("verma", help="truncated ladder module checks")
@@ -190,19 +195,17 @@ def _sweep_point(point) -> dict:
         "irreducible": report.irreducible,
         "canonical": params_to_doc(report.canonical_params),
         "diagonalizable": report.diagonalizable,
-        "witnesses": [
-            {"form": w.form, "value": format_rat(w.value), "index": w.i}
-            for w in report.witnesses
-        ],
+        "witnesses": witnesses_to_doc(report.witnesses),
     }
 
 
 def run_sweep(points, jobs: int = 1) -> dict:
     """Analyze every (params, d) point; returns the full per-point list and
-    the aggregate counts.  Output is independent of the job count."""
+    the aggregate counts.  Output is independent of the job count; no more
+    workers start than there are points."""
     points = list(points)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, max(len(points), 1))) as pool:
             rows = list(pool.map(_sweep_point, points, chunksize=8))
     else:
         rows = [_sweep_point(pt) for pt in points]
@@ -300,267 +303,201 @@ def _emit(args, text: str):
 def _render_checks_text(checks) -> str:
     lines = []
     for c in checks:
-        status = c.get("status") if "status" in c else ("ok" if c["ok"] else "FAIL")
-        if status is True or status == "pass":
-            status = "ok"
-        elif status is False or status == "fail":
-            status = "FAIL"
-        name = c.get("name", "")
-        detail = c.get("detail", "") or ""
-        extra = f"  ({detail})" if detail else ""
-        lines.append(f"{status:>4}  {name}{extra}")
+        status = c["status"] if "status" in c else ("ok" if c["ok"] else "FAIL")
+        status = {"pass": "ok", "fail": "FAIL"}.get(status, status)
+        extra = f"  ({c['detail']})" if c.get("detail") else ""
+        lines.append(f"{status:>4}  {c['name']}{extra}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- actions
-
-def _cmd_construct(args) -> int:
-    rep = build_R(ParamTriple(args.a, args.b, args.c), args.d, args.basis)
-    if args.format == "json":
-        _emit(args, dumps(rep_to_doc(rep)))
-    else:
-        blocks = [
-            f"module d={rep.d} basis={rep.basis} "
-            f"(a,b,c)=({format_rat(rep.params.a)},{format_rat(rep.params.b)},{format_rat(rep.params.c)})"
-        ]
-        for name in ("A", "B", "C", "D"):
-            blocks.append(f"{name}:")
-            blocks.append(mat_to_text(rep.generator(name)))
-        _emit(args, "\n".join(blocks) + "\n")
-    return 0
+#
+# Each action returns (document, text rendering, exit code).  It refuses
+# input that argparse cannot judge by raising _UsageError (reported with
+# the usage line) or _Refused (the bare message); both exit 2.
 
 
-def _cmd_verify(args) -> int:
-    rep = build_R(ParamTriple(args.a, args.b, args.c), args.d, args.basis)
-    report = verify_relations(rep)
+class _UsageError(Exception):
+    pass
+
+
+class _Refused(Exception):
+    pass
+
+
+def _triple(args) -> ParamTriple:
+    return ParamTriple(args.a, args.b, args.c)
+
+
+def _cmd_construct(args) -> tuple[dict, str, int]:
+    rep = build_R(_triple(args), args.d, args.basis)
+    blocks = [
+        f"module d={rep.d} basis={rep.basis} "
+        f"(a,b,c)=({format_rat(rep.params.a)},{format_rat(rep.params.b)},{format_rat(rep.params.c)})"
+    ]
+    for name in ("A", "B", "C", "D"):
+        blocks.append(f"{name}:")
+        blocks.append(mat_to_text(rep.generator(name)))
+    return rep_to_doc(rep), "\n".join(blocks) + "\n", 0
+
+
+def _cmd_verify(args) -> tuple[dict, str, int]:
+    report = verify_relations(build_R(_triple(args), args.d, args.basis))
     doc = relation_report_to_doc(report)
-    if args.format == "json":
-        _emit(args, dumps(doc))
-    else:
-        body = _render_checks_text(doc["checks"])
-        tail = "all relations hold\n" if report.all_pass else "RELATION FAILURES\n"
-        _emit(args, body + tail)
-    return 0 if report.all_pass else 1
+    tail = "all relations hold\n" if report.all_pass else "RELATION FAILURES\n"
+    return doc, _render_checks_text(doc["checks"]) + tail, 0 if report.all_pass else 1
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        report = analyze(ParamTriple(args.a, args.b, args.c), args.d)
-    except ConsistencyError as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        return 1
-    doc = analysis_to_doc(report)
-    if args.format == "json":
-        _emit(args, dumps(doc))
-    else:
-        lines = [
-            f"params ({doc['params']['a']}, {doc['params']['b']}, {doc['params']['c']}), d={doc['d']}",
-            f"canonical ({doc['canonical_params']['a']}, {doc['canonical_params']['b']}, {doc['canonical_params']['c']})",
-            f"irreducible: {doc['irreducible']}",
-            f"diagonalizable: {doc['diagonalizable']}",
-            f"traces: {doc['traces']}",
-        ]
-        if doc["witnesses"]:
-            lines.append(f"witnesses: {doc['witnesses']}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+def _cmd_analyze(args) -> tuple[dict, str, int]:
+    doc = analysis_to_doc(analyze(_triple(args), args.d))
+    p, canon = doc["params"], doc["canonical_params"]
+    lines = [
+        f"params ({p['a']}, {p['b']}, {p['c']}), d={doc['d']}",
+        f"canonical ({canon['a']}, {canon['b']}, {canon['c']})",
+        f"irreducible: {doc['irreducible']}",
+        f"diagonalizable: {doc['diagonalizable']}",
+        f"traces: {doc['traces']}",
+    ]
+    if doc["witnesses"]:
+        lines.append(f"witnesses: {doc['witnesses']}")
+    return doc, "\n".join(lines) + "\n", 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> tuple[dict, str, int]:
     try:
         points = _parse_grid(args.grid)
     except ValueError as exc:
-        parser.error(str(exc))
-    if not points:
-        parser.error("grid is empty")
+        raise _UsageError(str(exc)) from None
     start = time.monotonic()
     doc = run_sweep(points, jobs=args.jobs)
     elapsed = time.monotonic() - start
-    print(
-        f"swept {doc['summary']['total']} points in {elapsed:.1f}s "
-        f"(jobs={args.jobs})",
-        file=sys.stderr,
+    s = doc["summary"]
+    print(f"swept {s['total']} points in {elapsed:.1f}s (jobs={args.jobs})", file=sys.stderr)
+    text = (
+        f"total {s['total']}  irreducible {s['irreducible']}  "
+        f"reducible {s['reducible']}  disagreements {s['disagreements']}\n"
     )
-    full = {"grid": args.grid, **doc}
-    if args.format == "json":
-        _emit(args, dumps(full))
-    else:
-        s = doc["summary"]
-        _emit(
-            args,
-            f"total {s['total']}  irreducible {s['irreducible']}  "
-            f"reducible {s['reducible']}  disagreements {s['disagreements']}\n",
-        )
-    return 0 if doc["summary"]["disagreements"] == 0 else 1
+    return {"grid": args.grid, **doc}, text, 0 if s["disagreements"] == 0 else 1
 
 
-def _cmd_intertwine(args) -> int:
-    p1 = ParamTriple(args.a, args.b, args.c)
+def _cmd_intertwine(args) -> tuple[dict, str, int]:
+    p1 = _triple(args)
     second = [args.a2, args.b2, args.c2]
     if any(x is not None for x in second) and any(x is None for x in second):
-        print("give all of --a2 --b2 --c2 or none", file=sys.stderr)
-        return 2
+        raise _Refused("give all of --a2 --b2 --c2 or none")
     p2 = ParamTriple(*second) if second[0] is not None else p1
     d = args.d
-    irr1, _ = in_P(p1, d)
-    irr2, _ = in_P(p2, d)
-    if args.basis == "v" and args.basis2 == "v":
-        if irr1 and irr2:
-            try:
-                result = isomorphic(p1, p2, d)
-            except ConsistencyError as exc:
-                print(f"internal cross-check failed: {exc}", file=sys.stderr)
-                return 1
-            doc = iso_to_doc(result)
-            doc["verdict"] = "isomorphic" if result.iso else "distinct"
-            _emit_intertwine(args, doc)
-            return 0
-    basis = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
-    doc = {
-        "d": d,
-        "params_1": params_to_doc(p1),
-        "basis_1": args.basis,
-        "params_2": params_to_doc(p2),
-        "basis_2": args.basis2,
-        "hom_dim": len(basis),
-        "intertwiners": [mat_to_rows(m) for m in basis],
-        "verdict": "unclassified",
-    }
-    if irr1 and irr2:
-        try:
-            _, iso = orbit_check(p1, p2, d, basis)
-        except ConsistencyError as exc:
-            print(f"internal cross-check failed: {exc}", file=sys.stderr)
-            return 1
-        doc["verdict"] = "isomorphic" if iso else "distinct"
-    _emit_intertwine(args, doc)
-    return 0
-
-
-def _emit_intertwine(args, doc) -> None:
-    if args.format == "json":
-        _emit(args, dumps(doc))
+    irreducible = in_P(p1, d)[0] and in_P(p2, d)[0]
+    if args.basis == args.basis2 == "v" and irreducible:
+        result = isomorphic(p1, p2, d)
+        doc = {**iso_to_doc(result), "verdict": "isomorphic" if result.iso else "distinct"}
     else:
-        _emit(args, f"hom_dim {doc['hom_dim']}  verdict {doc['verdict']}\n")
+        basis = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
+        doc = {
+            "d": d,
+            "params_1": params_to_doc(p1),
+            "basis_1": args.basis,
+            "params_2": params_to_doc(p2),
+            "basis_2": args.basis2,
+            "hom_dim": len(basis),
+            "intertwiners": [mat_to_rows(m) for m in basis],
+            "verdict": "unclassified",
+        }
+        if irreducible:
+            doc["verdict"] = "isomorphic" if orbit_check(p1, p2, d, basis)[1] else "distinct"
+    return doc, f"hom_dim {doc['hom_dim']}  verdict {doc['verdict']}\n", 0
 
 
-def _cmd_reduce(args, parser) -> int:
-    try:
-        element = parse(args.expr)
-    except ParseError as exc:
-        parser.error(str(exc))
-    try:
-        normal = normal_form(element)
-    except RewriteLimitError as exc:
-        print(f"rewrite limit exceeded: {exc}", file=sys.stderr)
-        return 1
+def _cmd_reduce(args) -> tuple[dict, str, int]:
+    normal = normal_form(parse(args.expr))
     text = format_element(normal)
     terms = [
-        {
-            "A": key[0],
-            "D": key[1],
-            "B": key[2],
-            "alpha": key[3],
-            "delta": key[4],
-            "beta": key[5],
-            "coeff": format_rat(coeff),
-        }
+        {**dict(zip(("A", "D", "B", "alpha", "delta", "beta"), key)), "coeff": format_rat(coeff)}
         for key, coeff in sorted(normal.terms.items())
     ]
-    if args.format == "json":
-        _emit(args, dumps({"expr": args.expr, "normal": text, "terms": terms}))
-    else:
-        _emit(args, text + "\n")
-    return 0
+    return {"expr": args.expr, "normal": text, "terms": terms}, text + "\n", 0
 
 
-def _cmd_eval(args, parser) -> int:
-    try:
-        element = parse(args.expr)
-    except ParseError as exc:
-        parser.error(str(exc))
-    rep = build_R(ParamTriple(args.a, args.b, args.c), args.d, args.basis)
+def _cmd_eval(args) -> tuple[dict, str, int]:
+    element = parse(args.expr)
+    rep = build_R(_triple(args), args.d, args.basis)
     value = evaluate(element, rep)
-    if args.format == "json":
-        _emit(
-            args,
-            dumps(
-                {
-                    "expr": args.expr,
-                    "params": params_to_doc(rep.params),
-                    "d": rep.d,
-                    "basis": rep.basis,
-                    "value": mat_to_rows(value),
-                }
-            ),
-        )
-    else:
-        _emit(args, mat_to_text(value) + "\n")
-    return 0
+    doc = {
+        "expr": args.expr,
+        "params": params_to_doc(rep.params),
+        "d": rep.d,
+        "basis": rep.basis,
+        "value": mat_to_rows(value),
+    }
+    return doc, mat_to_text(value) + "\n", 0
 
 
-def _cmd_verma(args, parser) -> int:
-    p = ParamTriple(args.a, args.b, args.c)
+def _cmd_verma(args) -> tuple[dict, str, int]:
     whole_nu = args.nu.denominator == 1 and args.nu >= 0
     if args.cutoff is None and whole_nu and args.nu + 10 > MAX_CUTOFF:
-        parser.error(
+        raise _UsageError(
             f"the default cutoff nu + 10 = {format_rat(args.nu + 10)} "
             f"exceeds the limit of {MAX_CUTOFF}"
         )
     d = args.d
     if d is None:
-        if whole_nu:
-            d = int(args.nu)
-        else:
-            parser.error("--d is required when --nu is not a nonnegative integer")
+        if not whole_nu:
+            raise _UsageError("--d is required when --nu is not a nonnegative integer")
+        d = int(args.nu)
     try:
-        vt = build_verma(p, args.nu, args.cutoff)
-        report = verma_checks(vt, d)
+        report = verma_checks(build_verma(_triple(args), args.nu, args.cutoff), d)
+    except RationalTooLargeError:  # a check's detail, not the input, is at fault
+        raise
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
     doc = verma_report_to_doc(report)
-    if args.format == "json":
-        _emit(args, dumps(doc))
-    else:
-        head = (
-            f"nu={doc['nu']} cutoff={doc['cutoff']} "
-            f"safe_window={doc['safe_window']} d={doc['d']}\n"
-        )
-        _emit(args, head + _render_checks_text(doc["checks"]))
-    return 0 if report.all_pass else 1
+    head = (
+        f"nu={doc['nu']} cutoff={doc['cutoff']} "
+        f"safe_window={doc['safe_window']} d={doc['d']}\n"
+    )
+    return doc, head + _render_checks_text(doc["checks"]), 0 if report.all_pass else 1
 
 
-def _cmd_golden(args) -> int:
+def _cmd_golden(args) -> tuple[dict, str, int]:
     doc = golden_example()
-    if args.format == "json":
-        _emit(args, dumps(doc))
-    else:
-        _emit(args, _render_checks_text(doc["claims"]))
-    return 0 if doc["ok"] else 1
+    return doc, _render_checks_text(doc["claims"]), 0 if doc["ok"] else 1
+
+
+_COMMANDS = {
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "analyze": _cmd_analyze,
+    "sweep": _cmd_sweep,
+    "intertwine": _cmd_intertwine,
+    "reduce": _cmd_reduce,
+    "eval": _cmd_eval,
+    "verma": _cmd_verma,
+    "golden": _cmd_golden,
+}
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: write its document or text, and map every
+    failure it raises to one line on stderr and an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "construct":
-        return _cmd_construct(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.command == "intertwine":
-        return _cmd_intertwine(args)
-    if args.command == "reduce":
-        return _cmd_reduce(args, parser)
-    if args.command == "eval":
-        return _cmd_eval(args, parser)
-    if args.command == "verma":
-        return _cmd_verma(args, parser)
-    if args.command == "golden":
-        return _cmd_golden(args)
-    parser.error(f"unknown command {args.command!r}")
+    try:
+        doc, text, code = _COMMANDS[args.command](args)
+    except (ParseError, _UsageError) as exc:
+        parser.error(str(exc))
+    except _Refused as exc:
+        message, code = str(exc), 2
+    except ConsistencyError as exc:
+        message, code = f"internal cross-check failed: {exc}", 1
+    except RewriteLimitError as exc:
+        message, code = f"rewrite limit exceeded: {exc}", 1
+    except RationalTooLargeError as exc:
+        message, code = f"result too large to print: {exc}", 1
+    else:
+        _emit(args, dumps(doc) if args.format == "json" else text)
+        return code
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,11 +20,10 @@ from .analyzer import (
     irreducible_oracle,
 )
 from .linalg import Subspace, eigenspace, minimal_polynomial
-from .matrix import Mat, commutator, upper_bidiagonal
 from .modules import ModuleRep, build_R, verify_relations
-from .params import ParamTriple, canonical, varphi
+from .params import ParamTriple, canonical
 from .poly import Poly, squarefree
-from .rational import HALF, ONE, ZERO, format_rat, rat
+from .rational import ONE, ZERO, format_rat, rat
 from .serialize import rep_from_doc
 
 
@@ -37,22 +36,14 @@ def _claim(claims: list, name: str, ok: bool, detail: str = ""):
     claims.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
-def golden_example(varphi_sign: int = 1) -> dict:
+def golden_example() -> dict:
     """Run the pinned example end to end; returns a document with one entry
-    per claim and an overall verdict.  varphi_sign = -1 deliberately breaks
-    the construction (for exercising the failure path): the comparison then
-    reports the first mismatched matrix entry."""
+    per claim and an overall verdict.  A construction that differs from
+    the fixture is reported by its first mismatched matrix entry."""
     p = ParamTriple(rat(-1, 2), rat(-1, 2), rat(-1, 2))
     d = 4
     fixture = _load_fixture()
     rep = build_R(p, d, "v")
-    if varphi_sign == -1:
-        vp = [-varphi(p, d, i) for i in range(1, d + 1)]
-        ts = [rep.B.entries[i][i] for i in range(d + 1)]
-        b_bad = upper_bidiagonal(ts, vp)
-        c_bad = Mat.identity(d + 1).scale(rep.scalars.eta) - rep.A - b_bad
-        d_bad = commutator(rep.A, b_bad).scale(HALF)
-        rep = ModuleRep(d, p, "v", rep.A, b_bad, c_bad, d_bad, rep.scalars)
 
     claims: list[dict] = []
 

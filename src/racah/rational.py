@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 BACKEND = "fractions"  # the one rational type, recorded by bench/run.py
@@ -49,9 +50,23 @@ def parse_rat(text: str) -> Rat:
     return Fraction(int(s))
 
 
+class RationalTooLargeError(ValueError):
+    """A rational whose numerator or denominator has more decimal digits
+    than the interpreter converts to a string."""
+
+
 def format_rat(x: Rat) -> str:
-    """Canonical "p/q" (or "p") in lowest terms, sign on the numerator."""
-    return str(Fraction(x))
+    """Canonical "p/q" (or "p") in lowest terms, sign on the numerator.
+    Raises RationalTooLargeError past sys.get_int_max_str_digits()."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        raise RationalTooLargeError(
+            f"a numerator or denominator of {bits} bits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
 
 
 def is_square(x: Rat) -> tuple[bool, Rat]:

@@ -93,6 +93,10 @@ def subspace_to_doc(s: Subspace) -> dict:
     }
 
 
+def witnesses_to_doc(witnesses) -> list[dict]:
+    return [{"form": w.form, "value": format_rat(w.value), "index": w.i} for w in witnesses]
+
+
 def relation_report_to_doc(report: RelationReport) -> dict:
     checks = []
     for c in report.checks:
@@ -139,10 +143,7 @@ def analysis_to_doc(report: AnalysisReport) -> dict:
         "canonical_params": params_to_doc(report.canonical_params),
         "flip": list(report.flip),
         "irreducible": report.irreducible,
-        "witnesses": [
-            {"form": w.form, "value": format_rat(w.value), "index": w.i}
-            for w in report.witnesses
-        ],
+        "witnesses": witnesses_to_doc(report.witnesses),
         "reducible_subspace": (
             subspace_to_doc(report.reducible_subspace)
             if report.reducible_subspace is not None

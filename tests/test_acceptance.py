@@ -13,6 +13,7 @@ import time
 from racah import (
     FreeElement,
     Mat,
+    ModuleRep,
     ParamTriple,
     SignFlip,
     act,
@@ -34,9 +35,12 @@ from racah import (
     parse,
     rat,
     trace_formula,
+    varphi,
     verify_relations,
     verma_checks,
 )
+import racah.golden
+from racah.matrix import upper_bidiagonal
 from racah.rewriter import SYMBOLS
 
 from conftest import random_rat, random_triple
@@ -61,7 +65,19 @@ def criterion(number, description, budget=None):
     print(f"[PASS] criterion {number}: {description} ({elapsed:.2f}s)")
 
 
-def test_criterion_1_golden_example():
+def tampered_build_R(p, d, basis="v"):
+    """build_R with the sign of every superdiagonal entry varphi_i of B
+    flipped, and C and D rebuilt from the flipped B."""
+    rep = build_R(p, d, basis)
+    vp = [-varphi(p, d, i) for i in range(1, d + 1)]
+    ts = [rep.B.entries[i][i] for i in range(d + 1)]
+    b_bad = upper_bidiagonal(ts, vp)
+    c_bad = Mat.identity(d + 1).scale(rep.scalars.eta) - rep.A - b_bad
+    d_bad = commutator(rep.A, b_bad).scale(HALF)
+    return ModuleRep(d, p, basis, rep.A, b_bad, c_bad, d_bad, rep.scalars)
+
+
+def test_criterion_1_golden_example(monkeypatch):
     with criterion(1, "pinned worked example reproduced end to end", budget=1.0):
         doc = golden_example()
         assert doc["ok"], [c for c in doc["claims"] if not c["ok"]]
@@ -74,7 +90,8 @@ def test_criterion_1_golden_example():
         assert alpha.is_zero() and beta.is_zero() and gamma.is_zero()
 
         # negative control: a flipped superdiagonal sign is caught and located
-        neg = golden_example(varphi_sign=-1)
+        monkeypatch.setattr(racah.golden, "build_R", tampered_build_R)
+        neg = golden_example()
         assert not neg["ok"]
         first_bad = next(c for c in neg["claims"] if not c["ok"])
         assert first_bad["name"] == "construction reproduces the stored matrices"

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import subprocess
 import sys
 
@@ -29,7 +30,7 @@ from racah import (
 from racah import ALL_FLIPS
 from racah.rational import Rat, format_rat
 
-from conftest import nudged, rationals, triples
+from conftest import nudged, random_triple, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -153,6 +154,32 @@ def test_l_matrix_diagonal_product(p, d):
         for h in range(1, i + 1):
             expect = expect * varphi(p, d, h)
         assert closed.entries[i][i] == expect
+
+
+# c solving each reducibility form = t, given a and b
+ONTO_FORM = (
+    lambda a, b, t: t - a - b - 1,  # a+b+c+1
+    lambda a, b, t: t + a - b,  # -a+b+c
+    lambda a, b, t: t - a + b,  # a-b+c
+    lambda a, b, t: a + b - t,  # a+b-c
+)
+
+
+def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
+    rng = random.Random(7919)
+    reducible = 0
+    for _ in range(80):
+        d = rng.randint(0, 10)
+        p = random_triple(rng)
+        if d and rng.random() < 0.4:
+            t = rat(d, 2) - rng.randint(1, d)
+            p = ParamTriple(p.a, p.b, rng.choice(ONTO_FORM)(p.a, p.b, t))
+        reducible += not irreducible_criterion(p, d)[0]
+        got = analyzer.l_diagonal(p, d)
+        for method in ("closed", "recurrence", "direct"):
+            m = l_matrix(p, d, method)
+            assert got == tuple(m.entries[i][i] for i in range(d + 1)), (p, d, method)
+    assert reducible >= 15
 
 
 def direct_l_matrix_oracle(rep, p, d):

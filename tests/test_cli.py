@@ -6,7 +6,8 @@ import pytest
 
 from racah import Mat, ParamTriple, build_R, rat
 import racah.rewriter
-from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, main, _parse_grid
+import racah.cli
+from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, MAX_JOBS, main, _parse_grid
 from racah.serialize import (
     mat_from_rows,
     mat_to_rows,
@@ -202,6 +203,37 @@ def test_sweep_parallel_output_identical(capsys):
     code2, out2, _ = run_cli(capsys, [*argv, "--jobs", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_jobs_above_the_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--grid", "a=0;b=0;c=0;d=1", "--jobs", str(MAX_JOBS + 1)])
+    assert exc.value.code == 2
+    assert f"--jobs: {MAX_JOBS + 1} exceeds the limit of {MAX_JOBS}" in capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_workers_than_points(capsys, monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and maps in process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(racah.cli, "ProcessPoolExecutor", RecordingPool)
+    code, doc, _ = run_json(capsys, ["sweep", "--grid", "a=0;b=0;c=0;d=1", "--jobs", str(MAX_JOBS)])
+    assert code == 0 and doc["summary"]["total"] == 1
+    assert workers == [1]
 
 
 # ------------------------------------------------------------ intertwine
@@ -484,6 +516,42 @@ def test_deep_nesting_exits_2(command, expr):
     assert "Traceback" not in proc.stderr
     limit = racah.rewriter.DEPTH_LIMIT
     assert f"nesting exceeds the limit of {limit} levels at position {limit + 1}" in proc.stderr
+
+
+# --------------------------------------------------- too large to print
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--expr", "(((2*A)^64)^64)^4"],
+        ["construct", "--a", NINES, "--b", "0", "--c", "0", "--d", "1"],
+    ],
+    ids=["reduce", "construct"],
+)
+def test_result_too_large_to_print_exits_1(argv):
+    # a rational of more than sys.get_int_max_str_digits() digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "racah", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("result too large to print: ")
+
+
+def test_result_too_large_in_a_sweep_worker_exits_1(capsys):
+    # a = 1/P + k/Q for k = 0, 1: the second value has a 6000-digit
+    # denominator, so its row fails to print inside a pool worker
+    n = 10**3000
+    grid = f"a=1/{n + 1}..3/{n}:1/{n - 1};b=0;c=0;d=0"
+    assert len(_parse_grid(grid)) == 2
+    code, out, err = run_cli(capsys, ["sweep", "--grid", grid, "--jobs", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("result too large to print: ")
 
 
 # ------------------------------------------------------------------ --out
