@@ -7,22 +7,32 @@ parameters, and a structural oracle that only touches the matrices.  The
 two must agree; analyze() hard-asserts it (ConsistencyError on violation),
 which is the package's standing cross-check of the formulas against the
 linear algebra.
+
+The irreducibility oracle reads A in an eigenbasis of B: when B is upper
+bidiagonal with distinct diagonal entries, the module is irreducible iff
+the nonzero entries y_j A x_i (i != j) form a strongly connected directed
+graph (for Leonard pairs A acts tridiagonally there, Terwilliger 2001,
+Linear Algebra Appl. 330; the oracle assumes no such shape).  Entries that
+are nonzero mod 2^61 - 1 certify irreducibility.  A zero superdiagonal of
+B, a repeated or congruent diagonal entry, or a graph not certified
+connected go to the exact route, which spins eigenlines of B.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .intmat import clear, combine, mul, scalar
+from .intmat import Rows, clear, columns, combine, mul, scalar
 from .linalg import (
     Subspace,
-    eigenspace,
+    dense_row,
     intertwiner_space,
     invertible,
     minimal_polynomial,
-    spin,
+    spin_integer,
 )
 from .matrix import Mat
 from .modules import ModuleRep, build_R
@@ -41,7 +51,7 @@ from .params import (
     trace_formula,
     varphi,
 )
-from .poly import Poly, squarefree
+from .poly import PRIME, Poly, squarefree
 from .rational import HALF, ONE, ZERO, Rat, format_rat, is_square, rat
 
 
@@ -65,6 +75,23 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     eigenvalues on its diagonal, so every nonzero invariant subspace
     contains one of its (one-dimensional) eigenlines; the module is
     irreducible iff each eigenline generates everything under {A, B}.
+
+    A and B are cleared of denominators together once.  When B is upper
+    bidiagonal with distinct diagonal entries, its invariant subspaces are
+    the spans of sets S of its eigenvectors x_i, and such a span is
+    A-invariant iff no entry of A in that eigenbasis leads from S to
+    outside S.  So the module is irreducible iff the directed graph with an
+    edge i -> j whenever y_j A x_i != 0 (y_j the left eigenvectors, i != j)
+    is strongly connected.  _eigenbasis_certificate() computes those
+    entries mod the prime q = 2^61 - 1 and returns True only when the
+    nonzero ones already form a strongly connected graph: a nonzero residue
+    proves a nonzero exact entry, so True proves irreducibility.  It
+    returns False, and the exact loop below decides, when B leaves the
+    bidiagonal band, has a repeated diagonal entry, or has two diagonal
+    entries congruent mod q (a denominator or an eigenvalue gap divisible
+    by q), and when the certified edges miss strong connectivity.  The
+    exact loop spins the eigenline of each distinct eigenvalue, in index
+    order, and returns the first proper span as the witness.
     """
     if rep.basis != "v":
         raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
@@ -76,20 +103,109 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
                 tuple(ONE if j == h else ZERO for j in range(n)) for h in range(i, n)
             ]
             return False, Subspace(n, tail)
-    ops = [rep.A, rep.B]
-    seen = []
-    for i in range(n):
-        lam = b.entries[i][i]
+    _, (a_rows, b_rows), _ = clear([rep.A, b])
+    if _eigenbasis_certificate(a_rows, b_rows):
+        return True, None
+    ops = [columns(a_rows), columns(b_rows)]
+    seen = set()
+    for i, row in enumerate(b_rows):
+        lam = row.get(i, 0)
         if lam in seen:
             continue
-        seen.append(lam)
-        line = eigenspace(b, lam)
-        if line.dim != 1:
-            raise ConsistencyError("nonzero superdiagonal must leave 1-dim eigenspaces")
-        generated = spin(n, line.basis, ops)
-        if not generated.is_full():
-            return False, generated
+        seen.add(lam)
+        generated = spin_integer(n, [_eigenline(b_rows, i)], ops)
+        if len(generated) < n:
+            return False, Subspace(n, [dense_row(v, n) for v in generated])
     return True, None
+
+
+def _eigenbasis_certificate(a_rows: Rows, b_rows: Rows) -> bool:
+    """True only if the integer B is upper bidiagonal with distinct
+    diagonal entries mod PRIME, and the entries y_j A x_i (i != j) that are
+    nonzero mod PRIME form a strongly connected directed graph i -> j.
+
+    With lam_k the diagonal and s_k = -B[k][k+1], the integer vectors
+        x_i[k] = prod_(m=k..i-1) s_m * prod_(m<k) (lam_m - lam_i),   k <= i,
+        y_j[k] = prod_(m=j..k-1) s_m * prod_(m>k) (lam_m - lam_j),   k >= j,
+    are right and left eigenvectors of B for lam_i and lam_j (back- and
+    forward substitution, scaled to need no division), nonzero since the
+    diagonal is distinct.  Only their residues are computed."""
+    n = len(b_rows)
+    if any(row.keys() - {i, i + 1} for i, row in enumerate(b_rows)):
+        return False
+    lam = [row.get(i, 0) % PRIME for i, row in enumerate(b_rows)]
+    if len(set(lam)) < n:
+        return False
+    s = [-b_rows[k][k + 1] % PRIME for k in range(n - 1)]
+    xs, ys = [], []
+    for i in range(n):
+        before = [1] * n  # before[k] = prod_(m<k) (lam_m - lam_i)
+        for k in range(1, i + 1):
+            before[k] = before[k - 1] * (lam[k - 1] - lam[i]) % PRIME
+        x, t = [0] * n, 1
+        for k in range(i, -1, -1):
+            x[k] = t * before[k] % PRIME
+            if k:
+                t = t * s[k - 1] % PRIME
+        after = [1] * n  # after[k] = prod_(m>k) (lam_m - lam_i)
+        for k in range(n - 2, i - 1, -1):
+            after[k] = after[k + 1] * (lam[k + 1] - lam[i]) % PRIME
+        y, t = [0] * n, 1
+        for k in range(i, n):
+            y[k] = t * after[k] % PRIME
+            if k < n - 1:
+                t = t * s[k] % PRIME
+        xs.append(x)
+        ys.append(y)
+    # z_i = A x_i, with A read as stored
+    zs = [
+        [sum([c * x[col] for col, c in row.items()]) % PRIME for row in a_rows] for x in xs
+    ]
+    out = [
+        [j for j, y in enumerate(ys) if j != i and sum(map(operator.mul, y, z)) % PRIME]
+        for i, z in enumerate(zs)
+    ]
+    into = [[] for _ in range(n)]
+    for i, js in enumerate(out):
+        for j in js:
+            into[j].append(i)
+    return _reaches_all(out) and _reaches_all(into)
+
+
+def _reaches_all(edges: list[list[int]]) -> bool:
+    """Does every node of the directed graph lie on a path from node 0?"""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in edges[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(edges)
+
+
+def _eigenline(b_rows: Rows, i: int) -> dict[int, int]:
+    """The eigenvector of the integer upper bidiagonal B for its diagonal
+    entry at index i, the first index holding that value, by exact
+    back-substitution from x_i = prod_(m<i) (lam_m - lam_i), as a sparse
+    integer row.  Raises ConsistencyError unless (B - lam) x = 0 on every
+    row of B as stored."""
+    lam = b_rows[i].get(i, 0)
+    prefix = [1]
+    for m in range(i):
+        prefix.append(prefix[-1] * (b_rows[m].get(m, 0) - lam))
+    x, t = {}, 1
+    for k in range(i, -1, -1):
+        x[k] = t * prefix[k]
+        if k:
+            t *= -b_rows[k - 1][k]
+    for r, row in enumerate(b_rows):
+        if sum([c * x.get(j, 0) for j, c in row.items()]) != lam * x.get(r, 0):
+            raise ConsistencyError(
+                f"B is not upper bidiagonal: (B - lambda) x != 0 at row {r} for the "
+                f"eigenline of diagonal entry {i}"
+            )
+    return x
 
 
 def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:

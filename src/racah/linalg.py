@@ -12,7 +12,10 @@ each row of the reduced basis by its pivot.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
-applied to integer rows, so their loops build no rational at all.
+applied to integer rows, so their loops build no rational at all.  spin()
+clears its operators and seeds and hands them to spin_integer(), the loop
+on operators already cleared; the irreducibility oracle calls that loop
+directly with A and B cleared once per module.
 
 intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
 through A when both A are lower bidiagonal with a nonzero subdiagonal (the
@@ -179,7 +182,7 @@ class _Reducer:
     gcd divided out.  Its pivot is its smallest column, and it is zero at
     the pivots of the rows kept before it.  add() reduces a vector and keeps
     it if independent; rows are never normalized here.  The one elimination
-    loop: it drives rref(), Subspace.contains(), spin() and
+    loop: it drives rref(), Subspace.contains(), spin_integer() and
     minimal_polynomial()."""
 
     def __init__(self, ncols: int, rows=(), pivots=()):
@@ -227,13 +230,6 @@ class _Reducer:
     def add(self, vec) -> bool:
         return self.keep(self.reduce(_integer_row(vec)))
 
-    def dense(self, t: int) -> list[int]:
-        """Kept row t as a list of ints."""
-        out = [0] * self.ncols
-        for j, x in self.rows[t].items():
-            out[j] = x
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -241,26 +237,43 @@ class _Reducer:
 
 def spin(ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seed vectors and stable under every
-    operator.  Each new basis vector is hit by each operator exactly once.
-    The operators are cleared of denominators once: a span does not change
-    when its vectors are scaled, so the integer image of each kept row goes
-    straight back into the reducer."""
+    operator.  The operators are cleared of denominators once: a span does
+    not change when its vectors are scaled, so spin_integer() runs on the
+    integer seeds and operators alone."""
     for op in operators:
         if op.shape() != (ambient_dim, ambient_dim):
             raise ShapeError(
                 f"operator {op.rows}x{op.cols} cannot act on dimension {ambient_dim}"
             )
     ops = [columns(clear([op])[1][0]) for op in operators]
+    rows = spin_integer(ambient_dim, map(_integer_row, seeds), ops)
+    return Subspace(ambient_dim, [dense_row(row, ambient_dim) for row in rows])
+
+
+def spin_integer(ambient_dim: int, seeds, ops) -> Rows:
+    """A basis, as sparse primitive integer rows, of the smallest subspace
+    containing the sparse integer seed rows and stable under the integer
+    operators given by their sparse columns (racah.intmat.columns).  Each
+    new basis row is hit by each operator exactly once, and its integer
+    image goes straight back into the reducer."""
     red = _Reducer(ambient_dim)
     for s in seeds:
-        red.add(s)
+        red.keep(red.reduce(s))
     done = 0  # rows before this one have been hit by every operator
     while done < red.dim < ambient_dim:
         v = red.rows[done]
         done += 1
         for cols in ops:
             red.keep(red.reduce(apply_columns(cols, v)))
-    return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
+    return red.rows
+
+
+def dense_row(row: dict[int, int], n: int) -> list[int]:
+    """The sparse integer row as a list of n ints."""
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def minimal_polynomial(m: Mat) -> Poly:
@@ -460,5 +473,5 @@ def _substituted_rows(a1: Rows, a2: Rows, last: Rows):
 
 def _null_space(red: _Reducer) -> list[dict[int, int]]:
     """An integer basis of the vectors orthogonal to the kept rows."""
-    rows = Subspace(red.ncols, [red.dense(t) for t in range(red.dim)])
+    rows = Subspace(red.ncols, [dense_row(row, red.ncols) for row in red.rows])
     return [_integer_row(v) for v in _kernel_vectors(rows)]

@@ -4,12 +4,13 @@ Coefficients are stored lowest-degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.  Division,
 gcd and derivative serve the squarefreeness test.  That test first tries a
 certificate on the integer polynomial reduced mod the prime 2^61 - 1, and
-runs the exact Euclid over Q only when the certificate fails.
+takes the exact gcd only when the certificate fails; the gcd runs on the
+cleared integer polynomials (a primitive remainder sequence), not over Q.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .rational import Rat, ZERO, ONE, rat, format_rat
 
@@ -162,14 +163,53 @@ class Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over Q, by a primitive polynomial remainder sequence on
+    integers (Brown 1971, J. ACM 18): both inputs are cleared of
+    denominators and made primitive, and each pseudo-remainder has its
+    content divided out.  By Gauss's lemma the last nonzero remainder is a
+    rational multiple of the gcd, so only the final division builds
+    rationals."""
+    a, b = _primitive(_integers(p)), _primitive(_integers(q))
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if not a:
+        return Poly([])
+    return Poly([Rat(c, a[-1]) for c in a])
 
 
-_Q = 2**61 - 1  # a prime
+def _integers(p: Poly) -> list[int]:
+    """The coefficients of p times the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """The integer polynomial with its content divided out."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by the nonzero b, times a nonzero integer:
+    the leading term of a is cancelled by a <- (lc(b)/g) a - (lc(a)/g) x^k b
+    with g = gcd(lc(a), lc(b)) until deg a < deg b."""
+    a = list(a)
+    lb = b[-1]
+    while len(a) >= len(b):
+        la = a[-1]
+        g = gcd(la, lb)
+        sa, sb = lb // g, la // g
+        shift = len(a) - len(b)
+        if sa != 1:
+            a = [sa * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= sb * c
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+PRIME = 2**61 - 1  # the modulus of the certificates, here and in racah.analyzer
 
 
 def squarefree(p: Poly) -> bool:
@@ -181,32 +221,31 @@ def squarefree(p: Poly) -> bool:
     gcd(P mod q, P' mod q) is constant, p is squarefree.  Were g^2 to
     divide P for a nonconstant g, Gauss's lemma gives a primitive integer
     such g, which keeps its degree mod q and divides both residues.  When
-    the certificate fails, the exact Euclid over Q decides."""
+    the certificate fails, the exact gcd (poly_gcd) decides."""
     if p.is_zero():
         raise ValueError("squarefreeness of the zero polynomial is undefined")
     if p.degree == 0:
         return True
-    den = lcm(*[c.denominator for c in p.coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    if ints[-1] % _Q:
-        f = [c % _Q for c in ints]
-        df = [i * c % _Q for i, c in enumerate(ints)][1:]
+    ints = _integers(p)
+    if ints[-1] % PRIME:
+        f = [c % PRIME for c in ints]
+        df = [i * c % PRIME for i, c in enumerate(ints)][1:]
         if _degree_of_gcd_mod_q(f, df) == 0:
             return True
     return poly_gcd(p, p.derivative()).degree == 0
 
 
 def _degree_of_gcd_mod_q(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over the integers mod _Q, for residue
+    """Degree of gcd(a, b) over the integers mod PRIME, for residue
     coefficient lists (lowest degree first) that are not both zero."""
     a, b = _strip(a), _strip(b)
     while b:
-        inv = pow(b[-1], -1, _Q)
+        inv = pow(b[-1], -1, PRIME)
         while len(a) >= len(b):
-            f = a[-1] * inv % _Q
+            f = a[-1] * inv % PRIME
             shift = len(a) - len(b)
             for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % _Q
+                a[shift + i] = (a[shift + i] - f * c) % PRIME
             a = _strip(a)
         a, b = b, a
     return len(a) - 1

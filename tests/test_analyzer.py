@@ -2,6 +2,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,17 +19,21 @@ from racah import (
     build_R,
     canonical,
     diagonalizable,
+    eigenspace,
     identify,
     irreducible_criterion,
     irreducible_oracle,
     isomorphic,
     l_matrix,
     rat,
+    spin,
     theta,
     theta_star,
 )
 from racah import ALL_FLIPS
-from racah.rational import Rat, format_rat
+from racah.intmat import clear
+from racah.linalg import Subspace
+from racah.rational import ONE, ZERO, Rat, format_rat
 
 from conftest import nudged, random_triple, rationals, triples
 
@@ -102,6 +107,183 @@ def test_criterion_matches_oracle(p, d):
     assert ok == oracle_ok
     if not ok:
         assert 0 < sub.dim < d + 1
+
+
+# ------------------------- differential: the eigenbasis graph vs eigenline spins
+
+Q = 2**61 - 1
+
+
+def spin_irreducible_oracle(rep):
+    """The retired irreducible_oracle: after the tail check, spin the
+    eigenline of each distinct diagonal entry of B (a dense Fraction kernel)
+    under A and B, and return the first proper span.  Oracle for the
+    eigenbasis certificate and its exact fallback."""
+    n = rep.dim
+    b = rep.B
+    for i in range(1, n):
+        if b.entries[i - 1][i] == 0:
+            tail = [
+                tuple(ONE if j == h else ZERO for j in range(n)) for h in range(i, n)
+            ]
+            return False, Subspace(n, tail)
+    seen = []
+    for i in range(n):
+        lam = b.entries[i][i]
+        if lam in seen:
+            continue
+        seen.append(lam)
+        line = eigenspace(b, lam)
+        if line.dim != 1:
+            raise ConsistencyError("nonzero superdiagonal must leave 1-dim eigenspaces")
+        generated = spin(n, line.basis, [rep.A, rep.B])
+        if not generated.is_full():
+            return False, generated
+    return True, None
+
+
+def certified(rep):
+    """Does the eigenbasis certificate settle rep by itself?"""
+    _, (a, b), _ = clear([rep.A, rep.B])
+    return analyzer._eigenbasis_certificate(a, b)
+
+
+def exact_spins(rep, monkeypatch):
+    """(oracle result, number of spins of the exact fallback) for rep."""
+    calls = []
+    real = analyzer.spin_integer
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analyzer, "spin_integer", counting)
+    return irreducible_oracle(rep), len(calls)
+
+
+def boundary_point(rng, d, form):
+    """A random triple with the given reducibility form at d/2 - i for a
+    random i in 1..d."""
+    p = random_triple(rng)
+    t = rat(d, 2) - rng.randint(1, d)
+    return ParamTriple(p.a, p.b, ONTO_FORM[form](p.a, p.b, t))
+
+
+def test_oracle_matches_eigenline_spins_on_random_points():
+    rng = random.Random(2718)
+    verdicts = []
+    for _ in range(120):
+        d = rng.randint(0, 12)
+        rep = build_R(random_triple(rng), d)
+        got = irreducible_oracle(rep)
+        assert got == spin_irreducible_oracle(rep)
+        verdicts.append(got[0])
+    assert verdicts.count(True) >= 80
+
+
+def test_oracle_matches_eigenline_spins_on_each_boundary_form():
+    rng = random.Random(31337)
+    for form in range(4):
+        for _ in range(12):
+            d = rng.randint(1, 10)
+            p = boundary_point(rng, d, form)
+            rep = build_R(p, d)
+            got = irreducible_oracle(rep)
+            assert got == spin_irreducible_oracle(rep), (p, d)
+            assert not got[0] and 0 < got[1].dim <= d
+            assert irreducible_criterion(p, d)[0] is False
+
+
+@given(triples(max_num=5, max_den=3), st.integers(0, 8))
+def test_oracle_matches_eigenline_spins_on_small_triples(p, d):
+    # small numerators land on the boundary forms often, tail included
+    rep = build_R(p, d)
+    assert irreducible_oracle(rep) == spin_irreducible_oracle(rep)
+
+
+def test_certificate_settles_generic_irreducible_points(monkeypatch):
+    rep = build_R(P, 6)
+    assert certified(rep)
+    assert exact_spins(rep, monkeypatch) == ((True, None), 0)
+
+
+def split_a(p, d, k):
+    """build_R(p, d) with A's subdiagonal entry at row k zeroed, so that
+    span(v_0..v_(k-1)) is invariant under A and B."""
+    rep = build_R(p, d)
+    return dataclasses.replace(rep, A=nudged(rep.A, k, k - 1, -rep.A.entries[k][k - 1]))
+
+
+def test_tampered_a_splits_the_graph(monkeypatch):
+    rep = split_a(P, 5, 3)
+    assert not certified(rep)
+    (ok, sub), spins = exact_spins(rep, monkeypatch)
+    assert (ok, sub) == spin_irreducible_oracle(rep)
+    assert not ok and spins == 1
+    assert sub == Subspace(6, [[ONE if j == h else ZERO for j in range(6)] for h in range(3)])
+
+
+def test_analyze_catches_a_split_graph(monkeypatch):
+    assert irreducible_criterion(P, 5)[0]
+    monkeypatch.setattr(analyzer, "build_R", tampered_build_R(("A", 3, 2, rat(-1))))
+    assert analyzer.build_R(P, 5).A.entries[3][2] == 0
+    with pytest.raises(ConsistencyError, match="irreducibility criterion"):
+        analyze(P, 5)
+
+
+FALLBACKS = {
+    # theta*_0 = theta*_2 = 3/4
+    "repeated theta*": (ParamTriple.of("1/3", "-1/2", "2/7"), 4),
+    # q in the denominators of A's diagonal
+    "denominator q": (ParamTriple(rat(1, Q), rat(1, 3), rat(2, 5)), 3),
+    # theta*_0 - theta*_1 = -(2b + d) = -q
+    "gap q": (ParamTriple(rat(1, 3), rat(Q - 2, 2), rat(2, 5)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_each_fallback_matches_eigenline_spins(name, monkeypatch):
+    p, d = FALLBACKS[name]
+    rep = build_R(p, d)
+    assert not certified(rep)
+    got, spins = exact_spins(rep, monkeypatch)
+    assert got == spin_irreducible_oracle(rep) == (True, None)
+    assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
+    # the same fallback on a boundary point finds the witness
+    q = ParamTriple(p.a, p.b, ONTO_FORM[2](p.a, p.b, rat(d, 2) - 1))
+    rep = build_R(q, d)
+    got = irreducible_oracle(rep)
+    assert got == spin_irreducible_oracle(rep)
+    assert not got[0]
+
+
+@pytest.mark.parametrize("last", [2, 2 + Q])
+def test_congruent_diagonal_entries_never_certify(last):
+    # past the distinctness check, these rows would give a strongly
+    # connected graph; an equal or congruent pair of eigenvalues voids the
+    # proof, so the certificate must refuse before looking at the graph
+    b_rows = [{0: 2, 1: 1}, {1: 1, 2: -1}, {2: last}]
+    a_rows = [{0: -2, 2: 1}, {1: 1, 2: 1}, {0: 2, 1: -1, 2: 2}]
+    assert not analyzer._eigenbasis_certificate(a_rows, b_rows)
+    b_rows[2][2] = 3
+    assert analyzer._eigenbasis_certificate(a_rows, b_rows)
+
+
+def test_tail_fallback_matches_eigenline_spins(monkeypatch):
+    rep = build_R(TAIL_REDUCIBLE, 2)
+    got, spins = exact_spins(rep, monkeypatch)
+    assert got == spin_irreducible_oracle(rep)
+    assert spins == 0 and got[1].dim == 1
+
+
+def test_b_off_its_band_raises():
+    rep = build_R(P, 2)
+    rep = dataclasses.replace(rep, B=nudged(rep.B, 1, 0, rat(1, 3)))
+    assert not certified(rep)
+    with pytest.raises(ConsistencyError, match="B is not upper bidiagonal"):
+        irreducible_oracle(rep)
+    with pytest.raises(ConsistencyError):
+        spin_irreducible_oracle(rep)
 
 
 # ---------------------------------------------------------------- l_matrix
@@ -440,6 +622,15 @@ def test_analyze_internal_cross_checks(p, d):
     # analyze() raises ConsistencyError if any criterion and oracle split
     report = analyze(p, d)
     assert report.irreducible == report.l_det_nonzero
+
+
+def test_analyze_at_d48_on_a_six_digit_triple_is_fast():
+    # a size guard: spinning each of the 49 eigenlines takes about 6 s here
+    p = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+    start = time.perf_counter()
+    report = analyze(p, 48)
+    assert time.perf_counter() - start < 2.0
+    assert report.irreducible and report.reducible_subspace is None
 
 
 # ------------------------------------------------------ injected disagreements

@@ -586,11 +586,11 @@ def apply_spin(ambient_dim, seeds, operators):
         red.add(s)
     done = 0
     while done < red.dim < ambient_dim:
-        v = red.dense(done)
+        v = linalg.dense_row(red.rows[done], ambient_dim)
         done += 1
         for op in operators:
             red.add(op.apply(v))
-    return Subspace(ambient_dim, [red.dense(t) for t in range(red.dim)])
+    return Subspace(ambient_dim, [linalg.dense_row(row, ambient_dim) for row in red.rows])
 
 
 def unit_triangular(n, entries, lower):

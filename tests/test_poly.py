@@ -1,10 +1,11 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import racah.poly
 from racah import Poly, poly_gcd, rat, squarefree
+from racah.rational import Rat
 
 from conftest import rationals
 
@@ -87,6 +88,33 @@ def test_gcd_captures_common_factor(f, g, h):
     assert (d % h.monic()).is_zero()
 
 
+@st.composite
+def gcd_pairs(draw):
+    """Two polynomials with a random common factor, each scaled by an
+    integer with content, a negative number or a fraction, so that the
+    inputs are non-primitive or have a negative leading coefficient; zero
+    and constant polynomials come from polys() itself."""
+    common = draw(polys(3))
+    scales = st.sampled_from([1, -1, 6, -10, 12, rat(-3, 4), rat(5, 6)])
+    return tuple(draw(polys(4)) * common * draw(scales) for _ in range(2))
+
+
+@given(gcd_pairs())
+@example((Poly([]), Poly([])))
+@example((Poly([]), Poly([-6, 0, 6])))
+@example((Poly([rat(-4, 3)]), Poly([])))
+@example((Poly([5]), Poly([-7, 2])))
+@example((Poly([6, -12, 6]), Poly([-4, 4])))
+@example((Poly([2, 0, -2]), Poly([3, 3])))
+@example((Poly([rat(1, 2), rat(-1, 3)]), Poly([rat(-3, 4), rat(1, 2)])))
+def test_poly_gcd_matches_fraction_euclid(pair):
+    f, g = pair
+    got = poly_gcd(f, g)
+    assert got == fraction_poly_gcd(f, g)
+    assert got == poly_gcd(g, f)
+    assert all(type(c) is Rat for c in got.coeffs)
+
+
 def test_squarefree():
     assert squarefree(Poly([-1, 0, 1]))  # x^2 - 1
     assert not squarefree(Poly.from_roots([1, 1]))
@@ -102,9 +130,18 @@ def test_squarefree():
 Q = 2**61 - 1
 
 
+def fraction_poly_gcd(p, q):
+    """The retired poly_gcd: monic gcd by the Euclidean algorithm over Q,
+    on Fraction coefficients.  Oracle for the integer remainder sequence."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
 def euclid_squarefree(p):
     """squarefree without the modular certificate: gcd(p, p') over Q."""
-    return p.degree == 0 or poly_gcd(p, p.derivative()).degree == 0
+    return p.degree == 0 or fraction_poly_gcd(p, p.derivative()).degree == 0
 
 
 @st.composite
