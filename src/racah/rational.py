@@ -59,10 +59,15 @@ def format_rat(x: Rat) -> str:
     """Canonical "p/q" (or "p") in lowest terms, sign on the numerator.
     Raises RationalTooLargeError past sys.get_int_max_str_digits()."""
     x = Fraction(x)
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_rat of num/den, given in lowest terms with den > 0."""
     try:
-        return str(x)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        bits = max(abs(x.numerator), x.denominator).bit_length()
+        bits = max(abs(num), den).bit_length()
         raise RationalTooLargeError(
             f"a numerator or denominator of {bits} bits exceeds the limit of "
             f"{sys.get_int_max_str_digits()} decimal digits"

@@ -19,13 +19,20 @@ memoized for one call.  Each rule drops the measure (total degree,
 inversion count), so the recursion ends.  A rewrite step is one
 out-of-order monomial times letter product, memo hits included, and
 REWRITE_LIMIT caps their number.
+
+The rules have integer coefficients and normal ordering is linear, so the
+input is cleared once: its coefficients times the lcm L of their
+denominators are ints, all ordering runs on ints, and each coefficient of
+the result is divided by L once at the end.
 """
 
 from __future__ import annotations
 
+import math
+
 from .matrix import Mat
 from .modules import ModuleRep
-from .rational import ONE, ZERO, format_rat, parse_rat, rat
+from .rational import ONE, ZERO, Rat, format_ratio, parse_rat, rat
 
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
@@ -344,15 +351,17 @@ def _accumulate(out: dict, items) -> None:
 
 
 _EXPANSIONS = {
-    "C": (("delta", ONE), ("A", -ONE), ("B", -ONE)),
-    "gamma": (("alpha", -ONE), ("beta", -ONE)),
+    "C": (("delta", 1), ("A", -1), ("B", -1)),
+    "gamma": (("alpha", -1), ("beta", -1)),
 }
 
 
-def eliminate(x: FreeElement) -> FreeElement:
-    """Rewrite C and gamma away: C = delta - A - B, gamma = -alpha - beta."""
+def _eliminate(terms: dict) -> dict:
+    """C and gamma rewritten away from a dict word -> coefficient, zero
+    coefficients dropped.  The expansions have coefficients +-1, so int
+    coefficients stay ints and rational ones stay rationals."""
     out: dict = {}
-    for word, coeff in x.terms.items():
+    for word, coeff in terms.items():
         if "C" not in word and "gamma" not in word:
             out[word] = out[word] + coeff if word in out else coeff
             continue
@@ -364,15 +373,20 @@ def eliminate(x: FreeElement) -> FreeElement:
             else:
                 acc = {w + (e,): c * f for w, c in acc.items() for e, f in expansion}
         _accumulate(out, acc.items())
-    return FreeElement(out)
+    return {w: c for w, c in out.items() if c}
+
+
+def eliminate(x: FreeElement) -> FreeElement:
+    """Rewrite C and gamma away: C = delta - A - B, gamma = -alpha - beta."""
+    return FreeElement(_eliminate(x.terms))
 
 
 # --------------------------------------------------------- normal ordering
 
 # Replacement terms for each out-of-order pair left*right:
 # (core letters, coeff, extra alpha, extra delta, extra beta).  The
-# coefficients are ints, so monomial * letter products stay in int
-# arithmetic; only the input's own coefficients are rationals.
+# coefficients are ints, so on a cleared input every product and sum
+# stays in int arithmetic.
 _REWRITE_RULES = {
     ("B", "A"): (
         (("A", "B"), 1, 0, 0, 0),
@@ -421,7 +435,7 @@ def _run(task):
 
 class _Orderer:
     """Multiplication in the ordered-monomial basis, memoized for one
-    normal_form call.  An element is a dict monomial -> coefficient, a
+    normal_form call.  An element is a dict monomial -> int coefficient, a
     monomial the exponents (i, j, k, r, s, t) of
     A^i D^j B^k alpha^r delta^s beta^t.  The methods are generators for
     _run."""
@@ -496,9 +510,10 @@ class _Orderer:
         if seen is not None:
             old, value = seen
             w = next(iter(old))
-            ratio = x[w] / old[w]
-            if all(x[v] == ratio * c for v, c in old.items()):
-                return value if ratio == 1 else {m: ratio * c for m, c in value.items()}
+            a, b = x[w], old[w]
+            if all(x[v] * b == a * c for v, c in old.items()):
+                # x = (a/b) old, and both normal forms are integral
+                return value if a == b else {m: a * c // b for m, c in value.items()}
         groups: dict = {}
         out: dict = {}
         for word, c in x.items():
@@ -520,9 +535,13 @@ def normal_form(x: FreeElement) -> NormalElement:
     the words out in the ordered-monomial basis A^i D^j B^k alpha^r delta^s
     beta^t.  Each out-of-order monomial * letter product is one rewrite
     step, memo hits included; more than REWRITE_LIMIT steps raise
-    RewriteLimitError.  Soundness is checked elsewhere by evaluating both
-    sides on concrete modules."""
-    return NormalElement(_run(_Orderer().normal(eliminate(x).terms)))
+    RewriteLimitError.  The ordering runs on the coefficients times the lcm
+    of their denominators, as ints, and divides once at the end.  Soundness
+    is checked elsewhere by evaluating both sides on concrete modules."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    cleared = {w: c.numerator * (den // c.denominator) for w, c in x.terms.items()}
+    out = _run(_Orderer().normal(_eliminate(cleared)))
+    return NormalElement({m: Rat(c, den) for m, c in out.items()})
 
 
 # -------------------------------------------------------------- evaluation
@@ -576,17 +595,17 @@ def _format_terms(items) -> str:
         return "0"
     pieces = []
     for word, coeff in ordered:
+        num, den = coeff.numerator, coeff.denominator
         body = render_word(word)
-        if not body:
-            text = format_rat(abs(coeff))
-        elif abs(coeff) == 1:
+        if body and den == 1 and abs(num) == 1:
             text = body
         else:
-            text = f"{format_rat(abs(coeff))}*{body}"
+            mag = format_ratio(abs(num), den)
+            text = f"{mag}*{body}" if body else mag
         if not pieces:
-            pieces.append(text if coeff > 0 else f"-{text}")
+            pieces.append(text if num > 0 else f"-{text}")
         else:
-            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+            pieces.append(f"+ {text}" if num > 0 else f"- {text}")
     return " ".join(pieces)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria, every comparison exact.
+"""Acceptance gate: nine end-to-end criteria, every comparison exact.
 
 Each test prints one [PASS]/[FAIL] line (visible under pytest -s) and
 enforces its own wall-clock budget.  Random suites use fixed seeds so the
@@ -262,3 +262,14 @@ def test_criterion_8_ladder_truncations():
             report = verma_checks(vt, d)
             bad = [c for c in report.checks if c.status != "pass"]
             assert not bad, (p, d, bad)
+
+
+def test_criterion_9_rational_power_normal_form():
+    with criterion(9, "rational eighth power normal-ordered in under 0.5s, evaluation matches"):
+        start = time.perf_counter()
+        x = parse("(1/2*A + 2/3*C)^8")
+        nf = normal_form(x)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"normal_form took {elapsed:.2f}s, over the 0.5s budget"
+        rep = build_R(random_triple(random.Random(49979687)), 2)
+        assert evaluate(nf, rep) == evaluate(x, rep)

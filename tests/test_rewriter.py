@@ -371,13 +371,71 @@ def test_normal_form_matches_straightening_oracle(items):
     assert all(type(c) is Rat for c in nf.terms.values())
 
 
+# pairwise coprime, up to about 10^6: their lcm grows with every new one drawn
+COPRIME_DENOMINATORS = (2**19, 3**12, 5**8, 7**7, 999953, 999959, 999961, 999979, 999983)
+
+
+def check_against_straightening(items) -> None:
+    elem = FreeElement.zero()
+    for word, num, den in items:
+        elem = elem + FreeElement({word: rat(num, den)})
+    nf = normal_form(elem)
+    assert nf == straighten(elem)
+    assert all(type(c) is Rat and c != 0 for c in nf.terms.values())
+
+
+large_numerators = st.integers(-(10**6), 10**6)
+
+
+@given(
+    st.lists(
+        st.tuples(long_words, large_numerators, st.sampled_from(COPRIME_DENOMINATORS)),
+        max_size=4,
+    )
+)
+def test_large_coprime_denominators_match_straightening_oracle(items):
+    check_against_straightening(items)
+
+
+@given(st.lists(st.tuples(long_words, large_numerators, st.just(1)), max_size=4))
+def test_integer_inputs_match_straightening_oracle(items):
+    check_against_straightening(items)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["(A+B)^6", "(2*A - 3/2*B)^5", "(A+D)^4", "(A+C)^4", "[3*D, (1/2*A + B)^4]", "(alpha*A + gamma*B)^4"],
+    [
+        "(A+B)^6",
+        "(2*A - 3/2*B)^5",
+        "(A+D)^4",
+        "(A+C)^4",
+        "[3*D, (1/2*A + B)^4]",
+        "(alpha*A + gamma*B)^4",
+        # meets sums memoized up to a non-integer ratio
+        "(A+B)^3*(2*A+3*B)^3",
+    ],
 )
 def test_repeated_sums_match_straightening_oracle(text):
     x = parse(text)
     assert normal_form(x) == straighten(x)
+
+
+@pytest.mark.parametrize(
+    "text,steps",
+    [
+        ("(-2*A + -1*C)^6", 222),
+        ("(2*A + 1*B)^7", 362),
+        ("[1/2*A + 1*D, (B + D)^4]", 389),
+        ("(2/3*A - 5/7*C + 1/2*gamma)^4", 47),
+    ],
+)
+def test_rewrite_limit_is_reached_at_the_pinned_step_count(monkeypatch, text, steps):
+    x = parse(text)
+    monkeypatch.setattr(rw, "REWRITE_LIMIT", steps)
+    assert normal_form(x) == straighten(x)
+    monkeypatch.setattr(rw, "REWRITE_LIMIT", steps - 1)
+    with pytest.raises(RewriteLimitError):
+        normal_form(x)
 
 
 @pytest.mark.parametrize("d,basis", [(2, "v"), (2, "w"), (3, "v"), (3, "w")])
