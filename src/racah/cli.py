@@ -62,8 +62,10 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-# the largest module parameter d and verma truncation cutoff accepted; at
-# these sizes every subcommand finishes within a minute
+# the largest module parameter d and verma truncation cutoff accepted: they
+# bound the size of every matrix built, not eval's work on an expression,
+# which multiplies out each expanded word ("(A+B)^12" at d = 24 takes about
+# 14 s on a 2-core VM; ROADMAP item 4)
 MAX_D = 24
 MAX_CUTOFF = 128
 # the most sweep worker processes; under the fork start method the pool

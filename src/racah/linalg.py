@@ -156,7 +156,10 @@ def _kernel_vectors(row_space: Subspace) -> list[list[Rat]]:
 def eigenspace(m: Mat, lam) -> Subspace:
     if m.rows != m.cols:
         raise ShapeError(f"eigenspace needs a square matrix, got {m.rows}x{m.cols}")
-    return kernel(m - Mat.identity(m.rows).scale(lam))
+    lam = rat(lam)
+    return kernel(
+        Mat([[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.entries)])
+    )
 
 
 def _integer_row(vec) -> dict[int, int]:

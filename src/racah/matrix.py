@@ -95,9 +95,6 @@ class Mat:
             return Mat.zero(self.rows, self.cols)
         return Mat([[c * x if x else ZERO for x in row] for row in self.entries])
 
-    def __neg__(self) -> "Mat":
-        return self.scale(-1)
-
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.cols != other.rows:
@@ -113,22 +110,6 @@ class Mat:
                             acc[j] += a * b
             return Mat(out)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, k: int) -> "Mat":
-        if self.rows != self.cols:
-            raise ShapeError(f"cannot take powers of a {self.rows}x{self.cols} matrix")
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        acc = Mat.identity(self.rows)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.entries)))
 
     def trace(self) -> Rat:
         if self.rows != self.cols:
@@ -161,10 +142,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
-
-
-def commutator(x: Mat, y: Mat) -> Mat:
-    return x * y - y * x
 
 
 def tridiagonal(diag, sub, sup) -> Mat:

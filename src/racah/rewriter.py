@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 
+from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
 from .modules import ModuleRep
 from .rational import ONE, ZERO, Rat, format_ratio, parse_rat, rat
@@ -317,6 +318,8 @@ class _Parser:
             left = self.expr()
             self.expect(",", "commutator bracket needs two comma-separated arguments")
             right = self.expr()
+            if self.peek()[0] == ",":
+                raise ParseError("commutator bracket takes exactly two arguments", self.peek()[2])
             self.expect("]", "unclosed commutator bracket", opened_at=pos)
             self.check_size(
                 len(left.terms) * len(right.terms), _longest(left) + _longest(right), pos
@@ -548,29 +551,31 @@ def normal_form(x: FreeElement) -> NormalElement:
 
 def evaluate(x, rep: ModuleRep) -> Mat:
     """Value of an expression on a concrete module; central symbols act by
-    the module's scalars."""
+    the module's scalars.  Each word is multiplied out on the generators
+    cleared together (racah.intmat), brought up to the longest word's power
+    of their den and, with the coefficients cleared by the lcm of their
+    denominators, summed; the sum is divided once."""
     if isinstance(x, NormalElement):
         x = x.to_free()
     n = rep.dim
-    ident = Mat.identity(n)
     sc = rep.scalars
-    table = {
-        "A": rep.A,
-        "B": rep.B,
-        "C": rep.C,
-        "D": rep.D,
-        "alpha": ident.scale(sc.zeta),
-        "beta": ident.scale(sc.zeta_star),
-        "gamma": ident.scale(sc.gamma),
-        "delta": ident.scale(sc.eta),
-    }
-    total = Mat.zero(n)
+    den, gens, ints = clear(
+        (rep.A, rep.B, rep.C, rep.D), (sc.zeta, sc.zeta_star, sc.gamma, sc.eta)
+    )
+    # SYMBOLS lists A, B, C, D, then alpha, beta, gamma, delta, which act
+    # by zeta, zeta_star, gamma and eta
+    table = dict(zip(SYMBOLS, gens + [scalar(n, c) for c in ints]))
+    top = _longest(x)
+    cleared = math.lcm(*[c.denominator for c in x.terms.values()])
+    total = scalar(n, 0)
     for word, coeff in x.terms.items():
-        acc = ident
+        acc = scalar(n, 1)
         for sym in word:
-            acc = acc * table[sym]
-        total = total + acc.scale(coeff)
-    return total
+            acc = mul(acc, table[sym])
+        c = coeff.numerator * (cleared // coeff.denominator) * den ** (top - len(word))
+        total = combine((1, total), (c, acc))
+    scale = cleared * den**top
+    return Mat([[Rat(row[j], scale) if j in row else ZERO for j in range(n)] for row in total])
 
 
 # -------------------------------------------------------------- formatting

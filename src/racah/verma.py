@@ -20,7 +20,7 @@ from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat, lower_bidiagonal, upper_bidiagonal
 from .modules import build_R, presentation_identities
 from .params import ParamTriple, Scalars, scalars, theta, theta_star, varphi
-from .rational import ONE, ZERO, Rat, format_rat, rat
+from .rational import ONE, Rat, format_rat, rat
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,6 @@ class VermaReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _unit(n: int, i: int):
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     """Structural checks tying the truncation to the (d+1)-dimensional
     module: the two annihilator conditions on the highest vector, the scalar
@@ -108,48 +104,45 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     window = vt.safe_window
     a_mat, b_mat = vt.A, vt.B
     zeta, zeta_star, eta, _ = vt.scalars
+    ts0, ts1, vp1 = theta_star(p, nu, 0), theta_star(p, nu, 1), varphi(p, nu, 1)
     checks: list[VermaCheck] = []
 
-    e0 = _unit(n, 0)
-    th0 = theta(p, nu, 0)
-    ts0 = theta_star(p, nu, 0)
-    ts1 = theta_star(p, nu, 1)
+    # every check but the last two runs on the truncated matrices cleared
+    # together with the scalars, the theta_h of the ladder check and the
+    # theta*_0, theta*_1 and varphi_1 of the annihilator checks
+    den, (a, b), ints = clear(
+        (a_mat, b_mat),
+        (zeta, zeta_star, eta, ts0, ts1, vp1, *(theta(p, nu, h) for h in range(window + 1))),
+    )
+    zeta_i, zeta_star_i, eta_i, ts0_i, ts1_i, vp1_i, thetas = *ints[:6], ints[6:]
+    # m_0 as a one-column matrix, so that X*m0 is column 0 of X
+    m0 = [{0: 1}] + [{} for _ in range(n - 1)]
+    ae, be = mul(a, m0), mul(b, m0)
 
-    u1 = tuple(x - ts0 * e for x, e in zip(b_mat.apply(e0), e0))
+    u1 = combine((1, be), (-ts0_i, m0))  # (B - theta*_0) m_0 at den
     checks.append(
         VermaCheck(
             "U1 annihilates the highest vector",
-            "pass" if all(x == 0 for x in u1) else "fail",
+            "pass" if not any(u1) else "fail",
             f"(B - theta*_0) m_0 with theta*_0 = {format_rat(ts0)}",
         )
     )
 
-    w = tuple(x - th0 * e for x, e in zip(a_mat.apply(e0), e0))
-    bw = tuple(x - ts1 * y for x, y in zip(b_mat.apply(w), w))
-    vp1 = varphi(p, nu, 1)
-    u2 = tuple(x - vp1 * e for x, e in zip(bw, e0))
+    w = combine((1, ae), (-thetas[0], m0))  # (A - theta_0) m_0 at den
+    u2 = combine((1, mul(b, w)), (-ts1_i, w), (-vp1_i * den, m0))  # at den^2
     checks.append(
         VermaCheck(
             "U2 annihilates the highest vector",
-            "pass" if all(x == 0 for x in u2) else "fail",
+            "pass" if not any(u2) else "fail",
             "((B - theta*_1)(A - theta_0) - varphi_1) m_0",
         )
     )
 
-    # the central elements on m_0 and the presentation identities, on the
-    # truncated matrices cleared together with the scalars and the theta_h
-    # of the ladder check
-    den, (a, b), ints = clear(
-        (a_mat, b_mat), (zeta, zeta_star, eta, *(theta(p, nu, h) for h in range(window + 1)))
-    )
-    zeta_i, zeta_star_i, eta_i, thetas = ints[0], ints[1], ints[2], ints[3:]
     ab, ba = mul(a, b), mul(b, a)
     two_d = combine((1, ab), (-1, ba))  # 2D at den^2
     c = combine((eta_i, scalar(n, 1)), (-1, a), (-1, b))
-    # m_0 as a one-column matrix, so that X*m0 is column 0 of X; alpha and
-    # beta act on it through their factors, at 2 den^3
-    m0 = [{0: 1}] + [{} for _ in range(n - 1)]
-    ae, be, de = mul(a, m0), mul(b, m0), mul(two_d, m0)
+    # alpha and beta act on m_0 through their factors, at 2 den^3
+    de = mul(two_d, m0)
     alpha_col = combine(
         (1, mul(a, de)), (-1, mul(two_d, ae)), (2 * den, mul(a, mul(c, m0))), (-2 * den, mul(b, ae))
     )
@@ -230,14 +223,11 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
 
     if tail_ok:
         rep = build_R(p, d, "v")
-        block_ok = True
-        for i in range(d + 1):
-            for j in range(d + 1):
-                if (
-                    a_mat.entries[i][j] != rep.A.entries[i][j]
-                    or b_mat.entries[i][j] != rep.B.entries[i][j]
-                ):
-                    block_ok = False
+        block_ok = all(
+            a_mat.entries[i][: d + 1] == rep.A.entries[i]
+            and b_mat.entries[i][: d + 1] == rep.B.entries[i]
+            for i in range(d + 1)
+        )
         checks.append(
             VermaCheck(
                 "quotient matches the finite module",

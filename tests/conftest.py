@@ -52,6 +52,11 @@ def presentation_identities_oracle(a, b, ab, ba, ident, sc):
     return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))
 
 
+def commutator(x, y):
+    """[x, y] = x*y - y*x of two Mats."""
+    return x * y - y * x
+
+
 def nudged(m, i, j, delta):
     """The Mat m with delta added to entry (i, j)."""
     rows = [list(row) for row in m.entries]

@@ -20,7 +20,6 @@ from racah import (
     build_R,
     build_verma,
     canonical,
-    commutator,
     diagonalizable,
     evaluate,
     golden_example,
@@ -43,7 +42,7 @@ import racah.golden
 from racah.matrix import upper_bidiagonal
 from racah.rewriter import SYMBOLS
 
-from conftest import random_rat, random_triple
+from conftest import commutator, random_rat, random_triple
 
 HALF = rat(1, 2)
 FORMS = ("a+b+c+1", "-a+b+c", "a-b+c", "a+b-c")

@@ -614,6 +614,40 @@ def test_module_entry_point_usage():
     assert proc.returncode == 2
 
 
+# ------------------------------------------- no dense matrix arithmetic
+
+NO_MAT_ARITHMETIC_ARGV = [
+    ["construct", *GENERIC, "--d", "3"],
+    *(["verify", *GENERIC, "--d", "3", "--basis", basis] for basis in "vwu"),
+    ["analyze", *REDUCIBLE, "--d", "2"],
+    ["analyze", *GENERIC, "--d", "3"],
+    ["sweep", "--grid", "a=1/5,1/3;b=1/5;c=-7/5;d=0..3:1"],
+    ["intertwine", *GENERIC, "--d", "3", "--a2", "-4/3", "--b2", "-2/5", "--c2", "7/4"],
+    ["intertwine", *GENERIC, "--d", "3", "--basis", "w", "--basis2", "u"],
+    ["reduce", "--expr", "(1/2*A + C)^3 - [B,D]"],
+    ["eval", "--expr", "(1/2*A + C)^3 - gamma*[B,D]", *GENERIC, "--d", "3", "--basis", "u"],
+    ["verma", *GENERIC, "--nu", "3"],
+    ["verma", *GENERIC, "--nu", "9/2", "--d", "4", "--cutoff", "8"],
+    ["golden"],
+]
+
+
+def test_subcommands_run_without_dense_matrix_arithmetic(capsys, monkeypatch):
+    # the library routes run on racah.intmat; Mat's arithmetic is left to
+    # the tests and the benchmark as their dense reference
+    want = [run_cli(capsys, argv) for argv in NO_MAT_ARITHMETIC_ARGV]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Mat arithmetic on a library route")
+
+    for name in ("__add__", "__sub__", "__mul__", "scale", "apply"):
+        monkeypatch.setattr(Mat, name, refuse)
+    got = [run_cli(capsys, argv) for argv in NO_MAT_ARITHMETIC_ARGV]
+    assert got == want
+    assert [code for code, _, _ in want] == [0] * 12 + [1, 0]
+    assert [json.loads(want[k][1])["irreducible"] for k in (4, 5)] == [False, True]
+
+
 # ------------------------------------------------------------- serialize
 
 def test_matrix_text_round_trip():

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and no runtime
+check of it is an assert."""
 
 import ast
 import sys
@@ -28,3 +29,14 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, and every runtime check must still fire there
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

@@ -230,7 +230,9 @@ def test_minpoly_minimality(m):
     # I, M, ..., M^(deg-1) are linearly independent, so no nonzero polynomial
     # of smaller degree (in particular no proper divisor) annihilates M
     p = minimal_polynomial(m)
-    powers = [m**k for k in range(p.degree)]
+    powers = [Mat.identity(3)]
+    while len(powers) < p.degree:
+        powers.append(powers[-1] * m)
     assert rank(Mat([[x for row in q.entries for x in row] for q in powers])) == p.degree
 
 

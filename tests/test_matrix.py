@@ -3,11 +3,11 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from racah import Mat, ShapeError, commutator, rat
+from racah import Mat, ShapeError, rat
 from racah.rational import Rat
 from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 
-from conftest import rationals
+from conftest import commutator, rationals
 
 
 def mats(n, m=None):
@@ -31,7 +31,7 @@ def test_add_sub_scale():
     assert a + b == Mat([[rat(3, 2), 2], [3, rat(9, 2)]])
     assert (a - a).is_zero()
     assert a.scale(rat(1, 2)) == Mat([[rat(1, 2), 1], [rat(3, 2), 2]])
-    assert a * rat(2) == rat(2) * a == Mat([[2, 4], [6, 8]])
+    assert a * rat(2) == Mat([[2, 4], [6, 8]])
 
 
 def test_identity_zero_diagonal():
@@ -57,13 +57,8 @@ def test_shape_errors_name_both_shapes():
         Mat([])
 
 
-def test_transpose_trace_pow():
-    a = Mat([[1, 2], [3, 4]])
-    assert a.transpose() == Mat([[1, 3], [2, 4]])
-    assert a.trace() == 5
-    assert a**0 == Mat.identity(2)
-    assert a**2 == a * a
-    assert a**3 == a * a * a
+def test_trace():
+    assert Mat([[1, 2], [3, 4]]).trace() == 5
 
 
 def test_apply_and_accessors():
@@ -95,10 +90,10 @@ def test_mul_associative_add_distributive(a, b, c):
 
 
 @given(mats(3), mats(3))
-def test_trace_and_transpose_identities(a, b):
+def test_trace_and_commutator_identities(a, b):
     assert (a * b).trace() == (b * a).trace()
-    assert (a * b).transpose() == b.transpose() * a.transpose()
-    assert commutator(a, b) == -commutator(b, a)
+    assert (commutator(a, b) + commutator(b, a)).is_zero()
+    assert commutator(a, b).trace() == 0
 
 
 @given(mats(3))
@@ -184,8 +179,7 @@ def test_elementwise_ops_match_dense_ops(n, m, data):
         (a - b, dense_sub(a, b)),
         (b - a, dense_sub(b, a)),
         (a.scale(c), dense_scale(a, rat(c))),
-        (c * a, dense_scale(a, rat(c))),
-        (-a, dense_scale(a, rat(-1))),
+        (a * c, dense_scale(a, rat(c))),
     ]
     for got, want in pairs:
         assert got == want and got.shape() == (n, m)

@@ -9,7 +9,6 @@ from racah import (
     SignFlip,
     act,
     build_R,
-    commutator,
     rat,
     scalars,
     verify_relations,
@@ -17,7 +16,7 @@ from racah import (
 from racah.modules import BASES, RelationCheck, RelationReport
 from racah.rational import HALF, Rat
 
-from conftest import nudged, presentation_identities_oracle, rationals, triples
+from conftest import commutator, nudged, presentation_identities_oracle, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 

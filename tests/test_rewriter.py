@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from racah import (
     FreeElement,
+    Mat,
     NormalElement,
     ParamTriple,
     ParseError,
@@ -71,6 +72,8 @@ def test_parse_scalars():
         ("(A", 1),
         ("[A,B", 1),
         ("[A B]", 4),
+        ("[A,B,C]", 5),
+        ("[A,[B,C],D,E]", 9),
         ("E", 1),
         ("A + Q", 5),
         ("A^-2", 3),
@@ -86,6 +89,11 @@ def test_parse_errors_carry_positions(text, position):
         parse(text)
     assert exc.value.position == position
     assert f"at position {position}" in str(exc.value)
+
+
+def test_commutator_bracket_takes_two_arguments():
+    with pytest.raises(ParseError, match="^commutator bracket takes exactly two arguments at position 5$"):
+        parse("[A,B,C]")
 
 
 def test_exponent_limit_boundary():
@@ -500,6 +508,69 @@ def test_normal_form_preserves_evaluation(items):
     # and on a second basis of the same module
     rep_w = build_R(P, 2, "w")
     assert evaluate(nf, rep_w) == evaluate(elem, rep_w)
+
+
+def dense_evaluate(x, rep):
+    """evaluate as it was before it moved to cleared integer rows: every word
+    multiplied out as dense Fraction Mat products.  Oracle for evaluate."""
+    if isinstance(x, NormalElement):
+        x = x.to_free()
+    ident = Mat.identity(rep.dim)
+    sc = rep.scalars
+    table = {
+        "A": rep.A,
+        "B": rep.B,
+        "C": rep.C,
+        "D": rep.D,
+        "alpha": ident.scale(sc.zeta),
+        "beta": ident.scale(sc.zeta_star),
+        "gamma": ident.scale(sc.gamma),
+        "delta": ident.scale(sc.eta),
+    }
+    total = Mat.zero(rep.dim)
+    for word, coeff in x.terms.items():
+        acc = ident
+        for sym in word:
+            acc = acc * table[sym]
+        total = total + acc.scale(coeff)
+    return total
+
+
+# every central letter is drawn as often as every generator
+central_heavy_words = st.lists(
+    st.sampled_from(SYMBOLS + ("alpha", "beta", "gamma", "delta")), max_size=6
+).map(tuple)
+coefficients = st.one_of(
+    rationals(max_num=5, max_den=4),
+    st.builds(rat, large_numerators.filter(bool), st.sampled_from(COPRIME_DENOMINATORS)),
+)
+
+
+@given(
+    st.lists(st.tuples(central_heavy_words, coefficients), max_size=4),
+    st.integers(0, 6),
+    st.sampled_from("vwu"),
+    st.booleans(),
+)
+def test_evaluate_matches_dense_oracle(items, d, basis, normal):
+    elem = FreeElement.zero()
+    for word, coeff in items:
+        elem = elem + FreeElement({word: coeff})
+    x = normal_form(elem) if normal else elem
+    rep = build_R(P, d, basis)
+    got = evaluate(x, rep)
+    assert got == dense_evaluate(x, rep)
+    assert got.shape() == (d + 1, d + 1)
+    assert all(type(e) is Rat for row in got.entries for e in row)
+
+
+@pytest.mark.parametrize("basis", "vwu")
+@pytest.mark.parametrize("letter", SYMBOLS)
+def test_evaluate_each_letter_and_zero_match_dense_oracle(letter, basis):
+    rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 4, basis)
+    for x in (parse(letter), parse(f"999983/999979*{letter}^3 - 7/5"), FreeElement.zero()):
+        assert evaluate(x, rep) == dense_evaluate(x, rep)
+    assert evaluate(NormalElement({}), rep) == Mat.zero(5)
 
 
 def test_free_element_algebra():

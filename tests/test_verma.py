@@ -3,7 +3,17 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from racah import Mat, ParamTriple, build_R, build_verma, rat, theta, verma_checks
+from racah import (
+    Mat,
+    ParamTriple,
+    build_R,
+    build_verma,
+    rat,
+    theta,
+    theta_star,
+    varphi,
+    verma_checks,
+)
 from racah.rational import HALF, ONE, ZERO, format_rat
 from racah.verma import VermaCheck
 
@@ -102,22 +112,38 @@ def unit(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def moved_checks_oracle(vt):
-    """The alpha, beta, ladder and presentation checks of verma_checks as
-    they were computed before they moved to cleared integer rows: dense
-    Fraction Mat products, and the ladder products stepped as dense
-    length-n tuples for every i <= j.  Oracle for checks[2:6]."""
+def moved_checks_oracle(vt, d):
+    """The eight checks of verma_checks as they were computed before they
+    moved to cleared integer rows: the annihilators by Mat.apply on Fraction
+    tuples, alpha and beta by dense Fraction Mat products, the ladder
+    products stepped as dense length-n tuples for every i <= j, and the
+    quotient blocks compared entry by entry.  Oracle for verma_checks."""
     p, nu, n, window = vt.params, vt.nu, vt.dim, vt.safe_window
     a_mat, b_mat = vt.A, vt.B
     ident = Mat.identity(n)
     zeta, zeta_star, eta, _ = vt.scalars
     e0 = unit(n, 0)
+    th0, ts0, ts1 = theta(p, nu, 0), theta_star(p, nu, 0), theta_star(p, nu, 1)
+    u1 = tuple(x - ts0 * e for x, e in zip(b_mat.apply(e0), e0))
+    w = tuple(x - th0 * e for x, e in zip(a_mat.apply(e0), e0))
+    bw = tuple(x - ts1 * y for x, y in zip(b_mat.apply(w), w))
+    u2 = tuple(x - varphi(p, nu, 1) * e for x, e in zip(bw, e0))
     ab, ba = a_mat * b_mat, b_mat * a_mat
     c_mat = ident.scale(eta) - a_mat - b_mat
     d_mat = (ab - ba).scale(HALF)
     alpha_col = (a_mat * d_mat - d_mat * a_mat + a_mat * c_mat - ba).apply(e0)
     beta_col = (b_mat * d_mat - d_mat * b_mat + ba - c_mat * b_mat).apply(e0)
     checks = [
+        VermaCheck(
+            "U1 annihilates the highest vector",
+            "pass" if all(x == 0 for x in u1) else "fail",
+            f"(B - theta*_0) m_0 with theta*_0 = {format_rat(ts0)}",
+        ),
+        VermaCheck(
+            "U2 annihilates the highest vector",
+            "pass" if all(x == 0 for x in u2) else "fail",
+            "((B - theta*_1)(A - theta_0) - varphi_1) m_0",
+        ),
         VermaCheck(
             "alpha acts as zeta on the highest vector",
             "pass" if alpha_col == tuple(zeta * e for e in e0) else "fail",
@@ -168,12 +194,48 @@ def moved_checks_oracle(vt):
             else f"AAB and ABB identities agree on columns 0..{window}",
         )
     )
+    tail_vp = varphi(p, nu, d + 1)
+    tail_ok = tail_vp == 0 and b_mat.entries[d][d + 1] == 0
+    checks.append(
+        VermaCheck(
+            "tail is a submodule",
+            "pass" if tail_ok else "fail",
+            f"varphi_{d + 1} = 0 at nu = {format_rat(nu)}: span(m_i, i > {d}) is stable"
+            if tail_ok
+            else f"not a submodule at this nu: varphi_{d + 1} = {format_rat(tail_vp)}",
+        )
+    )
+    if tail_ok:
+        rep = build_R(p, d, "v")
+        block_ok = True
+        for i in range(d + 1):
+            for j in range(d + 1):
+                if (
+                    a_mat.entries[i][j] != rep.A.entries[i][j]
+                    or b_mat.entries[i][j] != rep.B.entries[i][j]
+                ):
+                    block_ok = False
+        checks.append(
+            VermaCheck(
+                "quotient matches the finite module",
+                "pass" if block_ok else "fail",
+                f"leading {d + 1}x{d + 1} blocks of A and B equal the basis-v matrices",
+            )
+        )
+    else:
+        checks.append(
+            VermaCheck(
+                "quotient matches the finite module",
+                "skip",
+                "no submodule at this nu, nothing to quotient by",
+            )
+        )
     return tuple(checks)
 
 
 def assert_matches_oracle(vt, d):
     report = verma_checks(vt, d)
-    assert report.checks[2:6] == moved_checks_oracle(vt)
+    assert report.checks == moved_checks_oracle(vt, d)
     return report
 
 
@@ -214,3 +276,11 @@ def test_tampered_truncation_reports_the_moved_checks(gen, i, j, statuses):
     bad = nudged(getattr(vt, gen), i, j, rat(1, 7))
     report = assert_matches_oracle(dataclasses.replace(vt, **{gen: bad}), 3)
     assert tuple(c.status for c in report.checks[2:6]) == statuses
+
+
+@pytest.mark.parametrize("gen, i, j", [("A", 3, 3), ("B", 3, 2), ("A", 0, 3)])
+def test_quotient_check_sees_the_last_row_and_column(gen, i, j):
+    vt = build_verma(P, 3)
+    bad = dataclasses.replace(vt, **{gen: nudged(getattr(vt, gen), i, j, rat(1, 7))})
+    report = assert_matches_oracle(bad, 3)
+    assert by_name(report, "quotient matches the finite module").status == "fail"
