@@ -44,12 +44,9 @@ from .params import (
     act,
     canonical,
     in_P,
-    phi,
     scalars,
-    theta,
-    theta_star,
+    sequences,
     trace_formula,
-    varphi,
 )
 from .poly import PRIME, Poly, squarefree
 from .rational import HALF, ONE, ZERO, Rat, format_rat, is_square, rat
@@ -222,10 +219,8 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     n = d + 1
-    th = [theta(p, d, i) for i in range(n)]
-    ts = [theta_star(p, d, i) for i in range(n)]
-    ph = [phi(p, d, i) for i in range(n)]  # ph[0] unused
-    vp = [varphi(p, d, i) for i in range(n)]
+    q, *seqs = sequences(p, d, n)
+    th, ts, ph, vp = ([Rat(x, q) for x in seq] for seq in seqs)  # ph[0] unused
 
     if method == "closed":
         rows = []
@@ -296,13 +291,16 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
 
 def l_diagonal(p: ParamTriple, d: int) -> tuple:
     """The diagonal of l_matrix(p, d) without the rest of it:
-    L[i][i] = prod_(h=1..d-i) phi_h * prod_(h=1..i) varphi_h."""
-    phi_tail = [ONE]  # phi_tail[k] = prod_(h=1..k) phi_h
-    varphi_head = [ONE]  # varphi_head[k] = prod_(h=1..k) varphi_h
+    L[i][i] = prod_(h=1..d-i) phi_h * prod_(h=1..i) varphi_h, a product of
+    d sequence values, so one integer over q^d."""
+    q, _, _, ph, vp = sequences(p, d, d + 1)
+    phi_tail = [1]  # phi_tail[k] = q^k prod_(h=1..k) phi_h
+    varphi_head = [1]  # varphi_head[k] = q^k prod_(h=1..k) varphi_h
     for h in range(1, d + 1):
-        phi_tail.append(phi_tail[-1] * phi(p, d, h))
-        varphi_head.append(varphi_head[-1] * varphi(p, d, h))
-    return tuple(phi_tail[d - i] * varphi_head[i] for i in range(d + 1))
+        phi_tail.append(phi_tail[-1] * ph[h])
+        varphi_head.append(varphi_head[-1] * vp[h])
+    scale = q**d
+    return tuple(Rat(phi_tail[d - i] * varphi_head[i], scale) for i in range(d + 1))
 
 
 _GENERATOR_COORD = {"A": 0, "B": 1, "C": 2}

@@ -179,6 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_golden = subs.add_parser("golden", help="run the pinned worked example")
     _add_common(p_golden)
 
+    # The top-level usage line, which every package-worded usage error
+    # prints, in one fixed layout: argparse wraps it by the terminal width,
+    # and from Python 3.13 on it no longer breaks "{...} ..." apart.  Set
+    # after the subparsers exist, whose prog argparse derives from it.
+    indent = " " * len("usage: racah ")
+    parser.usage = f"%(prog)s [-h]\n{indent}{{{','.join(subs.choices)}}}\n{indent}..."
     return parser
 
 

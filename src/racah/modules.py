@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .intmat import Rows, clear, combine, mul, scalar
 from .matrix import Mat, lower_bidiagonal, tridiagonal, upper_bidiagonal
-from .params import ParamTriple, Scalars, phi, scalars, theta, theta_star, varphi
-from .rational import HALF, ONE, ZERO, Rat
+from .params import ParamTriple, Scalars, scalars, sequences
+from .rational import ONE, Rat
 
 BASES = ("v", "w", "u")
 
@@ -55,28 +55,30 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     n = d + 1
-    th = [theta(p, d, i) for i in range(n)]
-    ts = [theta_star(p, d, i) for i in range(n)]
-    ph = [phi(p, d, i) for i in range(1, n)]
-    vp = [varphi(p, d, i) for i in range(1, n)]
+    q, th, ts, ph, vp = sequences(p, d, n)
     if basis == "v":
-        a, b, u = th, ts, vp
+        a, b, u = th, ts, vp[1:]
     elif basis == "w":
-        a, b, u = th[::-1], ts, ph
+        a, b, u = th[::-1], ts, ph[1:]
     else:  # u
-        a, b, u = th, ts[::-1], ph[::-1]
+        a, b, u = th, ts[::-1], ph[:0:-1]
     sc = scalars(p, d)
-    # C and D on their band, from the diagonals a, b and B's superdiagonal u
-    # (A's subdiagonal is all ones)
-    c_mat = tridiagonal([sc.eta - x - y for x, y in zip(a, b)], [-ONE] * d, [-x for x in u])
-    uu = [ZERO, *u, ZERO]
-    d_mat = tridiagonal(
-        [(uu[i] - uu[i + 1]) * HALF for i in range(n)],
-        [(b[i] - b[i + 1]) * HALF for i in range(d)],
-        [(a[i] - a[i + 1]) * x * HALF for i, x in enumerate(u)],
+    eta = sc.eta.numerator * (q // sc.eta.denominator)  # eta * q
+    # every entry is one integer over q, 2q or 2q^2, from the diagonals a, b
+    # and B's superdiagonal u at scale q (A's subdiagonal is all ones); C
+    # and D are built on their band
+    two_q = 2 * q
+    c_mat = tridiagonal(
+        [Rat(eta - x - y, q) for x, y in zip(a, b)], [-ONE] * d, [Rat(-x, q) for x in u]
     )
-    a_mat = lower_bidiagonal(a, [ONE] * d)
-    b_mat = upper_bidiagonal(b, u)
+    uu = [0, *u, 0]
+    d_mat = tridiagonal(
+        [Rat(uu[i] - uu[i + 1], two_q) for i in range(n)],
+        [Rat(b[i] - b[i + 1], two_q) for i in range(d)],
+        [Rat((a[i] - a[i + 1]) * x, two_q * q) for i, x in enumerate(u)],
+    )
+    a_mat = lower_bidiagonal([Rat(x, q) for x in a], [ONE] * d)
+    b_mat = upper_bidiagonal([Rat(x, q) for x in b], [Rat(x, q) for x in u])
     return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc)
 
 

@@ -4,11 +4,14 @@ sign-flip group action, and the combinatorial irreducibility condition.
 Conventions: nu is the free parameter of the infinite-dimensional picture;
 the (d+1)-dimensional modules specialize nu = d.  All four index sequences
 theta, theta_star, phi, varphi and the central scalars zeta, zeta_star, eta
-are polynomials in (a,b,c,nu) evaluated exactly.
+are polynomials in (a,b,c,nu) evaluated exactly.  theta .. varphi take one
+index each; sequences() evaluates all four at once as Python integers over
+one common denominator, which is how the matrices are built.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .rational import Rat, HALF, parse_rat, rat
@@ -100,14 +103,52 @@ def varphi(p: ParamTriple, nu, i: int) -> Rat:
     )
 
 
-def scalars(p: ParamTriple, nu) -> Scalars:
+def _cleared(p: ParamTriple, nu) -> tuple[int, int, int, int, int, int, int]:
+    """(num(nu), den(nu), L, L a, L b, L c, L nu/2), all integers, with
+    L = lcm(2 den(nu), den(a), den(b), den(c)): every linear factor of the
+    closed forms below is an integer over L."""
     nu = rat(nu)
-    a, b, c = p
-    half_nu = nu * HALF
-    zeta = (c - b) * (c + b + 1) * (a - half_nu) * (a + half_nu + 1)
-    zeta_star = (a - c) * (a + c + 1) * (b - half_nu) * (b + half_nu + 1)
-    eta = half_nu * (half_nu + 1) + a * (a + 1) + b * (b + 1) + c * (c + 1)
-    return Scalars(zeta, zeta_star, eta, -zeta - zeta_star)
+    num, den = nu.numerator, nu.denominator
+    lcd = lcm(2 * den, *(x.denominator for x in p))
+    a, b, c = (x.numerator * (lcd // x.denominator) for x in p)
+    return num, den, lcd, a, b, c, num * (lcd // (2 * den))
+
+
+def sequences(
+    p: ParamTriple, nu, n: int
+) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """(q, theta, theta_star, phi, varphi) at indices 0..n-1, each sequence
+    as Python ints over one common denominator q: theta(p, nu, i) equals
+    Rat(theta[i], q), and likewise for the other three (phi and varphi
+    start with their zero at i = 0).
+
+    With L as in _cleared, theta_i and theta*_i are products of two
+    integers over L, and phi_i and varphi_i of two such and of
+    i - nu - 1, an integer over den(nu); hence q = den(nu) L^2."""
+    num, den, lcd, a, b, c, h = _cleared(p, nu)
+    th, ts, ph, vp = [], [], [], []
+    for i in range(n):
+        t = a + h - lcd * i  # L (a + nu/2 - i)
+        s = b + h - lcd * i
+        th.append(den * t * (t + lcd))
+        ts.append(den * s * (s + lcd))
+        head = i * (den * (i - 1) - num)  # den(nu) i (i - nu - 1)
+        ph.append(head * (a - b + c - h + lcd * i) * (a - b - c - h + lcd * (i - 1)))
+        vp.append(head * (a + b + c + h - lcd * (i - 2)) * (a + b - c + h - lcd * (i - 1)))
+    return den * lcd * lcd, th, ts, ph, vp
+
+
+def scalars(p: ParamTriple, nu) -> Scalars:
+    """zeta, zeta_star and gamma over L^4 and eta over L^2, with L as in
+    _cleared, each evaluated on integers and divided once."""
+    _, _, lcd, a, b, c, h = _cleared(p, nu)
+    zeta = (c - b) * (c + b + lcd) * (a - h) * (a + h + lcd)
+    zeta_star = (a - c) * (a + c + lcd) * (b - h) * (b + h + lcd)
+    eta = h * (h + lcd) + a * (a + lcd) + b * (b + lcd) + c * (c + lcd)
+    sq = lcd * lcd
+    return Scalars(
+        Rat(zeta, sq * sq), Rat(zeta_star, sq * sq), Rat(eta, sq), Rat(-zeta - zeta_star, sq * sq)
+    )
 
 
 # The four linear forms whose values decide irreducibility.

@@ -19,7 +19,7 @@ from typing import Optional
 from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat, lower_bidiagonal, upper_bidiagonal
 from .modules import build_R, presentation_identities
-from .params import ParamTriple, Scalars, scalars, theta, theta_star, varphi
+from .params import ParamTriple, Scalars, scalars, sequences, theta, theta_star, varphi
 from .rational import ONE, Rat, format_rat, rat
 
 
@@ -58,11 +58,9 @@ def build_verma(p: ParamTriple, nu, cutoff: Optional[int] = None) -> VermaTrunca
     if cutoff < 3:
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     n = cutoff + 1
-    th = [theta(p, nu, i) for i in range(n)]
-    ts = [theta_star(p, nu, i) for i in range(n)]
-    vp = [varphi(p, nu, i) for i in range(1, n)]
-    a_mat = lower_bidiagonal(th, [ONE] * cutoff)
-    b_mat = upper_bidiagonal(ts, vp)
+    q, th, ts, _, vp = sequences(p, nu, n)
+    a_mat = lower_bidiagonal([Rat(x, q) for x in th], [ONE] * cutoff)
+    b_mat = upper_bidiagonal([Rat(x, q) for x in ts], [Rat(x, q) for x in vp[1:]])
     return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu))
 
 

@@ -25,17 +25,19 @@ from racah import (
     irreducible_oracle,
     isomorphic,
     l_matrix,
+    phi,
     rat,
     spin,
     theta,
     theta_star,
+    varphi,
 )
 from racah import ALL_FLIPS
 from racah.intmat import clear
 from racah.linalg import Subspace
 from racah.rational import ONE, ZERO, Rat, format_rat
 
-from conftest import nudged, random_triple, rationals, triples
+from conftest import ONTO_FORM, module_points, nudged, random_triple, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -326,8 +328,6 @@ def test_l_matrix_methods_agree(p, d):
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))
 def test_l_matrix_diagonal_product(p, d):
-    from racah import phi, varphi
-
     closed = l_matrix(p, d, "closed")
     for i in range(d + 1):
         expect = rat(1)
@@ -336,15 +336,6 @@ def test_l_matrix_diagonal_product(p, d):
         for h in range(1, i + 1):
             expect = expect * varphi(p, d, h)
         assert closed.entries[i][i] == expect
-
-
-# c solving each reducibility form = t, given a and b
-ONTO_FORM = (
-    lambda a, b, t: t - a - b - 1,  # a+b+c+1
-    lambda a, b, t: t + a - b,  # -a+b+c
-    lambda a, b, t: t - a + b,  # a-b+c
-    lambda a, b, t: a + b - t,  # a+b-c
-)
 
 
 def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
@@ -362,6 +353,24 @@ def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
             m = l_matrix(p, d, method)
             assert got == tuple(m.entries[i][i] for i in range(d + 1)), (p, d, method)
     assert reducible >= 15
+
+
+def fraction_l_diagonal(p, d):
+    """analyzer.l_diagonal as running Fraction products of the per-index
+    phi and varphi, before it ran on the integer sequences; kept as its
+    oracle."""
+    phi_tail = [ONE]
+    varphi_head = [ONE]
+    for h in range(1, d + 1):
+        phi_tail.append(phi_tail[-1] * phi(p, d, h))
+        varphi_head.append(varphi_head[-1] * varphi(p, d, h))
+    return tuple(phi_tail[d - i] * varphi_head[i] for i in range(d + 1))
+
+
+@given(module_points())
+def test_l_diagonal_matches_the_fraction_product(point):
+    p, d = point
+    assert analyzer.l_diagonal(p, d) == fraction_l_diagonal(p, d)
 
 
 def direct_l_matrix_oracle(rep, p, d):

@@ -5,18 +5,35 @@ from hypothesis import given, strategies as st
 
 from racah import (
     Mat,
+    ModuleRep,
     ParamTriple,
     SignFlip,
     act,
     build_R,
+    in_P,
+    phi,
     rat,
     scalars,
+    theta,
+    theta_star,
+    varphi,
     verify_relations,
 )
+from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 from racah.modules import BASES, RelationCheck, RelationReport
-from racah.rational import HALF, Rat
+from racah.params import sequences
+from racah.rational import HALF, ONE, ZERO, Rat
 
-from conftest import commutator, nudged, presentation_identities_oracle, rationals, triples
+from conftest import (
+    ONTO_FORM,
+    commutator,
+    fraction_scalars,
+    module_points,
+    nudged,
+    presentation_identities_oracle,
+    rationals,
+    triples,
+)
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -143,6 +160,67 @@ def test_band_c_and_d_match_the_dense_construction(p, d, basis):
 def test_band_c_and_d_at_a_large_six_digit_point():
     rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 24, "u")
     assert (rep.C, rep.D) == dense_c_and_d(rep)
+
+
+def fraction_build_R(p, d, basis="v"):
+    """build_R as it was before it read params.sequences: every entry from
+    the per-index Fraction forms, and C and D on their band in Fraction
+    arithmetic.  Oracle for the integer construction."""
+    n = d + 1
+    th = [theta(p, d, i) for i in range(n)]
+    ts = [theta_star(p, d, i) for i in range(n)]
+    ph = [phi(p, d, i) for i in range(1, n)]
+    vp = [varphi(p, d, i) for i in range(1, n)]
+    if basis == "v":
+        a, b, u = th, ts, vp
+    elif basis == "w":
+        a, b, u = th[::-1], ts, ph
+    else:
+        a, b, u = th, ts[::-1], ph[::-1]
+    sc = fraction_scalars(p, d)
+    c_mat = tridiagonal([sc.eta - x - y for x, y in zip(a, b)], [-ONE] * d, [-x for x in u])
+    uu = [ZERO, *u, ZERO]
+    d_mat = tridiagonal(
+        [(uu[i] - uu[i + 1]) * HALF for i in range(n)],
+        [(b[i] - b[i + 1]) * HALF for i in range(d)],
+        [(a[i] - a[i + 1]) * x * HALF for i, x in enumerate(u)],
+    )
+    a_mat = lower_bidiagonal(a, [ONE] * d)
+    b_mat = upper_bidiagonal(b, u)
+    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc)
+
+
+def assert_same_module(p, d, basis):
+    got, want = build_R(p, d, basis), fraction_build_R(p, d, basis)
+    for f in dataclasses.fields(ModuleRep):
+        assert getattr(got, f.name) == getattr(want, f.name), (p, d, basis, f.name)
+    for m in (got.A, got.B, got.C, got.D):
+        assert all(type(x) is Rat for row in m.entries for x in row)
+
+
+@given(module_points(), st.sampled_from(BASES))
+def test_build_R_matches_the_fraction_construction(point, basis):
+    assert_same_module(*point, basis)
+
+
+@pytest.mark.parametrize("form", range(4))
+@pytest.mark.parametrize("basis", BASES)
+def test_build_R_matches_the_fraction_construction_on_each_boundary(form, basis):
+    # every i in 1..d on each reducibility form: a phi_h or varphi_h is 0
+    a, b = rat(1, 3), rat(-2, 5)
+    for d in (1, 2, 7, 16):
+        for i in range(1, d + 1):
+            p = ParamTriple(a, b, ONTO_FORM[form](a, b, rat(d, 2) - i))
+            assert not in_P(p, d)[0]
+            _, _, _, ph, vp = sequences(p, d, d + 1)
+            assert 0 in ph[1:] + vp[1:]
+            assert_same_module(p, d, basis)
+
+
+def test_build_R_matches_the_fraction_construction_at_six_digits():
+    p = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+    for basis in BASES:
+        assert_same_module(p, 16, basis)
 
 
 def verify_relations_oracle(rep):

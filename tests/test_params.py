@@ -18,7 +18,23 @@ from racah import (
     varphi,
 )
 
-from conftest import triples, rationals
+from racah.params import sequences
+from racah.rational import Rat
+
+from conftest import fraction_scalars, triples, rationals
+
+SIX_DIGITS = 10**6
+
+
+def any_triples():
+    return st.one_of(triples(), triples(max_num=SIX_DIGITS, max_den=SIX_DIGITS))
+
+
+def any_nus():
+    # integer nu (the finite modules) and rational nu (the Verma ladder)
+    return st.one_of(
+        st.integers(-8, 40), rationals(40, 7), rationals(SIX_DIGITS, SIX_DIGITS)
+    )
 
 # A generic-looking triple used for the frozen values below; every number
 # in this block was computed by hand and is deliberately hard-coded.
@@ -225,3 +241,30 @@ def test_trace_formula_flip_invariant(p, d):
     t = trace_formula(p, d)
     for flip in ALL_FLIPS:
         assert trace_formula(act(p, flip), d) == t
+
+
+@given(any_triples(), any_nus(), st.integers(1, 12))
+def test_sequences_match_the_per_index_forms(p, nu, n):
+    q, th, ts, ph, vp = sequences(p, nu, n)
+    assert (len(th), len(ts), len(ph), len(vp)) == (n, n, n, n)
+    for i in range(n):
+        assert Rat(th[i], q) == theta(p, nu, i)
+        assert Rat(ts[i], q) == theta_star(p, nu, i)
+        assert Rat(ph[i], q) == phi(p, nu, i)
+        assert Rat(vp[i], q) == varphi(p, nu, i)
+
+
+def test_sequences_common_denominator():
+    # L = lcm(2*7, 3, 5, 4) = 420 and q = den(nu) L^2
+    q, th, ts, ph, vp = sequences(P, rat(5, 7), 1)
+    assert q == 7 * 420**2
+    assert (ph, vp) == ([0], [0])
+    assert Rat(th[0], q) == theta(P, rat(5, 7), 0)
+    assert Rat(ts[0], q) == theta_star(P, rat(5, 7), 0)
+    q, *_ = sequences(P, NU, 3)
+    assert q == 60**2
+
+
+@given(any_triples(), any_nus())
+def test_scalars_match_the_fraction_forms(p, nu):
+    assert scalars(p, nu) == fraction_scalars(p, nu)

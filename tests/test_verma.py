@@ -14,7 +14,7 @@ from racah import (
     varphi,
     verma_checks,
 )
-from racah.rational import HALF, ONE, ZERO, format_rat
+from racah.rational import HALF, ONE, ZERO, Rat, format_rat
 from racah.verma import VermaCheck
 
 from conftest import nudged, presentation_identities_oracle, rationals, triples
@@ -50,6 +50,21 @@ def test_superdiagonal_entry_vanishes_at_integral_nu():
     vt = build_verma(P, 1, cutoff=4)
     assert vt.B.entries[1][2] == 0
     assert vt.B.entries[0][1] == rat(15089, 3600)
+
+
+@given(
+    st.one_of(triples(), triples(max_num=10**6, max_den=10**6)),
+    st.one_of(st.integers(0, 20), rationals(40, 7), rationals(10**6, 10**6)),
+    st.integers(3, 14),
+)
+def test_truncation_entries_are_the_per_index_forms(p, nu, cutoff):
+    vt = build_verma(p, nu, cutoff)
+    for i in range(cutoff + 1):
+        for j in range(cutoff + 1):
+            a = theta(p, nu, i) if j == i else ONE if j == i - 1 else ZERO
+            b = theta_star(p, nu, i) if j == i else varphi(p, nu, j) if j == i + 1 else ZERO
+            assert (vt.A[i, j], vt.B[i, j]) == (a, b)
+            assert type(vt.A[i, j]) is type(vt.B[i, j]) is Rat
 
 
 def test_quotient_block_is_the_finite_module():
