@@ -11,14 +11,20 @@ basis of ordered monomials A^i D^j B^k alpha^r delta^s beta^t, using
 
 (alpha, beta, delta are central and commute with everything).  By
 Bergman's diamond lemma the ordered monomials form a basis, so the normal
-form is unique however the rules are applied.  A monomial times a letter
-that is out of order splits off the monomial's last letter, applies the
-rule for the pair and multiplies the replacement into the shorter prefix;
-a sum of words is normalized by grouping on its last letters.  Both are
-memoized for one call.  Each rule drops the measure (total degree,
-inversion count), so the recursion ends.  A rewrite step is one
-out-of-order monomial times letter product, memo hits included, and
-REWRITE_LIMIT caps their number.
+form is unique however the rules are applied.
+
+A monomial is one int with a w-bit field per exponent, w set from the
+longest input word: no rule raises the total degree, so no exponent
+exceeds it.  Appending an in-order letter is one addition, the order test
+one mask test.  A monomial times a letter that is out of order is its core
+A^i D^j B^k times the letter, shifted by its central part; the core
+product splits off the core's last letter, applies the rule for the pair
+and multiplies the replacement into the shorter prefix, once per first
+letter of the replacement terms.  A sum of words is normalized by grouping
+on its last letters.  Core products and sums are memoized for one call.
+Each rule drops the measure (total degree, inversion count), so the
+recursion ends.  A rewrite step is one out-of-order monomial times letter
+product met, memo hits included, and REWRITE_LIMIT caps their number.
 
 The rules have integer coefficients and normal ordering is linear, so the
 input is cleared once: its coefficients times the lcm L of their
@@ -28,6 +34,7 @@ the result is divided by L once at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .intmat import clear, combine, mul, scalar
@@ -387,9 +394,10 @@ def eliminate(x: FreeElement) -> FreeElement:
 # --------------------------------------------------------- normal ordering
 
 # Replacement terms for each out-of-order pair left*right:
-# (core letters, coeff, extra alpha, extra delta, extra beta).  The
-# coefficients are ints, so on a cleared input every product and sum
-# stays in int arithmetic.
+# (core letters, coeff, extra alpha, extra delta, extra beta).  Each core
+# word is itself in order (A's, then D's, then B's).  The coefficients
+# are ints, so on a cleared input every product and sum stays in int
+# arithmetic.
 _REWRITE_RULES = {
     ("B", "A"): (
         (("A", "B"), 1, 0, 0, 0),
@@ -413,8 +421,48 @@ _REWRITE_RULES = {
     ),
 }
 
-_UNIT = (0, 0, 0, 0, 0, 0)
-_CENTRAL_SLOT = {"alpha": 3, "delta": 4, "beta": 5}
+# The exponent fields of a packed monomial, most significant first.
+_FIELDS = ("A", "D", "B", "alpha", "delta", "beta")
+
+
+class _Packing:
+    """Monomials A^i D^j B^k alpha^r delta^s beta^t as one int with a w-bit
+    field per exponent, A's the most significant.  Appending an in-order
+    letter adds its unit.  A is in order after a monomial without D and B,
+    D after one without B: one mask test each (blocks).  B and the central
+    letters are always in order.
+
+    rules holds _REWRITE_RULES with each pair's terms grouped by their
+    first A or D letter: pair -> ((first, ((rest, shift, coeff), ...)),
+    ...), first and rest tuples of A and D letters.  A term is first, then
+    rest, then the B and central letters packed into shift, which only
+    ever append in order."""
+
+    def __init__(self, w: int):
+        self.w = w
+        self.unit = unit = {x: 1 << (5 - p) * w for p, x in enumerate(_FIELDS)}
+        self.central = (1 << 3 * w) - 1  # the alpha, delta and beta fields
+        k_field = ((1 << w) - 1) << 3 * w
+        self.blocks = {"A": k_field | k_field << w, "D": k_field}
+        self.rules = {}
+        for pair, terms in _REWRITE_RULES.items():
+            groups: dict = {}
+            for core, coeff, dr, ds, dt in terms:
+                k = core.count("B")
+                head = core[: len(core) - k]
+                shift = k * unit["B"] + dr * unit["alpha"] + ds * unit["delta"] + dt
+                groups.setdefault(head[:1], []).append((head[1:], shift, coeff))
+            self.rules[pair] = tuple((first, tuple(group)) for first, group in groups.items())
+
+    def unpack(self, m: int) -> tuple:
+        w = self.w
+        f = (1 << w) - 1
+        return (m >> 5 * w, m >> 4 * w & f, m >> 3 * w & f, m >> 2 * w & f, m >> w & f, m & f)
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(w: int) -> _Packing:
+    return _Packing(w)
 
 
 def _run(task):
@@ -438,63 +486,68 @@ def _run(task):
 
 class _Orderer:
     """Multiplication in the ordered-monomial basis, memoized for one
-    normal_form call.  An element is a dict monomial -> int coefficient, a
-    monomial the exponents (i, j, k, r, s, t) of
-    A^i D^j B^k alpha^r delta^s beta^t.  The methods are generators for
-    _run."""
+    normal_form call.  An element is a dict packed monomial -> int
+    coefficient.  The methods are generators for _run."""
 
-    def __init__(self):
-        self.products: dict = {}  # (monomial, letter) -> element
+    def __init__(self, packing: _Packing):
+        self.packing = packing
+        self.products: dict = {"A": {}, "D": {}}  # letter -> core monomial -> element
         self.sums: dict = {}  # frozenset of words -> (word coefficients, element)
         self.steps = 0
 
     def times(self, elem: dict, letter: str):
-        """elem * letter.  A letter in order is appended; any other
-        monomial * letter product is one rewrite step."""
-        slot = _CENTRAL_SLOT.get(letter)
-        if slot is not None:
-            return {m[:slot] + (m[slot] + 1,) + m[slot + 1 :]: c for m, c in elem.items()}
+        """elem * letter.  A letter in order is added to the monomial; any
+        other monomial * letter product is one rewrite step.  Its product
+        is that of the monomial's core A^i D^j B^k, formed once per call,
+        with the central part added to each key."""
+        packing = self.packing
+        unit = packing.unit[letter]
+        block = packing.blocks.get(letter)
+        if block is None:
+            return {m + unit: c for m, c in elem.items()}
+        memo = self.products[letter]
+        central = packing.central
         out: dict = {}
         for m, c in elem.items():
-            i, j, k, r, s, t = m
-            if letter == "B":
-                key = (i, j, k + 1, r, s, t)
-            elif letter == "D" and not k:
-                key = (i, j + 1, 0, r, s, t)
-            elif letter == "A" and not (j or k):
-                key = (i + 1, 0, 0, r, s, t)
-            else:
-                self.steps += 1
-                if self.steps > REWRITE_LIMIT:
-                    raise RewriteLimitError(
-                        f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps"
-                    )
-                prod = self.products.get((m, letter))
-                if prod is None:
-                    prod = yield self._product(m, letter)
-                for key, f in prod.items():
-                    out[key] = out[key] + c * f if key in out else c * f
+            if not m & block:
+                m += unit
+                out[m] = out[m] + c if m in out else c
                 continue
-            if key in out:
-                out[key] += c
-            else:
-                out[key] = c
+            self.steps += 1
+            if self.steps > REWRITE_LIMIT:
+                raise RewriteLimitError(
+                    f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps"
+                )
+            shift = m & central
+            prod = memo.get(m - shift)
+            if prod is None:
+                prod = yield self._product(m - shift, letter)
+            for key, f in prod.items():
+                key += shift
+                out[key] = out[key] + c * f if key in out else c * f
         return out
 
-    def _product(self, m: tuple, letter: str):
-        """m * letter for an out-of-order pair: split off m's last core
-        letter, apply its rule with letter and fold the replacement letters
-        into the shorter prefix."""
-        i, j, k, r, s, t = m
-        last, prefix = ("B", (i, j, k - 1)) if k else ("D", (i, j - 1, 0))
+    def _product(self, core: int, letter: str):
+        """core * letter for an out-of-order pair: split off core's last
+        letter and apply its rule with letter.  The prefix is multiplied
+        by each first letter once, then by the rest of each term."""
+        packing = self.packing
+        last = "B" if core & packing.blocks["D"] else "D"
+        prefix = core - packing.unit[last]
         out: dict = {}
-        for letters, coeff, dr, ds, dt in _REWRITE_RULES[last, letter]:
-            acc = {prefix + (r + dr, s + ds, t + dt): coeff}
-            for x in letters:
-                acc = yield from self.times(acc, x)
-            _accumulate(out, acc.items())
+        for first, group in packing.rules[last, letter]:
+            head = {prefix: 1}
+            for x in first:
+                head = yield from self.times(head, x)
+            for rest, shift, coeff in group:
+                acc = head
+                for x in rest:
+                    acc = yield from self.times(acc, x)
+                for key, c in acc.items():
+                    key += shift
+                    out[key] = out[key] + coeff * c if key in out else coeff * c
         out = {key: c for key, c in out.items() if c}
-        self.products[m, letter] = out
+        self.products[letter][core] = out
         return out
 
     def normal(self, x: dict):
@@ -504,7 +557,7 @@ class _Orderer:
         up to a scalar factor is not computed again."""
         if len(x) == 1:
             ((word, c),) = x.items()
-            acc = {_UNIT: c}
+            acc = {0: c}
             for letter in word:
                 acc = yield from self.times(acc, letter)
             return acc
@@ -523,7 +576,7 @@ class _Orderer:
             if word:
                 groups.setdefault(word[-1], {})[word[:-1]] = c
             else:
-                out[_UNIT] = c
+                out[0] = c
         for letter, sub in groups.items():
             part = yield self.normal(sub)
             part = yield from self.times(part, letter)
@@ -533,18 +586,31 @@ class _Orderer:
         return out
 
 
+def _ordered(x: FreeElement) -> tuple[NormalElement, int]:
+    """normal_form(x) and the rewrite steps it took."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    cleared = _eliminate({w: c.numerator * (den // c.denominator) for w, c in x.terms.items()})
+    # no rule raises the total degree, so no exponent exceeds the longest word
+    orderer = _Orderer(_packing((max(map(len, cleared), default=0) + 1).bit_length()))
+    out = _run(orderer.normal(cleared))
+    unpack = orderer.packing.unpack
+    return NormalElement({unpack(m): Rat(c, den) for m, c in out.items()}), orderer.steps
+
+
 def normal_form(x: FreeElement) -> NormalElement:
     """Normal-order a free expression: eliminate C and gamma, then multiply
     the words out in the ordered-monomial basis A^i D^j B^k alpha^r delta^s
-    beta^t.  Each out-of-order monomial * letter product is one rewrite
-    step, memo hits included; more than REWRITE_LIMIT steps raise
-    RewriteLimitError.  The ordering runs on the coefficients times the lcm
-    of their denominators, as ints, and divides once at the end.  Soundness
-    is checked elsewhere by evaluating both sides on concrete modules."""
-    den = math.lcm(*(c.denominator for c in x.terms.values()))
-    cleared = {w: c.numerator * (den // c.denominator) for w, c in x.terms.items()}
-    out = _run(_Orderer().normal(_eliminate(cleared)))
-    return NormalElement({m: Rat(c, den) for m, c in out.items()})
+    beta^t.  A monomial is packed into one int with w bits per exponent,
+    w = (longest eliminated word + 1).bit_length(), and unpacked to its
+    (i, j, k, r, s, t) key once at the end.  Central letters commute, so
+    a monomial * letter product is formed once per core A^i D^j B^k and
+    letter and shifted by each monomial's central part.  Each out-of-order
+    monomial * letter product met is one rewrite step, memo hits
+    included; more than REWRITE_LIMIT steps raise RewriteLimitError.  The
+    ordering runs on the coefficients times the lcm of their denominators,
+    as ints, and divides once at the end.  Soundness is checked elsewhere
+    by evaluating both sides on concrete modules."""
+    return _ordered(x)[0]
 
 
 # -------------------------------------------------------------- evaluation
@@ -580,6 +646,23 @@ def evaluate(x, rep: ModuleRep) -> Mat:
 
 # -------------------------------------------------------------- formatting
 
+def _render(pieces) -> str:
+    """Sum text of (word text, coeff) pairs, in order."""
+    out = []
+    for body, coeff in pieces:
+        num, den = coeff.numerator, coeff.denominator
+        if body and den == 1 and abs(num) == 1:
+            text = body
+        else:
+            mag = format_ratio(abs(num), den)
+            text = f"{mag}*{body}" if body else mag
+        if not out:
+            out.append(text if num > 0 else f"-{text}")
+        else:
+            out.append(f"+ {text}" if num > 0 else f"- {text}")
+    return " ".join(out) if out else "0"
+
+
 def _format_terms(items) -> str:
     """items: iterable of (word tuple, coeff).  Sorted by total length
     descending, then alphabetically; powers are collapsed."""
@@ -596,27 +679,37 @@ def _format_terms(items) -> str:
         return "*".join(parts)
 
     ordered = sorted(items, key=lambda wc: (-len(wc[0]), wc[0]))
-    if not ordered:
-        return "0"
-    pieces = []
-    for word, coeff in ordered:
-        num, den = coeff.numerator, coeff.denominator
-        body = render_word(word)
-        if body and den == 1 and abs(num) == 1:
-            text = body
-        else:
-            mag = format_ratio(abs(num), den)
-            text = f"{mag}*{body}" if body else mag
-        if not pieces:
-            pieces.append(text if num > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if num > 0 else f"- {text}")
-    return " ".join(pieces)
+    return _render([(render_word(word), coeff) for word, coeff in ordered])
+
+
+def _format_normal(terms: dict) -> str:
+    """_format_terms of the monomials' words, rendered from the exponents.
+    The initials A, D, B, a, d, b sort as the names do (A < B < D < alpha <
+    beta < delta), so a word sorts as its string of initials."""
+    rows = []
+    for (i, j, k, r, s, t), coeff in terms.items():
+        code = "A" * i + "D" * j + "B" * k + "a" * r + "d" * s + "b" * t
+        parts = []
+        if i:
+            parts.append("A" if i == 1 else f"A^{i}")
+        if j:
+            parts.append("D" if j == 1 else f"D^{j}")
+        if k:
+            parts.append("B" if k == 1 else f"B^{k}")
+        if r:
+            parts.append("alpha" if r == 1 else f"alpha^{r}")
+        if s:
+            parts.append("delta" if s == 1 else f"delta^{s}")
+        if t:
+            parts.append("beta" if t == 1 else f"beta^{t}")
+        rows.append((-len(code), code, "*".join(parts), coeff))
+    rows.sort()
+    return _render([(body, coeff) for _, _, body, coeff in rows])
 
 
 def format_element(x) -> str:
     """Canonical text for a free or normal element; parse(format_element(x))
     recovers x for normal elements."""
     if isinstance(x, NormalElement):
-        return _format_terms(x.to_free().terms.items())
+        return _format_normal(x.terms)
     return _format_terms(x.terms.items())

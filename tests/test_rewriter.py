@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +17,7 @@ from racah import (
     eliminate,
     evaluate,
     format_element,
+    format_rat,
     normal_form,
     parse,
     rat,
@@ -29,6 +33,9 @@ from racah.rewriter import (
     SYMBOLS,
     WORD_LIMIT,
     _REWRITE_RULES,
+    _accumulate,
+    _eliminate,
+    _format_terms,
     _run,
 )
 
@@ -255,6 +262,36 @@ def test_format_parse_round_trip(items):
     assert parse(format_element(elem)) == elem
 
 
+exponents = st.tuples(*[st.sampled_from((0, 0, 1, 2, 12))] * 6)
+signed_units = st.sampled_from((rat(1), rat(-1)))
+
+
+@given(
+    st.dictionaries(
+        exponents, st.one_of(signed_units, rationals(max_num=12, max_den=5)), max_size=6
+    )
+)
+def test_format_normal_element_matches_its_words(terms):
+    x = NormalElement(terms)
+    assert format_element(x) == _format_terms(x.to_free().terms.items())
+
+
+@pytest.mark.parametrize(
+    "terms,text",
+    [
+        ({}, "0"),
+        ({(0,) * 6: rat(-3, 2)}, "-3/2"),
+        ({(0,) * 6: rat(1), (1, 0, 0, 0, 0, 0): rat(-1)}, "-A + 1"),
+        ({(0, 0, 0, 1, 0, 0): rat(1), (0, 0, 0, 0, 0, 1): rat(-1)}, "alpha - beta"),
+        ({(0, 2, 1, 0, 0, 0): rat(-5, 3), (1, 0, 2, 0, 0, 0): rat(1)}, "A*B^2 - 5/3*D^2*B"),
+        ({(0, 0, 0, 3, 4, 3): rat(-2), (10, 0, 0, 0, 0, 0): rat(1)}, "A^10 - 2*alpha^3*delta^4*beta^3"),
+    ],
+)
+def test_format_normal_element_examples(terms, text):
+    x = NormalElement(terms)
+    assert format_element(x) == text == _format_terms(x.to_free().terms.items())
+
+
 # ------------------------------------------------------------- elimination
 
 def test_eliminate_expansions():
@@ -431,10 +468,10 @@ def test_repeated_sums_match_straightening_oracle(text):
 @pytest.mark.parametrize(
     "text,steps",
     [
-        ("(-2*A + -1*C)^6", 222),
-        ("(2*A + 1*B)^7", 362),
-        ("[1/2*A + 1*D, (B + D)^4]", 389),
-        ("(2/3*A - 5/7*C + 1/2*gamma)^4", 47),
+        ("(-2*A + -1*C)^6", 159),
+        ("(2*A + 1*B)^7", 281),
+        ("[1/2*A + 1*D, (B + D)^4]", 282),
+        ("(2/3*A - 5/7*C + 1/2*gamma)^4", 40),
     ],
 )
 def test_rewrite_limit_is_reached_at_the_pinned_step_count(monkeypatch, text, steps):
@@ -444,6 +481,174 @@ def test_rewrite_limit_is_reached_at_the_pinned_step_count(monkeypatch, text, st
     monkeypatch.setattr(rw, "REWRITE_LIMIT", steps - 1)
     with pytest.raises(RewriteLimitError):
         normal_form(x)
+
+
+class TupleOrderer:
+    """normal_form's multiplication before monomials were packed into ints,
+    kept as the differential oracle: monomials are (i, j, k, r, s, t)
+    tuples, one product is memoized per full monomial and letter, and each
+    rule term is multiplied into the prefix on its own."""
+
+    CENTRAL_SLOT = {"alpha": 3, "delta": 4, "beta": 5}
+
+    def __init__(self):
+        self.products: dict = {}  # (monomial, letter) -> element
+        self.sums: dict = {}  # frozenset of words -> (word coefficients, element)
+        self.steps = 0
+
+    def times(self, elem: dict, letter: str):
+        slot = self.CENTRAL_SLOT.get(letter)
+        if slot is not None:
+            return {m[:slot] + (m[slot] + 1,) + m[slot + 1 :]: c for m, c in elem.items()}
+        out: dict = {}
+        for m, c in elem.items():
+            i, j, k, r, s, t = m
+            if letter == "B":
+                key = (i, j, k + 1, r, s, t)
+            elif letter == "D" and not k:
+                key = (i, j + 1, 0, r, s, t)
+            elif letter == "A" and not (j or k):
+                key = (i + 1, 0, 0, r, s, t)
+            else:
+                self.steps += 1
+                prod = self.products.get((m, letter))
+                if prod is None:
+                    prod = yield self.product(m, letter)
+                for key, f in prod.items():
+                    out[key] = out[key] + c * f if key in out else c * f
+                continue
+            if key in out:
+                out[key] += c
+            else:
+                out[key] = c
+        return out
+
+    def product(self, m: tuple, letter: str):
+        i, j, k, r, s, t = m
+        last, prefix = ("B", (i, j, k - 1)) if k else ("D", (i, j - 1, 0))
+        out: dict = {}
+        for letters, coeff, dr, ds, dt in _REWRITE_RULES[last, letter]:
+            acc = {prefix + (r + dr, s + ds, t + dt): coeff}
+            for x in letters:
+                acc = yield from self.times(acc, x)
+            _accumulate(out, acc.items())
+        out = {key: c for key, c in out.items() if c}
+        self.products[m, letter] = out
+        return out
+
+    def normal(self, x: dict):
+        if len(x) == 1:
+            ((word, c),) = x.items()
+            acc = {(0, 0, 0, 0, 0, 0): c}
+            for letter in word:
+                acc = yield from self.times(acc, letter)
+            return acc
+        key = frozenset(x)
+        seen = self.sums.get(key)
+        if seen is not None:
+            old, value = seen
+            w = next(iter(old))
+            a, b = x[w], old[w]
+            if all(x[v] * b == a * c for v, c in old.items()):
+                return value if a == b else {m: a * c // b for m, c in value.items()}
+        groups: dict = {}
+        out: dict = {}
+        for word, c in x.items():
+            if word:
+                groups.setdefault(word[-1], {})[word[:-1]] = c
+            else:
+                out[(0, 0, 0, 0, 0, 0)] = c
+        for letter, sub in groups.items():
+            part = yield self.normal(sub)
+            part = yield from self.times(part, letter)
+            _accumulate(out, part.items())
+        out = {m: c for m, c in out.items() if c}
+        self.sums[key] = (x, out)
+        return out
+
+
+def tuple_normal_form(x: FreeElement) -> tuple[NormalElement, int]:
+    """normal_form on tuple-keyed monomials, and its rewrite steps."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    cleared = {w: c.numerator * (den // c.denominator) for w, c in x.terms.items()}
+    orderer = TupleOrderer()
+    out = _run(orderer.normal(_eliminate(cleared)))
+    return NormalElement({m: Rat(c, den) for m, c in out.items()}), orderer.steps
+
+
+def check_against_tuple_oracle(x: FreeElement) -> None:
+    """normal_form equals the tuple oracle's, in no more rewrite steps:
+    no input that finished under REWRITE_LIMIT there raises here."""
+    nf, steps = rw._ordered(x)
+    want, oracle_steps = tuple_normal_form(x)
+    assert nf == want == normal_form(x)
+    assert all(type(c) is Rat for c in nf.terms.values())
+    assert steps <= oracle_steps
+
+
+def _rewrite_tail() -> tuple:
+    """The benchmark's degree 5-7 rewrite templates, read from bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return tuple(sorted(set(module.REWRITE_TAIL)))
+
+
+REWRITE_TAIL = _rewrite_tail()
+
+coefficients = st.one_of(
+    rationals(max_num=5, max_den=4),
+    st.builds(rat, large_numerators.filter(bool), st.sampled_from(COPRIME_DENOMINATORS)),
+)
+
+
+@given(st.lists(st.tuples(long_words, coefficients), max_size=4))
+def test_normal_form_matches_tuple_oracle(items):
+    elem = FreeElement.zero()
+    for word, coeff in items:
+        elem = elem + FreeElement({word: coeff})
+    check_against_tuple_oracle(elem)
+
+
+tail_coefficients = st.builds(rat, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+
+
+@given(st.sampled_from(REWRITE_TAIL), tail_coefficients, tail_coefficients)
+def test_rewrite_tail_matches_tuple_oracle(template, x, y):
+    check_against_tuple_oracle(parse(template.format(x=format_rat(x), y=format_rat(y))))
+
+
+# longest words of 2^w - 2, 2^w - 1, 2^w and 2^w + 1 letters for w = 3 and 4,
+# with exponents near the top of their fields: a carry into the next field
+# changes the monomial
+@pytest.mark.parametrize(
+    "text,straightened",
+    [
+        ("B^5*A", True),
+        ("B^6*A", True),
+        ("B^7*A", True),
+        ("B^8*A", True),
+        ("A^7 + beta^14*A", True),
+        ("B^6*A*alpha^8", True),
+        ("B^7*A*alpha^8", True),
+        ("alpha^8*B^7*A*delta", True),
+        ("D^3*A*beta^11", True),
+        ("D^3*A*beta^12", True),
+        ("delta^7*beta^8*B*A", True),
+        ("(A+D)*(B^50)^30", True),
+        # straightening D^n*A takes time exponential in n
+        ("D^6*A*alpha^8", False),
+        ("D^7*A*alpha^8", False),
+    ],
+)
+def test_exponents_fill_their_fields(text, straightened):
+    x = parse(text)
+    check_against_tuple_oracle(x)
+    nf = normal_form(x)
+    assert evaluate(nf, REP) == evaluate(x, REP)
+    if straightened:
+        assert nf == straighten(x)
 
 
 @pytest.mark.parametrize("d,basis", [(2, "v"), (2, "w"), (3, "v"), (3, "w")])
@@ -540,10 +745,6 @@ def dense_evaluate(x, rep):
 central_heavy_words = st.lists(
     st.sampled_from(SYMBOLS + ("alpha", "beta", "gamma", "delta")), max_size=6
 ).map(tuple)
-coefficients = st.one_of(
-    rationals(max_num=5, max_den=4),
-    st.builds(rat, large_numerators.filter(bool), st.sampled_from(COPRIME_DENOMINATORS)),
-)
 
 
 @given(
