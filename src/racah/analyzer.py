@@ -16,6 +16,14 @@ Linear Algebra Appl. 330; the oracle assumes no such shape).  Entries that
 are nonzero mod 2^61 - 1 certify irreducibility.  A zero superdiagonal of
 B, a repeated or congruent diagonal entry, or a graph not certified
 connected go to the exact route, which spins eigenlines of B.
+
+analyze() clears A, B and C of a module of denominators once, together
+(racah.intmat.clear), and runs every oracle on those integer rows.  Each
+public function it would otherwise call is a thin wrapper over the integer
+core it calls instead: irreducible_oracle() over _irreducible_rows(),
+racah.linalg.minimal_polynomial() over minimal_polynomial_integer(),
+racah.poly.squarefree() over squarefree_integer(), and identify() over
+_identify_traces(), which takes the traces analyze() already holds.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .linalg import (
     dense_row,
     intertwiner_space,
     invertible,
-    minimal_polynomial,
+    minimal_polynomial_integer,
     spin_integer,
 )
 from .matrix import Mat
@@ -41,15 +49,14 @@ from .params import (
     Scalars,
     SignFlip,
     Witness,
-    act,
     canonical,
     in_P,
     scalars,
     sequences,
     trace_formula,
 )
-from .poly import PRIME, Poly, squarefree
-from .rational import HALF, ONE, ZERO, Rat, format_rat, is_square, rat
+from .poly import PRIME, Poly, monic_scaled, squarefree_integer
+from .rational import ONE, ZERO, Rat, format_rat, is_square, rat
 
 
 class ConsistencyError(AssertionError):
@@ -92,15 +99,20 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     """
     if rep.basis != "v":
         raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
-    n = rep.dim
-    b = rep.B
+    _, (a_rows, b_rows), _ = clear([rep.A, rep.B])
+    return _irreducible_rows(a_rows, b_rows)
+
+
+def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspace]]:
+    """irreducible_oracle() on A and B cleared together (den*A, den*B for
+    any common den > 0, as sparse integer rows)."""
+    n = len(b_rows)
     for i in range(1, n):
-        if b.entries[i - 1][i] == 0:
+        if i not in b_rows[i - 1]:
             tail = [
                 tuple(ONE if j == h else ZERO for j in range(n)) for h in range(i, n)
             ]
             return False, Subspace(n, tail)
-    _, (a_rows, b_rows), _ = clear([rep.A, b])
     if _eigenbasis_certificate(a_rows, b_rows):
         return True, None
     ops = [columns(a_rows), columns(b_rows)]
@@ -329,21 +341,28 @@ def diagonalizable(p: ParamTriple, d: int, generator: str, mode: str = "both") -
         if mode == "criterion":
             return _coordinate_criterion(p, d, generator)
 
-    minpoly = minimal_polynomial(build_R(p, d, "v").generator(generator))
+    _, (rows,), _ = clear([build_R(p, d, "v").generator(generator)])
+    minpoly = minimal_polynomial_integer(rows)
     if mode == "both":
         return _checked_diagonalizable(p, d, generator, minpoly)
-    return squarefree(minpoly)
+    return squarefree_integer(minpoly)
 
 
 def _coordinate_criterion(p: ParamTriple, d: int, generator: str) -> bool:
+    """Does the generator's coordinate x avoid {(i-d-1)/2 : i = 1..2d-1}?
+    Only an x with 2x an integer can meet it, and it meets it at
+    i = 2x + d + 1."""
     x = p[_GENERATOR_COORD[generator]]
-    return all(x != rat(i - d - 1, 2) for i in range(1, 2 * d))
+    if x.denominator > 2:
+        return True
+    return not 1 <= 2 * x.numerator // x.denominator + d + 1 <= 2 * d - 1
 
 
-def _checked_diagonalizable(p: ParamTriple, d: int, generator: str, minpoly: Poly) -> bool:
-    """Oracle verdict from the generator's minimal polynomial, insisting
-    that the coordinate criterion (valid for irreducible p) agrees."""
-    verdict_o = squarefree(minpoly)
+def _checked_diagonalizable(p: ParamTriple, d: int, generator: str, minpoly: list[int]) -> bool:
+    """Oracle verdict from the generator's integer minimal polynomial
+    (racah.linalg.minimal_polynomial_integer), insisting that the
+    coordinate criterion (valid for irreducible p) agrees."""
+    verdict_o = squarefree_integer(minpoly)
     verdict_c = _coordinate_criterion(p, d, generator)
     if verdict_c != verdict_o:
         raise ConsistencyError(
@@ -379,18 +398,27 @@ def identify(a_mat: Mat, b_mat: Mat, c_mat: Mat) -> IdentifyResult:
     sizes = {m.rows for m in mats.values()} | {m.cols for m in mats.values()}
     if len(sizes) != 1:
         raise ValueError(f"generator matrices must share one square size, got {sorted(sizes)}")
-    n = sizes.pop()
-    d = n - 1
-    shift = rat(d * (d + 2), 12)
+    return _identify_traces(sizes.pop() - 1, {name: m.trace() for name, m in mats.items()})
+
+
+def _identify_traces(d: int, traces: dict) -> IdentifyResult:
+    """identify() from the traces {"A": tr, "B": tr, "C": tr} of the three
+    generators on a (d+1)-dimensional module, on integers: the constant
+    term d(d+2)/12 - tr/(d+1) and the discriminant 1 - 4*const share the
+    denominator 12(d+1)den(tr)."""
     per = {}
     coords = {}
     all_rational = True
-    for name, m in mats.items():
-        tr = m.trace()
-        const = shift - tr / (d + 1)
-        quad = Poly([const, ONE, ONE])
-        rational, s = is_square(1 - 4 * const)
-        root = ((-1 + s) * HALF, (-1 - s) * HALF) if rational else None
+    for name, tr in traces.items():
+        den = 12 * (d + 1) * tr.denominator
+        num = d * (d + 2) * (d + 1) * tr.denominator - 12 * tr.numerator
+        quad = Poly([Rat(num, den), ONE, ONE])
+        rational, s = is_square(Rat(den - 4 * num, den))
+        if rational:  # the roots (-1 +- s)/2
+            p, q = s.numerator, s.denominator
+            root = (Rat(p - q, 2 * q), Rat(-p - q, 2 * q))
+        else:
+            root = None
         per[name] = GeneratorIdentification(tr, quad, root)
         if rational:
             coords[name] = root[0]
@@ -477,17 +505,28 @@ class AnalysisReport:
 
 def analyze(p: ParamTriple, d: int) -> AnalysisReport:
     """Full classification report for one parameter point, with every
-    criterion checked against its oracle on the spot."""
+    criterion checked against its oracle on the spot.
+
+    A, B and C of the module are cleared of denominators once, together;
+    every oracle reads those integer rows: the irreducibility oracle, the
+    traces (the cleared diagonal over den), the integer minimal
+    polynomials and their squarefreeness, and the identification from the
+    traces.  Only the reported minimal polynomials become rational."""
     crit, witnesses = irreducible_criterion(p, d)
     rep = build_R(p, d, "v")
-    oracle, bad_subspace = irreducible_oracle(rep)
+    den, cleared, _ = clear([rep.A, rep.B, rep.C])
+    oracle, bad_subspace = _irreducible_rows(cleared[0], cleared[1])
     if crit != oracle:
         raise ConsistencyError(
             f"irreducibility criterion ({crit}) disagrees with spin oracle "
             f"({oracle}) at {p}, d={d}"
         )
 
-    traces = {name: rep.generator(name).trace() for name in ("A", "B", "C")}
+    names = ("A", "B", "C")
+    traces = {
+        name: Rat(sum([row.get(i, 0) for i, row in enumerate(rows)]), den)
+        for name, rows in zip(names, cleared)
+    }
     formula = trace_formula(p, d)
     if traces != formula:
         raise ConsistencyError(
@@ -495,9 +534,9 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
             f"at {p}, d={d}"
         )
 
-    minpolys = {name: minimal_polynomial(rep.generator(name)) for name in ("A", "B", "C")}
+    minpolys = {name: minimal_polynomial_integer(rows) for name, rows in zip(names, cleared)}
     diag = {
-        name: _checked_diagonalizable(p, d, name, mp) if crit else squarefree(mp)
+        name: _checked_diagonalizable(p, d, name, mp) if crit else squarefree_integer(mp)
         for name, mp in minpolys.items()
     }
 
@@ -509,7 +548,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
             f"({crit}) at {p}, d={d}"
         )
 
-    ident = identify(rep.A, rep.B, rep.C)
+    ident = _identify_traces(d, traces)
     canon, flip = canonical(p)
     if not ident.all_rational or ident.candidate != canon:
         raise ConsistencyError(
@@ -527,7 +566,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
         witnesses=tuple(witnesses),
         reducible_subspace=bad_subspace,
         traces=traces,
-        minimal_polynomials=minpolys,
+        minimal_polynomials={name: monic_scaled(mp, den) for name, mp in minpolys.items()},
         diagonalizable=diag,
         l_diagonal=l_diag,
         l_det_nonzero=det_nonzero,

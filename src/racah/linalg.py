@@ -12,10 +12,13 @@ each row of the reduced basis by its pivot.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
-applied to integer rows, so their loops build no rational at all.  spin()
-clears its operators and seeds and hands them to spin_integer(), the loop
-on operators already cleared; the irreducibility oracle calls that loop
-directly with A and B cleared once per module.
+applied to integer rows, so their loops build no rational at all.  Each is
+a thin wrapper over an integer core that takes matrices already cleared:
+spin() clears its operators and seeds and hands them to spin_integer();
+minimal_polynomial() clears its matrix, calls minimal_polynomial_integer()
+for the primitive integer polynomial P of den*M, and turns P into the
+monic rational polynomial once.  racah.analyzer clears a module's A, B and
+C once and calls both cores on those integer rows.
 
 intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
 through A when both A are lower bidiagonal with a nonzero subdiagonal (the
@@ -35,7 +38,7 @@ from math import gcd, lcm
 
 from .intmat import Rows, apply_columns, clear, columns
 from .matrix import Mat, ShapeError
-from .poly import Poly
+from .poly import Poly, monic_scaled
 from .rational import Rat, ZERO, ONE, rat
 
 
@@ -280,9 +283,23 @@ def dense_row(row: dict[int, int], n: int) -> list[int]:
 
 
 def minimal_polynomial(m: Mat) -> Poly:
-    """Monic minimal polynomial as the lcm of the local minimal polynomials
-    of the unit vectors (Krylov sequences as in Wiedemann 1986, IEEE Trans.
-    Inf. Theory 32), all on the integer matrix N = den*M.
+    """Monic minimal polynomial of the square matrix m: m is cleared to
+    the integer matrix N = den*M, and mu_M(x) = P(den x) made monic for the
+    integer polynomial P of minimal_polynomial_integer()."""
+    if m.rows != m.cols:
+        raise ShapeError(
+            f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
+        )
+    den, (rows,), _ = clear([m])
+    return monic_scaled(minimal_polynomial_integer(rows), den)
+
+
+def minimal_polynomial_integer(rows: Rows) -> list[int]:
+    """The minimal polynomial of the square integer matrix N given by its
+    sparse rows, as a primitive integer polynomial P with a positive
+    leading coefficient, lowest degree first.  P is the lcm of the local
+    minimal polynomials of the unit vectors (Krylov sequences as in
+    Wiedemann 1986, IEEE Trans. Inf. Theory 32).
 
     P starts at 1 and takes the seeds e_0, e_(n-1), e_1, ..., e_(n-2) until
     its degree is n.  Since mu of P(N)v is mu_v / gcd(mu_v, P), multiplying
@@ -290,14 +307,8 @@ def minimal_polynomial(m: Mat) -> Poly:
     those seen so far, with no gcd taken; a seed with w = 0 adds nothing.
     That of w is the first dependency among w, Nw, N^2 w, ...: each is
     reduced with its combination of powers carried in marker columns, and
-    the first row whose vector part vanishes holds it there.  P stays a
-    primitive integer polynomial, and mu_M(x) = P(den x) made monic."""
-    if m.rows != m.cols:
-        raise ShapeError(
-            f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
-        )
-    n = m.rows
-    den, (rows,), _ = clear([m])
+    the first row whose vector part vanishes holds it there."""
+    n = len(rows)
     cols = columns(rows)
     p = [1]  # coefficients of P, lowest degree first
     for j in [0, n - 1, *range(1, n - 1)][:n]:  # [:n] keeps n = 1 to e_0
@@ -312,8 +323,7 @@ def minimal_polynomial(m: Mat) -> Poly:
                     del w[j]
         if w:
             p = _poly_product(p, _local_minimal_polynomial(cols, w, n))
-    lead = p[-1] * den ** (len(p) - 1)
-    return Poly([Rat(c * den**i, lead) for i, c in enumerate(p)])
+    return p
 
 
 def _local_minimal_polynomial(cols, w: dict[int, int], n: int) -> list[int]:

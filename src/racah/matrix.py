@@ -33,6 +33,16 @@ class Mat:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _trusted(cls, rows: tuple, ncols: int) -> "Mat":
+        """A Mat from a nonempty tuple of row tuples of ncols Rat entries
+        each, taken as they are."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", ncols)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
@@ -146,19 +156,22 @@ class Mat:
 
 def tridiagonal(diag, sub, sup) -> Mat:
     """Square matrix with the given diagonal, first subdiagonal (entries
-    [i+1][i]) and first superdiagonal (entries [i][i+1])."""
+    [i+1][i]) and first superdiagonal (entries [i][i+1]).  Each entry is
+    coerced once, and the rows are built around the band directly."""
     diag, sub, sup = list(diag), list(sub), list(sup)
     n = len(diag)
     for off in (sub, sup):
         if len(off) != n - 1:
             raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(off)}")
-    m = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = diag[i]
-    for i in range(n - 1):
-        m[i + 1][i] = sub[i]
-        m[i][i + 1] = sup[i]
-    return Mat(m)
+    # row i padded by one column on each side, then cut back
+    diag, sub, sup = (
+        [x if type(x) is Rat else rat(x) for x in xs] for xs in (diag, [ZERO, *sub], [*sup, ZERO])
+    )
+    zeros = (ZERO,) * n
+    rows = tuple(
+        (zeros[:i] + (sub[i], diag[i], sup[i]) + zeros[i + 1 :])[1:-1] for i in range(n)
+    )
+    return Mat._trusted(rows, n)
 
 
 def lower_bidiagonal(diag, sub) -> Mat:

@@ -1,11 +1,16 @@
 """Univariate polynomials over the exact rationals.
 
 Coefficients are stored lowest-degree first with trailing zeros stripped;
-the zero polynomial has an empty coefficient tuple and degree -1.  Division,
-gcd and derivative serve the squarefreeness test.  That test first tries a
-certificate on the integer polynomial reduced mod the prime 2^61 - 1, and
-takes the exact gcd only when the certificate fails; the gcd runs on the
-cleared integer polynomials (a primitive remainder sequence), not over Q.
+the zero polynomial has an empty coefficient tuple and degree -1.
+
+The squarefreeness test and the gcd run on integer polynomials, plain
+lists of ints.  squarefree_integer() is the core: it first tries a
+certificate on the polynomial reduced mod the prime 2^61 - 1, and takes the
+exact gcd with the derivative (a primitive remainder sequence, the loop
+behind poly_gcd) only when the certificate fails.  squarefree() clears a
+Poly to such a list and calls it; racah.analyzer calls it directly on the
+integer minimal polynomials of racah.linalg, so no Poly is built on that
+path but the one the report keeps (monic_scaled).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [rat(c) for c in coeffs]
+        cs = [c if type(c) is Rat else rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -169,12 +174,27 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     content divided out.  By Gauss's lemma the last nonzero remainder is a
     rational multiple of the gcd, so only the final division builds
     rationals."""
-    a, b = _primitive(_integers(p)), _primitive(_integers(q))
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+    a = _integer_gcd(_integers(p), _integers(q))
     if not a:
         return Poly([])
     return Poly([Rat(c, a[-1]) for c in a])
+
+
+def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive integer multiple of the gcd of two integer polynomials
+    (empty when both are zero), by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def monic_scaled(ints: list[int], den: int) -> Poly:
+    """The monic polynomial P(den*x) / (lead * den^deg) of the nonzero
+    integer polynomial P given lowest degree first: the polynomial of a
+    matrix M whose cleared integer matrix den*M has the polynomial P."""
+    lead = ints[-1] * den ** (len(ints) - 1)
+    return Poly([Rat(c * den**i, lead) for i, c in enumerate(ints)])
 
 
 def _integers(p: Poly) -> list[int]:
@@ -213,26 +233,34 @@ PRIME = 2**61 - 1  # the modulus of the certificates, here and in racah.analyzer
 
 
 def squarefree(p: Poly) -> bool:
-    """A nonzero polynomial is squarefree iff gcd(p, p') is constant.
-
-    A modular certificate settles most cases (modular gcds as in Brown
-    1971, J. ACM 18): clear p to an integer polynomial P, and take the
-    prime q = 2^61 - 1.  If q does not divide P's leading coefficient and
-    gcd(P mod q, P' mod q) is constant, p is squarefree.  Were g^2 to
-    divide P for a nonconstant g, Gauss's lemma gives a primitive integer
-    such g, which keeps its degree mod q and divides both residues.  When
-    the certificate fails, the exact gcd (poly_gcd) decides."""
+    """A nonzero polynomial is squarefree iff gcd(p, p') is constant; p
+    is cleared of denominators and handed to squarefree_integer()."""
     if p.is_zero():
         raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if p.degree == 0:
+    return squarefree_integer(_integers(p))
+
+
+def squarefree_integer(ints: list[int]) -> bool:
+    """Is the nonzero integer polynomial P (lowest degree first, no
+    trailing zero) squarefree over Q?  So is P(c*x) for any c != 0, and any
+    rational multiple of P.
+
+    A modular certificate settles most cases (modular gcds as in Brown
+    1971, J. ACM 18): take the prime q = 2^61 - 1.  If q does not divide
+    P's leading coefficient and gcd(P mod q, P' mod q) is constant, P is
+    squarefree.  Were g^2 to divide P for a nonconstant g, Gauss's lemma
+    gives a primitive integer such g, which keeps its degree mod q and
+    divides both residues.  When the certificate fails, the exact gcd of P
+    and P' over the integers decides."""
+    if len(ints) <= 2:
         return True
-    ints = _integers(p)
+    derivative = [i * c for i, c in enumerate(ints)][1:]
     if ints[-1] % PRIME:
         f = [c % PRIME for c in ints]
-        df = [i * c % PRIME for i, c in enumerate(ints)][1:]
+        df = [c % PRIME for c in derivative]
         if _degree_of_gcd_mod_q(f, df) == 0:
             return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    return len(_integer_gcd(ints, derivative)) == 1
 
 
 def _degree_of_gcd_mod_q(a: list[int], b: list[int]) -> int:

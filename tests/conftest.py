@@ -2,8 +2,11 @@ import random
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from racah import Mat, ParamTriple, Scalars, rat
-from racah.rational import HALF
+from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, poly_gcd, rat
+from racah.intmat import apply_columns, clear, columns
+from racah.linalg import _local_minimal_polynomial, _poly_product
+from racah.poly import PRIME, _degree_of_gcd_mod_q, _integers
+from racah.rational import HALF, Rat
 
 settings.register_profile(
     "exact",
@@ -97,3 +100,49 @@ def nudged(m, i, j, delta):
     rows = [list(row) for row in m.entries]
     rows[i][j] += delta
     return Mat(rows)
+
+
+def poly_minimal_polynomial(m):
+    """linalg.minimal_polynomial as a self-contained Mat -> Poly routine,
+    before it became a wrapper over minimal_polynomial_integer; kept as the
+    oracle of the integer core and of analyze, which clears A, B and C
+    together where this clears each matrix alone."""
+    if m.rows != m.cols:
+        raise ShapeError(
+            f"minimal polynomial needs a square matrix, got {m.rows}x{m.cols}"
+        )
+    n = m.rows
+    den, (rows,), _ = clear([m])
+    cols = columns(rows)
+    p = [1]
+    for j in [0, n - 1, *range(1, n - 1)][:n]:
+        if len(p) > n:
+            break
+        w = {j: p[-1]}
+        for c in reversed(p[:-1]):
+            w = apply_columns(cols, w)
+            if c:
+                w[j] = w.get(j, 0) + c
+                if not w[j]:
+                    del w[j]
+        if w:
+            p = _poly_product(p, _local_minimal_polynomial(cols, w, n))
+    lead = p[-1] * den ** (len(p) - 1)
+    return Poly([Rat(c * den**i, lead) for i, c in enumerate(p)])
+
+
+def poly_squarefree(p):
+    """poly.squarefree on a Poly of Fractions, before it became a wrapper
+    over squarefree_integer: the modular certificate, then the exact
+    fallback poly_gcd(p, p') on Polys."""
+    if p.is_zero():
+        raise ValueError("squarefreeness of the zero polynomial is undefined")
+    if p.degree == 0:
+        return True
+    ints = _integers(p)
+    if ints[-1] % PRIME:
+        f = [c % PRIME for c in ints]
+        df = [i * c % PRIME for i, c in enumerate(ints)][1:]
+        if _degree_of_gcd_mod_q(f, df) == 0:
+            return True
+    return poly_gcd(p, p.derivative()).degree == 0

@@ -35,9 +35,19 @@ from racah import (
 from racah import ALL_FLIPS
 from racah.intmat import clear
 from racah.linalg import Subspace
-from racah.rational import ONE, ZERO, Rat, format_rat
+from racah.params import trace_formula
+from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
-from conftest import ONTO_FORM, module_points, nudged, random_triple, rationals, triples
+from conftest import (
+    ONTO_FORM,
+    module_points,
+    nudged,
+    poly_minimal_polynomial,
+    poly_squarefree,
+    random_triple,
+    rationals,
+    triples,
+)
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -693,3 +703,208 @@ def test_runtime_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["shape", "consistency", "optimize", "1"]
+
+
+# ------------------- differential: one cleared copy of A, B, C vs the Mat route
+
+def fraction_coordinate_criterion(p, d, generator):
+    """The coordinate criterion as d - 1 comparisons of Fractions, before
+    it ran on the numerator and denominator; kept as its oracle."""
+    x = p["ABC".index(generator)]
+    return all(x != rat(i - d - 1, 2) for i in range(1, 2 * d))
+
+
+def fraction_identify(a_mat, b_mat, c_mat):
+    """identify() on Fraction traces and Fraction arithmetic, before it ran
+    on integers over one denominator; kept as its oracle."""
+    mats = {"A": a_mat, "B": b_mat, "C": c_mat}
+    d = a_mat.rows - 1
+    shift = rat(d * (d + 2), 12)
+    per = {}
+    coords = {}
+    all_rational = True
+    for name, m in mats.items():
+        tr = m.trace()
+        const = shift - tr / (d + 1)
+        quad = Poly([const, ONE, ONE])
+        rational, s = is_square(1 - 4 * const)
+        root = ((-1 + s) * HALF, (-1 - s) * HALF) if rational else None
+        per[name] = analyzer.GeneratorIdentification(tr, quad, root)
+        if rational:
+            coords[name] = root[0]
+        else:
+            all_rational = False
+    candidate = ParamTriple(coords["A"], coords["B"], coords["C"]) if all_rational else None
+    return analyzer.IdentifyResult(d, per, candidate, all_rational)
+
+
+def mat_analyze(p, d):
+    """analyze() as it ran before it cleared A, B and C once: each oracle
+    reads the module's Mats, the minimal polynomials are Polys of
+    Fractions, and the traces are Fraction sums.  Kept as its oracle."""
+    crit, witnesses = irreducible_criterion(p, d)
+    rep = analyzer.build_R(p, d, "v")
+    oracle, bad_subspace = irreducible_oracle(rep)
+    if crit != oracle:
+        raise ConsistencyError(
+            f"irreducibility criterion ({crit}) disagrees with spin oracle "
+            f"({oracle}) at {p}, d={d}"
+        )
+    traces = {name: rep.generator(name).trace() for name in ("A", "B", "C")}
+    formula = trace_formula(p, d)
+    if traces != formula:
+        raise ConsistencyError(
+            f"trace formula {formula} disagrees with matrix traces {traces} "
+            f"at {p}, d={d}"
+        )
+    minpolys = {name: poly_minimal_polynomial(rep.generator(name)) for name in ("A", "B", "C")}
+    diag = {}
+    for name, mp in minpolys.items():
+        diag[name] = verdict_o = poly_squarefree(mp)
+        verdict_c = fraction_coordinate_criterion(p, d, name)
+        if crit and verdict_c != verdict_o:
+            raise ConsistencyError(
+                f"diagonalizability of {name} at {p}, d={d}: "
+                f"criterion {verdict_c}, oracle {verdict_o}"
+            )
+    l_diag = analyzer.l_diagonal(p, d)
+    det_nonzero = all(x != 0 for x in l_diag)
+    if det_nonzero != crit:
+        raise ConsistencyError(
+            f"invertibility of L ({det_nonzero}) disagrees with irreducibility "
+            f"({crit}) at {p}, d={d}"
+        )
+    ident = fraction_identify(rep.A, rep.B, rep.C)
+    canon, flip = canonical(p)
+    if not ident.all_rational or ident.candidate != canon:
+        raise ConsistencyError(
+            f"trace identification {ident.candidate} missed the canonical "
+            f"representative {canon} at {p}, d={d}"
+        )
+    return analyzer.AnalysisReport(
+        params=p,
+        d=d,
+        scalars=rep.scalars,
+        canonical_params=canon,
+        flip=flip,
+        irreducible=crit,
+        witnesses=tuple(witnesses),
+        reducible_subspace=bad_subspace,
+        traces=traces,
+        minimal_polynomials=minpolys,
+        diagonalizable=diag,
+        l_diagonal=l_diag,
+        l_det_nonzero=det_nonzero,
+        identification=ident,
+    )
+
+
+def outcome(route, p, d):
+    """The report of route(p, d), or the type and text of what it raised."""
+    try:
+        return route(p, d)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def assert_same_report(p, d):
+    got = analyze(p, d)
+    assert got == mat_analyze(p, d), (p, d)
+    for poly in got.minimal_polynomials.values():
+        assert all(type(c) is Rat for c in poly.coeffs)
+    assert all(type(t) is Rat for t in got.traces.values())
+
+
+@given(module_points(max_d=10))
+def test_analyze_matches_the_mat_route(point):
+    assert_same_report(*point)
+
+
+def test_analyze_matches_the_mat_route_on_each_boundary_form():
+    rng = random.Random(4242)
+    for form in range(4):
+        for d in range(1, 11):
+            p = boundary_point(rng, d, form)
+            assert not irreducible_criterion(p, d)[0]
+            assert_same_report(p, d)
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_analyze_matches_the_mat_route_on_each_fallback(name):
+    p, d = FALLBACKS[name]
+    assert_same_report(p, d)
+    assert_same_report(ParamTriple(p.a, p.b, ONTO_FORM[2](p.a, p.b, rat(d, 2) - 1)), d)
+
+
+@given(triples(max_num=9, max_den=6), st.integers(1, 6), st.sampled_from("ABC"),
+       rationals(9, 6).filter(bool), st.data())
+def test_tampered_analyze_matches_the_mat_route(p, d, gen, delta, data):
+    # one entry of A, B or C moved, anywhere, off the band included
+    i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "build_R", tampered_build_R((gen, i, j, delta)))
+        assert outcome(analyze, p, d) == outcome(mat_analyze, p, d)
+
+
+@pytest.mark.parametrize(
+    "nudge, message",
+    [
+        (("A", 2, 2, rat(1, 3)), "trace formula"),
+        (("C", 0, 0, rat(-2, 7)), "trace formula"),
+        (("B", 2, 0, rat(1, 3)), "B is not upper bidiagonal"),
+        (("A", 3, 2, rat(-1)), "irreducibility criterion"),
+        (("C", 0, 3, rat(5, 2)), None),
+    ],
+)
+def test_tampered_analyze_raises_the_mat_route_error(nudge, message, monkeypatch):
+    monkeypatch.setattr(analyzer, "build_R", tampered_build_R(nudge))
+    got, expect = outcome(analyze, P, 5), outcome(mat_analyze, P, 5)
+    assert got == expect
+    if message is not None:
+        assert got[0] is ConsistencyError and message in got[1]
+
+
+def test_analyze_clears_the_module_once(monkeypatch):
+    calls = []
+    real = analyzer.clear
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analyzer, "clear", counting)
+    for p, d in [(P, 4), (TAIL_REDUCIBLE, 2), (SPIN_REDUCIBLE, 2), FALLBACKS["repeated theta*"]]:
+        calls.clear()
+        analyze(p, d)
+        assert len(calls) == 1, (p, d)
+
+
+def test_identify_matches_the_fraction_route():
+    rng = random.Random(1729)
+    irrational = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        mats = [
+            Mat([[random_triple(rng)[0] for _ in range(n)] for _ in range(n)]) for _ in range(3)
+        ]
+        got = identify(*mats)
+        assert got == fraction_identify(*mats)
+        irrational += not got.all_rational
+    assert irrational >= 30
+
+
+@given(module_points(max_d=10))
+def test_identify_matches_the_fraction_route_on_modules(point):
+    rep = build_R(*point)
+    assert identify(rep.A, rep.B, rep.C) == fraction_identify(rep.A, rep.B, rep.C)
+
+
+def test_coordinate_criterion_matches_the_fraction_comparisons():
+    other = rat(0)  # excluded for d >= 2, so a misread coordinate shows
+    for d in range(25):
+        for den in (1, 2, 3):
+            for k in range(-60, 61):
+                x = rat(k, den)
+                expect = fraction_coordinate_criterion(ParamTriple(x, x, x), d, "A")
+                for g, p in zip("ABC", ([x, other, other], [other, x, other], [other, other, x])):
+                    assert analyzer._coordinate_criterion(ParamTriple(*p), d, g) == expect, (x, d, g)

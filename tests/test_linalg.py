@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from itertools import count
@@ -28,9 +29,10 @@ from racah import (
 )
 from racah.matrix import lower_bidiagonal
 from racah.modules import BASES
+from racah.poly import monic_scaled
 from racah.rational import Rat, parse_rat
 
-from conftest import rationals, triples
+from conftest import poly_minimal_polynomial, rationals, triples
 
 
 def mats(n, m=None):
@@ -649,6 +651,37 @@ def test_minpoly_matches_power_krylov_on_derogatory_matrices(case):
     got = minimal_polynomial(m)
     assert got == power_krylov_minimal_polynomial(m) == expect
     assert all_rat([got.coeffs])
+
+
+def integer_square(n):
+    """Square integer matrices as sparse rows, mostly zero, small entries
+    often repeated on the diagonal so that derogatory matrices and
+    repeated eigenvalues come up."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    dense = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return dense.map(lambda rows: [{j: x for j, x in enumerate(row) if x} for row in rows])
+
+
+@given(st.integers(1, 6).flatmap(integer_square))
+def test_minimal_polynomial_integer_matches_the_oracles(rows):
+    n = len(rows)
+    m = Mat([linalg.dense_row(row, n) for row in rows])
+    got = linalg.minimal_polynomial_integer(rows)
+    assert all(type(c) is int for c in got) and got[-1] > 0
+    assert math.gcd(*got) == 1
+    assert monic_scaled(got, 1) == fraction_minimal_polynomial(m) == poly_minimal_polynomial(m)
+
+
+@given(conjugated_jordan(), st.integers(1, 12))
+def test_minimal_polynomial_integer_on_cleared_derogatory_matrices(case, scale):
+    # den*M for a den beyond the lcm of M's denominators: the monic
+    # polynomial P(den x)/lead does not depend on the den that cleared M
+    m, expect = case
+    den, (rows,), _ = linalg.clear([m])
+    den *= scale
+    rows = [{j: x * scale for j, x in row.items()} for row in rows]
+    assert monic_scaled(linalg.minimal_polynomial_integer(rows), den) == expect
+    assert minimal_polynomial(m) == poly_minimal_polynomial(m) == expect
 
 
 def reducible_triple(form, d, x, y, i):

@@ -3,7 +3,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from racah import Mat, ShapeError, rat
+from racah import Mat, ParamTriple, ShapeError, build_R, rat
+from racah.modules import BASES
 from racah.rational import Rat
 from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 
@@ -81,6 +82,60 @@ def test_bidiagonal_builders():
         tridiagonal([1, 2, 3], [7, 8], [4])
     with pytest.raises(ShapeError, match="3 diagonal entries need 2"):
         upper_bidiagonal([1, 2, 3], [7])
+
+
+def band_entries(m):
+    """(diagonal, subdiagonal, superdiagonal) of a square Mat."""
+    n = m.rows
+    return (
+        [m.entries[i][i] for i in range(n)],
+        [m.entries[i + 1][i] for i in range(n - 1)],
+        [m.entries[i][i + 1] for i in range(n - 1)],
+    )
+
+
+def dense_tridiagonal(diag, sub, sup):
+    """tridiagonal through Mat(), entry by entry; its oracle."""
+    n = len(diag)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diag[i]
+    for i in range(n - 1):
+        rows[i + 1][i], rows[i][i + 1] = sub[i], sup[i]
+    return Mat(rows)
+
+
+def test_tridiagonal_of_rats_matches_mat_on_every_basis():
+    p = ParamTriple.of("1/3", "-2/5", "7/4")
+    for d in (0, 1, 2, 7):
+        for basis in BASES:
+            rep = build_R(p, d, basis)
+            for g in "ABCD":
+                band = band_entries(rep.generator(g))
+                got = tridiagonal(*band)
+                assert got == dense_tridiagonal(*band) == rep.generator(g)
+                assert got.shape() == (d + 1, d + 1)
+                assert all(type(row) is tuple for row in got.entries)
+
+
+@given(st.integers(1, 7), st.data())
+def test_tridiagonal_matches_mat(n, data):
+    entries = st.lists(rationals(), min_size=n - 1, max_size=n - 1)
+    diag = data.draw(st.lists(rationals(), min_size=n, max_size=n))
+    sub, sup = data.draw(entries), data.draw(entries)
+    assert tridiagonal(diag, sub, sup) == dense_tridiagonal(diag, sub, sup)
+
+
+def test_tridiagonal_still_coerces_and_rejects():
+    t = tridiagonal([rat(1), 2, rat(3)], [rat(7), rat(8)], [rat(4), True])
+    assert t == Mat([[1, 4, 0], [7, 2, 1], [0, 8, 3]])
+    assert all(type(x) is Rat for row in t.entries for x in row)
+    with pytest.raises(TypeError):
+        tridiagonal([rat(1), 0.5], [rat(0)], [rat(0)])
+    with pytest.raises(ShapeError):  # the shape is checked before the entries
+        tridiagonal([rat(1), 0.5], [rat(0)], [])
+    with pytest.raises(ShapeError):
+        tridiagonal([], [], [])
 
 
 @given(mats(3), mats(3), mats(3))

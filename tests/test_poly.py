@@ -5,9 +5,10 @@ from hypothesis import example, given, strategies as st
 
 import racah.poly
 from racah import Poly, poly_gcd, rat, squarefree
+from racah.poly import monic_scaled, squarefree_integer
 from racah.rational import Rat
 
-from conftest import rationals
+from conftest import poly_squarefree, rationals
 
 
 def polys(max_deg=5):
@@ -37,6 +38,17 @@ def test_from_roots_and_eval():
     assert p(rat(1, 2)) == 0 and p(rat(-3)) == 0
     assert p.leading() == 1
     assert p == Poly([rat(-3, 2), rat(5, 2), 1])
+
+
+def test_coefficient_types_give_equal_polys():
+    ints = Poly([1, 0, -3, 1])
+    assert ints == Poly([rat(1), rat(0), rat(-3), rat(1)]) == Poly([True, False, -3, True])
+    assert all(type(c) is Rat for c in Poly([True, 2, rat(1, 2)]).coeffs)
+    assert Poly([rat(1, 2), rat(0)]).coeffs == (rat(1, 2),)
+    with pytest.raises(TypeError):
+        Poly([0.5])
+    with pytest.raises(TypeError):
+        Poly([rat(1), 0.5])
 
 
 def test_pickle_round_trip():
@@ -166,14 +178,16 @@ def test_squarefree_matches_euclid(p):
 
 
 def euclid_calls(p, monkeypatch):
-    """(verdict, number of exact Euclid calls) of squarefree(p)."""
+    """(verdict, number of exact gcd calls) of squarefree(p): the exact
+    fallback is the integer remainder sequence behind poly_gcd."""
     calls = []
+    real = racah.poly._integer_gcd
 
     def recording_gcd(a, b):
         calls.append((a, b))
-        return poly_gcd(a, b)
+        return real(a, b)
 
-    monkeypatch.setattr(racah.poly, "poly_gcd", recording_gcd)
+    monkeypatch.setattr(racah.poly, "_integer_gcd", recording_gcd)
     return squarefree(p), len(calls)
 
 
@@ -191,3 +205,54 @@ def test_fallback_when_q_divides_the_leading_coefficient(monkeypatch):
     assert euclid_calls(Poly([1, 0, Q]), monkeypatch) == (True, 1)
     assert euclid_calls(Poly([rat(1, Q), 2, Q]), monkeypatch) == (False, 1)
     assert euclid_calls(Poly([-1, 0, rat(Q, 7)]), monkeypatch) == (True, 1)
+
+
+@st.composite
+def integer_polys(draw):
+    """Nonzero integer polynomials, lowest degree first, without trailing
+    zeros: random ones, or products of small integer factors with repeats
+    (not squarefree), or x^2 - q^k squares mod q."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        cs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+    elif kind == 1:
+        factors = draw(
+            st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=3), min_size=1, max_size=4)
+        )
+        p = Poly([1])
+        for f in factors:
+            p = p * Poly(f)
+            if draw(st.booleans()):
+                p = p * Poly(f)
+        cs = [int(c) for c in p.coeffs]
+    else:
+        k = draw(st.integers(1, 2))
+        cs = [-(Q**k), 0, draw(st.sampled_from([1, Q]))]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs or [draw(st.integers(1, 9))]
+
+
+@given(integer_polys())
+def test_squarefree_integer_matches_the_oracles(ints):
+    p = Poly(ints)
+    got = squarefree_integer(ints)
+    assert got == euclid_squarefree(p) == poly_squarefree(p) == squarefree(p)
+
+
+@given(integer_polys(), st.integers(1, 30))
+def test_squarefree_integer_ignores_the_scale(ints, den):
+    # P(den x) is squarefree iff P is, and monic_scaled builds it
+    scaled = monic_scaled(ints, den)
+    assert scaled.leading() == 1
+    assert squarefree_integer(ints) == euclid_squarefree(scaled)
+    assert scaled == Poly([rat(c * den**i) for i, c in enumerate(ints)]).monic()
+
+
+def test_squarefree_integer_known_cases():
+    assert squarefree_integer([7]) and squarefree_integer([3, -2])
+    assert squarefree_integer([-2, 0, 1])
+    assert not squarefree_integer([1, 2, 1])  # (x + 1)^2
+    assert not squarefree_integer([0, 0, 0, 4])  # 4x^3
+    assert squarefree_integer([-Q, 0, 1])  # a square mod q only
+    assert not squarefree_integer([Q * Q, 2 * Q, 1])  # (x + q)^2
