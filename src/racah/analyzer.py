@@ -283,7 +283,7 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         for i in range(d - 1, -1, -1):
             partial = mul(partial, combine((1, a), (-shifts[i + 1], ident)))
             partials[i] = partial
-        rows = []
+        rows = []  # row i of L at den^(2d - i), brought up to den^(2d)
         for i in range(n):
             m = mul(prod_b, partials[i])
             scale = den ** (2 * d - i)
@@ -295,8 +295,9 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
                     f"for partial product i={i} it has {format_rat(Rat(m[r][j], scale))} "
                     f"at row {r}, column {j}"
                 )
-            rows.append([Rat(x, scale) if (x := m[0].get(j)) else ZERO for j in range(n)])
-        return Mat(rows)
+            lift = den**i
+            rows.append({j: x * lift for j, x in m[0].items()})
+        return Mat.from_cleared(den ** (2 * d), rows, n)
 
     raise ValueError(f"method must be closed, recurrence or direct, got {method!r}")
 
@@ -305,7 +306,12 @@ def l_diagonal(p: ParamTriple, d: int) -> tuple:
     """The diagonal of l_matrix(p, d) without the rest of it:
     L[i][i] = prod_(h=1..d-i) phi_h * prod_(h=1..i) varphi_h, a product of
     d sequence values, so one integer over q^d."""
-    q, _, _, ph, vp = sequences(p, d, d + 1)
+    return _l_diagonal(d, sequences(p, d, d + 1))
+
+
+def _l_diagonal(d: int, seqs: tuple) -> tuple:
+    """l_diagonal() from params.sequences at indices 0..d."""
+    q, _, _, ph, vp = seqs
     phi_tail = [1]  # phi_tail[k] = q^k prod_(h=1..k) phi_h
     varphi_head = [1]  # varphi_head[k] = q^k prod_(h=1..k) varphi_h
     for h in range(1, d + 1):
@@ -540,7 +546,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
         for name, mp in minpolys.items()
     }
 
-    l_diag = l_diagonal(p, d)
+    l_diag = _l_diagonal(d, rep._sequences)
     det_nonzero = all(x != 0 for x in l_diag)
     if det_nonzero != crit:
         raise ConsistencyError(

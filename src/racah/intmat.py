@@ -2,11 +2,13 @@
 
 Several Mat values (and scalars) are cleared together: each is multiplied
 by den, the lcm of all their denominators, and held as sparse rows, one
-dict {column: int} of the nonzero entries per row.  Products and linear
-combinations then run on Python ints over nonzero entries only, and every
-result drops its zeros, so two matrices at the same scale are equal iff
-their row lists are.  A product of k cleared factors sits at scale den^k;
-a caller comparing two sides brings each term to a common power of den.
+dict {column: int} of the nonzero entries per row: the cleared form each
+Mat carries (racah.matrix), rescaled to the common den.  Products and
+linear combinations run on Python ints over nonzero entries only, and
+every result drops its zeros, so two matrices at the same scale are equal
+iff their row lists are.  A product of k cleared factors sits at scale
+den^k; a caller comparing two sides brings each term to a common power of
+den.
 """
 
 from __future__ import annotations
@@ -19,18 +21,12 @@ Rows = list[dict[int, int]]  # the sparse integer rows of a matrix
 def clear(mats, scalars=()) -> tuple[int, list[Rows], list[int]]:
     """(den, rows, ints): den is the lcm of the denominators of every entry
     of the matrices and of the scalars, rows[k] is den*mats[k] as sparse
-    integer rows and ints[k] is den*scalars[k]."""
-    den = lcm(
-        *[x.denominator for m in mats for row in m.entries for x in row if x],
-        *[x.denominator for x in scalars],
-    )
-    rows = [
-        [
-            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-            for row in m.entries
-        ]
-        for m in mats
-    ]
+    integer rows and ints[k] is den*scalars[k].  The rows are new dicts,
+    free for the caller to consume."""
+    forms = [m._cleared for m in mats]
+    den = lcm(*[d for d, _ in forms], *[x.denominator for x in scalars])
+    scales = [den // d for d, _ in forms]
+    rows = [[{j: x * f for j, x in row.items()} for row in r] for f, (_, r) in zip(scales, forms)]
     return den, rows, [x.numerator * (den // x.denominator) for x in scalars]
 
 

@@ -128,7 +128,11 @@ class Subspace:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m.entries))
+    """The number of m's cleared rows that the elimination keeps."""
+    red = _Reducer(m.cols)
+    for row in clear([m])[1][0]:
+        red.keep(red.reduce(row))
+    return red.dim
 
 
 def invertible(m: Mat) -> bool:

@@ -1,13 +1,18 @@
 """Dense matrices over the exact rationals.
 
-Mat is immutable (entries stored as a tuple of row tuples).  Arithmetic is
-schoolbook and skips zeros: products add no term with a zero factor, and
-sums, differences and scalings pass a zero operand's partner through (its
-negation, or ZERO) without arithmetic.
-Shape mismatches raise ShapeError naming both shapes.
+Mat is immutable, with two forms: its entries, a tuple of row tuples, and
+its cleared form (den, rows), den*M as sparse integer rows {column: int}
+with no zero and gcd(den, every entry) = 1, so den is the lcm of the
+denominators.  A Mat keeps the form it was built from and derives the
+other on first use.  Arithmetic is schoolbook and skips zeros: products
+add no term with a zero factor, and sums, differences and scalings pass a
+zero operand's partner through (its negation, or ZERO) without
+arithmetic.  Shape mismatches raise ShapeError naming both shapes.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .rational import Rat, ZERO, ONE, rat
 
@@ -17,7 +22,7 @@ class ShapeError(ValueError):
 
 
 class Mat:
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols", "_cleared")
 
     def __init__(self, entries):
         rows = tuple(tuple(x if type(x) is Rat else rat(x) for x in row) for row in entries)
@@ -34,14 +39,34 @@ class Mat:
         object.__setattr__(self, "cols", ncols)
 
     @classmethod
-    def _trusted(cls, rows: tuple, ncols: int) -> "Mat":
-        """A Mat from a nonempty tuple of row tuples of ncols Rat entries
-        each, taken as they are."""
+    def from_cleared(cls, den: int, rows: list, ncols: int) -> "Mat":
+        """The Mat rows/den for den > 0 and sparse integer rows storing no
+        zero, gcd(den, every entry) divided out; the rows are taken, not copied."""
+        g = gcd(den, *[x for row in rows for x in row.values()])
+        if g != 1:
+            den, rows = den // g, [{j: x // g for j, x in row.items()} for row in rows]
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", ncols)
+        for name, value in (("_cleared", (den, rows)), ("rows", len(rows)), ("cols", ncols)):
+            object.__setattr__(m, name, value)
         return m
+
+    def __getattr__(self, name):
+        """Derive the form the Mat was not built from, once."""
+        if name == "entries":
+            den, rows = self._cleared
+            span = range(self.cols)
+            value = tuple(tuple(Rat(r[j], den) if j in r else ZERO for j in span) for r in rows)
+        elif name == "_cleared":
+            den = lcm(*[x.denominator for row in self.entries for x in row if x])
+            rows = [
+                {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+                for row in self.entries
+            ]
+            value = (den, rows)
+        else:
+            raise AttributeError(f"'Mat' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -153,34 +178,3 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 
-
-def tridiagonal(diag, sub, sup) -> Mat:
-    """Square matrix with the given diagonal, first subdiagonal (entries
-    [i+1][i]) and first superdiagonal (entries [i][i+1]).  Each entry is
-    coerced once, and the rows are built around the band directly."""
-    diag, sub, sup = list(diag), list(sub), list(sup)
-    n = len(diag)
-    for off in (sub, sup):
-        if len(off) != n - 1:
-            raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(off)}")
-    # row i padded by one column on each side, then cut back
-    diag, sub, sup = (
-        [x if type(x) is Rat else rat(x) for x in xs] for xs in (diag, [ZERO, *sub], [*sup, ZERO])
-    )
-    zeros = (ZERO,) * n
-    rows = tuple(
-        (zeros[:i] + (sub[i], diag[i], sup[i]) + zeros[i + 1 :])[1:-1] for i in range(n)
-    )
-    return Mat._trusted(rows, n)
-
-
-def lower_bidiagonal(diag, sub) -> Mat:
-    """Square matrix with the given diagonal and first subdiagonal."""
-    sub = list(sub)
-    return tridiagonal(diag, sub, [ZERO] * len(sub))
-
-
-def upper_bidiagonal(diag, sup) -> Mat:
-    """Square matrix with the given diagonal and first superdiagonal."""
-    sup = list(sup)
-    return tridiagonal(diag, [ZERO] * len(sup), sup)

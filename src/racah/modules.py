@@ -10,18 +10,19 @@ Three distinguished bases are supported:
      phi_1..phi_d);
   u: A as in v, B upper bidiagonal with reversed diagonal theta*_d..theta*_0
      and superdiagonal phi_d..phi_1.
-In every basis C = eta*I - A - B and D = (AB - BA)/2, both tridiagonal and
-built entry by entry on their band.
+In every basis C = eta*I - A - B and D = (AB - BA)/2, both tridiagonal, and
+all four are integer bands (params.sequences): A, B, C over q, D over 2q^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .intmat import Rows, clear, combine, mul, scalar
-from .matrix import Mat, lower_bidiagonal, tridiagonal, upper_bidiagonal
+from .matrix import Mat
 from .params import ParamTriple, Scalars, scalars, sequences
-from .rational import ONE, Rat
+from .rational import Rat
 
 BASES = ("v", "w", "u")
 
@@ -36,6 +37,8 @@ class ModuleRep:
     C: Mat
     D: Mat
     scalars: Scalars
+    # params.sequences at indices 0..d, as build_R evaluated them
+    _sequences: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -55,7 +58,7 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     n = d + 1
-    q, th, ts, ph, vp = sequences(p, d, n)
+    q, th, ts, ph, vp = seqs = sequences(p, d, n)
     if basis == "v":
         a, b, u = th, ts, vp[1:]
     elif basis == "w":
@@ -64,22 +67,29 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
         a, b, u = th, ts[::-1], ph[:0:-1]
     sc = scalars(p, d)
     eta = sc.eta.numerator * (q // sc.eta.denominator)  # eta * q
-    # every entry is one integer over q, 2q or 2q^2, from the diagonals a, b
-    # and B's superdiagonal u at scale q (A's subdiagonal is all ones); C
-    # and D are built on their band
-    two_q = 2 * q
-    c_mat = tridiagonal(
-        [Rat(eta - x - y, q) for x, y in zip(a, b)], [-ONE] * d, [Rat(-x, q) for x in u]
+    # a, b and B's superdiagonal u are at scale q; A's subdiagonal is all ones
+    zeros, uu = [0] * d, [0, *u, 0]
+    a_mat = _band(q, a, [q] * d, zeros)
+    b_mat = _band(q, b, zeros, u)
+    c_mat = _band(q, [eta - x - y for x, y in zip(a, b)], [-q] * d, [-x for x in u])
+    d_mat = _band(
+        2 * q * q,
+        [(uu[i] - uu[i + 1]) * q for i in range(n)],
+        [(b[i] - b[i + 1]) * q for i in range(d)],
+        [(a[i] - a[i + 1]) * x for i, x in enumerate(u)],
     )
-    uu = [0, *u, 0]
-    d_mat = tridiagonal(
-        [Rat(uu[i] - uu[i + 1], two_q) for i in range(n)],
-        [Rat(b[i] - b[i + 1], two_q) for i in range(d)],
-        [Rat((a[i] - a[i + 1]) * x, two_q * q) for i, x in enumerate(u)],
-    )
-    a_mat = lower_bidiagonal([Rat(x, q) for x in a], [ONE] * d)
-    b_mat = upper_bidiagonal([Rat(x, q) for x in b], [Rat(x, q) for x in u])
-    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc)
+    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc, seqs)
+
+
+def _band(den: int, diag: list[int], sub: list[int], sup: list[int]) -> Mat:
+    """The square matrix over den with an integer diagonal, sub- and superdiagonal."""
+    g = gcd(den, *diag, *sub, *sup)
+    sub, sup = [0, *sub], [*sup, 0]
+    rows = [
+        {j: x // g for j, x in ((i - 1, sub[i]), (i, y), (i + 1, sup[i])) if x}
+        for i, y in enumerate(diag)
+    ]
+    return Mat.from_cleared(den // g, rows, len(diag))
 
 
 @dataclass(frozen=True)

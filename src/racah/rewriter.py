@@ -620,7 +620,7 @@ def evaluate(x, rep: ModuleRep) -> Mat:
     the module's scalars.  Each word is multiplied out on the generators
     cleared together (racah.intmat), brought up to the longest word's power
     of their den and, with the coefficients cleared by the lcm of their
-    denominators, summed; the sum is divided once."""
+    denominators, summed; the sum is the value's cleared form."""
     if isinstance(x, NormalElement):
         x = x.to_free()
     n = rep.dim
@@ -640,8 +640,7 @@ def evaluate(x, rep: ModuleRep) -> Mat:
             acc = mul(acc, table[sym])
         c = coeff.numerator * (cleared // coeff.denominator) * den ** (top - len(word))
         total = combine((1, total), (c, acc))
-    scale = cleared * den**top
-    return Mat([[Rat(row[j], scale) if j in row else ZERO for j in range(n)] for row in total])
+    return Mat.from_cleared(cleared * den**top, total, n)
 
 
 # -------------------------------------------------------------- formatting

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intmat import clear, columns, combine, mul, scalar
-from .matrix import Mat, lower_bidiagonal, upper_bidiagonal
-from .modules import build_R, presentation_identities
+from .matrix import Mat
+from .modules import _band, build_R, presentation_identities
 from .params import ParamTriple, Scalars, scalars, sequences, theta, theta_star, varphi
-from .rational import ONE, Rat, format_rat, rat
+from .rational import Rat, format_rat, rat
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def build_verma(p: ParamTriple, nu, cutoff: Optional[int] = None) -> VermaTrunca
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     n = cutoff + 1
     q, th, ts, _, vp = sequences(p, nu, n)
-    a_mat = lower_bidiagonal([Rat(x, q) for x in th], [ONE] * cutoff)
-    b_mat = upper_bidiagonal([Rat(x, q) for x in ts], [Rat(x, q) for x in vp[1:]])
+    a_mat = _band(q, th, [q] * cutoff, [0] * cutoff)
+    b_mat = _band(q, ts, [0] * cutoff, vp[1:])
     return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu))
 
 
@@ -208,7 +208,7 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     )
 
     tail_vp = varphi(p, nu, d + 1)
-    tail_ok = tail_vp == 0 and b_mat.entries[d][d + 1] == 0
+    tail_ok = tail_vp == 0 and d + 1 not in b[d]
     checks.append(
         VermaCheck(
             "tail is a submodule",
@@ -221,11 +221,12 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
 
     if tail_ok:
         rep = build_R(p, d, "v")
-        block_ok = all(
-            a_mat.entries[i][: d + 1] == rep.A.entries[i]
-            and b_mat.entries[i][: d + 1] == rep.B.entries[i]
-            for i in range(d + 1)
-        )
+        block_ok = True
+        for pair in ((a_mat, rep.A), (b_mat, rep.B)):  # each pair cleared together
+            _, (big, small), _ = clear(pair)
+            block_ok = block_ok and all(
+                {j: x for j, x in big[i].items() if j <= d} == small[i] for i in range(d + 1)
+            )
         checks.append(
             VermaCheck(
                 "quotient matches the finite module",

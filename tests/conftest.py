@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -6,7 +7,7 @@ from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, poly_gcd, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import _local_minimal_polynomial, _poly_product
 from racah.poly import PRIME, _degree_of_gcd_mod_q, _integers
-from racah.rational import HALF, Rat
+from racah.rational import HALF, ZERO, Rat
 
 settings.register_profile(
     "exact",
@@ -50,6 +51,51 @@ def module_points(draw, max_d=16):
         t = rat(d, 2) - draw(st.integers(1, d))
         p = ParamTriple(p.a, p.b, draw(st.sampled_from(ONTO_FORM))(p.a, p.b, t))
     return p, d
+
+
+def tridiagonal(diag, sub, sup):
+    """Square Mat with the given diagonal, first subdiagonal (entries
+    [i+1][i]) and first superdiagonal (entries [i][i+1]), each row cut from
+    the band padded by one column on each side.  racah.matrix built the
+    modules with it before they were built from integers; kept here as
+    the oracles' band builder."""
+    diag, sub, sup = list(diag), list(sub), list(sup)
+    n = len(diag)
+    for off in (sub, sup):
+        if len(off) != n - 1:
+            raise ShapeError(f"{n} diagonal entries need {n - 1} off-diagonal ones, got {len(off)}")
+    sub, sup = [ZERO, *sub], [*sup, ZERO]
+    zeros = [ZERO] * n
+    return Mat([(zeros[:i] + [sub[i], diag[i], sup[i]] + zeros[i + 1 :])[1:-1] for i in range(n)])
+
+
+def lower_bidiagonal(diag, sub):
+    """Square Mat with the given diagonal and first subdiagonal."""
+    sub = list(sub)
+    return tridiagonal(diag, sub, [ZERO] * len(sub))
+
+
+def upper_bidiagonal(diag, sup):
+    """Square Mat with the given diagonal and first superdiagonal."""
+    sup = list(sup)
+    return tridiagonal(diag, [ZERO] * len(sup), sup)
+
+
+def entry_walk_clear(mats, scalars=()):
+    """racah.intmat.clear as a walk over every entry of every matrix, before
+    each Mat carried its cleared form; kept as its oracle."""
+    den = lcm(
+        *[x.denominator for m in mats for row in m.entries for x in row if x],
+        *[x.denominator for x in scalars],
+    )
+    rows = [
+        [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in m.entries
+        ]
+        for m in mats
+    ]
+    return den, rows, [x.numerator * (den // x.denominator) for x in scalars]
 
 
 def fraction_scalars(p, nu):

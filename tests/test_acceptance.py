@@ -39,10 +39,9 @@ from racah import (
     verma_checks,
 )
 import racah.golden
-from racah.matrix import upper_bidiagonal
 from racah.rewriter import SYMBOLS
 
-from conftest import commutator, random_rat, random_triple
+from conftest import commutator, random_rat, random_triple, upper_bidiagonal
 
 HALF = rat(1, 2)
 FORMS = ("a+b+c+1", "-a+b+c", "a-b+c", "a+b-c")

@@ -681,11 +681,10 @@ def test_isomorphic_catches_orbit_split(monkeypatch):
 _OPTIMIZED_PROBE = """
 import sys
 import racah.analyzer as analyzer
-from racah import ConsistencyError, ParamTriple, ShapeError, analyze
-from racah.matrix import lower_bidiagonal
+from racah import ConsistencyError, Mat, ParamTriple, ShapeError, analyze
 
 try:
-    lower_bidiagonal([1, 2, 3], [7])
+    Mat([[1, 2, 3], [7]])
 except ShapeError:
     print("shape")
 analyzer.in_P = lambda p, d: (True, [])

@@ -1,0 +1,209 @@
+"""The cleared form a Mat carries (den, sparse integer rows), the modules
+built from it, and racah.intmat.clear reading it."""
+
+import copy
+import pickle
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, strategies as st
+
+import racah.analyzer as analyzer
+import racah.modules as modules
+from racah import (
+    Mat,
+    ParamTriple,
+    analyze,
+    build_R,
+    build_verma,
+    evaluate,
+    intertwiner_space,
+    isomorphic,
+    l_matrix,
+    minimal_polynomial,
+    parse,
+    rank,
+    rat,
+    spin,
+    verify_relations,
+    verma_checks,
+)
+from racah.intmat import clear
+from racah.modules import BASES
+from racah.rational import ONE, ZERO, Rat
+
+from conftest import ONTO_FORM, entry_walk_clear, module_points, rationals
+
+P = ParamTriple.of("1/3", "-2/5", "7/4")
+SIX_DIGITS = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+
+
+def boundary_points(d):
+    """P moved onto each of the four reducibility forms at d/2 - 1."""
+    t = rat(d, 2) - 1
+    return [ParamTriple(P.a, P.b, form(P.a, P.b, t)) for form in ONTO_FORM]
+
+
+def generators(rep):
+    return [rep.A, rep.B, rep.C, rep.D]
+
+
+def assert_canonical(m):
+    """m's cleared form is den * m with zeros dropped, and den is the lcm
+    of the entries' denominators."""
+    den, rows = m._cleared
+    assert den == lcm(*[x.denominator for row in m.entries for x in row if x])
+    assert gcd(den, *[x for row in rows for x in row.values()]) == 1
+    assert len(rows) == m.rows
+    for row, entries in zip(rows, m.entries):
+        assert 0 not in row.values()
+        assert {j: Rat(x, den) for j, x in row.items()} == {
+            j: x for j, x in enumerate(entries) if x
+        }
+
+
+# ------------------------------------------------------- the two forms
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_mat_of_entries_has_the_canonical_form(n, m, data):
+    entry = st.one_of(st.just(rat(0)), rationals(30, 30))
+    entries = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    assert_canonical(Mat(entries))
+
+
+def test_zero_mat_clears_over_one():
+    assert Mat.zero(2, 3)._cleared == (1, [{}, {}])
+    assert Mat.from_cleared(6, [{}, {}], 2) == Mat.zero(2)
+    assert Mat.from_cleared(6, [{}, {}], 2)._cleared == (1, [{}, {}])
+
+
+def test_from_cleared_divides_out_the_common_factor():
+    m = Mat.from_cleared(12, [{0: 4, 1: -2}, {}, {2: 6}], 3)
+    assert m._cleared == (6, [{0: 2, 1: -1}, {}, {2: 3}])
+    assert m == Mat([[rat(1, 3), rat(-1, 6), 0], [0, 0, 0], [0, 0, rat(1, 2)]])
+    assert m.shape() == (3, 3)
+    assert all(type(x) is Rat for row in m.entries for x in row)
+    assert m.entries[1][0] is ZERO and m.entries[0][0] == rat(1, 3)
+    assert Mat.from_cleared(3, [{0: 3}], 2).entries == ((ONE, ZERO),)
+
+
+def integer_built(p, d):
+    """Every Mat the library builds from integers at (p, d)."""
+    mats = [m for basis in BASES for m in generators(build_R(p, d, basis))]
+    vt = build_verma(p, d)
+    mats += [vt.A, vt.B, l_matrix(p, d, "direct")]
+    mats.append(evaluate(parse("1/3*A*B - [C, D] + 2*alpha*A"), build_R(p, d, "w")))
+    return mats
+
+
+@pytest.mark.parametrize("p, d", [(P, 0), (P, 4), (SIX_DIGITS, 6), *[(q, 5) for q in boundary_points(5)]])
+def test_integer_built_mats_behave_like_mats_of_their_entries(p, d):
+    for m in integer_built(p, d):
+        cleared = copy.deepcopy(m._cleared)
+        twin = Mat(m.entries)
+        assert m == twin and twin == m
+        assert hash(m) == hash(twin)
+        back = pickle.loads(pickle.dumps(m))
+        assert back == twin and pickle.dumps(back) == pickle.dumps(twin)
+        assert twin._cleared == cleared  # derived from the entries by the walk
+        assert clear([m]) == clear([twin]) == entry_walk_clear([twin])
+        assert_canonical(m)
+
+
+# --------------------------------------------------- intmat.clear oracle
+
+def assert_clear_matches_the_entry_walk(p, d):
+    for basis in BASES:
+        rep = build_R(p, d, basis)
+        mats = generators(rep)
+        assert clear(mats, rep.scalars) == entry_walk_clear(mats, rep.scalars)
+        # mixed with Mats built from entries, and a Mat given twice
+        mixed = [Mat(rep.A.entries), rep.B, rep.D, rep.B]
+        assert clear(mixed, (rat(1, 7),)) == entry_walk_clear(mixed, (rat(1, 7),))
+
+
+@given(module_points(max_d=10))
+def test_clear_matches_the_entry_walk(point):
+    assert_clear_matches_the_entry_walk(*point)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+def test_clear_matches_the_entry_walk_at_six_digits_and_on_each_boundary(d):
+    for p in [SIX_DIGITS, *boundary_points(d)]:
+        assert_clear_matches_the_entry_walk(p, d)
+
+
+def test_clear_hands_out_new_rows():
+    rep = build_R(P, 3)
+    _, (a, b), _ = clear([rep.A, rep.B])
+    for row in a + b:
+        row.clear()
+    assert clear([rep.A, rep.B]) == entry_walk_clear([rep.A, rep.B])
+
+
+# ------------------------------------- consumers leave their inputs alone
+
+def snapshot(mats):
+    return [copy.deepcopy(m._cleared) for m in mats]
+
+
+def recording_build_R(monkeypatch):
+    """Patch analyzer.build_R to record each module it builds with a copy
+    of its generators' cleared forms taken on the way out."""
+    built = []
+    real = analyzer.build_R
+
+    def build(p, d, basis="v"):
+        rep = real(p, d, basis)
+        built.append((rep, snapshot(generators(rep))))
+        return rep
+
+    monkeypatch.setattr(analyzer, "build_R", build)
+    return built
+
+
+@pytest.mark.parametrize("p, d", [(P, 4), (SIX_DIGITS, 3), (boundary_points(3)[1], 3)])
+def test_consumers_keep_the_cleared_form_of_their_inputs(p, d, monkeypatch):
+    reps = [build_R(p, d, basis) for basis in BASES]
+    mats = [m for rep in reps for m in generators(rep)]
+    vt = build_verma(p, d)
+    mats += [vt.A, vt.B]
+    before = snapshot(mats)
+    v, w, _ = reps
+    for rep in reps:
+        verify_relations(rep)
+        evaluate(parse("A*B*C - 1/2*D^2 + gamma*C"), rep)
+        for m in generators(rep):
+            rank(m)
+            minimal_polynomial(m)
+    intertwiner_space(v.A, v.B, w.A, w.B)
+    spin(d + 1, [[ONE] + [ZERO] * d], [v.A, v.B])
+    verma_checks(vt, d)
+    assert snapshot(mats) == before
+
+    built = recording_build_R(monkeypatch)
+    analyze(p, d)
+    l_matrix(p, d, "direct")
+    q = ParamTriple(-p.a - 1, p.b, p.c)
+    if analyzer.in_P(p, d)[0]:
+        isomorphic(p, q, d)
+    assert len(built) == (4 if analyzer.in_P(p, d)[0] else 2)
+    for rep, taken in built:
+        assert snapshot(generators(rep)) == taken
+
+
+def test_analyze_evaluates_the_sequences_once_per_point(monkeypatch):
+    calls = []
+    real = modules.sequences
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "sequences", counting)
+    monkeypatch.setattr(analyzer, "sequences", counting)
+    for p, d in [(P, 0), (P, 4), (SIX_DIGITS, 3), *[(q, 5) for q in boundary_points(5)]]:
+        calls.clear()
+        report = analyze(p, d)
+        assert len(calls) == 1, (p, d)
+        assert report.l_diagonal == analyzer.l_diagonal(p, d)

@@ -27,12 +27,11 @@ from racah import (
     rref,
     spin,
 )
-from racah.matrix import lower_bidiagonal
 from racah.modules import BASES
 from racah.poly import monic_scaled
 from racah.rational import Rat, parse_rat
 
-from conftest import poly_minimal_polynomial, rationals, triples
+from conftest import lower_bidiagonal, poly_minimal_polynomial, rationals, triples
 
 
 def mats(n, m=None):
@@ -518,6 +517,40 @@ def test_elimination_matches_gauss_jordan_on_sylvester_systems(p1, p2, same, d, 
     null = kernel(m).basis
     assert list(null) == gauss_jordan_kernel(m.entries, m.cols)
     assert all_rat(got) and all_rat(null)
+
+
+def rref_rank(m):
+    """rank as the length of the full RREF of m's rows, before it counted
+    the forward elimination's kept rows; kept as its oracle."""
+    return len(rref(m.entries))
+
+
+@given(planted_rows())
+def test_rank_matches_rref_on_planted_rows(case):
+    ncols, rows = case
+    if rows:  # a Mat needs a row
+        m = Mat(rows)
+        assert rank(m) == rref_rank(m) <= min(m.rows, ncols)
+
+
+@given(mats(4, 3), st.integers(0, 3))
+def test_rank_matches_rref_on_random_and_singular_matrices(m, k):
+    assert rank(m) == rref_rank(m)
+    # column k of the square part made a combination of the others
+    square = [list(row[:3]) for row in m.entries[:3]]
+    for row in square:
+        row[k % 3] = 2 * row[(k + 1) % 3] - row[(k + 2) % 3] / 3
+    singular = Mat(square)
+    assert rank(singular) == rref_rank(singular) < 3
+    doubled = Mat([*m.entries, *m.entries])  # rank deficient by construction
+    assert rank(doubled) == rref_rank(doubled) == rank(m)
+
+
+@given(triples(5, 3), st.integers(0, 6), st.sampled_from(["v", "w", "u"]))
+def test_rank_matches_rref_on_generators(p, d, basis):
+    rep = build_R(p, d, basis)
+    for m in (rep.A, rep.B, rep.C, rep.D):
+        assert rank(m) == rref_rank(m)
 
 
 def sparse_square(n):

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from racah import Mat, ParamTriple, ShapeError, build_R, rat
 from racah.modules import BASES
 from racah.rational import Rat
-from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 
-from conftest import commutator, rationals
+from conftest import commutator, lower_bidiagonal, rationals, tridiagonal, upper_bidiagonal
 
 
 def mats(n, m=None):

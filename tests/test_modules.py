@@ -19,7 +19,6 @@ from racah import (
     varphi,
     verify_relations,
 )
-from racah.matrix import lower_bidiagonal, tridiagonal, upper_bidiagonal
 from racah.modules import BASES, RelationCheck, RelationReport
 from racah.params import sequences
 from racah.rational import HALF, ONE, ZERO, Rat
@@ -28,11 +27,14 @@ from conftest import (
     ONTO_FORM,
     commutator,
     fraction_scalars,
+    lower_bidiagonal,
     module_points,
     nudged,
     presentation_identities_oracle,
     rationals,
+    tridiagonal,
     triples,
+    upper_bidiagonal,
 )
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
@@ -193,7 +195,8 @@ def fraction_build_R(p, d, basis="v"):
 def assert_same_module(p, d, basis):
     got, want = build_R(p, d, basis), fraction_build_R(p, d, basis)
     for f in dataclasses.fields(ModuleRep):
-        assert getattr(got, f.name) == getattr(want, f.name), (p, d, basis, f.name)
+        if f.compare:  # the sequences build_R keeps for analyze are not compared
+            assert getattr(got, f.name) == getattr(want, f.name), (p, d, basis, f.name)
     for m in (got.A, got.B, got.C, got.D):
         assert all(type(x) is Rat for row in m.entries for x in row)
 
