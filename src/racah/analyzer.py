@@ -4,9 +4,9 @@ parameter identification from traces, and isomorphism testing.
 
 Everything here comes in two routes: a closed-form criterion in the
 parameters, and a structural oracle that only touches the matrices.  The
-two must agree; analyze() hard-asserts it (ConsistencyError on violation),
-which is the package's standing cross-check of the formulas against the
-linear algebra.
+two must agree; analyze() raises ConsistencyError when they do not, which
+is the package's standing cross-check of the formulas against the linear
+algebra.
 
 The irreducibility oracle reads A in an eigenbasis of B: when B is upper
 bidiagonal with distinct diagonal entries, the module is irreducible iff
@@ -231,7 +231,9 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     n = d + 1
-    q, *seqs = sequences(p, d, n)
+    # the direct route reads the sequences build_R evaluated for its module
+    rep = build_R(p, d, "v") if method == "direct" else None
+    q, *seqs = sequences(p, d, n) if rep is None else rep._sequences
     th, ts, ph, vp = ([Rat(x, q) for x in seq] for seq in seqs)  # ph[0] unused
 
     if method == "closed":
@@ -271,7 +273,6 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         # on A and B cleared together with the theta_h and theta*_h, so
         # that a product of k factors (A - theta_h) or (B - theta*_h) sits
         # at den^k
-        rep = build_R(p, d, "v")
         den, (a, b), shifts = clear((rep.A, rep.B), th + ts)
         ident = scalar(n, 1)
         prod_b = ident

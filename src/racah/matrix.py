@@ -164,17 +164,6 @@ class Mat:
             sum([row[j] * b for j, b in nonzero if row[j]]) or ZERO for row in self.entries
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def first_nonzero(self):
-        """(i, j, value) of the first nonzero entry in row-major order, or None."""
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x != 0:
-                    return (i, j, x)
-        return None
-
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 

@@ -1,6 +1,7 @@
 """Univariate polynomials over the exact rationals.
 
-Coefficients are stored lowest-degree first with trailing zeros stripped;
+A Poly is the frozen value a report carries and does no arithmetic.  Its
+coefficients are stored lowest-degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.
 
 The squarefreeness test and the gcd run on integer polynomials, plain
@@ -37,11 +38,13 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots) -> "Poly":
-        """Monic polynomial with the given roots (repeats allowed)."""
-        acc = cls([ONE])
+        """Monic polynomial with the given roots (repeats allowed): each
+        factor x - r maps the coefficients c to c_(i-1) - r c_i."""
+        cs = [ONE]
         for r in roots:
-            acc = acc * cls([-rat(r), ONE])
-        return acc
+            r = rat(r)
+            cs = [a - r * b for a, b in zip([ZERO, *cs], [*cs, ZERO])]
+        return cls(cs)
 
     @property
     def degree(self) -> int:
@@ -50,99 +53,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Rat:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "Poly":
-        c = rat(c)
-        return Poly([c * x for x in self.coeffs])
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative polynomial powers are not supported")
-        acc = Poly([ONE])
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def __divmod__(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [ZERO] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x: Rat) -> Rat:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self):
         if self.is_zero():

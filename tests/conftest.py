@@ -7,7 +7,7 @@ from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, poly_gcd, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import _local_minimal_polynomial, _poly_product
 from racah.poly import PRIME, _degree_of_gcd_mod_q, _integers
-from racah.rational import HALF, ZERO, Rat
+from racah.rational import HALF, ONE, ZERO, Rat
 
 settings.register_profile(
     "exact",
@@ -191,4 +191,52 @@ def poly_squarefree(p):
         df = [i * c % PRIME for i, c in enumerate(ints)][1:]
         if _degree_of_gcd_mod_q(f, df) == 0:
             return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    return poly_gcd(p, Poly(poly_derivative(p.coeffs))).degree == 0
+
+
+def first_nonzero(m):
+    """(i, j, value) of the first nonzero entry of the Mat m, row by row, or None."""
+    return next(((i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x), None)
+
+
+# Poly's arithmetic before Poly became a plain value, on coefficient lists
+# lowest degree first; each result is a tuple of Rat without trailing zeros,
+# the coefficients of a Poly.
+
+def poly_mul(*factors):
+    out = [ONE]
+    for f in factors:
+        acc = [ZERO] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] += a * b
+        out = acc
+    return Poly(out).coeffs
+
+
+def poly_divmod(f, g):
+    """(quotient, remainder) of f by the nonzero g: exact division when g divides f."""
+    f, g = Poly(f).coeffs, Poly(g).coeffs
+    q = [ZERO] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g):
+        shift = len(f) - len(g)
+        q[shift] = c = f[-1] / g[-1]
+        f = Poly([x - c * g[i - shift] if i >= shift else x for i, x in enumerate(f)]).coeffs
+    return Poly(q).coeffs, f
+
+
+def poly_monic(cs):
+    return tuple(rat(c, cs[-1]) for c in cs)
+
+
+def poly_derivative(cs):
+    return Poly([i * c for i, c in enumerate(cs)][1:]).coeffs
+
+
+def euclid_gcd(f, g):
+    """Monic gcd by Euclid's algorithm over Q, poly_gcd before it ran on
+    integers; () when f and g are both zero."""
+    f, g = Poly(f).coeffs, Poly(g).coeffs
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return poly_monic(f) if f else f

@@ -85,7 +85,7 @@ def test_criterion_1_golden_example(monkeypatch):
         alpha = commutator(rep.A, rep.D) + rep.A * rep.C - rep.B * rep.A
         beta = commutator(rep.B, rep.D) + rep.B * rep.A - rep.C * rep.B
         gamma = commutator(rep.C, rep.D) + rep.C * rep.B - rep.A * rep.C
-        assert alpha.is_zero() and beta.is_zero() and gamma.is_zero()
+        assert alpha == beta == gamma == Mat.zero(5)
 
         # negative control: a flipped superdiagonal sign is caught and located
         monkeypatch.setattr(racah.golden, "build_R", tampered_build_R)

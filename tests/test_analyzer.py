@@ -40,6 +40,7 @@ from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
 from conftest import (
     ONTO_FORM,
+    first_nonzero,
     module_points,
     nudged,
     poly_minimal_polynomial,
@@ -403,7 +404,7 @@ def direct_l_matrix_oracle(rep, p, d):
     rows = []
     for i in range(n):
         m = prod_b * partials[i]
-        hit = Mat(m.entries[1:]).first_nonzero() if n > 1 else None
+        hit = first_nonzero(Mat(m.entries[1:])) if n > 1 else None
         if hit is not None:
             r, c, value = hit
             return (i, r + 1, c, value)

@@ -192,9 +192,10 @@ def test_consumers_keep_the_cleared_form_of_their_inputs(p, d, monkeypatch):
         assert snapshot(generators(rep)) == taken
 
 
-def test_analyze_evaluates_the_sequences_once_per_point(monkeypatch):
-    calls = []
-    real = modules.sequences
+@pytest.fixture
+def sequence_calls(monkeypatch):
+    """The arguments of each params.sequences call through racah.modules or racah.analyzer."""
+    calls, real = [], modules.sequences
 
     def counting(*args):
         calls.append(args)
@@ -202,8 +203,19 @@ def test_analyze_evaluates_the_sequences_once_per_point(monkeypatch):
 
     monkeypatch.setattr(modules, "sequences", counting)
     monkeypatch.setattr(analyzer, "sequences", counting)
+    return calls
+
+
+def test_direct_l_matrix_evaluates_the_sequences_once(sequence_calls):
+    for p, d in [(P, 0), (P, 6), (SIX_DIGITS, 3)]:
+        sequence_calls.clear()
+        got = l_matrix(p, d, "direct")
+        assert len(sequence_calls) == 1 and got == l_matrix(p, d, "closed"), (p, d)
+
+
+def test_analyze_evaluates_the_sequences_once_per_point(sequence_calls):
     for p, d in [(P, 0), (P, 4), (SIX_DIGITS, 3), *[(q, 5) for q in boundary_points(5)]]:
-        calls.clear()
+        sequence_calls.clear()
         report = analyze(p, d)
-        assert len(calls) == 1, (p, d)
+        assert len(sequence_calls) == 1, (p, d)
         assert report.l_diagonal == analyzer.l_diagonal(p, d)

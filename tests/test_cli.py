@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from racah import Mat, ParamTriple, build_R, rat
+from racah import ConsistencyError, Mat, ParamTriple, build_R, rat
 import racah.rewriter
 import racah.cli
 from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, MAX_JOBS, main, _parse_grid
@@ -121,6 +122,31 @@ def test_verify_other_basis_text(capsys):
     assert "all relations hold" in out
 
 
+def test_verify_failure_names_the_first_mismatch(capsys, monkeypatch):
+    # D replaced by 2D: every check that reads D fails at its first entry
+    real = racah.cli.build_R
+
+    def doubled_d(*args):
+        rep = real(*args)
+        return dataclasses.replace(rep, D=rep.D.scale(2))
+
+    monkeypatch.setattr(racah.cli, "build_R", doubled_d)
+    argv = ["verify", *GENERIC, "--d", "2"]
+    code, doc, _ = run_json(capsys, argv)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert code == 1 and doc["all_pass"] is False
+    mismatch = {"row": 0, "col": 0, "lhs": "-10829/1800", "rhs": "-10829/900"}
+    assert checks["[A,B] = 2D"]["first_mismatch"] == checks["[C,A] = 2D"]["first_mismatch"] == mismatch
+    assert all(("first_mismatch" in c) != c["ok"] for c in checks.values())
+    failed = [name for name, c in checks.items() if not c["ok"]]
+    assert len(failed) == 18 and "A + B + C = eta I" not in failed
+    code, out, _ = run_cli(capsys, [*argv, "--format", "text"])
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "RELATION FAILURES" and lines[0] == "FAIL  [A,B] = 2D"
+    assert [line[6:] for line in lines if line.startswith("FAIL  ")] == failed
+    assert "  ok  A + B + C = eta I" in lines
+
+
 # -------------------------------------------------------------- analyze
 
 def test_analyze_irreducible(capsys):
@@ -203,6 +229,23 @@ def test_sweep_parallel_output_identical(capsys):
     code2, out2, _ = run_cli(capsys, [*argv, "--jobs", "2"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sweep_disagreement_is_a_row_and_exits_1(capsys, monkeypatch):
+    argv = ["sweep", "--grid", "a=1/3;b=1/3;c=1;d=1..3:1"]
+    _, before, _ = run_json(capsys, argv)
+    real = racah.cli.analyze
+
+    def analyze(p, d):
+        if d == 2:
+            raise ConsistencyError("planted")
+        return real(p, d)
+
+    monkeypatch.setattr(racah.cli, "analyze", analyze)
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 1 and doc["summary"]["disagreements"] == 1
+    row = {"params": before["points"][1]["params"], "d": 2, "disagreement": True, "error": "planted"}
+    assert doc["points"] == [before["points"][0], row, before["points"][2]]
 
 
 def test_jobs_above_the_limit_exits_2(capsys):
@@ -528,8 +571,10 @@ NINES = "9" * 4000
     [
         ["reduce", "--expr", "(((2*A)^64)^64)^4"],
         ["construct", "--a", NINES, "--b", "0", "--c", "0", "--d", "1"],
+        # nu fits the digit limit but a check's detail does not: exit 1, not 2
+        ["verma", "--a", "0", "--b", "0", "--c", "0", "--nu", "7" * 2500, "--d", "3", "--cutoff", "8"],
     ],
-    ids=["reduce", "construct"],
+    ids=["reduce", "construct", "verma"],
 )
 def test_result_too_large_to_print_exits_1(argv):
     # a rational of more than sys.get_int_max_str_digits() digits

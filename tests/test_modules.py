@@ -26,6 +26,7 @@ from racah.rational import HALF, ONE, ZERO, Rat
 from conftest import (
     ONTO_FORM,
     commutator,
+    first_nonzero,
     fraction_scalars,
     lower_bidiagonal,
     module_points,
@@ -67,7 +68,7 @@ def test_build_d0():
     assert rep.A == Mat([[P.a * (P.a + 1)]])
     assert rep.B == Mat([[P.b * (P.b + 1)]])
     assert rep.C == Mat([[P.c * (P.c + 1)]])
-    assert rep.D.is_zero()
+    assert rep.D == Mat.zero(1)
     assert verify_relations(rep).all_pass
 
 
@@ -234,7 +235,7 @@ def verify_relations_oracle(rep):
     zeta, zeta_star, eta, gamma = rep.scalars
 
     def compare(name, lhs, rhs):
-        hit = (lhs - rhs).first_nonzero()
+        hit = first_nonzero(lhs - rhs)
         if hit is None:
             return RelationCheck(name, True)
         i, j, _ = hit
