@@ -56,7 +56,7 @@ from .params import (
     trace_formula,
 )
 from .poly import PRIME, Poly, monic_scaled, squarefree_integer
-from .rational import ONE, ZERO, Rat, format_rat, is_square, rat
+from .rational import ONE, ZERO, Rat, format_rat, is_square
 
 
 class ConsistencyError(AssertionError):
@@ -221,59 +221,73 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     """Lower-triangular transition matrix between the w-basis and the
     v-basis, in three independently computable ways.
 
-    closed:     binomial closed form for each entry;
-    recurrence: first column from products, then
+    closed:     binomial closed form for each entry,
+                L[i][j] = C(d-i+j, j) C(i, j) / C(d, j)
+                          * prod_(h=1..i-j) (theta*_0 - theta*_(d-h+1))
+                          * prod_(h=1..d-i) phi_h * prod_(h=1..j) varphi_h,
+                a product of d sequence values: an integer over
+                C(d, j) q^d, built over lcm_j C(d, j) q^d;
+    recurrence: first column from the same products, then
                 L[i][j] = (theta_i - theta_(j-1)) L[i][j-1] + L[i-1][j-1];
+                the theta differences are integers over a divisor r of q,
+                so column j is an integer over q^d r^j, lifted to (qr)^d;
     direct:     read off row 0 of prod_h (B - theta*_h) times the partial
                 A-products, straight from the v-basis matrices (products
-                of their cleared integer rows).
+                of their cleared integer rows), row i at den^(2d-i) for the
+                den that clears A, B and the shifts, lifted to den^(2d).
+
+    q is the common denominator of params.sequences: closed and recurrence
+    run on its integer sequences alone.
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     n = d + 1
-    # the direct route reads the sequences build_R evaluated for its module
-    rep = build_R(p, d, "v") if method == "direct" else None
-    q, *seqs = sequences(p, d, n) if rep is None else rep._sequences
-    th, ts, ph, vp = ([Rat(x, q) for x in seq] for seq in seqs)  # ph[0] unused
 
     if method == "closed":
+        seqs = sequences(p, d, n)
+        down, phi_tail, varphi_head = _l_products(d, seqs)
+        binom = [math.comb(d, j) for j in range(n)]
+        lift = math.lcm(*binom)
+        lifts = [lift // x for x in binom]
         rows = []
         for i in range(n):
-            row = []
-            for j in range(n):
-                if j > i:
-                    row.append(ZERO)
-                    continue
-                val = rat(math.comb(d - i + j, j) * math.comb(i, j), math.comb(d, j))
-                for h in range(1, i - j + 1):
-                    val = val * (ts[0] - ts[d - h + 1])
-                for h in range(1, d - i + 1):
-                    val = val * ph[h]
-                for h in range(1, j + 1):
-                    val = val * vp[h]
-                row.append(val)
+            row = {}
+            for j in range(i + 1):
+                x = math.comb(d - i + j, j) * math.comb(i, j) * lifts[j]
+                x *= down[i - j] * phi_tail[d - i] * varphi_head[j]
+                if x:
+                    row[j] = x
             rows.append(row)
-        return Mat(rows)
+        return Mat.from_cleared(lift * seqs[0] ** d, rows, n)
 
     if method == "recurrence":
-        grid = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            val = ONE
-            for h in range(1, i + 1):
-                val = val * (ts[0] - ts[d - h + 1])
-            for h in range(1, d - i + 1):
-                val = val * ph[h]
-            grid[i][0] = val
+        seqs = sequences(p, d, n)
+        q, th = seqs[0], seqs[1]
+        # theta_i - theta_k = t_ik / r with r = q/g, for g the gcd of q and
+        # every difference theta_i - theta_0 (all over q)
+        g = math.gcd(q, *(x - th[0] for x in th))
+        r = q // g
+        down, phi_tail, _ = _l_products(d, seqs)
+        col = [down[i] * phi_tail[d - i] for i in range(n)]  # column 0 at q^d
+        cols = [col]
         for j in range(1, n):
-            for i in range(j, n):
-                grid[i][j] = (th[i] - th[j - 1]) * grid[i][j - 1] + grid[i - 1][j - 1]
-        return Mat(grid)
+            t = th[j - 1]
+            col = [0] * j + [(th[i] - t) // g * col[i] + r * col[i - 1] for i in range(j, n)]
+            cols.append(col)  # column j at q^d r^j
+        lifts = [r ** (d - j) for j in range(n)]
+        rows = [
+            {j: cols[j][i] * lifts[j] for j in range(i + 1) if cols[j][i]} for i in range(n)
+        ]
+        return Mat.from_cleared(q**d * r**d, rows, n)
 
     if method == "direct":
+        # the direct route reads the sequences build_R evaluated for its module
+        rep = build_R(p, d, "v")
+        q, th, ts, _, _ = rep._sequences
         # on A and B cleared together with the theta_h and theta*_h, so
         # that a product of k factors (A - theta_h) or (B - theta*_h) sits
         # at den^k
-        den, (a, b), shifts = clear((rep.A, rep.B), th + ts)
+        den, (a, b), shifts = clear((rep.A, rep.B), [Rat(x, q) for x in th + ts])
         ident = scalar(n, 1)
         prod_b = ident
         for h in range(1, n):
@@ -312,14 +326,23 @@ def l_diagonal(p: ParamTriple, d: int) -> tuple:
 
 def _l_diagonal(d: int, seqs: tuple) -> tuple:
     """l_diagonal() from params.sequences at indices 0..d."""
-    q, _, _, ph, vp = seqs
-    phi_tail = [1]  # phi_tail[k] = q^k prod_(h=1..k) phi_h
-    varphi_head = [1]  # varphi_head[k] = q^k prod_(h=1..k) varphi_h
+    _, phi_tail, varphi_head = _l_products(d, seqs)
+    scale = seqs[0] ** d
+    return tuple(Rat(phi_tail[d - i] * varphi_head[i], scale) for i in range(d + 1))
+
+
+def _l_products(d: int, seqs: tuple) -> tuple[list[int], list[int], list[int]]:
+    """The prefix products of L's closed form from params.sequences at
+    indices 0..d, for k = 0..d, each an integer over q^k:
+    down[k] = prod_(h=1..k) (theta*_0 - theta*_(d-h+1)),
+    phi_tail[k] = prod_(h=1..k) phi_h and varphi_head[k] = prod_(h=1..k) varphi_h."""
+    _, _, ts, ph, vp = seqs
+    down, phi_tail, varphi_head = [1], [1], [1]
     for h in range(1, d + 1):
+        down.append(down[-1] * (ts[0] - ts[d - h + 1]))
         phi_tail.append(phi_tail[-1] * ph[h])
         varphi_head.append(varphi_head[-1] * vp[h])
-    scale = q**d
-    return tuple(Rat(phi_tail[d - i] * varphi_head[i], scale) for i in range(d + 1))
+    return down, phi_tail, varphi_head
 
 
 _GENERATOR_COORD = {"A": 0, "B": 1, "C": 2}

@@ -116,14 +116,21 @@ class RelationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _compare(name: str, lhs: Rows, rhs: Rows, scale: int) -> RelationCheck:
+def _compare(
+    name: str, lhs: Rows, rhs: Rows, scale: int, common: Rows | None = None
+) -> RelationCheck:
     """Compare two sides given at the same scale, as cleared integer rows;
-    a mismatch is the first differing entry in row-major order."""
+    a mismatch is the first differing entry in row-major order.  common,
+    when given, is a term both sides share that lhs and rhs leave out: it
+    moves no mismatch, and is added back to the two values reported."""
     for i, (left, right) in enumerate(zip(lhs, rhs)):
         if left != right:
             j = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            shift = common[i].get(j, 0) if common else 0
             return RelationCheck(
-                name, False, (i, j, Rat(left.get(j, 0), scale), Rat(right.get(j, 0), scale))
+                name,
+                False,
+                (i, j, Rat(left.get(j, 0) + shift, scale), Rat(right.get(j, 0) + shift, scale)),
             )
     return RelationCheck(name, True)
 
@@ -137,7 +144,16 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
     times each, as sparse integer rows), and each identity is compared at
     den^k for its degree k: a product of k generators, or of scalars and
     generators, is a product of k cleared factors, and a term of lower
-    degree is multiplied up by the missing powers of den."""
+    degree is multiplied up by the missing powers of den.
+
+    A module that passes costs 18 products: AB, BA, BC, CB, CA and AC, the
+    six of D with A, B and C in the central elements, and the six of the
+    presentation identities.  A central element M at den^2 is s*I + E for
+    its scalar s, and s*I commutes with everything, so MG - GM = EG - GE
+    for each generator G: centrality is checked on the off-scalar part E,
+    and costs no product when the scalar check found E = 0.  The
+    presentation identities take their left sides as nested commutators
+    (presentation_identities)."""
     n = rep.dim
     den, (a, b, c, dd), (zeta, zeta_star, eta, gamma) = clear(
         (rep.A, rep.B, rep.C, rep.D), rep.scalars
@@ -149,28 +165,37 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
     ca, ac = mul(c, a), mul(a, c)
     two_d = combine((2 * den, dd))
 
-    # the central elements at den^2
+    # the central elements at den^2, each with its scalar there
     alpha_mat = combine((1, mul(a, dd)), (-1, mul(dd, a)), (1, ac), (-1, ba))
     beta_mat = combine((1, mul(b, dd)), (-1, mul(dd, b)), (1, ba), (-1, cb))
     gamma_mat = combine((1, mul(c, dd)), (-1, mul(dd, c)), (1, cb), (-1, ac))
+    centrals = (
+        ("alpha", "zeta", den * zeta, alpha_mat),
+        ("beta", "zeta_star", den * zeta_star, beta_mat),
+        ("gamma", "gamma_scalar", den * gamma, gamma_mat),
+    )
 
+    scalar_checks = [
+        _compare(f"{name} = {s_name} I", m, scalar(n, s), sq) for name, s_name, s, m in centrals
+    ]
     checks = [
         _compare("[A,B] = 2D", combine((1, ab), (-1, ba)), two_d, sq),
         _compare("[B,C] = 2D", combine((1, bc), (-1, cb)), two_d, sq),
         _compare("[C,A] = 2D", combine((1, ca), (-1, ac)), two_d, sq),
-        _compare("alpha = zeta I", alpha_mat, scalar(n, den * zeta), sq),
-        _compare("beta = zeta_star I", beta_mat, scalar(n, den * zeta_star), sq),
-        _compare("gamma = gamma_scalar I", gamma_mat, scalar(n, den * gamma), sq),
+        *scalar_checks,
         _compare("A + B + C = eta I", combine((1, a), (1, b), (1, c)), scalar(n, eta), den),
     ]
     cube = sq * den
-    for name, central in (("alpha", alpha_mat), ("beta", beta_mat), ("gamma", gamma_mat)):
+    for (name, _, s, m), scalar_check in zip(centrals, scalar_checks):
+        # the off-scalar part E = M - s I, zero when the scalar check passed
+        off = None if scalar_check.ok else combine((1, m), (-s, scalar(n, 1)))
         for gname, gen in (("A", a), ("B", b), ("C", c), ("D", dd)):
-            checks.append(
-                _compare(
-                    f"{name} commutes with {gname}", mul(central, gen), mul(gen, central), cube
-                )
-            )
+            check_name = f"{name} commutes with {gname}"
+            if off is None:
+                checks.append(RelationCheck(check_name, True))
+            else:
+                lhs, rhs = mul(off, gen), mul(gen, off)
+                checks.append(_compare(check_name, lhs, rhs, cube, combine((s, gen))))
 
     for name, lhs, rhs in presentation_identities(a, b, ab, ba, den, zeta, zeta_star, eta):
         checks.append(_compare(f"{name} presentation identity", lhs, rhs, cube))
@@ -182,14 +207,19 @@ def presentation_identities(
     a: Rows, b: Rows, ab: Rows, ba: Rows, den: int, zeta: int, zeta_star: int, eta: int
 ):
     """(name, lhs, rhs) of the AAB and ABB degree-3 presentation identities
-    at den^3, as integer rows.  a, b and the scalars are cleared with den,
-    and ab = a*b, ba = b*a (at den^2) are the products the caller already
-    holds."""
+    at den^3, as integer rows.  a, b and the scalars are cleared with den
+    (each is den times its value), and ab = a*b, ba = b*a (at den^2) are
+    the products the caller already holds; a term of degree k < 3 is
+    multiplied by den^(3-k).  The left sides are taken as nested commutators,
+    [A,[A,B]] = A^2 B - 2ABA + BA^2 and [[A,B],B] = AB^2 - 2BAB + B^2 A,
+    the same integers from 4 products instead of 6; with A^2 and B^2 for
+    the right sides, the two identities cost 6 products."""
     ident = scalar(len(a), 1)
+    comm = combine((1, ab), (-1, ba))  # [A,B] at den^2
     a2, b2 = mul(a, a), mul(b, b)
     quadratic = ((-2 * den, ab), (-2 * den, ba))
-    lhs_aab = combine((1, mul(a2, b)), (-2, mul(a, ba)), (1, mul(ba, a)), *quadratic)
+    lhs_aab = combine((1, mul(a, comm)), (-1, mul(comm, a)), *quadratic)
     rhs_aab = combine((2 * den, a2), (-2 * den * eta, a), (2 * den * den * zeta, ident))
-    lhs_abb = combine((1, mul(a, b2)), (-2, mul(b, ab)), (1, mul(b2, a)), *quadratic)
+    lhs_abb = combine((1, mul(comm, b)), (-1, mul(b, comm)), *quadratic)
     rhs_abb = combine((2 * den, b2), (-2 * den * eta, b), (-2 * den * den * zeta_star, ident))
     return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))

@@ -1,3 +1,4 @@
+import math
 import random
 from math import lcm
 
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, poly_gcd, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import _local_minimal_polynomial, _poly_product
+from racah.params import sequences
 from racah.poly import PRIME, _degree_of_gcd_mod_q, _integers
 from racah.rational import HALF, ONE, ZERO, Rat
 
@@ -134,6 +136,50 @@ def presentation_identities_oracle(a, b, ab, ba, ident, sc):
     lhs_abb = a * b2 - (b * ab).scale(2) + b2 * a - ab.scale(2) - ba.scale(2)
     rhs_abb = b2.scale(2) - b.scale(2 * eta) - ident.scale(2 * zeta_star)
     return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))
+
+
+def l_matrix_fraction_oracle(p, d, method):
+    """l_matrix's closed and recurrence routes as Fraction arithmetic on
+    the sequence values, before they ran on the integer sequences; kept as
+    their oracle."""
+    n = d + 1
+    q, *seqs = sequences(p, d, n)
+    th, ts, ph, vp = ([Rat(x, q) for x in seq] for seq in seqs)  # ph[0] unused
+
+    if method == "closed":
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                if j > i:
+                    row.append(ZERO)
+                    continue
+                val = rat(math.comb(d - i + j, j) * math.comb(i, j), math.comb(d, j))
+                for h in range(1, i - j + 1):
+                    val = val * (ts[0] - ts[d - h + 1])
+                for h in range(1, d - i + 1):
+                    val = val * ph[h]
+                for h in range(1, j + 1):
+                    val = val * vp[h]
+                row.append(val)
+            rows.append(row)
+        return Mat(rows)
+
+    if method == "recurrence":
+        grid = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            val = ONE
+            for h in range(1, i + 1):
+                val = val * (ts[0] - ts[d - h + 1])
+            for h in range(1, d - i + 1):
+                val = val * ph[h]
+            grid[i][0] = val
+        for j in range(1, n):
+            for i in range(j, n):
+                grid[i][j] = (th[i] - th[j - 1]) * grid[i][j - 1] + grid[i - 1][j - 1]
+        return Mat(grid)
+
+    raise ValueError(f"no Fraction oracle for method {method!r}")
 
 
 def commutator(x, y):

@@ -41,6 +41,7 @@ from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 from conftest import (
     ONTO_FORM,
     first_nonzero,
+    l_matrix_fraction_oracle,
     module_points,
     nudged,
     poly_minimal_polynomial,
@@ -364,6 +365,26 @@ def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
             m = l_matrix(p, d, method)
             assert got == tuple(m.entries[i][i] for i in range(d + 1)), (p, d, method)
     assert reducible >= 15
+
+
+def assert_same_as_the_fraction_oracle(p, d):
+    for method in ("closed", "recurrence"):
+        got, expect = l_matrix(p, d, method), l_matrix_fraction_oracle(p, d, method)
+        assert got == expect, (p, d, method)
+        assert got._cleared == expect._cleared, (p, d, method)
+
+
+@given(module_points(max_d=12))
+def test_closed_and_recurrence_l_matrix_match_the_fraction_oracle(point):
+    # random triples, small or 6-digit, half of them on a reducibility
+    # boundary, where a phi_h or varphi_h and so whole entries vanish
+    assert_same_as_the_fraction_oracle(*point)
+
+
+@pytest.mark.parametrize("d", [0, 16, 24])
+def test_closed_and_recurrence_l_matrix_at_six_digits(d):
+    p = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+    assert_same_as_the_fraction_oracle(p, d)
 
 
 def fraction_l_diagonal(p, d):

@@ -3,6 +3,8 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+import racah.modules as modules
+import racah.verma as verma
 from racah import (
     Mat,
     ModuleRep,
@@ -10,6 +12,7 @@ from racah import (
     SignFlip,
     act,
     build_R,
+    build_verma,
     in_P,
     phi,
     rat,
@@ -18,6 +21,7 @@ from racah import (
     theta_star,
     varphi,
     verify_relations,
+    verma_checks,
 )
 from racah.modules import BASES, RelationCheck, RelationReport
 from racah.params import sequences
@@ -298,3 +302,45 @@ def test_tampered_relations_at_a_large_six_digit_point():
     for gen, i, j in (("A", 0, 16), ("B", 9, 3), ("C", 16, 0), ("D", 5, 5)):
         bad = nudged(rep.generator(gen), i, j, rat(7, 999979))
         assert not assert_same_report(dataclasses.replace(rep, **{gen: bad})).all_pass
+
+
+def test_centrality_mismatch_adds_back_the_scalar_part():
+    # D(0, 0) moved by 1 at d = 3: alpha is no longer scalar, and its
+    # commutator with A first differs at (1, 0), where A is 1, so the
+    # reported values include the s * A(1, 0) that EA and AE both leave out
+    rep = build_R(P, 3, "v")
+    tampered = dataclasses.replace(rep, D=nudged(rep.D, 0, 0, ONE))
+    report = assert_same_report(tampered)
+    got = {c.name: c for c in report.checks}["alpha commutes with A"]
+    expect = {c.name: c for c in verify_relations_oracle(tampered).checks}["alpha commutes with A"]
+    assert not got.ok and got.mismatch == expect.mismatch
+    i, j = got.mismatch[:2]
+    assert (i, j) == (1, 0) and tampered.A.entries[i][j] != 0
+    assert rep.scalars.zeta != 0
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """One entry per intmat.mul call through racah.modules and racah.verma."""
+    calls, real = [], modules.mul
+
+    def counting(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(modules, "mul", counting)
+    monkeypatch.setattr(verma, "mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_verify_relations_takes_18_products_on_a_passing_module(mul_calls, basis):
+    # AB, BA, BC, CB, CA, AC, the six of D in the central elements, and six
+    # for the presentation identities; centrality takes none when it holds
+    report = verify_relations(build_R(P, 5, basis))
+    assert report.all_pass and len(mul_calls) == 18
+
+
+def test_verma_checks_takes_21_products(mul_calls):
+    report = verma_checks(build_verma(P, 2, 12), 2)
+    assert all(c.status != "fail" for c in report.checks) and len(mul_calls) == 21
