@@ -99,10 +99,14 @@ class Mat:
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.entries == other.entries
+        """Equal shapes and canonical cleared forms: no entry is made."""
+        if not isinstance(other, Mat) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        return self._cleared == other._cleared
 
     def __hash__(self):
-        return hash(self.entries)
+        den, rows = self._cleared
+        return hash((self.rows, self.cols, den, tuple(frozenset(r.items()) for r in rows)))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():

@@ -26,10 +26,14 @@ Each rule drops the measure (total degree, inversion count), so the
 recursion ends.  A rewrite step is one out-of-order monomial times letter
 product met, memo hits included, and REWRITE_LIMIT caps their number.
 
-The rules have integer coefficients and normal ordering is linear, so the
-input is cleared once: its coefficients times the lcm L of their
-denominators are ints, all ordering runs on ints, and each coefficient of
-the result is divided by L once at the end.
+Coefficients are ints wherever they are computed on.  The parser and the
+element operators expand on cleared sums (den, {word: int}): a product
+multiplies the dens and a sum brings both sides to the lcm of theirs.  An
+element keeps the cleared sum it was built from, and its coefficients
+become Fractions once, when they are first read.  The rules have integer
+coefficients and normal ordering is linear, so normal_form reads its
+input's cleared sum, all ordering runs on ints, and each coefficient of
+the result is divided by the den once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
 from .modules import ModuleRep
-from .rational import ONE, ZERO, Rat, format_ratio, parse_rat, rat
+from .rational import ONE, Rat, format_ratio, parse_rat, rat
 
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
@@ -62,15 +66,103 @@ class RewriteLimitError(RuntimeError):
     pass
 
 
-class _Element:
-    """Formal linear combination; terms maps key -> nonzero coefficient."""
+# A cleared sum (den, terms) is the sum of c/den * key over terms, a dict
+# key -> nonzero int, with den > 0 and gcd(den, every coefficient) = 1, so
+# den is the lcm of the reduced denominators.  The parser expands on these
+# and the element operators delegate to them, so all their arithmetic is
+# on ints.
 
-    __slots__ = ("terms",)
+def _lowest(den: int, terms: dict) -> tuple:
+    """(den, terms) with zero coefficients dropped and gcd(den, every
+    coefficient) divided out."""
+    terms = {k: c for k, c in terms.items() if c}
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return den, terms
+
+
+def _scalar(c: Rat) -> tuple:
+    """The rational c as a cleared sum on the empty word."""
+    return c.denominator, {(): c.numerator} if c else {}
+
+
+def _plus(x: tuple, y: tuple, sign: int = 1) -> tuple:
+    """x + sign*y, both brought to the lcm of their dens."""
+    (dx, tx), (dy, ty) = x, y
+    den = math.lcm(dx, dy)
+    fx, fy = den // dx, sign * (den // dy)
+    out = dict(tx) if fx == 1 else {k: c * fx for k, c in tx.items()}
+    for k, c in ty.items():
+        c *= fy
+        out[k] = out[k] + c if k in out else c
+    return _lowest(den, out)
+
+
+def _negate(x: tuple) -> tuple:
+    den, terms = x
+    return den, {k: -c for k, c in terms.items()}
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """x*y, keys (tuples) multiplied by concatenation.  The content (gcd of
+    the coefficients) of a product is the product of the contents, because
+    the free algebra over Z/p has no zero divisors; so with x and y in
+    lowest terms, gcd(dx*dy, every coefficient) is gcd(dx, content(y)) *
+    gcd(dy, content(x)), gcds over the operands and not the product."""
+    (dx, tx), (dy, ty) = x, y
+    out: dict = {}
+    for w1, c1 in tx.items():
+        for w2, c2 in ty.items():
+            w = w1 + w2
+            c = c1 * c2
+            out[w] = out[w] + c if w in out else c
+    out = {w: c for w, c in out.items() if c}
+    g = math.gcd(dx, *ty.values()) * math.gcd(dy, *tx.values())
+    if g == 1:
+        return dx * dy, out
+    return dx * dy // g, {w: c // g for w, c in out.items()}
+
+
+def _power(x: tuple, k: int) -> tuple:
+    acc = (1, {(): 1})
+    for _ in range(k):
+        acc = _times(acc, x)
+    return acc
+
+
+class _Element:
+    """Formal linear combination; terms maps key -> nonzero coefficient.
+    Like a Mat, an element keeps the form it was built from, its terms or
+    its cleared sum (_cleared), and derives the other on first use.  The
+    operators run on cleared sums."""
+
+    __slots__ = ("terms", "_cleared")
 
     def __init__(self, terms: dict):
         object.__setattr__(
             self, "terms", {k: v for k, v in terms.items() if v != 0}
         )
+
+    @classmethod
+    def _from_cleared(cls, x: tuple):
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "_cleared", x)
+        return elem
+
+    def __getattr__(self, name):
+        if name == "terms":
+            den, terms = self._cleared
+            value = {k: Rat(c, den) for k, c in terms.items()}
+        elif name == "_cleared":
+            den = math.lcm(*[c.denominator for c in self.terms.values()])
+            value = den, {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -90,22 +182,19 @@ class _Element:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, ZERO) + v
-        return type(self)(out)
+        return self._from_cleared(_plus(self._cleared, other._cleared))
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
+        return self._from_cleared(_negate(self._cleared))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self._from_cleared(_plus(self._cleared, other._cleared, -1))
 
     def scale(self, c):
-        c = rat(c)
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        # c sits on the empty key, and appending () leaves every key as it is
+        return self._from_cleared(_times(self._cleared, _scalar(rat(c))))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -135,20 +224,12 @@ class FreeElement(_Element):
     def __mul__(self, other):
         if not isinstance(other, FreeElement):
             return self.scale(other)
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return FreeElement(out)
+        return FreeElement._from_cleared(_times(self._cleared, other._cleared))
 
     def __pow__(self, k: int) -> "FreeElement":
         if k < 0:
             raise ValueError("negative powers are not defined")
-        acc = FreeElement.one()
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return FreeElement._from_cleared(_power(self._cleared, k))
 
 
 class NormalElement(_Element):
@@ -210,6 +291,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; every value is a cleared sum of words."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
@@ -242,23 +325,23 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return value
+        return FreeElement._from_cleared(value)
 
-    def expr(self) -> FreeElement:
+    def expr(self) -> tuple:
         value = self.term()
         words = letters = None  # of the summands so far, counted at the first "+" or "-"
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             rhs = self.term()
             if words is None:
-                words, letters = len(value.terms), _letters(value)
-            words += len(rhs.terms)
-            letters += _letters(rhs)
+                words, letters = len(value[1]), _letters(value[1])
+            words += len(rhs[1])
+            letters += _letters(rhs[1])
             if words > SUM_WORD_LIMIT:
                 raise ParseError(f"sum exceeds the limit of {SUM_WORD_LIMIT} words", pos)
             if letters > SUM_LETTER_LIMIT:
                 raise ParseError(f"sum exceeds the limit of {SUM_LETTER_LIMIT} letters", pos)
-            value = value + rhs if op == "+" else value - rhs
+            value = _plus(value, rhs, 1 if op == "+" else -1)
         return value
 
     def check_size(self, words: int, longest: int, position: int) -> None:
@@ -271,20 +354,20 @@ class _Parser:
                 f"expansion exceeds the limit of {LETTER_LIMIT} letters", position
             )
 
-    def term(self) -> FreeElement:
+    def term(self) -> tuple:
         value = self.factor()
         longest = None  # of value's words, computed at the first "*"
         while self.peek()[0] == "*":
             pos = self.take()[2]
             rhs = self.factor()
             if longest is None:
-                longest = _longest(value)
-            longest += _longest(rhs)
-            self.check_size(len(value.terms) * len(rhs.terms), longest, pos)
-            value = value * rhs
+                longest = _longest(value[1])
+            longest += _longest(rhs[1])
+            self.check_size(len(value[1]) * len(rhs[1]), longest, pos)
+            value = _times(value, rhs)
         return value
 
-    def factor(self) -> FreeElement:
+    def factor(self) -> tuple:
         value = self.atom()
         if self.peek()[0] == "^":
             caret = self.take()[2]
@@ -297,24 +380,24 @@ class _Parser:
                 raise ParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", tok[2]
                 )
-            self.check_size(len(value.terms) ** e, e * _longest(value), caret)
-            value = value**e
+            self.check_size(len(value[1]) ** e, e * _longest(value[1]), caret)
+            value = _power(value, e)
         return value
 
-    def atom(self) -> FreeElement:
+    def atom(self) -> tuple:
         tok = self.peek()
         kind, text, pos = tok
         if kind == "num":
             self.take()
             try:
-                return FreeElement.scalar(parse_rat(text))
+                return _scalar(parse_rat(text))
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from None
         if kind == "name":
             self.take()
             if text not in SYMBOLS:
                 raise ParseError(f"unknown generator {text!r}", pos)
-            return FreeElement.symbol(text)
+            return 1, {(text,): 1}
         if kind not in ("(", "[", "-", "+"):
             raise ParseError("expected a number, generator, parenthesis or bracket", pos)
         self.nest()
@@ -329,26 +412,27 @@ class _Parser:
                 raise ParseError("commutator bracket takes exactly two arguments", self.peek()[2])
             self.expect("]", "unclosed commutator bracket", opened_at=pos)
             self.check_size(
-                len(left.terms) * len(right.terms), _longest(left) + _longest(right), pos
+                len(left[1]) * len(right[1]), _longest(left[1]) + _longest(right[1]), pos
             )
-            value = left * right - right * left
+            value = _plus(_times(left, right), _times(right, left), -1)
         else:
-            value = -self.factor() if kind == "-" else self.factor()
+            value = _negate(self.factor()) if kind == "-" else self.factor()
         self.depth -= 1
         return value
 
 
-def _longest(x: FreeElement) -> int:
-    return max(map(len, x.terms), default=0)
+def _longest(terms: dict) -> int:
+    return max(map(len, terms), default=0)
 
 
-def _letters(x: FreeElement) -> int:
-    return sum(map(len, x.terms))
+def _letters(terms: dict) -> int:
+    return sum(map(len, terms))
 
 
 def parse(text: str) -> FreeElement:
     """Parse an expression in + - * ^ ( ) and commutator brackets [x,y]
-    over the eight generator names and integer/rational literals."""
+    over the eight generator names and integer/rational literals,
+    expanded on one cleared denominator."""
     return _Parser(text).parse()
 
 
@@ -588,8 +672,8 @@ class _Orderer:
 
 def _ordered(x: FreeElement) -> tuple[NormalElement, int]:
     """normal_form(x) and the rewrite steps it took."""
-    den = math.lcm(*(c.denominator for c in x.terms.values()))
-    cleared = _eliminate({w: c.numerator * (den // c.denominator) for w, c in x.terms.items()})
+    den, terms = x._cleared
+    cleared = _eliminate(terms)
     # no rule raises the total degree, so no exponent exceeds the longest word
     orderer = _Orderer(_packing((max(map(len, cleared), default=0) + 1).bit_length()))
     out = _run(orderer.normal(cleared))
@@ -631,15 +715,14 @@ def evaluate(x, rep: ModuleRep) -> Mat:
     # SYMBOLS lists A, B, C, D, then alpha, beta, gamma, delta, which act
     # by zeta, zeta_star, gamma and eta
     table = dict(zip(SYMBOLS, gens + [scalar(n, c) for c in ints]))
-    top = _longest(x)
-    cleared = math.lcm(*[c.denominator for c in x.terms.values()])
+    cleared, terms = x._cleared
+    top = _longest(terms)
     total = scalar(n, 0)
-    for word, coeff in x.terms.items():
+    for word, c in terms.items():
         acc = scalar(n, 1)
         for sym in word:
             acc = mul(acc, table[sym])
-        c = coeff.numerator * (cleared // coeff.denominator) * den ** (top - len(word))
-        total = combine((1, total), (c, acc))
+        total = combine((1, total), (c * den ** (top - len(word)), acc))
     return Mat.from_cleared(cleared * den**top, total, n)
 
 

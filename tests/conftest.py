@@ -17,6 +17,12 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+settings.register_profile(
+    "thorough",
+    deadline=None,
+    max_examples=400,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("exact")
 
 
@@ -286,3 +292,44 @@ def euclid_gcd(f, g):
     while g:
         f, g = g, poly_divmod(f, g)[1]
     return poly_monic(f) if f else f
+
+
+# The element operators of racah.rewriter as Fraction arithmetic on the
+# terms, before they ran on cleared integer sums; kept as their oracle.
+# x and y are FreeElements or NormalElements, and each result is built by
+# the element's constructor, which drops zero coefficients.
+
+def fraction_add(x, y):
+    out = dict(x.terms)
+    for k, v in y.terms.items():
+        out[k] = out.get(k, ZERO) + v
+    return type(x)(out)
+
+
+def fraction_neg(x):
+    return type(x)({k: -v for k, v in x.terms.items()})
+
+
+def fraction_sub(x, y):
+    return fraction_add(x, fraction_neg(y))
+
+
+def fraction_scale(x, c):
+    c = rat(c)
+    return type(x)({k: c * v for k, v in x.terms.items()})
+
+
+def fraction_mul(x, y):
+    out: dict = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = w1 + w2
+            out[w] = out.get(w, ZERO) + c1 * c2
+    return type(x)(out)
+
+
+def fraction_pow(x, k):
+    acc = type(x).one()
+    for _ in range(k):
+        acc = fraction_mul(acc, x)
+    return acc

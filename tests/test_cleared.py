@@ -87,6 +87,63 @@ def test_from_cleared_divides_out_the_common_factor():
     assert Mat.from_cleared(3, [{0: 3}], 2).entries == ((ONE, ZERO),)
 
 
+def entries_equal(x, y):
+    """Mat.__eq__ before it compared the cleared forms: the entries
+    compared one by one; kept as its oracle."""
+    return x.entries == y.entries
+
+
+def entries_unmade(m):
+    """True while m holds no entries: they are made only when read."""
+    try:
+        Mat.entries.__get__(m, Mat)
+    except AttributeError:
+        return True
+    return False
+
+
+def rebuilt(m, k):
+    """m again through from_cleared, with den and every entry times k."""
+    den, rows = m._cleared
+    return Mat.from_cleared(den * k, [{j: x * k for j, x in row.items()} for row in rows], m.cols)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_equality_and_hash_match_the_entries(n, m, data):
+    entry = st.one_of(st.just(rat(0)), rationals(30, 30))
+    rows = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)
+    x = Mat(data.draw(rows))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+    nudged = [list(row) for row in x.entries]
+    nudged[i][j] += data.draw(st.sampled_from([rat(1), rat(-1, 7), rat(1, 10**6)]))
+    k = data.draw(st.integers(1, 12))
+    for y in (Mat(x.entries), rebuilt(x, k), Mat(nudged), rebuilt(Mat(nudged), k), Mat(data.draw(rows))):
+        for a, b in ((x, y), (y, x), (rebuilt(x, k), y)):
+            assert (a == b) == entries_equal(a, b)
+            assert (a != b) == (not entries_equal(a, b))
+            if a == b:
+                assert hash(a) == hash(b)
+    assert x != Mat(nudged) and hash(rebuilt(x, k)) == hash(x)
+
+
+def test_mats_from_integers_compare_without_their_entries():
+    x, y = rebuilt(Mat([[rat(1, 3), 0], [2, rat(-5, 6)]]), 4), Mat.from_cleared(6, [{0: 2}, {0: 12, 1: -5}], 2)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != Mat.from_cleared(6, [{0: 2}, {0: 12, 1: 5}], 2)
+    assert entries_unmade(x) and entries_unmade(y)
+    assert x == Mat(x.entries) and not entries_unmade(x)
+
+
+def test_zero_mats_of_different_shapes_differ():
+    zeros = [Mat.zero(2), Mat.zero(2, 3), Mat.zero(3, 2), Mat.zero(1), Mat.zero(1, 4)]
+    for a in zeros:
+        for b in zeros:
+            assert (a == b) == (a is b) == entries_equal(a, b)
+    assert Mat.from_cleared(5, [{}, {}], 3) == Mat.zero(2, 3) != Mat.from_cleared(5, [{}, {}], 2)
+    assert hash(Mat.from_cleared(5, [{}, {}], 3)) == hash(Mat.zero(2, 3))
+    assert Mat.zero(2) != Mat.identity(2) and Mat.zero(2) != "Mat(2x2)"
+
+
 def integer_built(p, d):
     """Every Mat the library builds from integers at (p, d)."""
     mats = [m for basis in BASES for m in generators(build_R(p, d, basis))]

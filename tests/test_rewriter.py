@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,15 @@ from racah.rewriter import (
     _run,
 )
 
-from conftest import rationals
+from conftest import (
+    fraction_add,
+    fraction_mul,
+    fraction_neg,
+    fraction_pow,
+    fraction_scale,
+    fraction_sub,
+    rationals,
+)
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 REP = build_R(P, 2)
@@ -227,6 +236,188 @@ def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.position == DEPTH_LIMIT + 1
+
+
+# ------------------------------------------------- parsing, differentially
+#
+# An expression tree is ("sym", name), ("num", p, q) for the literal p/q,
+# (op, x, y) for op in + - * and the commutator "[]", ("^", x, e), and
+# ("neg", x) or ("pos", x) for a unary sign.
+
+
+def render(tree, level: str = "expr") -> str:
+    """Text of tree in a context that takes an expr, term, factor or atom;
+    parentheses only where the grammar needs them."""
+    kind = tree[0]
+    if kind == "sym":
+        return tree[1]
+    if kind == "num":
+        return str(tree[1]) if tree[2] == 1 else f"{tree[1]}/{tree[2]}"
+    if kind == "[]":
+        return f"[{render(tree[1])},{render(tree[2])}]"
+    if kind in ("+", "-"):
+        text, wrap = f"{render(tree[1])} {kind} {render(tree[2], 'term')}", level != "expr"
+    elif kind == "*":
+        text, wrap = f"{render(tree[1], 'term')}*{render(tree[2], 'factor')}", level in ("factor", "atom")
+    elif kind == "^":
+        text, wrap = f"{render(tree[1], 'atom')}^{tree[2]}", level == "atom"
+    else:  # a sign takes a factor, and a power binds tighter than the sign
+        text, wrap = ("-" if kind == "neg" else "+") + render(tree[1], "factor"), level == "atom"
+    return f"({text})" if wrap else text
+
+
+def oracle_value(tree) -> FreeElement:
+    """The tree multiplied out by the Fraction oracle of the operators."""
+    kind = tree[0]
+    if kind == "sym":
+        return FreeElement.symbol(tree[1])
+    if kind == "num":
+        return FreeElement.scalar(rat(tree[1], tree[2]))
+    if kind == "^":
+        return fraction_pow(oracle_value(tree[1]), tree[2])
+    if kind == "neg":
+        return fraction_neg(oracle_value(tree[1]))
+    if kind == "pos":
+        return oracle_value(tree[1])
+    x, y = oracle_value(tree[1]), oracle_value(tree[2])
+    if kind == "[]":
+        return fraction_sub(fraction_mul(x, y), fraction_mul(y, x))
+    return {"+": fraction_add, "-": fraction_sub, "*": fraction_mul}[kind](x, y)
+
+
+def size_bound(tree) -> tuple[int, int]:
+    """Upper bounds on the words and the longest word of the tree's value."""
+    kind = tree[0]
+    if kind in ("sym", "num"):
+        return 1, int(kind == "sym")
+    if kind in ("neg", "pos"):
+        return size_bound(tree[1])
+    if kind == "^":
+        words, longest = size_bound(tree[1])
+        return words ** tree[2], longest * tree[2]
+    (wx, lx), (wy, ly) = size_bound(tree[1]), size_bound(tree[2])
+    if kind in ("+", "-"):
+        return wx + wy, max(lx, ly)
+    return (2 if kind == "[]" else 1) * wx * wy, lx + ly
+
+
+def assert_same_element(got, want) -> None:
+    """Equal, with the oracle's words in the oracle's order, and every
+    coefficient a nonzero Fraction."""
+    assert type(got) is type(want)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert all(type(c) is Rat and c for c in got.terms.values())
+
+
+literals = st.builds(
+    lambda p, q: ("num", p, q), st.integers(0, 10**6), st.integers(1, 10**6)
+) | st.sampled_from([("num", 0, 1), ("num", 1, 1), ("num", 2, 1), ("num", 3, 2)])
+
+
+generators = st.sampled_from(SYMBOLS).map(lambda g: ("sym", g))
+# a sum that cancels to zero, and 0 times a generator, are rarer leaves
+leaves = st.sampled_from(["sym"] * 6 + ["num"] * 2 + ["cancel", "zero"]).flatmap(
+    lambda kind: {
+        "sym": generators,
+        "num": literals,
+        "cancel": generators.map(lambda g: ("-", g, g)),
+        "zero": generators.map(lambda g: ("*", ("num", 0, 1), g)),
+    }[kind]
+)
+
+
+@st.composite
+def trees(draw, size=None):
+    """A tree of size leaves, 2-8 if not given; powers and signs are not
+    counted."""
+    n = draw(st.integers(2, 8)) if size is None else size
+    binary = ["+", "+", "-", "*", "*", "*", "[]"] if n > 1 else ["leaf"] * 7
+    kind = draw(st.sampled_from(binary + ["^", "^", "neg", "pos"]))
+    if kind == "leaf":
+        return draw(leaves)
+    if kind == "^":
+        return "^", draw(trees(n)), draw(st.integers(0, 3))
+    if kind in ("neg", "pos"):
+        return kind, draw(trees(n))
+    k = draw(st.integers(1, n - 1))
+    return kind, draw(trees(k)), draw(trees(n - k))
+
+
+expression_trees = trees().filter(
+    lambda t: size_bound(t)[0] <= 1000 and math.prod(size_bound(t)) <= 10**4
+)
+
+
+def check_parse(tree) -> FreeElement:
+    text = render(tree)
+    got = parse(text)
+    assert_same_element(got, oracle_value(tree))
+    # the parser's cleared sum is in lowest terms: den is the lcm of the
+    # coefficients' denominators, as when it is derived from them
+    assert got._cleared == rw._Parser(text).expr() == FreeElement(got.terms)._cleared
+    return got
+
+
+@given(expression_trees)
+def test_parse_matches_fraction_oracle(tree):
+    check_parse(tree)
+
+
+A_, B_, C_, D_ = (("sym", g) for g in "ABCD")
+
+
+@pytest.mark.parametrize(
+    "tree,text",
+    [
+        # the word A*B*C of the product cancels
+        (("*", ("+", A_, ("*", A_, B_)), ("-", ("*", B_, C_), C_)), "(A + A*B)*(B*C - C)"),
+        (("^", ("-", ("*", ("num", 2, 3), A_), ("*", ("num", 5, 7), C_)), 4), "(2/3*A - 5/7*C)^4"),
+        (
+            ("^", ("^", ("+", ("*", ("num", 1, 2), A_), ("*", ("num", 999983, 999979), B_)), 2), 3),
+            "((1/2*A + 999983/999979*B)^2)^3",
+        ),
+        (("[]", ("*", ("num", 3, 1), D_), ("^", ("+", ("*", ("num", 1, 2), A_), B_), 4)), "[3*D,(1/2*A + B)^4]"),
+        (("neg", ("neg", ("pos", ("^", ("-", ("num", 4, 6), D_), 0)))), "--+(4/6 - D)^0"),
+        (("num", 0, 1), "0"),
+        # a power binds tighter than a sign, and a literal p/q is one token
+        (("^", ("neg", A_), 2), "(-A)^2"),
+        (("neg", ("^", A_, 2)), "-A^2"),
+        (("^", ("num", 1, 2), 3), "1/2^3"),
+        (("-", A_, ("-", A_, B_)), "A - (A - B)"),
+        (("neg", ("^", ("num", 0, 1), 3)), "-0^3"),
+        (("+", ("num", 0, 5), ("*", ("num", 0, 1), A_)), "0/5 + 0*A"),
+    ],
+)
+def test_parse_matches_fraction_oracle_on_fixed_trees(tree, text):
+    assert render(tree) == text
+    check_parse(tree)
+
+
+def test_parsed_elements_make_their_fractions_on_first_read():
+    x = parse("3/2*A*B - 1/3*(A+C)^2")
+    normal_form(x)
+    evaluate(x, REP)
+    with pytest.raises(AttributeError):
+        rw._Element.terms.__get__(x)
+    assert x.terms[("A", "B")] == rat(3, 2)
+    assert rw._Element.terms.__get__(x) is x.terms
+
+
+def big_denominator_sum(seed: int = 20):
+    """20 six-letter words with distinct 200-digit denominators, as a tree."""
+    rng = random.Random(seed)
+    tree = None
+    for _ in range(20):
+        word = ("num", rng.randrange(1, 10**6), rng.randrange(10**199, 10**200))
+        for _ in range(6):
+            word = ("*", word, ("sym", rng.choice(SYMBOLS)))
+        tree = word if tree is None else ("+", tree, word)
+    return tree
+
+
+def test_square_of_big_denominators_matches_fraction_oracle():
+    assert len(check_parse(("^", big_denominator_sum(), 2)).terms) == 400
 
 
 # ------------------------------------------------------------- formatting
@@ -782,6 +973,35 @@ def test_free_element_algebra():
         FreeElement.symbol("X")
     with pytest.raises(ValueError):
         a ** (-1)
+
+
+def free_elements(max_words=4):
+    return st.dictionaries(long_words, coefficients, max_size=max_words).map(FreeElement)
+
+
+def normal_elements():
+    return st.dictionaries(exponents, coefficients, max_size=4).map(NormalElement)
+
+
+scales = st.one_of(coefficients, st.integers(-3, 3), st.just(rat(0)))
+
+
+@given(st.one_of(st.tuples(free_elements(), free_elements()), st.tuples(normal_elements(), normal_elements())), scales)
+def test_element_operators_match_fraction_oracle(pair, c):
+    x, y = pair
+    assert_same_element(x + y, fraction_add(x, y))
+    assert_same_element(x - y, fraction_sub(x, y))
+    assert_same_element(x - x, type(x)({}))
+    assert_same_element(-x, fraction_neg(x))
+    assert_same_element(x.scale(c), fraction_scale(x, c))
+    assert_same_element(c * x, fraction_scale(x, c))
+
+
+@given(free_elements(), free_elements(), scales, st.integers(0, 3))
+def test_free_element_products_match_fraction_oracle(x, y, c, k):
+    assert_same_element(x * y, fraction_mul(x, y))
+    assert_same_element(x * c, fraction_scale(x, c))
+    assert_same_element(x**k, fraction_pow(x, k))
 
 
 def test_normal_element_to_free():
