@@ -1,128 +1,59 @@
 """Exact-arithmetic construction, verification and classification of the
-finite-dimensional modules R_d(a,b,c) of the Racah algebra."""
+finite-dimensional modules R_d(a,b,c) of the Racah algebra.
 
-from .analyzer import (
-    AnalysisReport,
-    ConsistencyError,
-    IdentifyResult,
-    IsoResult,
-    analyze,
-    diagonalizable,
-    identify,
-    irreducible_criterion,
-    irreducible_oracle,
-    isomorphic,
-    l_matrix,
-)
-from .linalg import (
-    Subspace,
-    eigenspace,
-    intertwiner_space,
-    invertible,
-    kernel,
-    minimal_polynomial,
-    rank,
-    rref,
-    spin,
-)
-from .matrix import Mat, ShapeError
-from .modules import ModuleRep, RelationReport, build_R, verify_relations
-from .params import (
-    ALL_FLIPS,
-    IDENTITY_FLIP,
-    ParamTriple,
-    Scalars,
-    SignFlip,
-    Witness,
-    act,
-    canonical,
-    in_P,
-    phi,
-    scalars,
-    theta,
-    theta_star,
-    trace_formula,
-    varphi,
-)
-from .poly import Poly, poly_gcd, squarefree
-from .rational import Rat, RationalTooLargeError, format_rat, parse_rat, rat
-from .rewriter import (
-    FreeElement,
-    NormalElement,
-    ParseError,
-    RewriteLimitError,
-    eliminate,
-    evaluate,
-    format_element,
-    normal_form,
-    parse,
-)
-from .verma import VermaTruncation, build_verma, verma_checks
-from .golden import golden_example
+Importing the package loads none of its modules.  Each public name is
+looked up in its home module on first access (PEP 562), which imports that
+module and keeps the value here; the modules themselves (racah.modules,
+racah.rewriter, ...) load the same way.  So a program, or a subcommand of
+racah.cli, pays to import only the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_FLIPS",
-    "AnalysisReport",
-    "ConsistencyError",
-    "FreeElement",
-    "IDENTITY_FLIP",
-    "IdentifyResult",
-    "IsoResult",
-    "Mat",
-    "ModuleRep",
-    "NormalElement",
-    "ParamTriple",
-    "ParseError",
-    "Poly",
-    "Rat",
-    "RationalTooLargeError",
-    "RelationReport",
-    "RewriteLimitError",
-    "Scalars",
-    "ShapeError",
-    "SignFlip",
-    "Subspace",
-    "VermaTruncation",
-    "Witness",
-    "act",
-    "analyze",
-    "build_R",
-    "build_verma",
-    "canonical",
-    "diagonalizable",
-    "eigenspace",
-    "eliminate",
-    "evaluate",
-    "format_element",
-    "format_rat",
-    "golden_example",
-    "identify",
-    "in_P",
-    "intertwiner_space",
-    "invertible",
-    "irreducible_criterion",
-    "irreducible_oracle",
-    "isomorphic",
-    "kernel",
-    "l_matrix",
-    "minimal_polynomial",
-    "normal_form",
-    "parse",
-    "parse_rat",
-    "phi",
-    "poly_gcd",
-    "rank",
-    "rat",
-    "rref",
-    "scalars",
-    "spin",
-    "squarefree",
-    "theta",
-    "theta_star",
-    "trace_formula",
-    "varphi",
-    "verify_relations",
-    "verma_checks",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "analyzer": (
+        "AnalysisReport", "IdentifyResult", "IsoResult", "analyze", "diagonalizable",
+        "identify", "irreducible_criterion", "irreducible_oracle", "isomorphic", "l_matrix",
+    ),
+    "errors": ("ConsistencyError", "ParseError", "RewriteLimitError"),
+    "golden": ("golden_example",),
+    "linalg": (
+        "Subspace", "eigenspace", "intertwiner_space", "invertible", "kernel",
+        "minimal_polynomial", "rank", "rref", "spin",
+    ),
+    "matrix": ("Mat", "ShapeError"),
+    "modules": ("ModuleRep", "RelationReport", "build_R", "verify_relations"),
+    "params": (
+        "ALL_FLIPS", "IDENTITY_FLIP", "ParamTriple", "Scalars", "SignFlip", "Witness", "act",
+        "canonical", "in_P", "phi", "scalars", "theta", "theta_star", "trace_formula", "varphi",
+    ),
+    "poly": ("Poly", "squarefree"),
+    "rational": ("Rat", "RationalTooLargeError", "format_rat", "parse_rat", "rat"),
+    "rewriter": (
+        "FreeElement", "NormalElement", "eliminate", "evaluate", "format_element",
+        "normal_form", "parse",
+    ),
+    "verma": ("VermaTruncation", "build_verma", "verma_checks"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "intmat", "serialize"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

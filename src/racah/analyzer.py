@@ -33,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import ConsistencyError
 from .intmat import Rows, clear, columns, combine, mul, scalar
 from .linalg import (
     Subspace,
@@ -57,10 +58,6 @@ from .params import (
 )
 from .poly import PRIME, Poly, monic_scaled, squarefree_integer
 from .rational import ONE, ZERO, Rat, format_rat, is_square
-
-
-class ConsistencyError(AssertionError):
-    """A closed-form criterion disagreed with its structural oracle."""
 
 
 def irreducible_criterion(p: ParamTriple, d: int) -> tuple[bool, list[Witness]]:

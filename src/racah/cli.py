@@ -4,9 +4,15 @@ Subcommands: construct, verify, analyze, sweep, intertwine, reduce, eval,
 verma, golden.  Each returns its document, its text rendering and its exit
 code; main writes the document to stdout (or --out) as canonical JSON, or
 the text under --format text.  Exit codes: 0 success / all checks pass,
-1 any check failure, a tripped cross-check, an exceeded rewrite limit or a
-result too large to print, 2 usage or malformed input (an oversize sweep
-grid, d, verma cutoff or --jobs included).
+1 any check failure, a tripped cross-check, an exceeded rewrite limit, a
+result too large to print or running out of memory, 2 usage or malformed
+input (an oversize sweep grid, d, verma cutoff or --jobs included).
+
+Importing this module loads only argument parsing, output and the
+exceptions main maps to exit codes.  Each subcommand imports the modules
+it runs when it runs, and sweep starts its process pool (and imports
+concurrent.futures) only for --jobs above 1, so a call pays to import
+what it uses and nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import argparse
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 # let option values like -1/2 through (argparse only recognizes -N and -N.N
 # as negative numbers out of the box)
@@ -24,12 +29,9 @@ _NEGATIVE_RAT = re.compile(r"^-\d+(/\d+)?$")
 # that starts with a single '-' and names no option is a value there
 _LEADING_MINUS = re.compile(r"^-[^-]")
 
-from .analyzer import ConsistencyError, analyze, isomorphic, module_maps, orbit_check
-from .golden import golden_example
-from .modules import build_R, verify_relations
+from .errors import ConsistencyError, ParseError, RewriteLimitError
 from .params import ParamTriple, in_P
 from .rational import Rat, RationalTooLargeError, format_rat, parse_rat
-from .rewriter import ParseError, RewriteLimitError, evaluate, format_element, normal_form, parse
 from .serialize import (
     analysis_to_doc,
     dumps,
@@ -42,7 +44,6 @@ from .serialize import (
     verma_report_to_doc,
     witnesses_to_doc,
 )
-from .verma import build_verma, verma_checks
 
 
 def _rat_arg(text: str) -> Rat:
@@ -191,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ sweep
 
 def _sweep_point(point) -> dict:
+    from .analyzer import analyze
+
     p, d = point
     base = {"params": params_to_doc(p), "d": d}
     try:
@@ -213,6 +216,8 @@ def run_sweep(points, jobs: int = 1) -> dict:
     workers start than there are points."""
     points = list(points)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, max(len(points), 1))) as pool:
             rows = list(pool.map(_sweep_point, points, chunksize=8))
     else:
@@ -338,6 +343,8 @@ def _triple(args) -> ParamTriple:
 
 
 def _cmd_construct(args) -> tuple[dict, str, int]:
+    from .modules import build_R
+
     rep = build_R(_triple(args), args.d, args.basis)
     blocks = [
         f"module d={rep.d} basis={rep.basis} "
@@ -350,6 +357,8 @@ def _cmd_construct(args) -> tuple[dict, str, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, str, int]:
+    from .modules import build_R, verify_relations
+
     report = verify_relations(build_R(_triple(args), args.d, args.basis))
     doc = relation_report_to_doc(report)
     tail = "all relations hold\n" if report.all_pass else "RELATION FAILURES\n"
@@ -357,6 +366,8 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
 
 
 def _cmd_analyze(args) -> tuple[dict, str, int]:
+    from .analyzer import analyze
+
     doc = analysis_to_doc(analyze(_triple(args), args.d))
     p, canon = doc["params"], doc["canonical_params"]
     lines = [
@@ -389,6 +400,9 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
 
 
 def _cmd_intertwine(args) -> tuple[dict, str, int]:
+    from .analyzer import isomorphic, module_maps, orbit_check
+    from .modules import build_R
+
     p1 = _triple(args)
     second = [args.a2, args.b2, args.c2]
     if any(x is not None for x in second) and any(x is None for x in second):
@@ -417,6 +431,8 @@ def _cmd_intertwine(args) -> tuple[dict, str, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, str, int]:
+    from .rewriter import format_element, normal_form, parse
+
     normal = normal_form(parse(args.expr))
     text = format_element(normal)
     terms = [
@@ -427,6 +443,9 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
 
 
 def _cmd_eval(args) -> tuple[dict, str, int]:
+    from .modules import build_R
+    from .rewriter import evaluate, parse
+
     element = parse(args.expr)
     rep = build_R(_triple(args), args.d, args.basis)
     value = evaluate(element, rep)
@@ -441,6 +460,8 @@ def _cmd_eval(args) -> tuple[dict, str, int]:
 
 
 def _cmd_verma(args) -> tuple[dict, str, int]:
+    from .verma import build_verma, verma_checks
+
     whole_nu = args.nu.denominator == 1 and args.nu >= 0
     if args.cutoff is None and whole_nu and args.nu + 10 > MAX_CUTOFF:
         raise _UsageError(
@@ -467,6 +488,8 @@ def _cmd_verma(args) -> tuple[dict, str, int]:
 
 
 def _cmd_golden(args) -> tuple[dict, str, int]:
+    from .golden import golden_example
+
     doc = golden_example()
     return doc, _render_checks_text(doc["claims"]), 0 if doc["ok"] else 1
 
@@ -501,6 +524,8 @@ def main(argv=None) -> int:
         message, code = f"rewrite limit exceeded: {exc}", 1
     except RationalTooLargeError as exc:
         message, code = f"result too large to print: {exc}", 1
+    except MemoryError:
+        message, code = "out of memory", 1
     else:
         _emit(args, dumps(doc) if args.format == "json" else text)
         return code

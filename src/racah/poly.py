@@ -7,8 +7,8 @@ the zero polynomial has an empty coefficient tuple and degree -1.
 The squarefreeness test and the gcd run on integer polynomials, plain
 lists of ints.  squarefree_integer() is the core: it first tries a
 certificate on the polynomial reduced mod the prime 2^61 - 1, and takes the
-exact gcd with the derivative (a primitive remainder sequence, the loop
-behind poly_gcd) only when the certificate fails.  squarefree() clears a
+exact gcd with the derivative (a primitive remainder sequence on
+integers) only when the certificate fails.  squarefree() clears a
 Poly to such a list and calls it; racah.analyzer calls it directly on the
 integer minimal polynomials of racah.linalg, so no Poly is built on that
 path but the one the report keeps (monic_scaled).
@@ -82,22 +82,12 @@ class Poly:
         return f"Poly({self})"
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q, by a primitive polynomial remainder sequence on
-    integers (Brown 1971, J. ACM 18): both inputs are cleared of
-    denominators and made primitive, and each pseudo-remainder has its
-    content divided out.  By Gauss's lemma the last nonzero remainder is a
-    rational multiple of the gcd, so only the final division builds
-    rationals."""
-    a = _integer_gcd(_integers(p), _integers(q))
-    if not a:
-        return Poly([])
-    return Poly([Rat(c, a[-1]) for c in a])
-
-
 def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
     """A primitive integer multiple of the gcd of two integer polynomials
-    (empty when both are zero), by the primitive remainder sequence."""
+    (empty when both are zero), by a primitive polynomial remainder
+    sequence (Brown 1971, J. ACM 18): both are made primitive, and each
+    pseudo-remainder has its content divided out.  By Gauss's lemma the
+    last nonzero remainder is a rational multiple of the gcd."""
     a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))

@@ -40,11 +40,15 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
+from .errors import ParseError, RewriteLimitError
 from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
-from .modules import ModuleRep
 from .rational import ONE, Rat, format_ratio, parse_rat, rat
+
+if TYPE_CHECKING:
+    from .modules import ModuleRep
 
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
@@ -54,16 +58,6 @@ SUM_WORD_LIMIT = 2**16  # most words, summed over its summands, a parsed sum may
 SUM_LETTER_LIMIT = 2**20  # most letters, summed over its words, it may hold
 DEPTH_LIMIT = 64  # most nested parentheses, brackets and unary signs
 REWRITE_LIMIT = 10**6
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
-class RewriteLimitError(RuntimeError):
-    pass
 
 
 # A cleared sum (den, terms) is the sum of c/den * key over terms, a dict
@@ -254,6 +248,9 @@ class NormalElement(_Element):
 # ---------------------------------------------------------------- parsing
 
 _SINGLE = set("+-*^()[],")
+# only ASCII digits: str.isdigit() also holds for superscripts such as "²",
+# which int() rejects
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str):
@@ -265,13 +262,13 @@ def _tokenize(text: str):
             i += 1
             continue
         pos = i + 1  # 1-based for messages
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
                 j += 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
             toks.append(("num", text[i:j], pos))
             i = j

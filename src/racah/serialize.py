@@ -10,14 +10,17 @@ precision is ever lost to floats.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .analyzer import AnalysisReport, IdentifyResult, IsoResult
-from .linalg import Subspace
 from .matrix import Mat
-from .modules import ModuleRep, RelationReport
-from .params import ParamTriple, Scalars, SignFlip
+from .params import ParamTriple, Scalars
 from .rational import format_rat, parse_rat
-from .verma import VermaReport
+
+if TYPE_CHECKING:
+    from .analyzer import AnalysisReport, IdentifyResult, IsoResult
+    from .linalg import Subspace
+    from .modules import ModuleRep, RelationReport
+    from .verma import VermaReport
 
 
 def dumps(doc) -> str:
@@ -67,6 +70,8 @@ def rep_to_doc(rep: ModuleRep) -> dict:
 
 
 def rep_from_doc(doc) -> ModuleRep:
+    from .modules import ModuleRep
+
     sc = doc["scalars"]
     return ModuleRep(
         d=int(doc["d"]),

@@ -4,11 +4,11 @@ from math import lcm
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, poly_gcd, rat
+from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import _local_minimal_polynomial, _poly_product
 from racah.params import sequences
-from racah.poly import PRIME, _degree_of_gcd_mod_q, _integers
+from racah.poly import PRIME, _degree_of_gcd_mod_q, _integer_gcd, _integers
 from racah.rational import HALF, ONE, ZERO, Rat
 
 settings.register_profile(
@@ -227,6 +227,17 @@ def poly_minimal_polynomial(m):
             p = _poly_product(p, _local_minimal_polynomial(cols, w, n))
     lead = p[-1] * den ** (len(p) - 1)
     return Poly([Rat(c * den**i, lead) for i, c in enumerate(p)])
+
+
+def poly_gcd(p, q):
+    """Monic gcd of two Polys over Q: both cleared to integers, the
+    primitive remainder sequence of racah.poly on them, and the last
+    nonzero remainder made monic.  It left the package when it had no
+    library caller; squarefree runs the same sequence on integers."""
+    a = _integer_gcd(_integers(p), _integers(q))
+    if not a:
+        return Poly([])
+    return Poly([Rat(c, a[-1]) for c in a])
 
 
 def poly_squarefree(p):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import subprocess
@@ -6,8 +7,10 @@ import sys
 import pytest
 
 from racah import ConsistencyError, Mat, ParamTriple, build_R, rat
-import racah.rewriter
+import racah.analyzer
 import racah.cli
+import racah.modules
+import racah.rewriter
 from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, MAX_JOBS, main, _parse_grid
 from racah.serialize import (
     mat_from_rows,
@@ -124,13 +127,13 @@ def test_verify_other_basis_text(capsys):
 
 def test_verify_failure_names_the_first_mismatch(capsys, monkeypatch):
     # D replaced by 2D: every check that reads D fails at its first entry
-    real = racah.cli.build_R
+    real = racah.modules.build_R
 
     def doubled_d(*args):
         rep = real(*args)
         return dataclasses.replace(rep, D=rep.D.scale(2))
 
-    monkeypatch.setattr(racah.cli, "build_R", doubled_d)
+    monkeypatch.setattr(racah.modules, "build_R", doubled_d)
     argv = ["verify", *GENERIC, "--d", "2"]
     code, doc, _ = run_json(capsys, argv)
     checks = {c["name"]: c for c in doc["checks"]}
@@ -234,14 +237,14 @@ def test_sweep_parallel_output_identical(capsys):
 def test_sweep_disagreement_is_a_row_and_exits_1(capsys, monkeypatch):
     argv = ["sweep", "--grid", "a=1/3;b=1/3;c=1;d=1..3:1"]
     _, before, _ = run_json(capsys, argv)
-    real = racah.cli.analyze
+    real = racah.analyzer.analyze
 
     def analyze(p, d):
         if d == 2:
             raise ConsistencyError("planted")
         return real(p, d)
 
-    monkeypatch.setattr(racah.cli, "analyze", analyze)
+    monkeypatch.setattr(racah.analyzer, "analyze", analyze)
     code, doc, _ = run_json(capsys, argv)
     assert code == 1 and doc["summary"]["disagreements"] == 1
     row = {"params": before["points"][1]["params"], "d": 2, "disagreement": True, "error": "planted"}
@@ -273,7 +276,7 @@ def test_sweep_starts_no_more_workers_than_points(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(racah.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, doc, _ = run_json(capsys, ["sweep", "--grid", "a=0;b=0;c=0;d=1", "--jobs", str(MAX_JOBS)])
     assert code == 0 and doc["summary"]["total"] == 1
     assert workers == [1]
@@ -410,6 +413,31 @@ def test_reduce_bad_expression(capsys):
         main(["reduce", "--expr", "A**B"])
     assert exc.value.code == 2
     assert "position 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["reduce"], ["eval", *GENERIC, "--d", "2"]], ids=["reduce", "eval"]
+)
+@pytest.mark.parametrize(
+    "expr, position",
+    [("A^²", 3), ("٣A", 1), ("A^\uff13", 3)],  # superscript, Arabic-Indic, full-width
+)
+def test_non_ascii_digits_are_a_parse_error(capsys, command, expr, position):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--expr", expr])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unexpected character {expr[position - 1]!r} at position {position}" in err
+
+
+def test_memory_error_is_one_line_and_exits_1(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(racah.cli._COMMANDS, "reduce", exhausted)
+    code, out, err = run_cli(capsys, ["reduce", "--expr", "A"])
+    assert code == 1 and out == ""
+    assert err == "out of memory\n"
 
 
 def test_reduce_rewrite_limit_exits_1(capsys, monkeypatch):

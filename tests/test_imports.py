@@ -1,9 +1,15 @@
 """The package imports nothing outside the standard library, no runtime
-check of it is an assert, and its public names are pinned."""
+check of it is an assert, its public names are pinned, and importing it or
+running a subcommand loads only the modules that are used."""
 
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import racah
 
@@ -59,7 +65,7 @@ def test_public_surface_is_pinned():
         "eigenspace", "eliminate", "evaluate", "format_element", "format_rat", "golden_example",
         "identify", "in_P", "intertwiner_space", "invertible", "irreducible_criterion",
         "irreducible_oracle", "isomorphic", "kernel", "l_matrix", "minimal_polynomial",
-        "normal_form", "parse", "parse_rat", "phi", "poly_gcd", "rank", "rat", "rref", "scalars",
+        "normal_form", "parse", "parse_rat", "phi", "rank", "rat", "rref", "scalars",
         "spin", "squarefree", "theta", "theta_star", "trace_formula", "varphi", "verify_relations",
         "verma_checks",
     }
@@ -72,3 +78,64 @@ def test_public_surface_is_pinned():
         "__reduce__", "__repr__", "__setattr__", "__sub__", "apply", "cols", "diagonal", "entries",
         "from_cleared", "identity", "rows", "scale", "shape", "trace", "zero",
     }
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    for name in racah.__all__:
+        home = importlib.import_module(f"racah.{racah._HOME[name]}")
+        assert getattr(racah, name) is getattr(home, name)
+    assert "__all__" in dir(racah) and set(racah.__all__) <= set(dir(racah))
+    namespace = {}
+    exec("from racah import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(racah.__all__)
+    with pytest.raises(AttributeError):
+        racah.poly_gcd
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    """The modules in sys.modules after a fresh interpreter, with the
+    package found where this one was, ran code with argv."""
+    script = f"import sys\ntry:\n    {code}\nfinally:\n    print(*sys.modules, sep='\\n', file=sys.stderr)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines())
+
+
+# what python -m racah runs
+_MAIN = "import runpy; runpy.run_module('racah', run_name='__main__', alter_sys=True)"
+
+
+def test_import_loads_no_submodule():
+    assert not {m for m in _loaded("import racah") if m.startswith("racah.")}
+    loaded = _loaded("import racah; racah.modules.BASES")
+    assert "racah.modules" in loaded and "racah.analyzer" not in loaded
+
+
+GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        (
+            ["verify", *GENERIC, "--d", "2"],
+            {"racah.modules"},
+            {"racah.rewriter", "racah.analyzer", "racah.verma", "racah.golden", "concurrent.futures"},
+        ),
+        (["reduce", "--expr", "[A,B]"], {"racah.rewriter"}, {"racah.analyzer", "racah.linalg"}),
+        (
+            ["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "1"],
+            {"racah.analyzer"},
+            {"concurrent.futures"},
+        ),
+        (["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "2"], {"concurrent.futures"}, set()),
+    ],
+    ids=["verify", "reduce", "sweep", "sweep-jobs-2"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, used, unused):
+    loaded = _loaded(_MAIN, *argv)
+    assert used <= loaded
+    assert not unused & loaded

@@ -32,7 +32,14 @@ from racah.poly import monic_scaled
 from racah.rational import Rat, parse_rat
 
 from conftest import (
-    lower_bidiagonal, poly_divmod, poly_minimal_polynomial, poly_monic, poly_mul, rationals, triples
+    lower_bidiagonal,
+    poly_divmod,
+    poly_gcd,
+    poly_minimal_polynomial,
+    poly_monic,
+    poly_mul,
+    rationals,
+    triples,
 )
 
 
@@ -213,8 +220,6 @@ def test_minpoly_against_companion_oracle(c1, c2):
     m = block_diag(companion(p1), companion(p2))
     got = minimal_polynomial(m)
     # oracle: lcm of the two minimal polynomials = p1*p2/gcd
-    from racah import poly_gcd
-
     g = poly_gcd(p1, p2)
     expect = Poly(poly_monic(poly_divmod(poly_mul(p1.coeffs, p2.coeffs), g.coeffs)[0]))
     assert got == expect

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import racah.poly
-from racah import Poly, poly_gcd, rat, squarefree
+from racah import Poly, rat, squarefree
 from racah.poly import monic_scaled, squarefree_integer
 from racah.rational import Rat
 
 from conftest import (
-    euclid_gcd, poly_derivative, poly_divmod, poly_monic, poly_mul, poly_squarefree, rationals
+    euclid_gcd, poly_derivative, poly_divmod, poly_gcd, poly_monic, poly_mul, poly_squarefree,
+    rationals,
 )
 
 
