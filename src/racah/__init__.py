@@ -33,8 +33,7 @@ _EXPORTS = {
     "poly": ("Poly", "squarefree"),
     "rational": ("Rat", "RationalTooLargeError", "format_rat", "parse_rat", "rat"),
     "rewriter": (
-        "FreeElement", "NormalElement", "eliminate", "evaluate", "format_element",
-        "normal_form", "parse",
+        "FreeElement", "NormalElement", "evaluate", "format_element", "normal_form", "parse",
     ),
     "verma": ("VermaTruncation", "build_verma", "verma_checks"),
 }

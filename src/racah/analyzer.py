@@ -314,15 +314,11 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
     raise ValueError(f"method must be closed, recurrence or direct, got {method!r}")
 
 
-def l_diagonal(p: ParamTriple, d: int) -> tuple:
-    """The diagonal of l_matrix(p, d) without the rest of it:
-    L[i][i] = prod_(h=1..d-i) phi_h * prod_(h=1..i) varphi_h, a product of
-    d sequence values, so one integer over q^d."""
-    return _l_diagonal(d, sequences(p, d, d + 1))
-
-
 def _l_diagonal(d: int, seqs: tuple) -> tuple:
-    """l_diagonal() from params.sequences at indices 0..d."""
+    """The diagonal of l_matrix(p, d) without the rest of it, from
+    params.sequences at indices 0..d: L[i][i] = prod_(h=1..d-i) phi_h *
+    prod_(h=1..i) varphi_h, a product of d sequence values, so one integer
+    over q^d."""
     _, phi_tail, varphi_head = _l_products(d, seqs)
     scale = seqs[0] ** d
     return tuple(Rat(phi_tail[d - i] * varphi_head[i], scale) for i in range(d + 1))

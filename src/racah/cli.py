@@ -55,8 +55,9 @@ def _rat_arg(text: str) -> Rat:
 
 def _nonneg_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        # int() of a str also reads other scripts' digits, such as "٣"
+        value = int(text.encode("ascii"))
+    except ValueError:  # UnicodeEncodeError included
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
@@ -65,8 +66,8 @@ def _nonneg_int(text: str) -> int:
 
 # the largest module parameter d and verma truncation cutoff accepted: they
 # bound the size of every matrix built, not eval's work on an expression,
-# which multiplies out each expanded word ("(A+B)^12" at d = 24 takes about
-# 14 s on a 2-core VM; ROADMAP item 4)
+# which multiplies out each expanded word ("(A+B)^12" at d = 24 on
+# 1/3, -2/5, 7/4 takes 4-10 s on a 2-core Xeon VM; ROADMAP item 6)
 MAX_D = 24
 MAX_CUTOFF = 128
 # the most sweep worker processes; under the fork start method the pool

@@ -94,10 +94,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, ij) -> Rat:
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other):
         """Equal shapes and canonical cleared forms: no entry is made."""
         if not isinstance(other, Mat) or (self.rows, self.cols) != (other.rows, other.cols):

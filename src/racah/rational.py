@@ -33,7 +33,8 @@ def rat(num, den=1) -> Rat:
         raise TypeError(f"only exact rationals are accepted, got {value}") from None
 
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: \d also matches other scripts' decimal digits, such as "٣"
+_RAT_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rat(text: str) -> Rat:

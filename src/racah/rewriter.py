@@ -26,14 +26,16 @@ Each rule drops the measure (total degree, inversion count), so the
 recursion ends.  A rewrite step is one out-of-order monomial times letter
 product met, memo hits included, and REWRITE_LIMIT caps their number.
 
-Coefficients are ints wherever they are computed on.  The parser and the
-element operators expand on cleared sums (den, {word: int}): a product
-multiplies the dens and a sum brings both sides to the lcm of theirs.  An
-element keeps the cleared sum it was built from, and its coefficients
-become Fractions once, when they are first read.  The rules have integer
-coefficients and normal ordering is linear, so normal_form reads its
-input's cleared sum, all ordering runs on ints, and each coefficient of
-the result is divided by the den once.
+Elements are immutable values without arithmetic: an expression is built
+with parse, or from its terms as FreeElement({word: coefficient}).
+Coefficients are ints wherever they are computed on.  The parser expands
+on cleared sums (den, {word: int}): a product multiplies the dens and a
+sum brings both sides to the lcm of theirs.  An element keeps the cleared
+sum it was built from, and its coefficients become Fractions once, when
+they are first read.  The rules have integer coefficients and normal
+ordering is linear, so normal_form reads its input's cleared sum, all
+ordering runs on ints, and each coefficient of the result is divided by
+the den once.
 """
 
 from __future__ import annotations
@@ -45,26 +47,26 @@ from typing import TYPE_CHECKING
 from .errors import ParseError, RewriteLimitError
 from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
-from .rational import ONE, Rat, format_ratio, parse_rat, rat
+from .rational import Rat, format_ratio, parse_rat
 
 if TYPE_CHECKING:
     from .modules import ModuleRep
 
 SYMBOLS = ("A", "B", "C", "D", "alpha", "beta", "gamma", "delta")
 EXPONENT_LIMIT = 64
-WORD_LIMIT = 2**16  # most words a parsed product, power or commutator may expand to
-LETTER_LIMIT = 2**20  # most letters (words times the longest word) it may expand to
-SUM_WORD_LIMIT = 2**16  # most words, summed over its summands, a parsed sum may hold
-SUM_LETTER_LIMIT = 2**20  # most letters, summed over its words, it may hold
+# most words and letters a parsed product, power or commutator may expand
+# to (letters: words times the longest word), or a parsed sum may hold
+# (summed over its summands, before like words merge)
+WORD_LIMIT = 2**16
+LETTER_LIMIT = 2**20
 DEPTH_LIMIT = 64  # most nested parentheses, brackets and unary signs
 REWRITE_LIMIT = 10**6
 
 
 # A cleared sum (den, terms) is the sum of c/den * key over terms, a dict
 # key -> nonzero int, with den > 0 and gcd(den, every coefficient) = 1, so
-# den is the lcm of the reduced denominators.  The parser expands on these
-# and the element operators delegate to them, so all their arithmetic is
-# on ints.
+# den is the lcm of the reduced denominators.  The parser expands on these,
+# so all its arithmetic is on ints.
 
 def _lowest(den: int, terms: dict) -> tuple:
     """(den, terms) with zero coefficients dropped and gcd(den, every
@@ -129,9 +131,9 @@ def _power(x: tuple, k: int) -> tuple:
 
 class _Element:
     """Formal linear combination; terms maps key -> nonzero coefficient.
-    Like a Mat, an element keeps the form it was built from, its terms or
-    its cleared sum (_cleared), and derives the other on first use.  The
-    operators run on cleared sums."""
+    An immutable value without arithmetic: like a Mat, it keeps the form it
+    was built from, its terms or its cleared sum (_cleared), and derives
+    the other on first use."""
 
     __slots__ = ("terms", "_cleared")
 
@@ -164,66 +166,15 @@ class _Element:
     def __reduce__(self):
         return (type(self), (self.terms,))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         return type(self) is type(other) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._from_cleared(_plus(self._cleared, other._cleared))
-
-    def __neg__(self):
-        return self._from_cleared(_negate(self._cleared))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._from_cleared(_plus(self._cleared, other._cleared, -1))
-
-    def scale(self, c):
-        # c sits on the empty key, and appending () leaves every key as it is
-        return self._from_cleared(_times(self._cleared, _scalar(rat(c))))
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
 
 class FreeElement(_Element):
     """Sum of plain words (tuples over SYMBOLS) with rational coefficients."""
-
-    @classmethod
-    def zero(cls) -> "FreeElement":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "FreeElement":
-        return cls({(): ONE})
-
-    @classmethod
-    def scalar(cls, c) -> "FreeElement":
-        return cls({(): rat(c)})
-
-    @classmethod
-    def symbol(cls, name: str) -> "FreeElement":
-        if name not in SYMBOLS:
-            raise ValueError(f"unknown generator {name!r}")
-        return cls({(name,): ONE})
-
-    def __mul__(self, other):
-        if not isinstance(other, FreeElement):
-            return self.scale(other)
-        return FreeElement._from_cleared(_times(self._cleared, other._cleared))
-
-    def __pow__(self, k: int) -> "FreeElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        return FreeElement._from_cleared(_power(self._cleared, k))
 
 
 class NormalElement(_Element):
@@ -334,22 +285,9 @@ class _Parser:
                 words, letters = len(value[1]), _letters(value[1])
             words += len(rhs[1])
             letters += _letters(rhs[1])
-            if words > SUM_WORD_LIMIT:
-                raise ParseError(f"sum exceeds the limit of {SUM_WORD_LIMIT} words", pos)
-            if letters > SUM_LETTER_LIMIT:
-                raise ParseError(f"sum exceeds the limit of {SUM_LETTER_LIMIT} letters", pos)
+            _check_size("sum", words, letters, pos)
             value = _plus(value, rhs, 1 if op == "+" else -1)
         return value
-
-    def check_size(self, words: int, longest: int, position: int) -> None:
-        if words > WORD_LIMIT:
-            raise ParseError(
-                f"expansion exceeds the limit of {WORD_LIMIT} words", position
-            )
-        if words * longest > LETTER_LIMIT:
-            raise ParseError(
-                f"expansion exceeds the limit of {LETTER_LIMIT} letters", position
-            )
 
     def term(self) -> tuple:
         value = self.factor()
@@ -360,7 +298,8 @@ class _Parser:
             if longest is None:
                 longest = _longest(value[1])
             longest += _longest(rhs[1])
-            self.check_size(len(value[1]) * len(rhs[1]), longest, pos)
+            words = len(value[1]) * len(rhs[1])
+            _check_size("expansion", words, words * longest, pos)
             value = _times(value, rhs)
         return value
 
@@ -377,7 +316,8 @@ class _Parser:
                 raise ParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", tok[2]
                 )
-            self.check_size(len(value[1]) ** e, e * _longest(value[1]), caret)
+            words = len(value[1]) ** e
+            _check_size("expansion", words, words * e * _longest(value[1]), caret)
             value = _power(value, e)
         return value
 
@@ -408,14 +348,22 @@ class _Parser:
             if self.peek()[0] == ",":
                 raise ParseError("commutator bracket takes exactly two arguments", self.peek()[2])
             self.expect("]", "unclosed commutator bracket", opened_at=pos)
-            self.check_size(
-                len(left[1]) * len(right[1]), _longest(left[1]) + _longest(right[1]), pos
-            )
+            words = len(left[1]) * len(right[1])
+            _check_size("expansion", words, words * (_longest(left[1]) + _longest(right[1])), pos)
             value = _plus(_times(left, right), _times(right, left), -1)
         else:
             value = _negate(self.factor()) if kind == "-" else self.factor()
         self.depth -= 1
         return value
+
+
+def _check_size(what: str, words: int, letters: int, position: int) -> None:
+    """Reject an expansion or a sum of more than WORD_LIMIT words or
+    LETTER_LIMIT letters."""
+    if words > WORD_LIMIT:
+        raise ParseError(f"{what} exceeds the limit of {WORD_LIMIT} words", position)
+    if letters > LETTER_LIMIT:
+        raise ParseError(f"{what} exceeds the limit of {LETTER_LIMIT} letters", position)
 
 
 def _longest(terms: dict) -> int:
@@ -465,11 +413,6 @@ def _eliminate(terms: dict) -> dict:
                 acc = {w + (e,): c * f for w, c in acc.items() for e, f in expansion}
         _accumulate(out, acc.items())
     return {w: c for w, c in out.items() if c}
-
-
-def eliminate(x: FreeElement) -> FreeElement:
-    """Rewrite C and gamma away: C = delta - A - B, gamma = -alpha - beta."""
-    return FreeElement(_eliminate(x.terms))
 
 
 # --------------------------------------------------------- normal ordering

@@ -305,10 +305,11 @@ def euclid_gcd(f, g):
     return poly_monic(f) if f else f
 
 
-# The element operators of racah.rewriter as Fraction arithmetic on the
-# terms, before they ran on cleared integer sums; kept as their oracle.
-# x and y are FreeElements or NormalElements, and each result is built by
-# the element's constructor, which drops zero coefficients.
+# Sums, products and powers of rewriter elements as Fraction arithmetic on
+# the terms: the oracle of the parser's expansion on cleared sums, and how
+# the tests combine elements, which have no operators.  x and y are
+# FreeElements or NormalElements, and each result is built by the
+# element's constructor, which drops zero coefficients.
 
 def fraction_add(x, y):
     out = dict(x.terms)
@@ -340,7 +341,7 @@ def fraction_mul(x, y):
 
 
 def fraction_pow(x, k):
-    acc = type(x).one()
+    acc = type(x)({(): ONE})
     for _ in range(k):
         acc = fraction_mul(acc, x)
     return acc

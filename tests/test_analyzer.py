@@ -35,7 +35,7 @@ from racah import (
 from racah import ALL_FLIPS
 from racah.intmat import clear
 from racah.linalg import Subspace
-from racah.params import trace_formula
+from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
 from conftest import (
@@ -360,7 +360,7 @@ def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
             t = rat(d, 2) - rng.randint(1, d)
             p = ParamTriple(p.a, p.b, rng.choice(ONTO_FORM)(p.a, p.b, t))
         reducible += not irreducible_criterion(p, d)[0]
-        got = analyzer.l_diagonal(p, d)
+        got = analyzer._l_diagonal(d, sequences(p, d, d + 1))
         for method in ("closed", "recurrence", "direct"):
             m = l_matrix(p, d, method)
             assert got == tuple(m.entries[i][i] for i in range(d + 1)), (p, d, method)
@@ -388,7 +388,7 @@ def test_closed_and_recurrence_l_matrix_at_six_digits(d):
 
 
 def fraction_l_diagonal(p, d):
-    """analyzer.l_diagonal as running Fraction products of the per-index
+    """analyzer._l_diagonal as running Fraction products of the per-index
     phi and varphi, before it ran on the integer sequences; kept as its
     oracle."""
     phi_tail = [ONE]
@@ -402,7 +402,7 @@ def fraction_l_diagonal(p, d):
 @given(module_points())
 def test_l_diagonal_matches_the_fraction_product(point):
     p, d = point
-    assert analyzer.l_diagonal(p, d) == fraction_l_diagonal(p, d)
+    assert analyzer._l_diagonal(d, sequences(p, d, d + 1)) == fraction_l_diagonal(p, d)
 
 
 def direct_l_matrix_oracle(rep, p, d):
@@ -788,7 +788,7 @@ def mat_analyze(p, d):
                 f"diagonalizability of {name} at {p}, d={d}: "
                 f"criterion {verdict_c}, oracle {verdict_o}"
             )
-    l_diag = analyzer.l_diagonal(p, d)
+    l_diag = fraction_l_diagonal(p, d)
     det_nonzero = all(x != 0 for x in l_diag)
     if det_nonzero != crit:
         raise ConsistencyError(

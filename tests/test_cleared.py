@@ -275,4 +275,5 @@ def test_analyze_evaluates_the_sequences_once_per_point(sequence_calls):
         sequence_calls.clear()
         report = analyze(p, d)
         assert len(sequence_calls) == 1, (p, d)
-        assert report.l_diagonal == analyzer.l_diagonal(p, d)
+        m = l_matrix(p, d, "closed")
+        assert report.l_diagonal == tuple(m.entries[i][i] for i in range(d + 1))

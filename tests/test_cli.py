@@ -430,6 +430,24 @@ def test_non_ascii_digits_are_a_parse_error(capsys, command, expr, position):
     assert f"unexpected character {expr[position - 1]!r} at position {position}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", *GENERIC, "--d", "٣"], "racah verify: error: argument --d: expected an integer"),
+        (["verify", "--a", "٣", *GENERIC[2:], "--d", "1"], "racah verify: error: argument --a: rationals"),
+        (["sweep", "--grid", "a=٣;b=0;c=0;d=1"], "racah: error: rationals"),
+    ],
+)
+def test_non_ascii_digits_in_options_exit_2(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [row for row in captured.err.splitlines() if "error" in row]
+    assert len(errors) == 1 and errors[0].startswith(line) and errors[0].endswith("got '٣'")
+
+
 def test_memory_error_is_one_line_and_exits_1(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
@@ -471,7 +489,7 @@ def test_oversize_sum_exits_2(capsys, command):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    limit = racah.rewriter.SUM_WORD_LIMIT
+    limit = racah.rewriter.WORD_LIMIT
     assert f"sum exceeds the limit of {limit} words at position 9" in captured.err
 
 

@@ -4,6 +4,7 @@ running a subcommand loads only the modules that are used."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,7 +63,7 @@ def test_public_surface_is_pinned():
         "ParseError", "Poly", "Rat", "RationalTooLargeError", "RelationReport",
         "RewriteLimitError", "Scalars", "ShapeError", "SignFlip", "Subspace", "VermaTruncation",
         "Witness", "act", "analyze", "build_R", "build_verma", "canonical", "diagonalizable",
-        "eigenspace", "eliminate", "evaluate", "format_element", "format_rat", "golden_example",
+        "eigenspace", "evaluate", "format_element", "format_rat", "golden_example",
         "identify", "in_P", "intertwiner_space", "invertible", "irreducible_criterion",
         "irreducible_oracle", "isomorphic", "kernel", "l_matrix", "minimal_polynomial",
         "normal_form", "parse", "parse_rat", "phi", "rank", "rat", "rref", "scalars",
@@ -74,10 +75,27 @@ def test_public_surface_is_pinned():
         "coeffs", "degree", "from_roots", "is_zero",
     }
     assert _surface(racah.Mat) == {
-        "__add__", "__eq__", "__getattr__", "__getitem__", "__hash__", "__init__", "__mul__",
+        "__add__", "__eq__", "__getattr__", "__hash__", "__init__", "__mul__",
         "__reduce__", "__repr__", "__setattr__", "__sub__", "apply", "cols", "diagonal", "entries",
         "from_cleared", "identity", "rows", "scale", "shape", "trace", "zero",
     }
+    # rewriter elements are values without arithmetic
+    for cls, names in ((racah.FreeElement, {"terms"}), (racah.NormalElement, {"terms", "to_free"})):
+        assert {name for name in dir(cls) if not name.startswith("_")} == names
+        operators = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__")
+        assert not [name for name in operators if hasattr(cls, name)], cls
+    assert not {"SUM_WORD_LIMIT", "SUM_LETTER_LIMIT"} & set(vars(racah.rewriter))
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # bench/ is outside tier-1, so deleting a traced name would show only there
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, function, _, _ in tracing.FUNCTIONS:
+        assert callable(getattr(getattr(racah, module), function, None)), (module, function)
+    assert {name for name, _ in tracing.MAT_METHODS} | {"__mul__"} <= set(vars(racah.Mat))
 
 
 def test_every_public_name_resolves_to_its_home_module():

@@ -64,7 +64,7 @@ def test_trace():
 def test_apply_and_accessors():
     a = Mat([[1, 2], [3, 4]])
     assert a.apply((1, 1)) == (3, 7)
-    assert a[0, 1] == 2
+    assert a.entries[0][1] == 2
 
 
 def test_bidiagonal_builders():

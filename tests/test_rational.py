@@ -30,7 +30,8 @@ def test_parse_accepts_plain_and_fraction():
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.5", "", "1/0", "1 / 2", "a", "1/2/3", "--3", "1e3", "/2", "3/"]
+    # "٣" (Arabic-Indic) and "３" (full-width) are decimal digits too, but not ASCII ones
+    "bad", ["0.5", "", "1/0", "1 / 2", "a", "1/2/3", "--3", "1e3", "/2", "3/", "٣", "３/2"]
 )
 def test_parse_rejects_everything_else(bad):
     with pytest.raises(ValueError):

@@ -63,8 +63,8 @@ def test_truncation_entries_are_the_per_index_forms(p, nu, cutoff):
         for j in range(cutoff + 1):
             a = theta(p, nu, i) if j == i else ONE if j == i - 1 else ZERO
             b = theta_star(p, nu, i) if j == i else varphi(p, nu, j) if j == i + 1 else ZERO
-            assert (vt.A[i, j], vt.B[i, j]) == (a, b)
-            assert type(vt.A[i, j]) is type(vt.B[i, j]) is Rat
+            assert (vt.A.entries[i][j], vt.B.entries[i][j]) == (a, b)
+            assert type(vt.A.entries[i][j]) is type(vt.B.entries[i][j]) is Rat
 
 
 def test_quotient_block_is_the_finite_module():
