@@ -13,9 +13,13 @@ bidiagonal with distinct diagonal entries, the module is irreducible iff
 the nonzero entries y_j A x_i (i != j) form a strongly connected directed
 graph (for Leonard pairs A acts tridiagonally there, Terwilliger 2001,
 Linear Algebra Appl. 330; the oracle assumes no such shape).  Entries that
-are nonzero mod 2^61 - 1 certify irreducibility.  A zero superdiagonal of
-B, a repeated or congruent diagonal entry, or a graph not certified
-connected go to the exact route, which spins eigenlines of B.
+are nonzero mod 2^61 - 1 certify irreducibility.  When B's diagonal repeats
+or the graph is not certified connected, the same certificate runs on the
+transposed pair, B^T read in an eigenbasis of the upper bidiagonal A^T:
+{A, B} and {A^T, B^T} have the same invariant subspaces up to taking
+annihilators, so either certifies the module.  A zero superdiagonal of B,
+or a point neither certificate settles, goes to the exact route, which
+spins eigenlines of B.
 
 analyze() clears A, B and C of a module of denominators once, together
 (racah.intmat.clear), and runs every oracle on those integer rows.  Each
@@ -90,9 +94,17 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     returns False, and the exact loop below decides, when B leaves the
     bidiagonal band, has a repeated diagonal entry, or has two diagonal
     entries congruent mod q (a denominator or an eigenvalue gap divisible
-    by q), and when the certified edges miss strong connectivity.  The
-    exact loop spins the eigenline of each distinct eigenvalue, in index
-    order, and returns the first proper span as the witness.
+    by q), and when the certified edges miss strong connectivity.
+
+    Then, if B is upper bidiagonal, the certificate runs once more on the
+    transposed pair, with B^T in the role of A and the upper bidiagonal
+    A^T, whose diagonal is theta, in the role of B.  A subspace U is
+    invariant under A and B iff its annihilator is invariant under A^T and
+    B^T, so the two pairs are irreducible together, and this settles the
+    irreducible points where only theta* repeats.  A reducible point is
+    never certified either way.  The exact loop spins the eigenline of
+    each distinct eigenvalue of B, in index order, and returns the first
+    proper span as the witness.
     """
     if rep.basis != "v":
         raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
@@ -112,7 +124,11 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
             return False, Subspace(n, tail)
     if _eigenbasis_certificate(a_rows, b_rows):
         return True, None
+    # the columns of a square matrix are its transpose as rows; a B off
+    # its band goes to the spin, whose eigenlines report it
     ops = [columns(a_rows), columns(b_rows)]
+    if _upper_bidiagonal(b_rows) and _eigenbasis_certificate(ops[1], ops[0]):
+        return True, None
     seen = set()
     for i, row in enumerate(b_rows):
         lam = row.get(i, 0)
@@ -137,12 +153,12 @@ def _eigenbasis_certificate(a_rows: Rows, b_rows: Rows) -> bool:
     forward substitution, scaled to need no division), nonzero since the
     diagonal is distinct.  Only their residues are computed."""
     n = len(b_rows)
-    if any(row.keys() - {i, i + 1} for i, row in enumerate(b_rows)):
+    if not _upper_bidiagonal(b_rows):
         return False
     lam = [row.get(i, 0) % PRIME for i, row in enumerate(b_rows)]
     if len(set(lam)) < n:
         return False
-    s = [-b_rows[k][k + 1] % PRIME for k in range(n - 1)]
+    s = [-b_rows[k].get(k + 1, 0) % PRIME for k in range(n - 1)]
     xs, ys = [], []
     for i in range(n):
         before = [1] * n  # before[k] = prod_(m<k) (lam_m - lam_i)
@@ -176,6 +192,11 @@ def _eigenbasis_certificate(a_rows: Rows, b_rows: Rows) -> bool:
         for j in js:
             into[j].append(i)
     return _reaches_all(out) and _reaches_all(into)
+
+
+def _upper_bidiagonal(rows: Rows) -> bool:
+    """Is the square matrix zero off its diagonal and first superdiagonal?"""
+    return not any(row.keys() - {i, i + 1} for i, row in enumerate(rows))
 
 
 def _reaches_all(edges: list[list[int]]) -> bool:

@@ -20,6 +20,14 @@ for the primitive integer polynomial P of den*M, and turns P into the
 monic rational polynomial once.  racah.analyzer clears a module's A, B and
 C once and calls both cores on those integer rows.
 
+minimal_polynomial_integer() has two routes.  A tridiagonal matrix whose
+subdiagonal or superdiagonal is nonzero throughout is, or transposes to, an
+unreduced Hessenberg matrix, which is nonderogatory: its minimal
+polynomial is its characteristic polynomial, read off the band in O(n^2)
+by the continuant recurrence.  A and C of the modules always qualify, and
+B does whenever all its varphi or all its phi are nonzero.  Any other
+matrix falls back to Krylov sequences of unit vectors through the reducer.
+
 intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
 through A when both A are lower bidiagonal with a nonzero subdiagonal (the
 shape of A in every basis of the modules): each row of X follows from the
@@ -301,9 +309,58 @@ def minimal_polynomial(m: Mat) -> Poly:
 def minimal_polynomial_integer(rows: Rows) -> list[int]:
     """The minimal polynomial of the square integer matrix N given by its
     sparse rows, as a primitive integer polynomial P with a positive
-    leading coefficient, lowest degree first.  P is the lcm of the local
-    minimal polynomials of the unit vectors (Krylov sequences as in
-    Wiedemann 1986, IEEE Trans. Inf. Theory 32).
+    leading coefficient, lowest degree first.
+
+    Two routes.  When N is tridiagonal and every entry of its subdiagonal,
+    or every entry of its superdiagonal, is nonzero, N or its transpose is
+    an unreduced Hessenberg matrix.  Such a matrix is nonderogatory (e_0
+    generates everything under it, or under its transpose), so P is the
+    characteristic polynomial, monic with integer coefficients, and
+    _continuant() computes it in O(n^2).  A and C of the modules take this
+    route in every basis, since their subdiagonal is nonzero; B takes it
+    whenever all its varphi or all its phi are nonzero.  Every other
+    matrix, a tridiagonal one with zeros on both off-diagonals included,
+    goes to _krylov_minimal_polynomial()."""
+    if _unreduced_tridiagonal(rows):
+        return _continuant(rows)
+    return _krylov_minimal_polynomial(rows)
+
+
+def _unreduced_tridiagonal(rows: Rows) -> bool:
+    """Is the square matrix zero off its three central diagonals, and
+    nonzero on the whole subdiagonal or on the whole superdiagonal?"""
+    n = len(rows)
+    if any(row.keys() - {i - 1, i, i + 1} for i, row in enumerate(rows)):
+        return False
+    return all(rows[i].get(i - 1) for i in range(1, n)) or all(
+        rows[i].get(i + 1) for i in range(n - 1)
+    )
+
+
+def _continuant(rows: Rows) -> list[int]:
+    """The characteristic polynomial of the integer tridiagonal matrix N,
+    lowest degree first, by the continuant recurrence on its leading
+    principal minors: p_k = (x - N[k][k]) p_(k-1) - N[k][k-1] N[k-1][k] p_(k-2)."""
+    before, p = [], [1]  # p_(k-2) and p_(k-1); p_(-1) = 0
+    for k, row in enumerate(rows):
+        c = row.get(k, 0)
+        nxt = [0, *p]  # x p_(k-1)
+        if c:
+            for i, x in enumerate(p):
+                nxt[i] -= c * x
+        if k:
+            t = row.get(k - 1, 0) * rows[k - 1].get(k, 0)
+            if t:
+                for i, x in enumerate(before):
+                    nxt[i] -= t * x
+        before, p = p, nxt
+    return p
+
+
+def _krylov_minimal_polynomial(rows: Rows) -> list[int]:
+    """minimal_polynomial_integer() for any square integer matrix N: P is
+    the lcm of the local minimal polynomials of the unit vectors (Krylov
+    sequences as in Wiedemann 1986, IEEE Trans. Inf. Theory 32).
 
     P starts at 1 and takes the seeds e_0, e_(n-1), e_1, ..., e_(n-2) until
     its degree is n.  Since mu of P(N)v is mu_v / gcd(mu_v, P), multiplying

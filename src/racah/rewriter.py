@@ -176,10 +176,14 @@ class _Element:
 class FreeElement(_Element):
     """Sum of plain words (tuples over SYMBOLS) with rational coefficients."""
 
+    __slots__ = ()
+
 
 class NormalElement(_Element):
     """Sum of ordered monomials keyed (i, j, k, r, s, t) for
     A^i D^j B^k alpha^r delta^s beta^t."""
+
+    __slots__ = ()
 
     def to_free(self) -> FreeElement:
         out = {}

@@ -33,7 +33,7 @@ from racah import (
     varphi,
 )
 from racah import ALL_FLIPS
-from racah.intmat import clear
+from racah.intmat import clear, columns
 from racah.linalg import Subspace
 from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
@@ -162,6 +162,13 @@ def certified(rep):
     return analyzer._eigenbasis_certificate(a, b)
 
 
+def dual_certified(rep):
+    """Does the eigenbasis certificate settle the transposed pair, with A^T
+    in the role of B?"""
+    _, (a, b), _ = clear([rep.A, rep.B])
+    return analyzer._eigenbasis_certificate(columns(b), columns(a))
+
+
 def exact_spins(rep, monkeypatch):
     """(oracle result, number of spins of the exact fallback) for rep."""
     calls = []
@@ -252,7 +259,15 @@ FALLBACKS = {
     "denominator q": (ParamTriple(rat(1, Q), rat(1, 3), rat(2, 5)), 3),
     # theta*_0 - theta*_1 = -(2b + d) = -q
     "gap q": (ParamTriple(rat(1, 3), rat(Q - 2, 2), rat(2, 5)), 2),
+    # theta_1 = theta_3 and theta*_0 = theta*_2
+    "repeated theta and theta*": (ParamTriple.of("-1/2", "-1/2", "2/7"), 4),
+    # theta_0 - theta_1 = 2a + d = q and theta*_0 - theta*_1 = -q
+    "gap q twice": (ParamTriple(rat(Q - 2, 2), rat(Q - 2, 2), rat(2, 5)), 2),
 }
+
+# the FALLBACKS whose transposed pair the certificate settles: A's
+# diagonal is distinct there, and only B's repeats or meets q
+DUAL_SETTLED = {"repeated theta*", "gap q"}
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
@@ -260,9 +275,13 @@ def test_each_fallback_matches_eigenline_spins(name, monkeypatch):
     p, d = FALLBACKS[name]
     rep = build_R(p, d)
     assert not certified(rep)
+    assert dual_certified(rep) == (name in DUAL_SETTLED)
     got, spins = exact_spins(rep, monkeypatch)
     assert got == spin_irreducible_oracle(rep) == (True, None)
-    assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
+    if name in DUAL_SETTLED:
+        assert spins == 0
+    else:
+        assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
     # the same fallback on a boundary point finds the witness
     q = ParamTriple(p.a, p.b, ONTO_FORM[2](p.a, p.b, rat(d, 2) - 1))
     rep = build_R(q, d)
@@ -281,6 +300,57 @@ def test_congruent_diagonal_entries_never_certify(last):
     assert not analyzer._eigenbasis_certificate(a_rows, b_rows)
     b_rows[2][2] = 3
     assert analyzer._eigenbasis_certificate(a_rows, b_rows)
+
+
+def repeated_point(rng, d, coords):
+    """A random irreducible triple whose coordinates among a and b sit in
+    {(k - d - 1)/2 : k = 1..2d-1}, where theta (for a) or theta* (for b)
+    takes one value at two indices, exactly when named in coords."""
+    forbidden = {rat(k - d - 1, 2) for k in range(1, 2 * d)}
+    while True:
+        p = random_triple(rng)
+        fixed = {x: rat(rng.randint(1, 2 * d - 1) - d - 1, 2) for x in coords}
+        p = ParamTriple(fixed.get("a", p.a), fixed.get("b", p.b), p.c)
+        if irreducible_criterion(p, d)[0] and (p.a in forbidden) == ("a" in coords) and (
+            p.b in forbidden
+        ) == ("b" in coords):
+            return p
+
+
+def test_dual_certificate_settles_a_repeated_theta_star(monkeypatch):
+    rng = random.Random(1729)
+    for _ in range(40):
+        d = rng.randint(2, 10)
+        rep = build_R(repeated_point(rng, d, "b"), d)
+        assert len({rep.B.entries[i][i] for i in range(d + 1)}) < d + 1
+        assert not certified(rep) and dual_certified(rep)
+        got, spins = exact_spins(rep, monkeypatch)
+        assert got == spin_irreducible_oracle(rep) == (True, None)
+        assert spins == 0
+
+
+def test_repeated_theta_and_theta_star_fall_through_to_the_spin(monkeypatch):
+    rng = random.Random(1730)
+    for _ in range(40):
+        d = rng.randint(2, 10)
+        rep = build_R(repeated_point(rng, d, "ab"), d)
+        assert not certified(rep) and not dual_certified(rep)
+        got, spins = exact_spins(rep, monkeypatch)
+        assert got == spin_irreducible_oracle(rep) == (True, None)
+        assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
+
+
+def test_reducible_points_are_never_certified(monkeypatch):
+    # a certificate proves irreducibility, and the witness comes from the spin
+    rng = random.Random(1731)
+    for form in range(4):
+        for _ in range(15):
+            d = rng.randint(1, 10)
+            rep = build_R(boundary_point(rng, d, form), d)
+            assert not certified(rep) and not dual_certified(rep)
+            got, _ = exact_spins(rep, monkeypatch)
+            assert got == spin_irreducible_oracle(rep)
+            assert not got[0]
 
 
 def test_tail_fallback_matches_eigenline_spins(monkeypatch):

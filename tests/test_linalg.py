@@ -724,6 +724,69 @@ def test_minimal_polynomial_integer_on_cleared_derogatory_matrices(case, scale):
     assert minimal_polynomial(m) == poly_minimal_polynomial(m) == expect
 
 
+@st.composite
+def integer_tridiagonal(draw, n):
+    """Square integer tridiagonal matrices as sparse rows, small and
+    12-digit entries.  Each off-diagonal either is nonzero throughout or
+    is zero at half its entries, drawn independently, so both routes of
+    minimal_polynomial_integer come up at every size."""
+    big = st.integers(-10**12, 10**12)
+    entry = st.one_of(st.integers(-4, 4), big)
+    nonzero = st.one_of(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), big.filter(bool))
+    sub, sup = (st.one_of(st.just(0), entry) if draw(st.booleans()) else nonzero for _ in range(2))
+    rows = []
+    for i in range(n):
+        row = {i: draw(entry)}
+        if i:
+            row[i - 1] = draw(sub)
+        if i < n - 1:
+            row[i + 1] = draw(sup)
+        rows.append({j: x for j, x in row.items() if x})
+    return rows
+
+
+@given(st.integers(1, 12).flatmap(integer_tridiagonal))
+def test_continuant_matches_krylov_on_tridiagonal_matrices(rows):
+    n = len(rows)
+    fast = all(i - 1 in rows[i] for i in range(1, n)) or all(i + 1 in rows[i] for i in range(n - 1))
+    assert linalg._unreduced_tridiagonal(rows) == fast
+    got = linalg.minimal_polynomial_integer(rows)
+    assert got == linalg._krylov_minimal_polynomial(rows)
+    if fast:  # nonderogatory: the minimal polynomial is the characteristic one
+        assert len(got) == n + 1 and got[-1] == 1
+
+
+@given(triples(5, 3), st.integers(0, 12), st.sampled_from(BASES))
+def test_continuant_matches_krylov_on_generators(p, d, basis):
+    rep = build_R(p, d, basis)
+    for name in ("A", "B", "C", "D"):
+        _, (rows,), _ = linalg.clear([rep.generator(name)])
+        if name in "AC":  # a nonzero subdiagonal in every basis
+            assert linalg._unreduced_tridiagonal(rows), (name, basis)
+        assert linalg.minimal_polynomial_integer(rows) == linalg._krylov_minimal_polynomial(rows)
+
+
+def test_dense_and_gapped_matrices_take_the_krylov_route(monkeypatch):
+    calls = []
+    real = linalg._krylov_minimal_polynomial
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_krylov_minimal_polynomial", counting)
+    dense = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 1}, {0: 1, 1: 1, 2: 2}]  # (x-1)(x-4)
+    assert linalg.minimal_polynomial_integer(dense) == [4, -5, 1]
+    # gaps on both off-diagonals, and derogatory: (x-1)^2, not (x-1)^3
+    gapped = [{0: 1, 1: 1}, {1: 1}, {1: 1, 2: 1}]
+    assert linalg.minimal_polynomial_integer(gapped) == [1, -2, 1]
+    assert calls == [dense, gapped]
+    # one gap on each side, but not on the same side: the continuant route
+    one_side = [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 1, 2: 1}]
+    assert linalg.minimal_polynomial_integer(one_side) == real(one_side)
+    assert len(calls) == 2
+
+
 def reducible_triple(form, d, x, y, i):
     """A triple whose named linear form equals the forbidden value d/2 - i."""
     v = rat(d, 2) - i

@@ -972,3 +972,16 @@ def test_elements_pickle_round_trip():
     for elem in (free, normal_form(free), FreeElement({})):
         back = pickle.loads(pickle.dumps(elem))
         assert type(back) is type(elem) and back == elem
+
+
+def test_elements_carry_no_instance_dict():
+    free = parse("A*B")
+    for elem in (free, normal_form(free)):
+        assert not hasattr(elem, "__dict__")
+        back = pickle.loads(pickle.dumps(elem))
+        assert type(back) is type(elem) and back == elem and hash(back) == hash(elem)
+        assert not hasattr(back, "__dict__")
+    assert free == FreeElement({("A", "B"): Rat(1)})
+    assert hash(free) == hash(FreeElement({("A", "B"): Rat(1)}))
+    assert normal_form(free) == NormalElement({(1, 0, 1, 0, 0, 0): Rat(1)})
+    assert free != normal_form(free)
