@@ -21,10 +21,20 @@ A^i D^j B^k times the letter, shifted by its central part; the core
 product splits off the core's last letter, applies the rule for the pair
 and multiplies the replacement into the shorter prefix, once per first
 letter of the replacement terms.  A sum of words is normalized by grouping
-on its last letters.  Core products and sums are memoized for one call.
-Each rule drops the measure (total degree, inversion count), so the
-recursion ends.  A rewrite step is one out-of-order monomial times letter
-product met, memo hits included, and REWRITE_LIMIT caps their number.
+on its last letters.  Each rule drops the measure (total degree, inversion
+count), so the recursion ends.  A rewrite step is one out-of-order
+monomial times letter product met, memo hits included, and REWRITE_LIMIT
+caps their number.
+
+Sums are memoized for one call.  Core products depend only on the core,
+the letter and the rules, so each packing width keeps a table of them for
+the life of the process; a product is stored once complete, with the
+steps its body took and the products it met.  A call counts the steps it
+would take on an empty table: a stored product met for the first time in
+the call charges its body's steps, and those of the stored products below
+it not yet met in the call.  So the normal form, the step count and
+whether RewriteLimitError is raised depend only on the input.  A call
+that leaves more than TABLE_TERMS terms in the tables drops them all.
 
 Elements are immutable values without arithmetic: an expression is built
 with parse, or from its terms as FreeElement({word: coefficient}).
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, RewriteLimitError
@@ -61,6 +72,8 @@ WORD_LIMIT = 2**16
 LETTER_LIMIT = 2**20
 DEPTH_LIMIT = 64  # most nested parentheses, brackets and unary signs
 REWRITE_LIMIT = 10**6
+# most terms the product tables of all widths keep after a normal_form call
+TABLE_TERMS = 2**16
 
 
 # A cleared sum (den, terms) is the sum of c/den * key over terms, a dict
@@ -472,6 +485,8 @@ class _Packing:
         self.central = (1 << 3 * w) - 1  # the alpha, delta and beta fields
         k_field = ((1 << w) - 1) << 3 * w
         self.blocks = {"A": k_field | k_field << w, "D": k_field}
+        # letter -> core -> (element, body steps, products met by the body)
+        self.table: dict = {"A": {}, "D": {}}
         self.rules = {}
         for pair, terms in _REWRITE_RULES.items():
             groups: dict = {}
@@ -493,6 +508,22 @@ def _packing(w: int) -> _Packing:
     return _Packing(w)
 
 
+_table_terms = 0  # terms in the tables of the packings _packing holds
+_table_lock = threading.Lock()
+
+
+def _keep_tables(stored: int) -> None:
+    """Count the terms a call stored in the tables, and drop every table
+    once they hold more than TABLE_TERMS.  Dropping gives the cache new
+    packings with empty tables, so a call still running keeps its own."""
+    global _table_terms
+    with _table_lock:
+        _table_terms += stored
+        if _table_terms > TABLE_TERMS:
+            _packing.cache_clear()
+            _table_terms = 0
+
+
 def _run(task):
     """Run a generator that yields sub-generators and is sent back their
     return values.  The explicit stack keeps deep recursion (long words,
@@ -512,28 +543,38 @@ def _run(task):
             value = None
 
 
+def _limit_error() -> RewriteLimitError:
+    return RewriteLimitError(f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps")
+
+
 class _Orderer:
-    """Multiplication in the ordered-monomial basis, memoized for one
-    normal_form call.  An element is a dict packed monomial -> int
-    coefficient.  The methods are generators for _run."""
+    """Multiplication in the ordered-monomial basis for one normal_form
+    call.  An element is a dict packed monomial -> int coefficient.  The
+    methods are generators for _run.  products holds the core products met
+    in this call, formed here or taken from the packing's table; one taken
+    from the table charges the steps forming it here would take
+    (_charge)."""
 
     def __init__(self, packing: _Packing):
         self.packing = packing
         self.products: dict = {"A": {}, "D": {}}  # letter -> core monomial -> element
         self.sums: dict = {}  # frozenset of words -> (word coefficients, element)
         self.steps = 0
+        self.stored = 0  # terms added to the table
 
-    def times(self, elem: dict, letter: str):
+    def times(self, elem: dict, letter: str, met: list | None = None):
         """elem * letter.  A letter in order is added to the monomial; any
-        other monomial * letter product is one rewrite step.  Its product
-        is that of the monomial's core A^i D^j B^k, formed once per call,
-        with the central part added to each key."""
+        other monomial * letter product is one rewrite step, and met, if
+        given, gets its (letter, core).  Its product is that of the
+        monomial's core A^i D^j B^k, met before, stored or formed, with the
+        central part added to each key."""
         packing = self.packing
         unit = packing.unit[letter]
         block = packing.blocks.get(letter)
         if block is None:
             return {m + unit: c for m, c in elem.items()}
         memo = self.products[letter]
+        table = packing.table[letter]
         central = packing.central
         out: dict = {}
         for m, c in elem.items():
@@ -543,39 +584,69 @@ class _Orderer:
                 continue
             self.steps += 1
             if self.steps > REWRITE_LIMIT:
-                raise RewriteLimitError(
-                    f"normal ordering exceeded {REWRITE_LIMIT} rewrite steps"
-                )
+                raise _limit_error()
             shift = m & central
-            prod = memo.get(m - shift)
+            core = m - shift
+            if met is not None:
+                met.append((letter, core))
+            prod = memo.get(core)
             if prod is None:
-                prod = yield self._product(m - shift, letter)
+                if core in table:
+                    prod = self._charge(letter, core)
+                else:
+                    prod = yield self._product(core, letter)
             for key, f in prod.items():
                 key += shift
                 out[key] = out[key] + c * f if key in out else c * f
         return out
 
+    def _charge(self, letter: str, core: int) -> dict:
+        """The stored product core * letter, met for the first time in this
+        call.  It and each product below it not yet met in this call count
+        as met now, and the steps of their bodies are charged: on an empty
+        table each of them would be formed here, its body run once."""
+        table, memo = self.packing.table, self.products
+        entry = table[letter][core]
+        memo[letter][core] = entry[0]
+        stack = [entry]
+        while stack:
+            _, steps, children = stack.pop()
+            self.steps += steps
+            for x, m in children:
+                if m not in memo[x]:
+                    entry = table[x][m]
+                    memo[x][m] = entry[0]
+                    stack.append(entry)
+        if self.steps > REWRITE_LIMIT:
+            raise _limit_error()
+        return memo[letter][core]
+
     def _product(self, core: int, letter: str):
         """core * letter for an out-of-order pair: split off core's last
         letter and apply its rule with letter.  The prefix is multiplied
-        by each first letter once, then by the rest of each term."""
+        by each first letter once, then by the rest of each term.  Stored
+        in the table only once complete, with the steps its body took and
+        the products it met."""
         packing = self.packing
         last = "B" if core & packing.blocks["D"] else "D"
         prefix = core - packing.unit[last]
         out: dict = {}
+        met: list = []
         for first, group in packing.rules[last, letter]:
             head = {prefix: 1}
             for x in first:
-                head = yield from self.times(head, x)
+                head = yield from self.times(head, x, met)
             for rest, shift, coeff in group:
                 acc = head
                 for x in rest:
-                    acc = yield from self.times(acc, x)
+                    acc = yield from self.times(acc, x, met)
                 for key, c in acc.items():
                     key += shift
                     out[key] = out[key] + coeff * c if key in out else coeff * c
         out = {key: c for key, c in out.items() if c}
         self.products[letter][core] = out
+        packing.table[letter][core] = (out, len(met), frozenset(met))
+        self.stored += len(out)
         return out
 
     def normal(self, x: dict):
@@ -620,7 +691,10 @@ def _ordered(x: FreeElement) -> tuple[NormalElement, int]:
     cleared = _eliminate(terms)
     # no rule raises the total degree, so no exponent exceeds the longest word
     orderer = _Orderer(_packing((max(map(len, cleared), default=0) + 1).bit_length()))
-    out = _run(orderer.normal(cleared))
+    try:
+        out = _run(orderer.normal(cleared))
+    finally:
+        _keep_tables(orderer.stored)
     unpack = orderer.packing.unpack
     return NormalElement({unpack(m): Rat(c, den) for m, c in out.items()}), orderer.steps
 
@@ -632,9 +706,10 @@ def normal_form(x: FreeElement) -> NormalElement:
     w = (longest eliminated word + 1).bit_length(), and unpacked to its
     (i, j, k, r, s, t) key once at the end.  Central letters commute, so
     a monomial * letter product is formed once per core A^i D^j B^k and
-    letter and shifted by each monomial's central part.  Each out-of-order
-    monomial * letter product met is one rewrite step, memo hits
-    included; more than REWRITE_LIMIT steps raise RewriteLimitError.  The
+    letter, kept in width w's table for later calls, and shifted by each
+    monomial's central part.  Each out-of-order monomial * letter product
+    met is one rewrite step, memo hits included, counted as on an empty
+    table; more than REWRITE_LIMIT steps raise RewriteLimitError.  The
     ordering runs on the coefficients times the lcm of their denominators,
     as ints, and divides once at the end.  Soundness is checked elsewhere
     by evaluating both sides on concrete modules."""

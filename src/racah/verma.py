@@ -13,13 +13,13 @@ becomes a submodule, and the quotient is the (d+1)-dimensional module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat
 from .modules import _band, build_R, presentation_identities
-from .params import ParamTriple, Scalars, scalars, sequences, theta, theta_star, varphi
+from .params import ParamTriple, Scalars, scalars, sequences
 from .rational import Rat, format_rat, rat
 
 
@@ -31,6 +31,8 @@ class VermaTruncation:
     A: Mat
     B: Mat
     scalars: Scalars
+    # params.sequences at indices 0..cutoff, as build_verma evaluated them
+    _sequences: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -58,10 +60,10 @@ def build_verma(p: ParamTriple, nu, cutoff: Optional[int] = None) -> VermaTrunca
     if cutoff < 3:
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     n = cutoff + 1
-    q, th, ts, _, vp = sequences(p, nu, n)
+    q, th, ts, _, vp = seqs = sequences(p, nu, n)
     a_mat = _band(q, th, [q] * cutoff, [0] * cutoff)
     b_mat = _band(q, ts, [0] * cutoff, vp[1:])
-    return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu))
+    return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu), seqs)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     window = vt.safe_window
     a_mat, b_mat = vt.A, vt.B
     zeta, zeta_star, eta, _ = vt.scalars
-    ts0, ts1, vp1 = theta_star(p, nu, 0), theta_star(p, nu, 1), varphi(p, nu, 1)
+    q, th, ts, _, vp = vt._sequences
+    ts0, ts1, vp1 = Rat(ts[0], q), Rat(ts[1], q), Rat(vp[1], q)
     checks: list[VermaCheck] = []
 
     # every check but the last two runs on the truncated matrices cleared
@@ -110,7 +113,7 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     # theta*_0, theta*_1 and varphi_1 of the annihilator checks
     den, (a, b), ints = clear(
         (a_mat, b_mat),
-        (zeta, zeta_star, eta, ts0, ts1, vp1, *(theta(p, nu, h) for h in range(window + 1))),
+        (zeta, zeta_star, eta, ts0, ts1, vp1, *(Rat(x, q) for x in th[: window + 1])),
     )
     zeta_i, zeta_star_i, eta_i, ts0_i, ts1_i, vp1_i, thetas = *ints[:6], ints[6:]
     # m_0 as a one-column matrix, so that X*m0 is column 0 of X
@@ -207,7 +210,7 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
         )
     )
 
-    tail_vp = varphi(p, nu, d + 1)
+    tail_vp = Rat(vp[d + 1], q)
     tail_ok = tail_vp == 0 and d + 1 not in b[d]
     checks.append(
         VermaCheck(

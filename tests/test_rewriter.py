@@ -3,6 +3,8 @@ import importlib.util
 import math
 import pickle
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -809,6 +811,120 @@ tail_coefficients = st.builds(rat, st.integers(-3, 3).filter(bool), st.integers(
 @given(st.sampled_from(REWRITE_TAIL), tail_coefficients, tail_coefficients)
 def test_rewrite_tail_matches_tuple_oracle(template, x, y):
     check_against_tuple_oracle(parse(template.format(x=format_rat(x), y=format_rat(y))))
+
+
+# The product tables outlive a call; steps count as on empty tables.
+
+def fresh_ordered(x: FreeElement) -> tuple[NormalElement, int]:
+    """_ordered(x) on empty product tables."""
+    rw._packing.cache_clear()
+    return rw._ordered(x)
+
+
+def warm_with_rewrite_tail() -> None:
+    for template in REWRITE_TAIL:
+        normal_form(parse(template.format(x="2", y="-1")))
+
+
+def table_size(w: int) -> int:
+    return sum(map(len, rw._packing(w).table.values()))
+
+
+sums = st.lists(st.tuples(long_words, coefficients), max_size=6).map(element)
+
+
+@given(sums, sums)
+def test_ordering_does_not_depend_on_earlier_calls(x, y):
+    want = fresh_ordered(x)
+    rw._ordered(y)
+    assert rw._ordered(x) == want
+
+
+@pytest.mark.parametrize(
+    "text,steps",
+    [
+        ("(-2*A + -1*C)^6", 159),
+        ("(2*A + 1*B)^7", 281),
+        ("[1/2*A + 1*D, (B + D)^4]", 282),
+        ("(2/3*A - 5/7*C + 1/2*gamma)^4", 40),
+    ],
+)
+def test_pinned_step_counts_hold_on_a_warm_table(monkeypatch, text, steps):
+    warm_with_rewrite_tail()
+    test_rewrite_limit_is_reached_at_the_pinned_step_count(monkeypatch, text, steps)
+
+
+def test_products_are_kept_across_calls():
+    x = parse("(2*A + 1*B)^7")  # words of 7 letters: 4-bit fields
+    want = fresh_ordered(x)
+    table = rw._packing(4).table
+    size = table_size(4)
+    assert size > 0
+    assert rw._ordered(x) == want
+    assert rw._packing(4).table is table and table_size(4) == size
+
+
+def test_rewrite_limit_inside_a_product_leaves_the_table_usable(monkeypatch):
+    x = parse("(2*A + 1*B)^7")
+    want = fresh_ordered(x)
+    rw._packing.cache_clear()
+    monkeypatch.setattr(rw, "REWRITE_LIMIT", 100)  # of 281
+    with pytest.raises(RewriteLimitError) as raised:
+        rw._ordered(x)
+    assert any(entry.name == "_product" for entry in raised.traceback)
+    assert table_size(4) > 0  # the products completed before the limit
+    monkeypatch.undo()
+    assert rw._ordered(x) == want
+    warm_with_rewrite_tail()
+    assert rw._ordered(x) == want
+
+
+def test_tables_are_dropped_past_table_terms(monkeypatch):
+    texts = ("(2*A + 1*B)^7", "[1/2*A + 1*D, (B + D)^4]", "(-2*A + -1*C)^6")
+    xs = [parse(text) for text in texts]
+    want = [fresh_ordered(x) for x in xs]
+    rw._packing.cache_clear()
+    monkeypatch.setattr(rw, "TABLE_TERMS", 100)
+    packing = rw._packing(4)
+    assert rw._ordered(xs[0]) == want[0]
+    # the call filled the table it started with, then dropped it
+    assert sum(map(len, packing.table.values())) > 0
+    assert rw._packing(4) is not packing and table_size(4) == 0
+    for _ in range(2):
+        assert [rw._ordered(x) for x in xs] == want
+
+
+def test_threads_share_the_tables(monkeypatch):
+    """Threads store into, read and drop the tables (about 1,750 terms for
+    the four inputs) under one another: every call still gives its
+    fresh-table result and steps."""
+    texts = ("(2*A + 1*B)^6", "[1/2*A + 1*D, (B + D)^4]", "(-2*A + -1*C)^5", "(A + D)^4")
+    xs = [parse(text) for text in texts]
+    want = [fresh_ordered(x) for x in xs]
+    monkeypatch.setattr(rw, "TABLE_TERMS", 1000)
+    got, errors = [], []
+
+    def work(seed):
+        try:
+            for i in random.Random(seed).sample(range(len(xs)), len(xs)) * 3:
+                got.append((i, rw._ordered(xs[i])))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 4 * 3 * len(xs)
+    assert all(result == want[i] for i, result in got)
 
 
 # longest words of 2^w - 2, 2^w - 1, 2^w and 2^w + 1 letters for w = 3 and 4,
