@@ -362,32 +362,17 @@ def _l_products(d: int, seqs: tuple) -> tuple[list[int], list[int], list[int]]:
 _GENERATOR_COORD = {"A": 0, "B": 1, "C": 2}
 
 
-def diagonalizable(p: ParamTriple, d: int, generator: str, mode: str = "both") -> bool:
-    """Is the generator's matrix on R_d(a,b,c) diagonalizable?
-
-    criterion: the matching coordinate avoids {(i-d-1)/2 : i = 1..2d-1}
-               (only meaningful for irreducible modules);
-    oracle:    squarefreeness of the exact minimal polynomial;
-    both:      run the two and insist they agree.
-    """
+def diagonalizable(p: ParamTriple, d: int, generator: str) -> bool:
+    """Is the generator's matrix on R_d(a,b,c) diagonalizable?  As in
+    analyze(), the verdict is the oracle's, squarefreeness of the exact
+    minimal polynomial; at p in P(d), where the module is irreducible, the
+    coordinate criterion (the matching coordinate avoids
+    {(i-d-1)/2 : i = 1..2d-1}) must agree, or ConsistencyError is raised."""
     if generator not in _GENERATOR_COORD:
         raise ValueError(f"generator must be one of A, B, C, got {generator!r}")
-    if mode not in ("criterion", "oracle", "both"):
-        raise ValueError(f"mode must be criterion, oracle or both, got {mode!r}")
-
-    if mode != "oracle":
-        ok, _ = in_P(p, d)
-        if not ok:
-            raise ValueError(
-                "the coordinate criterion only classifies irreducible modules; "
-                "use mode='oracle' here"
-            )
-        if mode == "criterion":
-            return _coordinate_criterion(p, d, generator)
-
     _, (rows,), _ = clear([build_R(p, d, "v").generator(generator)])
     minpoly = minimal_polynomial_integer(rows)
-    if mode == "both":
+    if in_P(p, d)[0]:
         return _checked_diagonalizable(p, d, generator, minpoly)
     return squarefree_integer(minpoly)
 

@@ -54,10 +54,14 @@ def _rat_arg(text: str) -> Rat:
 
 
 def _nonneg_int(text: str) -> int:
+    # ASCII digits only, as parse_rat takes them: int() also reads other
+    # scripts' digits ("٣") and digit-group underscores ("1_0")
+    s = text.strip()
     try:
-        # int() of a str also reads other scripts' digits, such as "٣"
-        value = int(text.encode("ascii"))
-    except ValueError:  # UnicodeEncodeError included
+        if not re.fullmatch(r"[+-]?[0-9]+", s):
+            raise ValueError
+        value = int(s)
+    except ValueError:  # also more digits than int() converts
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")

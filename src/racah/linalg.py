@@ -7,8 +7,8 @@ an integer row: its nonzero entries times the lcm of their denominators,
 held as a dict {column: int}.  Rows are combined by cross-multiplication
 (Bareiss 1968, Math. Comp. 22) and kept with their content divided out, so
 the loop does integer arithmetic on nonzero entries only.  Entries become
-backend rationals again only at the Subspace boundary, when rref divides
-each row of the reduced basis by its pivot.
+Fractions again only at the Subspace boundary, when rref divides each row
+of the reduced basis by its pivot.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
@@ -29,11 +29,11 @@ B does whenever all its varphi or all its phi are nonzero.  Any other
 matrix falls back to Krylov sequences of unit vectors through the reducer.
 
 intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
-through A when both A are lower bidiagonal with a nonzero subdiagonal (the
-shape of A in every basis of the modules): each row of X follows from the
-row below it, so the unknowns are the n entries of the last row, and only
-the row-0 A-equations and the B-equations reach the reducer.  Any other A
-falls back to the full Sylvester system over the mn entries of X.
+through A, which must be lower bidiagonal with a nonzero subdiagonal on
+both sides (the shape of A in every basis of the modules): each row of X
+follows from the row below it, so the unknowns are the n entries of the
+last row, and only the row-0 A-equations and the B-equations reach the
+reducer.  Any other A is rejected with ShapeError.
 
 Subspaces are stored with their reduced-row-echelon basis.  RREF of a given
 row space is unique, so two Subspace values are equal iff they are literally
@@ -107,19 +107,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
-    def contains(self, vec) -> bool:
-        vec = list(vec)
-        if len(vec) != self.ambient_dim:
-            return False
-        basis = _Reducer(self.ambient_dim, map(_integer_row, self.basis), self.pivots)
-        return not basis.reduce(_integer_row(vec))
 
     def __eq__(self, other):
         return (
@@ -200,13 +187,13 @@ class _Reducer:
     gcd divided out.  Its pivot is its smallest column, and it is zero at
     the pivots of the rows kept before it.  add() reduces a vector and keeps
     it if independent; rows are never normalized here.  The one elimination
-    loop: it drives rref(), Subspace.contains(), spin_integer() and
-    minimal_polynomial()."""
+    loop: it drives rref(), rank(), spin_integer(), minimal_polynomial()
+    and intertwiner_space()."""
 
-    def __init__(self, ncols: int, rows=(), pivots=()):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[dict[int, int]] = list(rows)
-        self.pivots: list[int] = list(pivots)
+        self.rows: list[dict[int, int]] = []
+        self.pivots: list[int] = []
 
     def reduce(self, v: dict[int, int]) -> dict[int, int]:
         """A nonzero multiple of the sparse integer row v minus multiples of
@@ -429,12 +416,12 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
 
     X is m x n where the pair (A1,B1) acts on dimension n and (A2,B2) on m.
     The four matrices are cleared of denominators once, A1 with A2 and B1
-    with B2.  When A1 and A2 are both lower bidiagonal with a nonzero
-    subdiagonal, as in every basis of the modules, A2 X = X A1 gives row
-    i-1 of X from row i, so each entry of X is an integer linear form in
-    the n entries of the last row, and only the row-0 A-equations and the
-    B-equations remain: n unknowns.  Otherwise the unknowns are the mn
-    entries of X and every equation of the two Sylvester systems stays.
+    with B2.  A1 and A2 must be lower bidiagonal with a nonzero
+    subdiagonal, as in every basis of the modules; anything else raises
+    ShapeError.  B1 and B2 may be any square matrices.  A2 X = X A1 gives
+    row i-1 of X from row i, so each entry of X is an integer linear form
+    in the n entries of the last row, and only the row-0 A-equations and
+    the B-equations remain: n unknowns.
 
     Equations go to a _Reducer last row of X first.  Once one reduces to
     zero, X is assembled in integers for each solution of the kept
@@ -448,28 +435,22 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
             raise ShapeError(f"{name} must be square of the right size, got {mat.rows}x{mat.cols}")
     _, (ia1, ia2), _ = clear([a1, a2])
     _, (ib1, ib2), _ = clear([b1, b2])
-    if _lower_bidiagonal(ia1) and _lower_bidiagonal(ia2):
-        nvars, a_rows = n, [0]
-        forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
-        weights = [scales[0] // c for c in scales]  # X times scales[0], in integers
+    for rows, name in ((ia1, "A1"), (ia2, "A2")):
+        if not _lower_bidiagonal(rows):  # X is solved for row by row through A
+            raise ShapeError(f"{name} must be lower bidiagonal with a nonzero subdiagonal")
+    forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
+    weights = [scales[0] // c for c in scales]  # X times scales[0], in integers
 
-        def solution(y):
-            rows, _ = _substituted_rows(ia1, ia2, [{0: y[j]} if j in y else {} for j in range(n)])
-            return [[w * f.get(0, 0) for f in row] for row, w in zip(rows, weights)]
+    def solution(y):
+        rows, _ = _substituted_rows(ia1, ia2, [{0: y[j]} if j in y else {} for j in range(n)])
+        return [[w * f.get(0, 0) for f in row] for row, w in zip(rows, weights)]
 
-    else:
-        nvars, a_rows = m * n, range(m)
-        forms, scales = [[{i * n + j: 1} for j in range(n)] for i in range(m)], [1] * m
-
-        def solution(y):
-            return [[y.get(i * n + j, 0) for j in range(n)] for i in range(m)]
-
-    # the last rows of X first: under substitution their forms are the
-    # smallest, and they usually leave few candidate solutions
+    # the last rows of X first: their forms are the smallest, and they
+    # usually leave few candidate solutions
     b_cols, a_cols = columns(ib1), columns(ia1)
     conditions = [(ib2, b_cols, i) for i in reversed(range(m))]
-    conditions += [(ia2, a_cols, i) for i in a_rows]
-    red = _Reducer(nvars)
+    conditions.append((ia2, a_cols, 0))
+    red = _Reducer(n)
     xs = None  # X for each solution of the kept equations, once one reduced to zero
     for lhs, rhs_cols, i in conditions:
         left = list(lhs[i].items())
@@ -494,7 +475,7 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
                 continue
             if red.keep(red.reduce(eq)):
                 xs = None
-                if red.dim == nvars:
+                if red.dim == n:
                     return []
             elif xs is None:
                 xs = [solution(y) for y in _null_space(red)]

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .matrix import Mat
-from .params import ParamTriple, Scalars
-from .rational import format_rat, parse_rat
+from .rational import format_rat
 
 if TYPE_CHECKING:
     from .analyzer import AnalysisReport, IdentifyResult, IsoResult
     from .linalg import Subspace
+    from .matrix import Mat
     from .modules import ModuleRep, RelationReport
+    from .params import ParamTriple, Scalars
     from .verma import VermaReport
 
 
@@ -31,20 +31,12 @@ def mat_to_rows(m: Mat) -> list[list[str]]:
     return [[format_rat(x) for x in row] for row in m.entries]
 
 
-def mat_from_rows(rows) -> Mat:
-    return Mat([[parse_rat(x) for x in row] for row in rows])
-
-
 def mat_to_text(m: Mat, row_sep: str = "\n") -> str:
     return row_sep.join(" ".join(format_rat(x) for x in row) for row in m.entries)
 
 
 def params_to_doc(p: ParamTriple) -> dict:
     return {"a": format_rat(p.a), "b": format_rat(p.b), "c": format_rat(p.c)}
-
-
-def params_from_doc(doc) -> ParamTriple:
-    return ParamTriple(parse_rat(doc["a"]), parse_rat(doc["b"]), parse_rat(doc["c"]))
 
 
 def scalars_to_doc(sc: Scalars) -> dict:
@@ -67,27 +59,6 @@ def rep_to_doc(rep: ModuleRep) -> dict:
         "D": mat_to_rows(rep.D),
         "scalars": scalars_to_doc(rep.scalars),
     }
-
-
-def rep_from_doc(doc) -> ModuleRep:
-    from .modules import ModuleRep
-
-    sc = doc["scalars"]
-    return ModuleRep(
-        d=int(doc["d"]),
-        params=params_from_doc(doc["params"]),
-        basis=doc["basis"],
-        A=mat_from_rows(doc["A"]),
-        B=mat_from_rows(doc["B"]),
-        C=mat_from_rows(doc["C"]),
-        D=mat_from_rows(doc["D"]),
-        scalars=Scalars(
-            parse_rat(sc["zeta"]),
-            parse_rat(sc["zeta_star"]),
-            parse_rat(sc["eta"]),
-            parse_rat(sc["gamma"]),
-        ),
-    )
 
 
 def subspace_to_doc(s: Subspace) -> dict:

@@ -4,7 +4,7 @@ from math import lcm
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, rat
+from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import _local_minimal_polynomial, _poly_product
 from racah.params import sequences
@@ -87,6 +87,12 @@ def upper_bidiagonal(diag, sup):
     """Square Mat with the given diagonal and first superdiagonal."""
     sup = list(sup)
     return tridiagonal(diag, [ZERO] * len(sup), sup)
+
+
+def in_span(s, v):
+    """Does the subspace s contain the vector v?  Through rref: v adds
+    nothing to the canonical basis of s."""
+    return Subspace(s.ambient_dim, [*s.basis, v]) == s
 
 
 def entry_walk_clear(mats, scalars=()):

@@ -167,8 +167,8 @@ def test_criterion_3_criteria_match_oracles():
                 assert 0 < sub.dim <= d
             else:
                 for g in ("A", "B", "C"):
-                    # mode="both" raises ConsistencyError on any split
-                    diagonalizable(p, d, g, mode="both")
+                    # raises ConsistencyError on any split
+                    diagonalizable(p, d, g)
 
 
 def test_criterion_4_l_matrix_three_ways():

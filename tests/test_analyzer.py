@@ -21,13 +21,16 @@ from racah import (
     diagonalizable,
     eigenspace,
     identify,
+    in_P,
     irreducible_criterion,
     irreducible_oracle,
     isomorphic,
     l_matrix,
+    minimal_polynomial,
     phi,
     rat,
     spin,
+    squarefree,
     theta,
     theta_star,
     varphi,
@@ -41,6 +44,7 @@ from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 from conftest import (
     ONTO_FORM,
     first_nonzero,
+    in_span,
     l_matrix_fraction_oracle,
     module_points,
     nudged,
@@ -76,7 +80,7 @@ def test_tail_reducible_point():
     assert rep.B.entries[1][2] == 0
     oracle_ok, sub = irreducible_oracle(rep)
     assert not oracle_ok
-    assert sub.dim == 1 and sub.contains((0, 0, 1))
+    assert sub.dim == 1 and in_span(sub, (0, 0, 1))
 
 
 def test_spin_reducible_point():
@@ -96,8 +100,8 @@ def test_reducible_witness_is_invariant():
         rep = build_R(p, 2)
         _, sub = irreducible_oracle(rep)
         for v in sub.basis:
-            assert sub.contains(rep.A.apply(v))
-            assert sub.contains(rep.B.apply(v))
+            assert in_span(sub, rep.A.apply(v))
+            assert in_span(sub, rep.B.apply(v))
 
 
 def test_integer_reducible_point():
@@ -151,7 +155,7 @@ def spin_irreducible_oracle(rep):
         if line.dim != 1:
             raise ConsistencyError("nonzero superdiagonal must leave 1-dim eigenspaces")
         generated = spin(n, line.basis, [rep.A, rep.B])
-        if not generated.is_full():
+        if generated.dim != n:
             return False, generated
     return True, None
 
@@ -574,32 +578,38 @@ def test_direct_l_matrix_failure_names_the_point_and_entry(monkeypatch):
 
 def test_diagonalizable_generic_point():
     for g in ("A", "B", "C"):
-        assert diagonalizable(P, 3, g, mode="both")
+        assert diagonalizable(P, 3, g)
 
 
 def test_not_diagonalizable_at_half_integer_point():
     p = ParamTriple.of("-1/2", "-1/2", "-1/2")
     for g in ("A", "B", "C"):
-        assert diagonalizable(p, 4, g, mode="criterion") is False
-        assert diagonalizable(p, 4, g, mode="both") is False
+        assert analyzer._coordinate_criterion(p, 4, g) is False
+        assert diagonalizable(p, 4, g) is False
 
 
 def test_diagonalizable_d0():
-    assert diagonalizable(P, 0, "A", mode="both")
+    assert diagonalizable(P, 0, "A")
 
 
-def test_diagonalizable_reducible_needs_oracle():
-    with pytest.raises(ValueError):
-        diagonalizable(TAIL_REDUCIBLE, 2, "A", mode="criterion")
-    # the oracle still answers
-    assert isinstance(diagonalizable(TAIL_REDUCIBLE, 2, "A", mode="oracle"), bool)
+@pytest.mark.parametrize(
+    "p, d",
+    [(TAIL_REDUCIBLE, 2), (SPIN_REDUCIBLE, 2), (ParamTriple.of(1, 1, 2), 2),
+     (ParamTriple.of(0, 0, 0), 2), (ParamTriple.of("1/2", "-1/2", 1), 2)],
+    ids=["tail", "spin", "integer", "zero", "half-integer"],
+)
+def test_diagonalizable_at_reducible_points_is_the_oracle_verdict(p, d):
+    # the coordinate criterion classifies only irreducible modules: at
+    # (0, 0, 0) and (1/2, -1/2, 1) it calls B not diagonalizable, and B is
+    assert not in_P(p, d)[0]
+    for g in ("A", "B", "C"):
+        expect = squarefree(minimal_polynomial(build_R(p, d).generator(g)))
+        assert diagonalizable(p, d, g) == expect
 
 
 def test_diagonalizable_validation():
     with pytest.raises(ValueError):
         diagonalizable(P, 2, "D")
-    with pytest.raises(ValueError):
-        diagonalizable(P, 2, "A", mode="guess")
 
 
 @given(triples(max_num=5, max_den=2), st.integers(0, 4))
@@ -607,7 +617,7 @@ def test_diagonalizable_agreement_on_irreducibles(p, d):
     if not irreducible_criterion(p, d)[0]:
         return
     for g in ("A", "B", "C"):
-        diagonalizable(p, d, g, mode="both")  # raises on disagreement
+        diagonalizable(p, d, g)  # raises on disagreement
 
 
 # ---------------------------------------------------------------- identify
@@ -760,7 +770,7 @@ def test_analyze_catches_diagonalizability_split(monkeypatch):
 def test_diagonalizable_both_catches_split(monkeypatch):
     _negate_criterion(monkeypatch)
     with pytest.raises(ConsistencyError, match="diagonalizability of B"):
-        diagonalizable(P, 2, "B", mode="both")
+        diagonalizable(P, 2, "B")
 
 
 def test_isomorphic_catches_orbit_split(monkeypatch):

@@ -9,18 +9,12 @@ import pytest
 from racah import ConsistencyError, Mat, ParamTriple, build_R, rat
 import racah.analyzer
 import racah.cli
+import racah.golden
 import racah.modules
 import racah.rewriter
 from racah.cli import MAX_CUTOFF, MAX_D, MAX_GRID_POINTS, MAX_JOBS, main, _parse_grid
-from racah.serialize import (
-    mat_from_rows,
-    mat_to_rows,
-    mat_to_text,
-    params_from_doc,
-    params_to_doc,
-    rep_from_doc,
-    rep_to_doc,
-)
+from racah.rational import parse_rat
+from racah.serialize import mat_to_text, rep_to_doc
 
 GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
 SYMMETRIC = ["--a", "-1/2", "--b", "-1/2", "--c", "-1/2"]
@@ -33,7 +27,7 @@ def mat_from_text(text):
     rows = [line.split() for line in text.replace(";", "\n").splitlines() if line.strip()]
     if not rows:
         raise ValueError("no matrix rows found")
-    return mat_from_rows(rows)
+    return Mat([[parse_rat(x) for x in row] for row in rows])
 
 
 def run_cli(capsys, argv):
@@ -54,7 +48,6 @@ def test_construct_matches_library(capsys):
     assert code == 0
     rep = build_R(ParamTriple.of("-1/2", "-1/2", "-1/2"), 4)
     assert doc == rep_to_doc(rep)
-    assert rep_from_doc(doc) == rep
 
 
 def test_construct_deterministic_output(capsys):
@@ -343,7 +336,7 @@ def test_intertwine_across_bases(capsys):
     p = ParamTriple.of("1/3", "-2/5", "7/4")
     r1 = build_R(p, 2, "v")
     r2 = build_R(p, 2, "w")
-    x = mat_from_rows(doc["intertwiners"][0])
+    x = Mat([[parse_rat(v) for v in row] for row in doc["intertwiners"][0]])
     assert r2.A * x == x * r1.A
     assert r2.B * x == x * r1.B
 
@@ -446,6 +439,27 @@ def test_non_ascii_digits_in_options_exit_2(capsys, argv, line):
     assert captured.out == ""
     errors = [row for row in captured.err.splitlines() if "error" in row]
     assert len(errors) == 1 and errors[0].startswith(line) and errors[0].endswith("got '٣'")
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["verify", *GENERIC, "--d", "1_0"], "--d", "1_0"),
+        (["sweep", "--grid", "a=0;b=0;c=0;d=1", "--jobs", "0_2"], "--jobs", "0_2"),
+        (["verma", *GENERIC, "--nu", "3", "--cutoff", " 1_2"], "--cutoff", " 1_2"),
+    ],
+)
+def test_digit_group_underscores_in_integer_options_exit_2(capsys, argv, option, value):
+    # int() reads "1_0" as 10; the integer options take ASCII digits only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [row for row in captured.err.splitlines() if "error" in row]
+    assert errors == [
+        f"racah {argv[0]}: error: argument {option}: expected an integer, got {value!r}"
+    ]
 
 
 def test_memory_error_is_one_line_and_exits_1(capsys, monkeypatch):
@@ -674,6 +688,34 @@ def test_golden_passes(capsys):
     assert all(claim["ok"] for claim in doc["claims"])
 
 
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        # a fixture a row short
+        (lambda doc: doc["D"].pop(), "first mismatch D[4][0] = 0, fixture has nothing"),
+        # an entry too many: a changed value first, then a row one longer
+        (lambda doc: doc["B"][1].insert(2, "-3/4"), "first mismatch B[1][2] = -3/2, fixture has -3/4"),
+    ],
+    ids=["row-short", "entry-inserted"],
+)
+def test_golden_reports_the_first_mismatch_with_the_fixture(monkeypatch, tamper, detail):
+    real = racah.golden._load_fixture
+
+    def tampered():
+        doc = real()
+        tamper(doc)
+        return doc
+
+    monkeypatch.setattr(racah.golden, "_load_fixture", tampered)
+    doc = racah.golden.golden_example()
+    assert doc["ok"] is False
+    first, *rest = doc["claims"]
+    assert first == {
+        "name": "construction reproduces the stored matrices", "ok": False, "detail": detail,
+    }
+    assert all(claim["ok"] for claim in rest)
+
+
 # ---------------------------------------------------------- module runner
 
 def test_module_entry_point():
@@ -748,13 +790,3 @@ def test_matrix_text_round_trip():
     assert mat_to_text(m) == "1/2 -3\n0 7/5"
     with pytest.raises(ValueError):
         mat_from_text("  ")
-
-
-def test_matrix_rows_round_trip():
-    m = build_R(ParamTriple.of("1/3", "-2/5", "7/4"), 2).D
-    assert mat_from_rows(mat_to_rows(m)) == m
-
-
-def test_params_doc_round_trip():
-    p = ParamTriple.of("-7/3", 0, "11/2")
-    assert params_from_doc(params_to_doc(p)) == p

@@ -3,8 +3,10 @@ check of it is an assert, its public names are pinned, and importing it or
 running a subcommand loads only the modules that are used."""
 
 import ast
+import fnmatch
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -85,6 +87,14 @@ def test_public_surface_is_pinned():
         operators = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__")
         assert not [name for name in operators if hasattr(cls, name)], cls
     assert not {"SUM_WORD_LIMIT", "SUM_LETTER_LIMIT"} & set(vars(racah.rewriter))
+    # a subspace is its canonical basis: test membership as in_span does,
+    # Subspace(n, [*s.basis, v]) == s
+    assert {name for name in dir(racah.Subspace) if not name.startswith("_")} == {
+        "ambient_dim", "basis", "dim", "pivots",
+    }
+    # diagonalizable has one behaviour, and documents are written, not read
+    assert list(inspect.signature(racah.diagonalizable).parameters) == ["p", "d", "generator"]
+    assert not fnmatch.filter(vars(racah.serialize), "*_from_*")
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
