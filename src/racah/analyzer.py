@@ -41,11 +41,11 @@ from .errors import ConsistencyError
 from .intmat import Rows, clear, columns, combine, mul, scalar
 from .linalg import (
     Subspace,
-    dense_row,
     intertwiner_space,
     invertible,
     minimal_polynomial_integer,
     spin_integer,
+    subspace_of_rows,
 )
 from .matrix import Mat
 from .modules import ModuleRep, build_R
@@ -61,7 +61,7 @@ from .params import (
     trace_formula,
 )
 from .poly import PRIME, Poly, monic_scaled, squarefree_integer
-from .rational import ONE, ZERO, Rat, format_rat, is_square
+from .rational import ONE, Rat, format_rat, is_square
 
 
 def irreducible_criterion(p: ParamTriple, d: int) -> tuple[bool, list[Witness]]:
@@ -118,10 +118,7 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
     n = len(b_rows)
     for i in range(1, n):
         if i not in b_rows[i - 1]:
-            tail = [
-                tuple(ONE if j == h else ZERO for j in range(n)) for h in range(i, n)
-            ]
-            return False, Subspace(n, tail)
+            return False, subspace_of_rows(n, [{h: 1} for h in range(i, n)])
     if _eigenbasis_certificate(a_rows, b_rows):
         return True, None
     # the columns of a square matrix are its transpose as rows; a B off
@@ -137,7 +134,7 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
         seen.add(lam)
         generated = spin_integer(n, [_eigenline(b_rows, i)], ops)
         if len(generated) < n:
-            return False, Subspace(n, [dense_row(v, n) for v in generated])
+            return False, subspace_of_rows(n, generated)
     return True, None
 
 

@@ -31,7 +31,7 @@ _LEADING_MINUS = re.compile(r"^-[^-]")
 
 from .errors import ConsistencyError, ParseError, RewriteLimitError
 from .params import ParamTriple, in_P
-from .rational import Rat, RationalTooLargeError, format_rat, parse_rat
+from .rational import Rat, RationalTooLargeError, format_rat, format_ratio, parse_rat
 from .serialize import (
     analysis_to_doc,
     dumps,
@@ -440,9 +440,10 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
 
     normal = normal_form(parse(args.expr))
     text = format_element(normal)
+    den, cleared = normal._cleared
     terms = [
-        {**dict(zip(("A", "D", "B", "alpha", "delta", "beta"), key)), "coeff": format_rat(coeff)}
-        for key, coeff in sorted(normal.terms.items())
+        {**dict(zip(("A", "D", "B", "alpha", "delta", "beta"), key)), "coeff": format_ratio(c, den)}
+        for key, c in sorted(cleared.items())
     ]
     return {"expr": args.expr, "normal": text, "terms": terms}, text + "\n", 0
 

@@ -6,9 +6,12 @@ All elimination is fraction-free and sparse.  A vector enters it once, as
 an integer row: its nonzero entries times the lcm of their denominators,
 held as a dict {column: int}.  Rows are combined by cross-multiplication
 (Bareiss 1968, Math. Comp. 22) and kept with their content divided out, so
-the loop does integer arithmetic on nonzero entries only.  Entries become
-Fractions again only at the Subspace boundary, when rref divides each row
-of the reduced basis by its pivot.
+the loop does integer arithmetic on nonzero entries only.  The back pass
+that reduces the basis stays in integers too: a Subspace keeps each RREF
+row as primitive integers with a positive pivot, kernels are read off
+those rows in integers, and intertwiner_space() hands its basis to
+Mat.from_cleared with the pivot as den.  Entries become Fractions only
+when rref() or Subspace.basis is read.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
@@ -35,9 +38,10 @@ follows from the row below it, so the unknowns are the n entries of the
 last row, and only the row-0 A-equations and the B-equations reach the
 reducer.  Any other A is rejected with ShapeError.
 
-Subspaces are stored with their reduced-row-echelon basis.  RREF of a given
-row space is unique, so two Subspace values are equal iff they are literally
-the same tuple of vectors; no extra canonicalization step is ever needed.
+Subspaces are stored with their reduced-row-echelon basis, each row scaled
+to primitive integers with a positive pivot.  RREF of a given row space is
+unique, and so is that scaling, so two Subspace values are equal iff they
+hold the same integer rows; no extra canonicalization step is ever needed.
 """
 
 from __future__ import annotations
@@ -47,79 +51,120 @@ from math import gcd, lcm
 from .intmat import Rows, apply_columns, clear, columns
 from .matrix import Mat, ShapeError
 from .poly import Poly, monic_scaled
-from .rational import Rat, ZERO, ONE, rat
+from .rational import Rat, ZERO, rat
 
 
 def rref(vectors) -> list[tuple[Rat, ...]]:
     """Reduced row echelon form of the span of the given vectors.
 
     Zero rows are dropped; the result is the canonical basis of the span
-    (pivot columns strictly increasing, pivots 1, pivot columns cleared).
-    A forward pass leaves a semi-echelon basis of integer rows.  Last pivot
-    first, each of them is reduced against the rows already done, and the
-    rows are divided by their pivots only on the way out.
+    (pivot columns strictly increasing, pivots 1, pivot columns cleared):
+    the rows of _reduced() divided by their pivots.
     """
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
+    ncols, rows = _integer_rows(vectors)
+    return [_rational_row(row, ncols) for row in _reduced(ncols, rows)]
+
+
+def _integer_rows(vectors) -> tuple[int, list[dict[int, int]]]:
+    """(length, sparse integer rows) of vectors of one length; 0 and no
+    rows for no vectors."""
+    vectors = [list(v) for v in vectors]
+    ncols = len(vectors[0]) if vectors else 0
+    for v in vectors:
+        if len(v) != ncols:
             raise ShapeError("vectors of mixed lengths cannot span a subspace")
+    return ncols, [_integer_row(v) for v in vectors]
+
+
+def _reduced(ncols: int, rows: Rows) -> Rows:
+    """The reduced row echelon form of the span of the sparse integer rows
+    (consumed), each of its rows scaled to primitive integers with a
+    positive pivot, pivots increasing.  These rows are unique for the span.
+    A forward pass leaves a semi-echelon basis; last pivot first, each of
+    its rows is reduced against the rows already done."""
     forward, back = _Reducer(ncols), _Reducer(ncols)
     for row in rows:
-        forward.add(row)
+        forward.keep(forward.reduce(row))
     for t in sorted(range(forward.dim), key=forward.pivots.__getitem__, reverse=True):
         back.keep(back.reduce(forward.rows[t]))
-    out = []
-    for row, pcol in zip(reversed(back.rows), reversed(back.pivots)):
-        lead = row[pcol]
-        dense = [ZERO] * ncols
-        for j, x in row.items():
-            dense[j] = Rat(x, lead)
-        out.append(tuple(dense))
-    return out
+    return [
+        row if row[pcol] > 0 else {j: -x for j, x in row.items()}
+        for row, pcol in zip(reversed(back.rows), reversed(back.pivots))
+    ]
+
+
+def _rational_row(row: dict[int, int], n: int) -> tuple[Rat, ...]:
+    """The sparse integer row divided by its pivot, as n Rats."""
+    lead = row[min(row)]
+    dense = [ZERO] * n
+    for j, x in row.items():
+        dense[j] = Rat(x, lead)
+    return tuple(dense)
 
 
 class Subspace:
-    """A subspace of Q^n held by its canonical (RREF) basis of row vectors."""
+    """A subspace of Q^n held by its canonical (RREF) basis: each row is
+    kept as primitive integers with a positive pivot (_reduced()), so
+    equality and hashing compare integers.  The rational basis is derived
+    on first read; racah.serialize prints from the integer rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_basis")
 
     def __init__(self, ambient_dim: int, vectors):
-        basis = tuple(rref(vectors))
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise ShapeError(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        pivots = tuple(next(j for j, x in enumerate(v) if x != 0) for v in basis)
-        object.__setattr__(self, "pivots", pivots)
+        ncols, rows = _integer_rows(vectors)
+        rows = _reduced(ncols, rows)
+        if rows and ncols != ambient_dim:
+            raise ShapeError(f"vector of length {ncols} in ambient dimension {ambient_dim}")
+        _fill(self, ambient_dim, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     def __reduce__(self):
-        return (Subspace, (self.ambient_dim, self.basis))
+        n = self.ambient_dim
+        return (Subspace, (n, [dense_row(row, n) for row in self._rows]))
+
+    @property
+    def basis(self) -> tuple[tuple[Rat, ...], ...]:
+        """The RREF basis as rows of Rat, made on first read and kept."""
+        try:
+            return self._basis
+        except AttributeError:
+            pass
+        value = tuple(_rational_row(row, self.ambient_dim) for row in self._rows)
+        object.__setattr__(self, "_basis", value)
+        return value
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
+
+
+def _fill(s: Subspace, ambient_dim: int, rows: Rows) -> None:
+    for name, value in (
+        ("ambient_dim", ambient_dim), ("_rows", tuple(rows)), ("pivots", tuple(map(min, rows)))
+    ):
+        object.__setattr__(s, name, value)
+
+
+def subspace_of_rows(ambient_dim: int, rows: Rows) -> Subspace:
+    """The span of sparse integer rows (consumed) of length ambient_dim."""
+    s = object.__new__(Subspace)
+    _fill(s, ambient_dim, _reduced(ambient_dim, rows))
+    return s
 
 
 def rank(m: Mat) -> int:
@@ -136,32 +181,53 @@ def invertible(m: Mat) -> bool:
 
 def kernel(m: Mat) -> Subspace:
     """Right kernel {v : Mv = 0} as a subspace of Q^cols."""
-    return Subspace(m.cols, _kernel_vectors(Subspace(m.cols, m.entries)))
-
-
-def _kernel_vectors(row_space: Subspace) -> list[list[Rat]]:
-    """A basis of the vectors orthogonal to every row of row_space: one per
-    non-pivot column."""
-    n = row_space.ambient_dim
-    vectors = []
-    for fj in range(n):
-        if fj in row_space.pivots:
-            continue
-        v = [ZERO] * n
-        v[fj] = ONE
-        for row, pcol in zip(row_space.basis, row_space.pivots):
-            v[pcol] = -row[fj]
-        vectors.append(v)
-    return vectors
+    return _kernel(m.cols, clear([m])[1][0])
 
 
 def eigenspace(m: Mat, lam) -> Subspace:
+    """The kernel of M - lam I, from den*q*(M - lam I) = q*den*M - den*p I
+    for lam = p/q."""
     if m.rows != m.cols:
         raise ShapeError(f"eigenspace needs a square matrix, got {m.rows}x{m.cols}")
     lam = rat(lam)
-    return kernel(
-        Mat([[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.entries)])
-    )
+    den, rows = m._cleared
+    q, shift = lam.denominator, lam.numerator * den
+    shifted = []
+    for i, row in enumerate(rows):
+        r = {j: q * x for j, x in row.items()}
+        y = r.get(i, 0) - shift
+        if y:
+            r[i] = y
+        else:
+            r.pop(i, None)
+        shifted.append(r)
+    return _kernel(m.cols, shifted)
+
+
+def _kernel(n: int, rows: Rows) -> Subspace:
+    """The right kernel of the integer matrix given by its sparse rows
+    (consumed), n columns."""
+    return subspace_of_rows(n, _kernel_rows(n, _reduced(n, rows)))
+
+
+def _kernel_rows(n: int, rows: Rows) -> Rows:
+    """A basis of the vectors orthogonal to the rows of an RREF given as in
+    _reduced(), one per non-pivot column fj, as primitive sparse integer
+    rows: fj at the lcm of the pivots of the rows nonzero there, each such
+    pivot column at minus that row's entry brought to the same scale."""
+    pivots = {min(row): row for row in rows}
+    out = []
+    for fj in range(n):
+        if fj in pivots:
+            continue
+        hits = [(p, row) for p, row in pivots.items() if fj in row]
+        scale = lcm(*[row[p] for p, row in hits])
+        v = {fj: scale}
+        for p, row in hits:
+            v[p] = -row[fj] * (scale // row[p])
+        g = gcd(*v.values())
+        out.append(v if g == 1 else {j: x // g for j, x in v.items()})
+    return out
 
 
 def _integer_row(vec) -> dict[int, int]:
@@ -185,10 +251,10 @@ class _Reducer:
 
     Each kept row is a dict {column: int} of its nonzero entries with their
     gcd divided out.  Its pivot is its smallest column, and it is zero at
-    the pivots of the rows kept before it.  add() reduces a vector and keeps
-    it if independent; rows are never normalized here.  The one elimination
-    loop: it drives rref(), rank(), spin_integer(), minimal_polynomial()
-    and intertwiner_space()."""
+    the pivots of the rows kept before it.  keep(reduce(v)) keeps the
+    sparse integer row v if it is independent; rows are never normalized
+    here.  The one elimination loop: it drives rref(), rank(),
+    spin_integer(), minimal_polynomial() and intertwiner_space()."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -232,9 +298,6 @@ class _Reducer:
         self.pivots.append(min(v))
         return True
 
-    def add(self, vec) -> bool:
-        return self.keep(self.reduce(_integer_row(vec)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -252,7 +315,7 @@ def spin(ambient_dim: int, seeds, operators) -> Subspace:
             )
     ops = [columns(clear([op])[1][0]) for op in operators]
     rows = spin_integer(ambient_dim, map(_integer_row, seeds), ops)
-    return Subspace(ambient_dim, [dense_row(row, ambient_dim) for row in rows])
+    return subspace_of_rows(ambient_dim, rows)
 
 
 def spin_integer(ambient_dim: int, seeds, ops) -> Rows:
@@ -426,7 +489,8 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     Equations go to a _Reducer last row of X first.  Once one reduces to
     zero, X is assembled in integers for each solution of the kept
     equations, and every later equation these X satisfy is skipped.  The
-    solutions are canonicalized as a Subspace of vec(X).
+    solutions are canonicalized as the RREF of vec(X) in integers
+    (_reduced()); each row becomes one Mat over its pivot.
     """
     n = a1.rows
     m = a2.rows
@@ -481,8 +545,14 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
                 xs = [solution(y) for y in _null_space(red)]
     if xs is None:
         xs = [solution(y) for y in _null_space(red)]
-    space = Subspace(m * n, [[v for row in sol for v in row] for sol in xs])
-    return [Mat([v[i * n : (i + 1) * n] for i in range(m)]) for v in space.basis]
+    vecs = [{i * n + j: x for i, row in enumerate(sol) for j, x in enumerate(row) if x} for sol in xs]
+    out = []
+    for vec in _reduced(m * n, vecs):
+        rows: Rows = [{} for _ in range(m)]
+        for k, x in vec.items():
+            rows[k // n][k % n] = x
+        out.append(Mat.from_cleared(vec[min(vec)], rows, n))
+    return out
 
 
 def _lower_bidiagonal(rows: Rows) -> bool:
@@ -526,7 +596,6 @@ def _substituted_rows(a1: Rows, a2: Rows, last: Rows):
     return rows[::-1], scales[::-1]
 
 
-def _null_space(red: _Reducer) -> list[dict[int, int]]:
+def _null_space(red: _Reducer) -> Rows:
     """An integer basis of the vectors orthogonal to the kept rows."""
-    rows = Subspace(red.ncols, [dense_row(row, red.ncols) for row in red.rows])
-    return [_integer_row(v) for v in _kernel_vectors(rows)]
+    return _kernel_rows(red.ncols, _reduced(red.ncols, [dict(row) for row in red.rows]))

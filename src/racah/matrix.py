@@ -1,19 +1,21 @@
-"""Dense matrices over the exact rationals.
+"""Dense matrices over the exact rationals, held cleared of denominators.
 
-Mat is immutable, with two forms: its entries, a tuple of row tuples, and
-its cleared form (den, rows), den*M as sparse integer rows {column: int}
-with no zero and gcd(den, every entry) = 1, so den is the lcm of the
-denominators.  A Mat keeps the form it was built from and derives the
-other on first use.  Arithmetic is schoolbook and skips zeros: products
-add no term with a zero factor, and sums, differences and scalings pass a
-zero operand's partner through (its negation, or ZERO) without
-arithmetic.  Shape mismatches raise ShapeError naming both shapes.
+A Mat is immutable and holds one form: its cleared form (den, rows), den*M
+as sparse integer rows {column: int} with no zero and gcd(den, every
+entry) = 1, so den is the lcm of the denominators, and its number of
+columns.  Mat(entries) clears its entries at construction, and
+Mat.from_cleared takes the form directly.  The entries, a tuple of row
+tuples of Rat, are derived on first read; only tests and the benchmark's
+tracer read them, and racah.serialize prints from the cleared form.
+Arithmetic runs on the integer rows (racah.intmat), over nonzero entries
+only.  Shape mismatches raise ShapeError naming both shapes.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
+from .intmat import combine, mul
 from .rational import Rat, ZERO, ONE, rat
 
 
@@ -21,22 +23,30 @@ class ShapeError(ValueError):
     pass
 
 
+def _set(m: "Mat", den: int, rows: list, ncols: int) -> None:
+    for name, value in (("_cleared", (den, rows)), ("rows", len(rows)), ("cols", ncols)):
+        object.__setattr__(m, name, value)
+
+
 class Mat:
-    __slots__ = ("entries", "rows", "cols", "_cleared")
+    __slots__ = ("rows", "cols", "_cleared", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(x if type(x) is Rat else rat(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
+        values = [[x if type(x) is Rat else rat(x) for x in row] for row in entries]
+        if not values or not values[0]:
             raise ShapeError("matrix needs at least one row and one column")
-        ncols = len(rows[0])
-        for r in rows:
+        ncols = len(values[0])
+        for r in values:
             if len(r) != ncols:
                 raise ShapeError(
                     f"ragged rows: expected {ncols} columns, found {len(r)}"
                 )
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        den = lcm(*[x.denominator for row in values for x in row if x])
+        rows = [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in values
+        ]
+        _set(self, den, rows, ncols)
 
     @classmethod
     def from_cleared(cls, den: int, rows: list, ncols: int) -> "Mat":
@@ -46,33 +56,29 @@ class Mat:
         if g != 1:
             den, rows = den // g, [{j: x // g for j, x in row.items()} for row in rows]
         m = object.__new__(cls)
-        for name, value in (("_cleared", (den, rows)), ("rows", len(rows)), ("cols", ncols)):
-            object.__setattr__(m, name, value)
+        _set(m, den, rows, ncols)
         return m
 
-    def __getattr__(self, name):
-        """Derive the form the Mat was not built from, once."""
-        if name == "entries":
-            den, rows = self._cleared
-            span = range(self.cols)
-            value = tuple(tuple(Rat(r[j], den) if j in r else ZERO for j in span) for r in rows)
-        elif name == "_cleared":
-            den = lcm(*[x.denominator for row in self.entries for x in row if x])
-            rows = [
-                {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-                for row in self.entries
-            ]
-            value = (den, rows)
-        else:
-            raise AttributeError(f"'Mat' object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
+    @property
+    def entries(self) -> tuple:
+        """The entries as row tuples of Rat (ZERO at zeros), made on first
+        read and kept."""
+        try:
+            return self._entries
+        except AttributeError:
+            pass
+        den, rows = self._cleared
+        span = range(self.cols)
+        value = tuple(tuple(Rat(r[j], den) if j in r else ZERO for j in span) for r in rows)
+        object.__setattr__(self, "_entries", value)
         return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     def __reduce__(self):
-        return (Mat, (self.entries,))
+        den, rows = self._cleared
+        return (Mat.from_cleared, (den, [dict(sorted(r.items())) for r in rows], self.cols))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -107,28 +113,22 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeError(f"cannot add {self.rows}x{self.cols} to {other.rows}x{other.cols}")
-        return Mat(
-            [
-                [(a + b if a else b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape() != other.shape():
             raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
-        return Mat(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return _sum(self, other, -1)
 
     def scale(self, c) -> "Mat":
         c = rat(c)
         if not c:
             return Mat.zero(self.rows, self.cols)
-        return Mat([[c * x if x else ZERO for x in row] for row in self.entries])
+        den, rows = self._cleared
+        num = c.numerator
+        return Mat.from_cleared(
+            den * c.denominator, [{j: num * x for j, x in row.items()} for row in rows], self.cols
+        )
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -136,20 +136,15 @@ class Mat:
                 raise ShapeError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-            out = [[ZERO] * other.cols for _ in range(self.rows)]
-            for acc, arow in zip(out, self.entries):
-                for a, bterms in zip(arow, nonzero):
-                    if a:
-                        for j, b in bterms:
-                            acc[j] += a * b
-            return Mat(out)
+            (dx, x), (dy, y) = self._cleared, other._cleared
+            return Mat.from_cleared(dx * dy, mul(x, y), other.cols)
         return self.scale(other)
 
     def trace(self) -> Rat:
         if self.rows != self.cols:
             raise ShapeError(f"trace needs a square matrix, got {self.rows}x{self.cols}")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        den, rows = self._cleared
+        return Rat(sum([row.get(i, 0) for i, row in enumerate(rows)]), den)
 
     def apply(self, vec):
         """Matrix times column vector (a sequence of Rat or int), adding only
@@ -159,11 +154,23 @@ class Mat:
             raise ShapeError(
                 f"cannot apply {self.rows}x{self.cols} to a vector of length {len(vec)}"
             )
-        nonzero = [(j, b) for j, b in enumerate(vec) if b]
-        return tuple(
-            sum([row[j] * b for j, b in nonzero if row[j]]) or ZERO for row in self.entries
-        )
+        values = {j: x if type(x) is Rat or type(x) is int else rat(x) for j, x in enumerate(vec) if x}
+        vden = lcm(*[x.denominator for x in values.values()])
+        ints = {j: x.numerator * (vden // x.denominator) for j, x in values.items()}
+        den, rows = self._cleared
+        den *= vden
+        out = []
+        for row in rows:
+            s = sum([x * ints[j] for j, x in row.items() if j in ints])
+            out.append(Rat(s, den) if s else ZERO)
+        return tuple(out)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 
+
+def _sum(x: Mat, y: Mat, sign: int) -> Mat:
+    """x + sign*y, both brought to the lcm of their dens."""
+    (dx, rx), (dy, ry) = x._cleared, y._cleared
+    den = lcm(dx, dy)
+    return Mat.from_cleared(den, combine((den // dx, rx), (sign * (den // dy), ry)), x.cols)

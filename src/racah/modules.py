@@ -17,7 +17,6 @@ all four are integer bands (params.sequences): A, B, C over q, D over 2q^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .intmat import Rows, clear, combine, mul, scalar
 from .matrix import Mat
@@ -82,14 +81,14 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
 
 
 def _band(den: int, diag: list[int], sub: list[int], sup: list[int]) -> Mat:
-    """The square matrix over den with an integer diagonal, sub- and superdiagonal."""
-    g = gcd(den, *diag, *sub, *sup)
+    """The square matrix over den with an integer diagonal, sub- and
+    superdiagonal; Mat.from_cleared divides out their common factor."""
     sub, sup = [0, *sub], [*sup, 0]
     rows = [
-        {j: x // g for j, x in ((i - 1, sub[i]), (i, y), (i + 1, sup[i])) if x}
+        {j: x for j, x in ((i - 1, sub[i]), (i, y), (i + 1, sup[i])) if x}
         for i, y in enumerate(diag)
     ]
-    return Mat.from_cleared(den // g, rows, len(diag))
+    return Mat.from_cleared(den, rows, len(diag))
 
 
 @dataclass(frozen=True)

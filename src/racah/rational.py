@@ -64,7 +64,11 @@ def format_rat(x: Rat) -> str:
 
 
 def format_ratio(num: int, den: int) -> str:
-    """format_rat of num/den, given in lowest terms with den > 0."""
+    """format_rat of num/den for den > 0, in any terms: one gcd, and no
+    Fraction is made."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:

@@ -41,11 +41,13 @@ with parse, or from its terms as FreeElement({word: coefficient}).
 Coefficients are ints wherever they are computed on.  The parser expands
 on cleared sums (den, {word: int}): a product multiplies the dens and a
 sum brings both sides to the lcm of theirs.  An element keeps the cleared
-sum it was built from, and its coefficients become Fractions once, when
-they are first read.  The rules have integer coefficients and normal
-ordering is linear, so normal_form reads its input's cleared sum, all
-ordering runs on ints, and each coefficient of the result is divided by
-the den once.
+sum it was built from (an element built from its terms clears them), and
+its coefficients become Fractions only if terms is read.  The rules have
+integer coefficients and normal ordering is linear, so normal_form reads
+its input's cleared sum, all ordering runs on ints, and the result is the
+cleared sum over the input's den with the common factor divided out.
+format_element and the reduce document print from that sum, one gcd per
+coefficient.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import TYPE_CHECKING
 from .errors import ParseError, RewriteLimitError
 from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
-from .rational import Rat, format_ratio, parse_rat
+from .rational import Rat, format_ratio, parse_rat, rat
 
 if TYPE_CHECKING:
     from .modules import ModuleRep
@@ -143,17 +145,19 @@ def _power(x: tuple, k: int) -> tuple:
 
 
 class _Element:
-    """Formal linear combination; terms maps key -> nonzero coefficient.
-    An immutable value without arithmetic: like a Mat, it keeps the form it
-    was built from, its terms or its cleared sum (_cleared), and derives
-    the other on first use."""
+    """Formal linear combination of keys with rational coefficients: an
+    immutable value without arithmetic.  Like a Mat, it holds one form,
+    its cleared sum (_cleared).  An element built from its terms clears
+    them at construction; terms, key -> nonzero Rat, is derived on first
+    read, and only tests and the benchmark's tracer read it."""
 
-    __slots__ = ("terms", "_cleared")
+    __slots__ = ("_cleared", "_terms")
 
     def __init__(self, terms: dict):
-        object.__setattr__(
-            self, "terms", {k: v for k, v in terms.items() if v != 0}
-        )
+        values = {k: v if type(v) is Rat or type(v) is int else rat(v) for k, v in terms.items() if v}
+        den = math.lcm(*[c.denominator for c in values.values()])
+        cleared = {k: c.numerator * (den // c.denominator) for k, c in values.items()}
+        object.__setattr__(self, "_cleared", (den, cleared))
 
     @classmethod
     def _from_cleared(cls, x: tuple):
@@ -161,29 +165,30 @@ class _Element:
         object.__setattr__(elem, "_cleared", x)
         return elem
 
-    def __getattr__(self, name):
-        if name == "terms":
-            den, terms = self._cleared
-            value = {k: Rat(c, den) for k, c in terms.items()}
-        elif name == "_cleared":
-            den = math.lcm(*[c.denominator for c in self.terms.values()])
-            value = den, {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
+    @property
+    def terms(self) -> dict:
+        """key -> nonzero Rat coefficient, made on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        den, terms = self._cleared
+        value = {k: Rat(c, den) for k, c in terms.items()}
+        object.__setattr__(self, "_terms", value)
         return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (type(self), (self.terms,))
+        return (type(self)._from_cleared, (self._cleared,))
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
+        return type(self) is type(other) and self._cleared == other._cleared
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        den, terms = self._cleared
+        return hash((den, frozenset(terms.items())))
 
 
 class FreeElement(_Element):
@@ -199,8 +204,9 @@ class NormalElement(_Element):
     __slots__ = ()
 
     def to_free(self) -> FreeElement:
+        den, terms = self._cleared
         out = {}
-        for (i, j, k, r, s, t), c in self.terms.items():
+        for (i, j, k, r, s, t), c in terms.items():
             word = (
                 ("A",) * i
                 + ("D",) * j
@@ -210,7 +216,7 @@ class NormalElement(_Element):
                 + ("beta",) * t
             )
             out[word] = c
-        return FreeElement(out)
+        return FreeElement._from_cleared((den, out))
 
 
 # ---------------------------------------------------------------- parsing
@@ -696,7 +702,8 @@ def _ordered(x: FreeElement) -> tuple[NormalElement, int]:
     finally:
         _keep_tables(orderer.stored)
     unpack = orderer.packing.unpack
-    return NormalElement({unpack(m): Rat(c, den) for m, c in out.items()}), orderer.steps
+    normal = NormalElement._from_cleared(_lowest(den, {unpack(m): c for m, c in out.items()}))
+    return normal, orderer.steps
 
 
 def normal_form(x: FreeElement) -> NormalElement:
@@ -747,15 +754,14 @@ def evaluate(x, rep: ModuleRep) -> Mat:
 
 # -------------------------------------------------------------- formatting
 
-def _render(pieces) -> str:
-    """Sum text of (word text, coeff) pairs, in order."""
+def _render(den: int, pieces) -> str:
+    """Sum text of (word text, int coefficient) pairs over den, in order."""
     out = []
-    for body, coeff in pieces:
-        num, den = coeff.numerator, coeff.denominator
-        if body and den == 1 and abs(num) == 1:
+    for body, num in pieces:
+        mag = format_ratio(abs(num), den)
+        if body and mag == "1":
             text = body
         else:
-            mag = format_ratio(abs(num), den)
             text = f"{mag}*{body}" if body else mag
         if not out:
             out.append(text if num > 0 else f"-{text}")
@@ -764,9 +770,9 @@ def _render(pieces) -> str:
     return " ".join(out) if out else "0"
 
 
-def _format_terms(items) -> str:
-    """items: iterable of (word tuple, coeff).  Sorted by total length
-    descending, then alphabetically; powers are collapsed."""
+def _format_terms(den: int, items) -> str:
+    """items: iterable of (word tuple, int coefficient) over den.  Sorted
+    by total length descending, then alphabetically; powers are collapsed."""
 
     def render_word(word) -> str:
         parts = []
@@ -780,10 +786,10 @@ def _format_terms(items) -> str:
         return "*".join(parts)
 
     ordered = sorted(items, key=lambda wc: (-len(wc[0]), wc[0]))
-    return _render([(render_word(word), coeff) for word, coeff in ordered])
+    return _render(den, [(render_word(word), coeff) for word, coeff in ordered])
 
 
-def _format_normal(terms: dict) -> str:
+def _format_normal(den: int, terms: dict) -> str:
     """_format_terms of the monomials' words, rendered from the exponents.
     The initials A, D, B, a, d, b sort as the names do (A < B < D < alpha <
     beta < delta), so a word sorts as its string of initials."""
@@ -805,12 +811,14 @@ def _format_normal(terms: dict) -> str:
             parts.append("beta" if t == 1 else f"beta^{t}")
         rows.append((-len(code), code, "*".join(parts), coeff))
     rows.sort()
-    return _render([(body, coeff) for _, _, body, coeff in rows])
+    return _render(den, [(body, coeff) for _, _, body, coeff in rows])
 
 
 def format_element(x) -> str:
-    """Canonical text for a free or normal element; parse(format_element(x))
+    """Canonical text for a free or normal element, written from its
+    cleared sum with one gcd per coefficient; parse(format_element(x))
     recovers x for normal elements."""
+    den, terms = x._cleared
     if isinstance(x, NormalElement):
-        return _format_normal(x.terms)
-    return _format_terms(x.terms.items())
+        return _format_normal(den, terms)
+    return _format_terms(den, terms.items())

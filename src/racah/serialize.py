@@ -3,16 +3,19 @@ rendering (one row per line, entries space-separated, every rational
 rendered p/q in lowest terms).
 
 Documents are emitted deterministically: sorted keys, two-space indent,
-trailing newline.  All rationals cross the boundary as strings so no
-precision is ever lost to floats.
+trailing newline, the bytes json.dumps(doc, indent=2, sort_keys=True)
+writes.  All rationals cross the boundary as strings so no precision is
+ever lost to floats.  Matrices and subspaces are printed from their
+cleared integer forms, one gcd per nonzero entry; an absent entry prints
+0.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .rational import format_rat
+from .rational import format_rat, format_ratio
 
 if TYPE_CHECKING:
     from .analyzer import AnalysisReport, IdentifyResult, IsoResult
@@ -24,15 +27,64 @@ if TYPE_CHECKING:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as canonical JSON text: dicts with str keys, lists, str, int,
+    bool and None; anything else raises TypeError."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, newline: str, out: list) -> None:
+    """Append the JSON text of x, whose lines inside start with newline."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (dict, list)):
+        if not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(x, dict):
+            if not all(isinstance(k, str) for k in x):
+                raise TypeError("keys must be str")
+            out.append("{")
+            for i, key in enumerate(sorted(x)):
+                out.append(inner if i == 0 else "," + inner)
+                out.append(encode_basestring_ascii(key))
+                out.append(": ")
+                _write(x[key], inner, out)
+            out.append(newline + "}")
+        else:
+            out.append("[")
+            for i, item in enumerate(x):
+                out.append(inner if i == 0 else "," + inner)
+                _write(item, inner, out)
+            out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _cleared_row(den: int, row: dict, ncols: int) -> list[str]:
+    """The canonical strings of the ncols entries of row/den, for a sparse
+    integer row."""
+    return [format_ratio(row[j], den) if j in row else "0" for j in range(ncols)]
 
 
 def mat_to_rows(m: Mat) -> list[list[str]]:
-    return [[format_rat(x) for x in row] for row in m.entries]
+    den, rows = m._cleared
+    return [_cleared_row(den, row, m.cols) for row in rows]
 
 
 def mat_to_text(m: Mat, row_sep: str = "\n") -> str:
-    return row_sep.join(" ".join(format_rat(x) for x in row) for row in m.entries)
+    return row_sep.join(" ".join(row) for row in mat_to_rows(m))
 
 
 def params_to_doc(p: ParamTriple) -> dict:
@@ -65,7 +117,9 @@ def subspace_to_doc(s: Subspace) -> dict:
     return {
         "ambient_dim": s.ambient_dim,
         "dim": s.dim,
-        "basis": [[format_rat(x) for x in v] for v in s.basis],
+        "basis": [
+            _cleared_row(row[pcol], row, s.ambient_dim) for row, pcol in zip(s._rows, s.pivots)
+        ],
     }
 
 

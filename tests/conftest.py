@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, rat
 from racah.intmat import apply_columns, clear, columns
-from racah.linalg import _local_minimal_polynomial, _poly_product
+from racah.linalg import _integer_row, _local_minimal_polynomial, _poly_product
 from racah.params import sequences
 from racah.poly import PRIME, _degree_of_gcd_mod_q, _integer_gcd, _integers
 from racah.rational import HALF, ONE, ZERO, Rat
@@ -87,6 +87,12 @@ def upper_bidiagonal(diag, sup):
     """Square Mat with the given diagonal and first superdiagonal."""
     sup = list(sup)
     return tridiagonal(diag, [ZERO] * len(sup), sup)
+
+
+def reducer_add(red, vec):
+    """Reduce the rational vector vec into the linalg._Reducer red, and
+    keep it if independent."""
+    return red.keep(red.reduce(_integer_row(vec)))
 
 
 def in_span(s, v):

@@ -96,7 +96,7 @@ def entries_equal(x, y):
 def entries_unmade(m):
     """True while m holds no entries: they are made only when read."""
     try:
-        Mat.entries.__get__(m, Mat)
+        Mat._entries.__get__(m, Mat)
     except AttributeError:
         return True
     return False

@@ -77,7 +77,7 @@ def test_public_surface_is_pinned():
         "coeffs", "degree", "from_roots", "is_zero",
     }
     assert _surface(racah.Mat) == {
-        "__add__", "__eq__", "__getattr__", "__hash__", "__init__", "__mul__",
+        "__add__", "__eq__", "__hash__", "__init__", "__mul__",
         "__reduce__", "__repr__", "__setattr__", "__sub__", "apply", "cols", "diagonal", "entries",
         "from_cleared", "identity", "rows", "scale", "shape", "trace", "zero",
     }

@@ -33,6 +33,7 @@ from racah.rational import Rat, parse_rat
 
 from conftest import (
     in_span,
+    reducer_add,
     lower_bidiagonal,
     poly_divmod,
     poly_gcd,
@@ -607,7 +608,7 @@ def power_krylov_minimal_polynomial(m):
     for k in count():
         marker = [0] * (n + 1)
         marker[k] = 1
-        red.add([x for row in power.entries for x in row] + marker)
+        reducer_add(red, [x for row in power.entries for x in row] + marker)
         if red.pivots[-1] >= width:
             row = red.rows[-1]
             lead = row[width + k]
@@ -620,13 +621,13 @@ def apply_spin(ambient_dim, seeds, operators):
     rational operator through Mat.apply.  Oracle for the integer spin."""
     red = linalg._Reducer(ambient_dim)
     for s in seeds:
-        red.add(s)
+        reducer_add(red, s)
     done = 0
     while done < red.dim < ambient_dim:
         v = linalg.dense_row(red.rows[done], ambient_dim)
         done += 1
         for op in operators:
-            red.add(op.apply(v))
+            reducer_add(red, op.apply(v))
     return Subspace(ambient_dim, [linalg.dense_row(row, ambient_dim) for row in red.rows])
 
 
