@@ -4,9 +4,11 @@ Several Mat values (and scalars) are cleared together: each is multiplied
 by den, the lcm of all their denominators, and held as sparse rows, one
 dict {column: int} of the nonzero entries per row: the cleared form each
 Mat carries (racah.matrix), rescaled to the common den.  Products and
-linear combinations run on Python ints over nonzero entries only, and
-every result drops its zeros, so two matrices at the same scale are equal
-iff their row lists are.  A product of k cleared factors sits at scale
+linear combinations run on Python ints over nonzero entries only.  Input
+rows store no zero, and mul and combine rely on it: a product of nonzero
+ints is never zero, so each kernel drops only a sum that cancels, as it
+adds.  Results store no zero either, so two matrices at the same scale
+are equal iff their row lists are.  A product of k cleared factors sits at scale
 den^k; a caller comparing two sides brings each term to a common power of
 den.
 """
@@ -36,25 +38,44 @@ def scalar(n: int, c: int) -> Rows:
 
 
 def mul(x: Rows, y: Rows) -> Rows:
-    """The product x*y, adding only products of nonzero entries."""
+    """The product x*y, adding only products of nonzero entries and
+    dropping a sum where it cancels."""
     out = []
     for row in x:
         acc: dict[int, int] = {}
         for k, a in row.items():
             for j, b in y[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        out.append({j: v for j, v in acc.items() if v})
+                if j in acc:
+                    v = acc[j] + a * b
+                    if v:
+                        acc[j] = v
+                    else:
+                        del acc[j]
+                else:
+                    acc[j] = a * b
+        out.append(acc)
     return out
 
 
 def combine(*terms: tuple[int, Rows]) -> Rows:
-    """The sum of c*m over the (c, m) terms, all of one shape."""
-    out: list[dict[int, int]] = [{} for _ in terms[0][1]]
+    """The sum of c*m over the (c, m) terms, all of one shape.  It starts
+    from the first term with c != 0, skips the others with c = 0 and drops
+    a sum that cancels."""
+    out = None
     for c, m in terms:
+        if not c:
+            continue
+        if out is None:
+            out = [row.copy() if c == 1 else {j: c * x for j, x in row.items()} for row in m]
+            continue
         for acc, row in zip(out, m):
             for j, x in row.items():
-                acc[j] = acc.get(j, 0) + c * x
-    return [{j: v for j, v in acc.items() if v} for acc in out]
+                v = acc.get(j, 0) + c * x
+                if v:
+                    acc[j] = v
+                else:
+                    del acc[j]
+    return [{} for _ in terms[0][1]] if out is None else out
 
 
 def columns(rows: Rows) -> list[dict[int, int]]:

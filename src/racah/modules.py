@@ -122,6 +122,8 @@ def _compare(
     a mismatch is the first differing entry in row-major order.  common,
     when given, is a term both sides share that lhs and rhs leave out: it
     moves no mismatch, and is added back to the two values reported."""
+    if lhs == rhs:
+        return RelationCheck(name, True)
     for i, (left, right) in enumerate(zip(lhs, rhs)):
         if left != right:
             j = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
@@ -145,29 +147,56 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
     generators, is a product of k cleared factors, and a term of lower
     degree is multiplied up by the missing powers of den.
 
-    A module that passes costs 18 products: AB, BA, BC, CB, CA and AC, the
-    six of D with A, B and C in the central elements, and the six of the
-    presentation identities.  A central element M at den^2 is s*I + E for
-    its scalar s, and s*I commutes with everything, so MG - GM = EG - GE
-    for each generator G: centrality is checked on the off-scalar part E,
-    and costs no product when the scalar check found E = 0.  The
-    presentation identities take their left sides as nested commutators
-    (presentation_identities)."""
+    A module that passes costs 8 products: AB, BA, A^2, B^2, AD, DA, BD
+    and DB.  Every other side is obtained from them, as the same integer
+    rows, through two residuals: E = A + B + C - eta I, which the check
+    "A + B + C = eta I" compares with zero, and F = [A,B] - 2D, the
+    difference of the two sides of "[A,B] = 2D".  Since C = eta I - A - B + E
+    and [A,B] = 2D + F:
+      [B,C] = [A,B] + [B,E] and [C,A] = [A,B] + [E,A];
+      AC = AE + eta A - A^2 - AB and CB = EB + eta B - AB - B^2, in
+      alpha = [A,D] + AC - BA and beta = [B,D] + BA - CB;
+      gamma = [E,D] - alpha - beta, as alpha + beta + gamma = [A+B+C, D];
+      [A,[A,B]] = 2[A,D] + [A,F] and [[A,B],B] = 2[D,B] + [F,B], the
+      nested commutators of the presentation identities
+      (presentation_identities).
+    A product with E or F is formed only when that residual is nonzero.
+    A central element M at den^2 is s*I + O for its scalar s, and s*I
+    commutes with everything, so MG - GM = OG - GO for each generator G:
+    centrality is checked on the off-scalar part O, and costs no product
+    when the scalar check found O = 0."""
     n = rep.dim
     den, (a, b, c, dd), (zeta, zeta_star, eta, gamma) = clear(
         (rep.A, rep.B, rep.C, rep.D), rep.scalars
     )
     sq = den * den
+    ident, zero = scalar(n, 1), scalar(n, 0)
 
-    ab, ba = mul(a, b), mul(b, a)
-    bc, cb = mul(b, c), mul(c, b)
-    ca, ac = mul(c, a), mul(a, c)
+    ab, ba, a2, b2 = mul(a, b), mul(b, a), mul(a, a), mul(b, b)
+    ad_da = combine((1, mul(a, dd)), (-1, mul(dd, a)))  # [A,D] at den^2
+    bd_db = combine((1, mul(b, dd)), (-1, mul(dd, b)))  # [B,D] at den^2
+    comm = combine((1, ab), (-1, ba))  # [A,B] at den^2
     two_d = combine((2 * den, dd))
+    e = combine((1, a), (1, b), (1, c), (-eta, ident))  # E at den
+    f = combine((1, comm), (-1, two_d))  # F at den^2
+    # what each residual adds, with no product when it is zero
+    ae = eb = ed_de = zero
+    bc_cb = ca_ac = comm
+    if any(e):
+        ae, eb = mul(a, e), mul(e, b)
+        bc_cb = combine((1, comm), (1, mul(b, e)), (-1, eb))
+        ca_ac = combine((1, comm), (1, mul(e, a)), (-1, ae))
+        ed_de = combine((1, mul(e, dd)), (-1, mul(dd, e)))
+    aab = [(2 * den, ad_da)]  # [A,[A,B]] at den^3, as combine terms
+    abb = [(-2 * den, bd_db)]  # [[A,B],B] at den^3, as combine terms
+    if any(f):
+        aab += [(1, mul(a, f)), (-1, mul(f, a))]
+        abb += [(1, mul(f, b)), (-1, mul(b, f))]
 
     # the central elements at den^2, each with its scalar there
-    alpha_mat = combine((1, mul(a, dd)), (-1, mul(dd, a)), (1, ac), (-1, ba))
-    beta_mat = combine((1, mul(b, dd)), (-1, mul(dd, b)), (1, ba), (-1, cb))
-    gamma_mat = combine((1, mul(c, dd)), (-1, mul(dd, c)), (1, cb), (-1, ac))
+    alpha_mat = combine((1, ad_da), (1, ae), (eta, a), (-1, a2), (-1, ab), (-1, ba))
+    beta_mat = combine((1, bd_db), (1, ba), (-1, eb), (-eta, b), (1, ab), (1, b2))
+    gamma_mat = combine((1, ed_de), (-1, alpha_mat), (-1, beta_mat))
     centrals = (
         ("alpha", "zeta", den * zeta, alpha_mat),
         ("beta", "zeta_star", den * zeta_star, beta_mat),
@@ -178,16 +207,16 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
         _compare(f"{name} = {s_name} I", m, scalar(n, s), sq) for name, s_name, s, m in centrals
     ]
     checks = [
-        _compare("[A,B] = 2D", combine((1, ab), (-1, ba)), two_d, sq),
-        _compare("[B,C] = 2D", combine((1, bc), (-1, cb)), two_d, sq),
-        _compare("[C,A] = 2D", combine((1, ca), (-1, ac)), two_d, sq),
+        _compare("[A,B] = 2D", comm, two_d, sq),
+        _compare("[B,C] = 2D", bc_cb, two_d, sq),
+        _compare("[C,A] = 2D", ca_ac, two_d, sq),
         *scalar_checks,
-        _compare("A + B + C = eta I", combine((1, a), (1, b), (1, c)), scalar(n, eta), den),
+        _compare("A + B + C = eta I", e, zero, den, scalar(n, eta)),
     ]
     cube = sq * den
     for (name, _, s, m), scalar_check in zip(centrals, scalar_checks):
-        # the off-scalar part E = M - s I, zero when the scalar check passed
-        off = None if scalar_check.ok else combine((1, m), (-s, scalar(n, 1)))
+        # the off-scalar part O = M - s I, zero when the scalar check passed
+        off = None if scalar_check.ok else combine((1, m), (-s, ident))
         for gname, gen in (("A", a), ("B", b), ("C", c), ("D", dd)):
             check_name = f"{name} commutes with {gname}"
             if off is None:
@@ -196,29 +225,30 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
                 lhs, rhs = mul(off, gen), mul(gen, off)
                 checks.append(_compare(check_name, lhs, rhs, cube, combine((s, gen))))
 
-    for name, lhs, rhs in presentation_identities(a, b, ab, ba, den, zeta, zeta_star, eta):
+    identities = presentation_identities(a, b, a2, b2, ab, ba, aab, abb, den, zeta, zeta_star, eta)
+    for name, lhs, rhs in identities:
         checks.append(_compare(f"{name} presentation identity", lhs, rhs, cube))
 
     return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
 
 
 def presentation_identities(
-    a: Rows, b: Rows, ab: Rows, ba: Rows, den: int, zeta: int, zeta_star: int, eta: int
+    a: Rows, b: Rows, a2: Rows, b2: Rows, ab: Rows, ba: Rows,
+    aab: list[tuple[int, Rows]], abb: list[tuple[int, Rows]],
+    den: int, zeta: int, zeta_star: int, eta: int,
 ):
     """(name, lhs, rhs) of the AAB and ABB degree-3 presentation identities
     at den^3, as integer rows.  a, b and the scalars are cleared with den
-    (each is den times its value), and ab = a*b, ba = b*a (at den^2) are
-    the products the caller already holds; a term of degree k < 3 is
-    multiplied by den^(3-k).  The left sides are taken as nested commutators,
-    [A,[A,B]] = A^2 B - 2ABA + BA^2 and [[A,B],B] = AB^2 - 2BAB + B^2 A,
-    the same integers from 4 products instead of 6; with A^2 and B^2 for
-    the right sides, the two identities cost 6 products."""
+    (each is den times its value); a2, b2, ab and ba are the products A^2,
+    B^2, AB and BA at den^2, and aab and abb the nested commutators
+    [A,[A,B]] = A^2 B - 2ABA + BA^2 and [[A,B],B] = AB^2 - 2BAB + B^2 A at
+    den^3 as combine terms (coefficient, rows), all formed by the caller; a
+    term of degree k < 3 is multiplied by den^(3-k).  The identities
+    themselves take no product."""
     ident = scalar(len(a), 1)
-    comm = combine((1, ab), (-1, ba))  # [A,B] at den^2
-    a2, b2 = mul(a, a), mul(b, b)
     quadratic = ((-2 * den, ab), (-2 * den, ba))
-    lhs_aab = combine((1, mul(a, comm)), (-1, mul(comm, a)), *quadratic)
+    lhs_aab = combine(*aab, *quadratic)
     rhs_aab = combine((2 * den, a2), (-2 * den * eta, a), (2 * den * den * zeta, ident))
-    lhs_abb = combine((1, mul(comm, b)), (-1, mul(b, comm)), *quadratic)
+    lhs_abb = combine(*abb, *quadratic)
     rhs_abb = combine((2 * den, b2), (-2 * den * eta, b), (-2 * den * den * zeta_star, ident))
     return (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb))

@@ -187,9 +187,14 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
         )
     )
 
+    aab = [(1, mul(a, two_d)), (-1, mul(two_d, a))]  # [A,[A,B]] at den^3
+    abb = [(1, mul(two_d, b)), (-1, mul(b, two_d))]  # [[A,B],B] at den^3
+    identities = presentation_identities(
+        a, b, mul(a, a), mul(b, b), ab, ba, aab, abb, den, zeta_i, zeta_star_i, eta_i
+    )
     # the first mismatch on columns 0..window, in column-major order
     pres_bad = None
-    for name, lhs, rhs in presentation_identities(a, b, ab, ba, den, zeta_i, zeta_star_i, eta_i):
+    for name, lhs, rhs in identities:
         bad = [
             (j, i)
             for i, (left, right) in enumerate(zip(lhs, rhs))

@@ -118,6 +118,32 @@ def entry_walk_clear(mats, scalars=()):
     return den, rows, [x.numerator * (den // x.denominator) for x in scalars]
 
 
+def mul_oracle(x, y):
+    """racah.intmat.mul as it was before it dropped a sum where it cancels:
+    every sum accumulated, then the zeros filtered out.  Oracle for the
+    kernel."""
+    out = []
+    for row in x:
+        acc = {}
+        for k, a in row.items():
+            for j, b in y[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def combine_oracle(*terms):
+    """racah.intmat.combine as it was before it seeded from its first term
+    and skipped zero coefficients: every term accumulated, then the zeros
+    filtered out.  Oracle for the kernel."""
+    out = [{} for _ in terms[0][1]]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return [{j: v for j, v in acc.items() if v} for acc in out]
+
+
 def fraction_scalars(p, nu):
     """params.scalars as per-term Fraction arithmetic, before it ran on
     integers over a common denominator; kept as its oracle."""

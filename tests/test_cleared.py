@@ -28,11 +28,18 @@ from racah import (
     verify_relations,
     verma_checks,
 )
-from racah.intmat import clear
+from racah.intmat import clear, combine, mul
 from racah.modules import BASES
 from racah.rational import ONE, ZERO, Rat
 
-from conftest import ONTO_FORM, entry_walk_clear, module_points, rationals
+from conftest import (
+    ONTO_FORM,
+    combine_oracle,
+    entry_walk_clear,
+    module_points,
+    mul_oracle,
+    rationals,
+)
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 SIX_DIGITS = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
@@ -196,6 +203,56 @@ def test_clear_hands_out_new_rows():
     for row in a + b:
         row.clear()
     assert clear([rep.A, rep.B]) == entry_walk_clear([rep.A, rep.B])
+
+
+# ------------------------------------ intmat.mul and combine oracles
+
+def sparse_rows(n, m):
+    """n sparse integer rows over m columns storing no zero; entries are
+    small, so that sums often cancel, and rows are often empty."""
+    entry = st.integers(-3, 3).filter(bool)
+    row = st.dictionaries(st.integers(0, m - 1), entry, max_size=m) if m else st.just({})
+    return st.lists(row, min_size=n, max_size=n)
+
+
+def assert_stores_no_zero(rows):
+    assert all(x for row in rows for x in row.values())
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_mul_matches_the_oracle(n, k, m, data):
+    x, y = data.draw(sparse_rows(n, k)), data.draw(sparse_rows(k, m))
+    before = copy.deepcopy((x, y))
+    got = mul(x, y)
+    assert got == mul_oracle(x, y)
+    assert_stores_no_zero(got)
+    assert (x, y) == before
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_combine_matches_the_oracle(n, m, data):
+    # one to four terms; coefficients are often zero, and sometimes all are
+    mats = data.draw(st.lists(sparse_rows(n, m), min_size=1, max_size=4))
+    coefficients = st.one_of(st.just(0), st.integers(-3, 3))
+    terms = [(data.draw(coefficients), rows) for rows in mats]
+    before = copy.deepcopy(terms)
+    got = combine(*terms)
+    assert got == combine_oracle(*terms)
+    assert_stores_no_zero(got)
+    assert terms == before
+
+
+def test_mul_and_combine_drop_the_sums_that_cancel():
+    x, y = [{0: 1, 1: -1}, {}, {1: 2}], [{0: 2, 1: 3}, {0: 2, 1: 1}]
+    assert mul(x, y) == mul_oracle(x, y) == [{1: 2}, {}, {0: 4, 1: 2}]
+    m = [{0: 5, 2: -1}, {1: 7}]
+    n = [{0: 5}, {1: 7, 2: 1}]
+    assert combine((1, m), (-1, m)) == combine_oracle((1, m), (-1, m)) == [{}, {}]
+    assert combine((1, m), (-1, n)) == [{2: -1}, {2: -1}]
+    assert combine((0, m), (0, n)) == [{}, {}]
+    assert combine((0, m), (2, n), (0, m)) == [{0: 10}, {1: 14, 2: 2}]
+    single = combine((1, m))
+    assert single == m and all(a is not b for a, b in zip(single, m))
 
 
 # ------------------------------------- consumers leave their inputs alone

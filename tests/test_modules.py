@@ -23,17 +23,20 @@ from racah import (
     verify_relations,
     verma_checks,
 )
-from racah.modules import BASES, RelationCheck, RelationReport
+from racah.intmat import clear, scalar
+from racah.modules import BASES, RelationCheck, RelationReport, _compare
 from racah.params import sequences
 from racah.rational import HALF, ONE, ZERO, Rat
 
 from conftest import (
     ONTO_FORM,
     commutator,
+    combine_oracle,
     first_nonzero,
     fraction_scalars,
     lower_bidiagonal,
     module_points,
+    mul_oracle,
     nudged,
     presentation_identities_oracle,
     rationals,
@@ -269,9 +272,69 @@ def verify_relations_oracle(rep):
     return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
 
 
+def verify_relations_18_products(rep):
+    """verify_relations as it was before it derived every side from 8
+    products and the residuals E and F: AB, BA, BC, CB, CA and AC, the six
+    of D with A, B and C in the central elements, and six for the
+    presentation identities, on cleared integer rows, through the kernels
+    as they were then.  Oracle for the 8-product route."""
+    n = rep.dim
+    den, (a, b, c, dd), (zeta, zeta_star, eta, gamma) = clear(
+        (rep.A, rep.B, rep.C, rep.D), rep.scalars
+    )
+    mul, combine = mul_oracle, combine_oracle
+    sq = den * den
+    ab, ba = mul(a, b), mul(b, a)
+    bc, cb = mul(b, c), mul(c, b)
+    ca, ac = mul(c, a), mul(a, c)
+    two_d = combine((2 * den, dd))
+    alpha_mat = combine((1, mul(a, dd)), (-1, mul(dd, a)), (1, ac), (-1, ba))
+    beta_mat = combine((1, mul(b, dd)), (-1, mul(dd, b)), (1, ba), (-1, cb))
+    gamma_mat = combine((1, mul(c, dd)), (-1, mul(dd, c)), (1, cb), (-1, ac))
+    centrals = (
+        ("alpha", "zeta", den * zeta, alpha_mat),
+        ("beta", "zeta_star", den * zeta_star, beta_mat),
+        ("gamma", "gamma_scalar", den * gamma, gamma_mat),
+    )
+    scalar_checks = [
+        _compare(f"{name} = {s_name} I", m, scalar(n, s), sq) for name, s_name, s, m in centrals
+    ]
+    checks = [
+        _compare("[A,B] = 2D", combine((1, ab), (-1, ba)), two_d, sq),
+        _compare("[B,C] = 2D", combine((1, bc), (-1, cb)), two_d, sq),
+        _compare("[C,A] = 2D", combine((1, ca), (-1, ac)), two_d, sq),
+        *scalar_checks,
+        _compare("A + B + C = eta I", combine((1, a), (1, b), (1, c)), scalar(n, eta), den),
+    ]
+    cube = sq * den
+    for (name, _, s, m), scalar_check in zip(centrals, scalar_checks):
+        off = None if scalar_check.ok else combine((1, m), (-s, scalar(n, 1)))
+        for gname, gen in (("A", a), ("B", b), ("C", c), ("D", dd)):
+            check_name = f"{name} commutes with {gname}"
+            if off is None:
+                checks.append(RelationCheck(check_name, True))
+            else:
+                lhs, rhs = mul(off, gen), mul(gen, off)
+                checks.append(_compare(check_name, lhs, rhs, cube, combine((s, gen))))
+    ident = scalar(n, 1)
+    comm = combine((1, ab), (-1, ba))
+    a2, b2 = mul(a, a), mul(b, b)
+    quadratic = ((-2 * den, ab), (-2 * den, ba))
+    lhs_aab = combine((1, mul(a, comm)), (-1, mul(comm, a)), *quadratic)
+    rhs_aab = combine((2 * den, a2), (-2 * den * eta, a), (2 * den * den * zeta, ident))
+    lhs_abb = combine((1, mul(comm, b)), (-1, mul(b, comm)), *quadratic)
+    rhs_abb = combine((2 * den, b2), (-2 * den * eta, b), (-2 * den * den * zeta_star, ident))
+    for name, lhs, rhs in (("AAB", lhs_aab, rhs_aab), ("ABB", lhs_abb, rhs_abb)):
+        checks.append(_compare(f"{name} presentation identity", lhs, rhs, cube))
+    return RelationReport(rep.d, rep.params, rep.basis, tuple(checks))
+
+
 def assert_same_report(rep):
+    """verify_relations(rep) equals the report of both oracles, the dense
+    Fraction one and the 18-product integer one, mismatch entries included."""
     report = verify_relations(rep)
     assert report == verify_relations_oracle(rep)
+    assert report == verify_relations_18_products(rep)
     for check in report.checks:
         if check.mismatch is not None:
             assert all(type(x) is Rat for x in check.mismatch[2:])
@@ -293,15 +356,26 @@ def test_tampered_relations_match_the_fraction_oracle(p, d, basis, gen, delta, d
     rep = build_R(p, d, basis)
     i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
     tampered = dataclasses.replace(rep, **{gen: nudged(rep.generator(gen), i, j, delta)})
-    assert not assert_same_report(tampered).all_pass
+    assert_residual_is_nonzero(assert_same_report(tampered), gen)
+
+
+def assert_residual_is_nonzero(report, gen):
+    """A moved entry of A, B or C moves E = A + B + C - eta I, and one of D
+    moves F = [A,B] - 2D, so verify_relations formed that residual's
+    products."""
+    check = "[A,B] = 2D" if gen == "D" else "A + B + C = eta I"
+    assert not {c.name: c for c in report.checks}[check].ok
 
 
 def test_tampered_relations_at_a_large_six_digit_point():
-    rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 16, "w")
-    assert_same_report(rep)
-    for gen, i, j in (("A", 0, 16), ("B", 9, 3), ("C", 16, 0), ("D", 5, 5)):
-        bad = nudged(rep.generator(gen), i, j, rat(7, 999979))
-        assert not assert_same_report(dataclasses.replace(rep, **{gen: bad})).all_pass
+    p = ParamTriple.of("999983/999979", "-999961/999959", "999953/999931")
+    for basis in BASES:
+        rep = build_R(p, 16, basis)
+        assert assert_same_report(rep).all_pass
+        for gen, i, j in (("A", 0, 16), ("B", 9, 3), ("C", 16, 0), ("D", 5, 5), ("A", 7, 8)):
+            bad = nudged(rep.generator(gen), i, j, rat(7, 999979))
+            tampered = assert_same_report(dataclasses.replace(rep, **{gen: bad}))
+            assert_residual_is_nonzero(tampered, gen)
 
 
 def test_centrality_mismatch_adds_back_the_scalar_part():
@@ -334,11 +408,25 @@ def mul_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("basis", BASES)
-def test_verify_relations_takes_18_products_on_a_passing_module(mul_calls, basis):
-    # AB, BA, BC, CB, CA, AC, the six of D in the central elements, and six
-    # for the presentation identities; centrality takes none when it holds
+def test_verify_relations_takes_8_products_on_a_passing_module(mul_calls, basis):
+    # AB, BA, A^2, B^2, AD, DA, BD and DB; the residuals E and F are zero
+    # and centrality holds, so none of their products is formed
     report = verify_relations(build_R(P, 5, basis))
-    assert report.all_pass and len(mul_calls) == 18
+    assert report.all_pass and len(mul_calls) == 8
+
+
+# E != 0 adds AE, EA, BE, EB, ED and DE; F != 0 adds AF, FA, FB and BF
+@pytest.mark.parametrize("gen, residual_products", [("C", 6), ("D", 4)])
+def test_verify_relations_takes_the_residual_products_on_a_tampered_module(
+    mul_calls, gen, residual_products
+):
+    rep = build_R(P, 5)
+    tampered = dataclasses.replace(rep, **{gen: nudged(rep.generator(gen), 2, 3, ONE)})
+    report = verify_relations(tampered)
+    # each central element that is no longer scalar takes OG and GO for
+    # G = A, B, C and D
+    nonscalar = sum(not c.ok for c in report.checks[3:6])
+    assert nonscalar == 3 and len(mul_calls) == 8 + residual_products + 8 * nonscalar
 
 
 def test_verma_checks_takes_21_products(mul_calls):
