@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .intmat import combine, mul
-from .rational import Rat, ZERO, ONE, rat
+from .rational import Rat, ZERO, rat
 
 
 class ShapeError(ValueError):
@@ -80,23 +80,6 @@ class Mat:
         den, rows = self._cleared
         return (Mat.from_cleared, (den, [dict(sorted(r.items())) for r in rows], self.cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "Mat":
-        cols = rows if cols is None else cols
-        return cls([[ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def diagonal(cls, diag) -> "Mat":
-        diag = list(diag)
-        n = len(diag)
-        return cls(
-            [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -123,7 +106,7 @@ class Mat:
     def scale(self, c) -> "Mat":
         c = rat(c)
         if not c:
-            return Mat.zero(self.rows, self.cols)
+            return Mat.from_cleared(1, [{} for _ in range(self.rows)], self.cols)
         den, rows = self._cleared
         num = c.numerator
         return Mat.from_cleared(

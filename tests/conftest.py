@@ -89,6 +89,23 @@ def upper_bidiagonal(diag, sup):
     return tridiagonal(diag, [ZERO] * len(sup), sup)
 
 
+def diagonal_mat(diag):
+    """Square Mat with the given diagonal."""
+    diag = list(diag)
+    n = len(diag)
+    return Mat([[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
+def identity_mat(n):
+    return diagonal_mat([ONE] * n)
+
+
+def zero_mat(rows, cols=None):
+    """The rows x cols zero Mat, square when cols is None."""
+    cols = rows if cols is None else cols
+    return Mat([[ZERO] * cols for _ in range(rows)])
+
+
 def reducer_add(red, vec):
     """Reduce the rational vector vec into the linalg._Reducer red, and
     keep it if independent."""

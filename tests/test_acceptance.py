@@ -41,7 +41,14 @@ from racah import (
 import racah.golden
 from racah.rewriter import SYMBOLS
 
-from conftest import commutator, random_rat, random_triple, upper_bidiagonal
+from conftest import (
+    commutator,
+    identity_mat,
+    random_rat,
+    random_triple,
+    upper_bidiagonal,
+    zero_mat,
+)
 from conftest import fraction_add, fraction_scale
 
 HALF = rat(1, 2)
@@ -71,7 +78,7 @@ def tampered_build_R(p, d, basis="v"):
     vp = [-varphi(p, d, i) for i in range(1, d + 1)]
     ts = [rep.B.entries[i][i] for i in range(d + 1)]
     b_bad = upper_bidiagonal(ts, vp)
-    c_bad = Mat.identity(d + 1).scale(rep.scalars.eta) - rep.A - b_bad
+    c_bad = identity_mat(d + 1).scale(rep.scalars.eta) - rep.A - b_bad
     d_bad = commutator(rep.A, b_bad).scale(HALF)
     return ModuleRep(d, p, basis, rep.A, b_bad, c_bad, d_bad, rep.scalars)
 
@@ -86,7 +93,7 @@ def test_criterion_1_golden_example(monkeypatch):
         alpha = commutator(rep.A, rep.D) + rep.A * rep.C - rep.B * rep.A
         beta = commutator(rep.B, rep.D) + rep.B * rep.A - rep.C * rep.B
         gamma = commutator(rep.C, rep.D) + rep.C * rep.B - rep.A * rep.C
-        assert alpha == beta == gamma == Mat.zero(5)
+        assert alpha == beta == gamma == zero_mat(5)
 
         # negative control: a flipped superdiagonal sign is caught and located
         monkeypatch.setattr(racah.golden, "build_R", tampered_build_R)

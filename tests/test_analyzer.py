@@ -44,6 +44,7 @@ from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 from conftest import (
     ONTO_FORM,
     first_nonzero,
+    identity_mat,
     in_span,
     l_matrix_fraction_oracle,
     module_points,
@@ -487,14 +488,14 @@ def direct_l_matrix_oracle(rep, p, d):
     n = d + 1
     th = [theta(p, d, i) for i in range(n)]
     ts = [theta_star(p, d, i) for i in range(n)]
-    prod_b = Mat.identity(n)
+    prod_b = identity_mat(n)
     for h in range(1, n):
-        prod_b = prod_b * (rep.B - Mat.identity(n).scale(ts[h]))
-    partial = Mat.identity(n)
+        prod_b = prod_b * (rep.B - identity_mat(n).scale(ts[h]))
+    partial = identity_mat(n)
     partials = [None] * n
     partials[d] = partial
     for i in range(d - 1, -1, -1):
-        partial = partial * (rep.A - Mat.identity(n).scale(th[i + 1]))
+        partial = partial * (rep.A - identity_mat(n).scale(th[i + 1]))
         partials[i] = partial
     rows = []
     for i in range(n):
@@ -654,7 +655,7 @@ def test_identify_irrational_traces():
 
 def test_identify_size_mismatch():
     with pytest.raises(ValueError):
-        identify(Mat.identity(2), Mat.identity(3), Mat.identity(2))
+        identify(identity_mat(2), identity_mat(3), identity_mat(2))
 
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))

@@ -36,9 +36,11 @@ from conftest import (
     ONTO_FORM,
     combine_oracle,
     entry_walk_clear,
+    identity_mat,
     module_points,
     mul_oracle,
     rationals,
+    zero_mat,
 )
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
@@ -79,8 +81,8 @@ def test_mat_of_entries_has_the_canonical_form(n, m, data):
 
 
 def test_zero_mat_clears_over_one():
-    assert Mat.zero(2, 3)._cleared == (1, [{}, {}])
-    assert Mat.from_cleared(6, [{}, {}], 2) == Mat.zero(2)
+    assert zero_mat(2, 3)._cleared == (1, [{}, {}])
+    assert Mat.from_cleared(6, [{}, {}], 2) == zero_mat(2)
     assert Mat.from_cleared(6, [{}, {}], 2)._cleared == (1, [{}, {}])
 
 
@@ -142,13 +144,13 @@ def test_mats_from_integers_compare_without_their_entries():
 
 
 def test_zero_mats_of_different_shapes_differ():
-    zeros = [Mat.zero(2), Mat.zero(2, 3), Mat.zero(3, 2), Mat.zero(1), Mat.zero(1, 4)]
+    zeros = [zero_mat(2), zero_mat(2, 3), zero_mat(3, 2), zero_mat(1), zero_mat(1, 4)]
     for a in zeros:
         for b in zeros:
             assert (a == b) == (a is b) == entries_equal(a, b)
-    assert Mat.from_cleared(5, [{}, {}], 3) == Mat.zero(2, 3) != Mat.from_cleared(5, [{}, {}], 2)
-    assert hash(Mat.from_cleared(5, [{}, {}], 3)) == hash(Mat.zero(2, 3))
-    assert Mat.zero(2) != Mat.identity(2) and Mat.zero(2) != "Mat(2x2)"
+    assert Mat.from_cleared(5, [{}, {}], 3) == zero_mat(2, 3) != Mat.from_cleared(5, [{}, {}], 2)
+    assert hash(Mat.from_cleared(5, [{}, {}], 3)) == hash(zero_mat(2, 3))
+    assert zero_mat(2) != identity_mat(2) and zero_mat(2) != "Mat(2x2)"
 
 
 def integer_built(p, d):

@@ -38,8 +38,10 @@ from racah.modules import BASES
 from racah.rational import ZERO, ONE, Rat, format_rat, rat
 from racah.serialize import dumps, mat_to_rows, mat_to_text, subspace_to_doc
 
-from conftest import module_points, rationals, reducer_add
-from test_cli_pins import digest, fixed_width  # noqa: F401  (fixture)
+from conftest import identity_mat, module_points, rationals, reducer_add
+from test_cli_pins import (  # noqa: F401  (fixed_width is a fixture)
+    CUBE, FORMATS, GENERIC, PINNED, TRIPLES, _id, digest, fixed_width,
+)
 
 # ------------------------------------------------- the Fraction-era oracles
 
@@ -265,7 +267,7 @@ def test_eigenspace_matches_the_fraction_oracle(m, lam):
     assert eigenspace(m, lam).basis == fraction_kernel(shifted).basis
     # on an eigenvalue of the matrix the kernel is not trivial
     diagonal = m.entries[0][0]
-    assert eigenspace(Mat.identity(m.rows).scale(diagonal), diagonal).dim == m.rows
+    assert eigenspace(identity_mat(m.rows).scale(diagonal), diagonal).dim == m.rows
 
 
 # --------------------------------------------------------- normal forms
@@ -340,55 +342,32 @@ def test_dumps_rejects_what_is_not_a_document(doc):
 
 # ------------------------------------------- the views no subcommand reads
 
-GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
-SYMMETRIC = ["--a", "-1/2", "--b", "-1/2", "--c", "-1/2"]
-REDUCIBLE = ["--a", "1/5", "--b", "1/5", "--c", "-7/5"]
-CUBE = "(2/3*A - 5/7*C + 1/2*gamma)^4"
+JSON, TEXT = FORMATS
 
-# test_cli_pins.digest of each invocation, taken before the views were
-# derived
+# rows of the pinned battery, one or more per subcommand
 GUARDED = [
-    (["construct", *GENERIC, "--d", "3", "--basis", "v"],
-     "a26b7f9ac0c3038e81924b87765ecbcfc27889e44a4e6058ce94451b3746a483"),
-    (["construct", *GENERIC, "--d", "3", "--basis", "w"],
-     "a63ac887ca4f6613aea8ceffa10f4beae2c1f749914a56710fe8e9b7902572e4"),
-    (["construct", *GENERIC, "--d", "3", "--basis", "u"],
-     "a3f43e317a28cf2fcc1af9c63d9764120860129d8d421ab520f252f63f91dd79"),
-    (["construct", *GENERIC, "--d", "3", "--basis", "w", "--format", "text"],
-     "c9925591ddc75ea5f5f5b7cab6ea155af213f6d6f7066d2578e3a6dce0ed6251"),
-    (["verify", *GENERIC, "--d", "3", "--basis", "u"],
-     "8621431ca8ab3aec0e86ec89b0e7cd4819c6ae84769adb4fbf6e51a259423802"),
+    ["construct", *GENERIC, "--d", "3", "--basis", "v", *JSON],
+    ["construct", *GENERIC, "--d", "3", "--basis", "w", *JSON],
+    ["construct", *GENERIC, "--d", "3", "--basis", "u", *JSON],
+    ["construct", *GENERIC, "--d", "3", "--basis", "w", *TEXT],
+    ["verify", *GENERIC, "--d", "3", "--basis", "u", *JSON],
     # irreducible
-    (["analyze", *GENERIC, "--d", "3"],
-     "6c264340fdd10988acb3543d940855886211fc25b4b5f0eeff92b9076669339d"),
+    ["analyze", *GENERIC, "--d", "3", *JSON],
     # a zero superdiagonal entry of B: the invariant tail is the witness
-    (["analyze", "--a=-2", "--b=-2", "--c", "2", "--d", "2"],
-     "8a209f00d5aa8b5fc30198e53ed7904d59b32a4591f2b0f3cce45ac5b6e4ce81"),
+    ["analyze", "--a=-2", "--b=-2", "--c", "2", "--d", "2"],
     # B's superdiagonal is nonzero: the witness is a spun eigenline
-    (["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3"],
-     "173a7f9f93a56186b6d06d4fe77fd7d4ec3af980477659e28373f89f44e29a3b"),
-    (["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3", "--format", "text"],
-     "30dd4d69d57bca103c0819ac813619e79110871dea83c4c5af0e0c05e5775890"),
-    (["intertwine", *GENERIC, "--d", "2", "--basis", "w", "--basis2", "u"],
-     "155cefa828536ef17f69ae17af082b35eec9b16ef86c133cca3edc24ab86e88e"),
-    (["intertwine", *GENERIC, "--d", "2", "--a2", "-4/3", "--b2", "-2/5", "--c2", "7/4"],
-     "241bc8351a9ffd5c0a4e9fd7a038958838dc8702e93b9f05a744c710b186cb31"),
-    (["intertwine", *REDUCIBLE, "--d", "2", "--basis", "v", "--basis2", "u"],
-     "86a6796794bb80ec94f21af5921d11993484b1272f5bc927907c7bf05d4f3b63"),
-    (["eval", "--expr", "D^2*A + alpha", *SYMMETRIC, "--d", "3", "--basis", "u"],
-     "7731871bd935e629c8e022cfd7a7bed6a575dc43b84ed6cc8fc37a64be86a50f"),
-    (["eval", "--expr", "D^2*A + alpha", *SYMMETRIC, "--d", "3", "--basis", "u", "--format", "text"],
-     "96e3a0a42cbeba373fdf92ba2e7c209263c917bc96e97f472b610023a6caa4bb"),
-    (["reduce", "--expr", CUBE],
-     "843d1db7d1ab31b33244da06abc3c413cd412f684a57e763e93ebbdfadbd252e"),
-    (["reduce", "--expr", CUBE, "--format", "text"],
-     "59ab694094b82268a674b94c3bc8cdc5696ed5d64ed02e3fe23322300bdb43d5"),
-    (["sweep", "--grid", "a=1/5;b=1/5;c=-7/5,-1/2;d=0..3:1", "--jobs", "1"],
-     "dfa9e40d7a6ff88a7765b6787f715fda627156825fe43b9f5491972addbf47d4"),
-    (["verma", *GENERIC, "--nu", "3"],
-     "140c34fa5b0eabc01e417e9af57d1314435d1b4a7224be28afc2132a1a612958"),
-    (["golden"],
-     "483dd8b284af0a11d42b8148f108230b098551b46566f55225c1184159a991e1"),
+    ["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3"],
+    ["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3", *TEXT],
+    ["intertwine", *GENERIC, "--d", "2", "--basis", "w", "--basis2", "u", *JSON],
+    ["intertwine", *GENERIC, "--d", "2", "--a2", "-4/3", "--b2", "-2/5", "--c2", "7/4"],
+    ["intertwine", *TRIPLES["reducible"], "--d", "2", "--basis", "v", "--basis2", "u", *JSON],
+    ["eval", "--expr", "D^2*A + alpha", *TRIPLES["symmetric"], "--d", "3", "--basis", "u", *JSON],
+    ["eval", "--expr", "D^2*A + alpha", *TRIPLES["symmetric"], "--d", "3", "--basis", "u", *TEXT],
+    ["reduce", "--expr", CUBE],
+    ["reduce", "--expr", CUBE, *TEXT],
+    ["sweep", "--grid", "a=1/5;b=1/5;c=-7/5,-1/2;d=0..3:1", "--jobs", "1"],
+    ["verma", *GENERIC, "--nu", "3", *JSON],
+    ["golden", *JSON],
 ]
 
 
@@ -400,9 +379,9 @@ def _refuse(self):
     raise ViewRead(type(self).__name__)
 
 
-@pytest.mark.parametrize("argv, pinned", GUARDED, ids=[" ".join(a) for a, _ in GUARDED])
-def test_subcommands_read_no_rational_view(fixed_width, monkeypatch, argv, pinned):
+@pytest.mark.parametrize("argv", GUARDED, ids=[_id(argv) for argv in GUARDED])
+def test_subcommands_read_no_rational_view(fixed_width, monkeypatch, argv):
     monkeypatch.setattr(Mat, "entries", property(_refuse))
     monkeypatch.setattr(Subspace, "basis", property(_refuse))
     monkeypatch.setattr(rw._Element, "terms", property(_refuse))
-    assert digest(argv) == pinned
+    assert digest(argv) == PINNED[_id(argv)]

@@ -3,10 +3,21 @@ process, each checked against the sha256 of (exit code, stdout, stderr).
 The one figure that varies from run to run, the sweep's elapsed time on
 stderr, is masked before hashing.
 
-The pins live in cli_pins.json next to this file.  After a deliberate
-change of output, print the new table with
+cli_pins.json next to this file is the one table of output digests: no
+other test and no CI step holds a digest of its own.  CI runs this file a
+second time against the installed package, from outside the checkout, so
+the table also covers the package data and the sweep's forked workers as
+installed.
+
+The table only grows.  Add a row to battery(), take its digest on the
+parent commit (the command below, with the new battery and the parent's
+src on PYTHONPATH), and leave every other entry as it is.  To print the
+table, run
 
     PYTHONPATH=src python tests/test_cli_pins.py > tests/cli_pins.json
+
+A digest that changes is a deliberate change of output: list each one in
+CHANGES.md.
 
 Usage errors in the battery are the ones whose message the package words
 itself; argparse's own texts (invalid choice, --help) differ between
@@ -33,6 +44,9 @@ TRIPLES = {
     "reducible": ["--a", "1/5", "--b", "1/5", "--c", "-7/5"],
 }
 GENERIC = TRIPLES["generic"]
+# six-digit parameters at d = 24
+SIX = ["--a", "999983/999979", "--b=-999961/999959", "--c", "999953/999931", "--d", "24"]
+CUBE = "(2/3*A - 5/7*C + 1/2*gamma)^4"
 FORMATS = (["--format", "json"], ["--format", "text"])
 BASES = ("v", "w", "u")
 TOO_BIG = str(MAX_D + 1)
@@ -91,6 +105,30 @@ def battery() -> list[list[str]]:
         rows.append(["verma", *TRIPLES["reducible"], "--nu", "1", "--cutoff", "5", *fmt])
         rows.append(["verma", *GENERIC, "--nu", "0", "--d", "0", "--cutoff", "3", *fmt])
         rows.append(["golden", *fmt])
+    # six-digit entries at the largest accepted d: the relations and the
+    # module in each basis, minimal polynomials by the continuant
+    # recurrence, intertwiners by substitution through A
+    for basis in BASES:
+        rows.append(["verify", *SIX, "--basis", basis])
+        rows.append(["construct", *SIX, "--basis", basis])
+    rows.append(["analyze", *SIX])
+    rows.append(["intertwine", *SIX, "--basis", "w", "--basis2", "u"])
+    rows.append(
+        ["intertwine", *SIX, "--basis", "v", "--basis2", "w",
+         "--a2=-1999962/999979", "--b2=-999961/999959", "--c2", "999953/999931"]
+    )
+    for expr in ("(A + 3*C)^6", "[2*D, (A + B)^5]", CUBE):
+        rows.append(["reduce", "--expr", expr])
+    rows.append(["reduce", "--expr", CUBE, "--format", "text"])
+    # a zero superdiagonal entry of B: the invariant tail is the witness;
+    # B's superdiagonal nonzero: the witness is a spun eigenline
+    rows.append(["analyze", "--a=-2", "--b=-2", "--c", "2", "--d", "2"])
+    rows.append(["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3"])
+    rows.append(["analyze", "--a=-2", "--b=-2", "--c=-1/2", "--d", "3", "--format", "text"])
+    rows.append(["intertwine", *GENERIC, "--d", "2", "--a2", "-4/3", "--b2", "-2/5", "--c2", "7/4"])
+    # the sweep in one process and in forked workers
+    rows.append(["sweep", "--grid", "a=1/5;b=1/5;c=-7/5,-1/2;d=0..3:1", "--jobs", "1"])
+    rows.append(["sweep", "--grid", "a=1/3;b=-2/5;c=7/4;d=1,2", "--jobs", "2"])
     # usage and limit errors
     rows += [
         ["construct", "--a", "0.5", "--b", "0", "--c", "0", "--d", "1"],
@@ -174,6 +212,13 @@ def test_battery_ids_are_unique_and_all_pinned():
     ids = [_id(argv) for argv in ROWS]
     assert len(set(ids)) == len(ids)
     assert sorted(PINNED) == sorted(ids)
+
+
+def test_no_other_file_holds_a_digest():
+    root = Path(__file__).resolve().parents[1]
+    files = [*root.glob(".github/workflows/*.yml"), *root.glob("tests/*.py")]
+    assert any(path.name == "tests.yml" for path in files)
+    assert [path.name for path in files if re.search("[0-9a-fA-F]{64}", path.read_text())] == []
 
 
 @pytest.fixture

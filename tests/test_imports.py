@@ -78,8 +78,8 @@ def test_public_surface_is_pinned():
     }
     assert _surface(racah.Mat) == {
         "__add__", "__eq__", "__hash__", "__init__", "__mul__",
-        "__reduce__", "__repr__", "__setattr__", "__sub__", "apply", "cols", "diagonal", "entries",
-        "from_cleared", "identity", "rows", "scale", "shape", "trace", "zero",
+        "__reduce__", "__repr__", "__setattr__", "__sub__", "apply", "cols", "entries",
+        "from_cleared", "rows", "scale", "shape", "trace",
     }
     # rewriter elements are values without arithmetic
     for cls, names in ((racah.FreeElement, {"terms"}), (racah.NormalElement, {"terms", "to_free"})):

@@ -32,8 +32,9 @@ from racah.poly import monic_scaled
 from racah.rational import Rat, parse_rat
 
 from conftest import (
+    diagonal_mat,
+    identity_mat,
     in_span,
-    reducer_add,
     lower_bidiagonal,
     poly_divmod,
     poly_gcd,
@@ -41,7 +42,9 @@ from conftest import (
     poly_monic,
     poly_mul,
     rationals,
+    reducer_add,
     triples,
+    zero_mat,
 )
 
 
@@ -133,8 +136,8 @@ def test_kernel_hand_example():
 
 
 def test_kernel_of_identity_and_zero():
-    assert not kernel(Mat.identity(3)).basis
-    assert kernel(Mat.zero(2, 4)).dim == 4
+    assert not kernel(identity_mat(3)).basis
+    assert kernel(zero_mat(2, 4)).dim == 4
 
 
 @given(mats(3, 4))
@@ -157,7 +160,7 @@ def test_eigenspace_known():
     s = eigenspace(m, 2)
     assert s.dim == 1 and s.basis == ((rat(1), rat(0)),)
     assert not eigenspace(m, 3).basis
-    d = Mat.diagonal([1, 1, 5])
+    d = diagonal_mat([1, 1, 5])
     assert eigenspace(d, 1).dim == 2
     with pytest.raises(ShapeError):
         eigenspace(Mat([[1, 2]]), 1)
@@ -167,9 +170,9 @@ def test_eigenspace_known():
 
 def apply_poly(p: Poly, m: Mat) -> Mat:
     """p(M) by Horner."""
-    acc = Mat.zero(m.rows)
+    acc = zero_mat(m.rows)
     for c in reversed(p.coeffs):
-        acc = acc * m + Mat.identity(m.rows).scale(c)
+        acc = acc * m + identity_mat(m.rows).scale(c)
     return acc
 
 
@@ -203,8 +206,8 @@ def block_diag(*blocks: Mat) -> Mat:
 
 
 def test_minpoly_known_cases():
-    assert minimal_polynomial(Mat.identity(3)) == Poly([-1, 1])
-    assert minimal_polynomial(Mat.diagonal([2, 2, 3])) == Poly.from_roots([2, 3])
+    assert minimal_polynomial(identity_mat(3)) == Poly([-1, 1])
+    assert minimal_polynomial(diagonal_mat([2, 2, 3])) == Poly.from_roots([2, 3])
     assert minimal_polynomial(Mat([[2, 1], [0, 2]])) == Poly.from_roots([2, 2])
     assert minimal_polynomial(Mat([[0, 1], [0, 0]])) == Poly([0, 0, 1])
     assert minimal_polynomial(Mat([[0]])) == Poly([0, 1])
@@ -232,7 +235,7 @@ def test_minpoly_annihilates_and_is_monic(m):
     p = minimal_polynomial(m)
     assert p.coeffs[-1] == 1
     assert 1 <= p.degree <= 3
-    assert apply_poly(p, m) == Mat.zero(3)
+    assert apply_poly(p, m) == zero_mat(3)
 
 
 @given(mats(3))
@@ -240,7 +243,7 @@ def test_minpoly_minimality(m):
     # I, M, ..., M^(deg-1) are linearly independent, so no nonzero polynomial
     # of smaller degree (in particular no proper divisor) annihilates M
     p = minimal_polynomial(m)
-    powers = [Mat.identity(3)]
+    powers = [identity_mat(3)]
     while len(powers) < p.degree:
         powers.append(powers[-1] * m)
     assert rank(Mat([[x for row in q.entries for x in row] for q in powers])) == p.degree
@@ -254,23 +257,23 @@ def test_spin_shift_matrix_reaches_everything():
     seed = [1, 0, 0, 0]
     assert spin(n, [seed], [shift]).dim == n
     # without the shift the seed spans only itself
-    assert spin(n, [seed], [Mat.identity(n)]).dim == 1
+    assert spin(n, [seed], [identity_mat(n)]).dim == 1
 
 
 def test_spin_respects_block_structure():
-    m = Mat.diagonal([1, 2, 3])
+    m = diagonal_mat([1, 2, 3])
     s = spin(3, [[0, 1, 0]], [m])
     assert s.dim == 1 and s.basis == ((rat(0), rat(1), rat(0)),)
 
 
 def test_spin_of_int_seeds_is_exact():
-    s = spin(3, [[3, 1, 1], [1, 1, 2]], [Mat.identity(3)])
+    s = spin(3, [[3, 1, 1], [1, 1, 2]], [identity_mat(3)])
     assert s.basis == ((rat(1), rat(0), rat(-1, 2)), (rat(0), rat(1), rat(5, 2)))
 
 
 def test_spin_shape_check():
     with pytest.raises(ShapeError):
-        spin(3, [[1, 0, 0]], [Mat.identity(2)])
+        spin(3, [[1, 0, 0]], [identity_mat(2)])
 
 
 @given(mats(4), mats(4), st.lists(rationals(), min_size=4, max_size=4))
@@ -299,17 +302,17 @@ def test_intertwiner_rejects_a_jordan_block():
 
 def test_intertwiner_rejects_distinct_diagonals():
     # a diagonal A: its subdiagonal is zero
-    a1 = Mat.diagonal([1, 2])
-    a2 = Mat.diagonal([1, 3])
-    z = Mat.zero(2)
+    a1 = diagonal_mat([1, 2])
+    a2 = diagonal_mat([1, 3])
+    z = zero_mat(2)
     with pytest.raises(ShapeError, match="A1 " + NOT_LOWER_BIDIAGONAL):
         intertwiner_space(a1, z, a2, z)
 
 
 def test_intertwiner_rejects_rectangular_diagonals():
-    a1 = Mat.diagonal([1, 2, 3])
-    a2 = Mat.diagonal([2, 3])
-    z3, z2 = Mat.zero(3), Mat.zero(2)
+    a1 = diagonal_mat([1, 2, 3])
+    a2 = diagonal_mat([2, 3])
+    z3, z2 = zero_mat(3), zero_mat(2)
     for args in ((a1, z3, a2, z2), (a2, z2, a1, z3)):
         with pytest.raises(ShapeError, match="A1 " + NOT_LOWER_BIDIAGONAL):
             intertwiner_space(*args)
@@ -448,7 +451,7 @@ def fraction_minimal_polynomial(m):
     n = m.rows
     red = FractionReducer(n * n)
     combos = []
-    power = Mat.identity(n)
+    power = identity_mat(n)
     k = 0
     while True:
         factors = []
@@ -586,7 +589,7 @@ def test_elimination_matches_fraction_reducer_on_generators(p, d, basis):
         assert minimal_polynomial(g) == fraction_minimal_polynomial(g)
         got = rref(g.entries)
         assert got == fraction_rref(g.entries) and all_rat(got)
-        shifted = g - Mat.identity(n).scale(g.entries[0][0])
+        shifted = g - identity_mat(n).scale(g.entries[0][0])
         assert list(kernel(shifted).basis) == gauss_jordan_kernel(shifted.entries, n)
     seed = [[1] + [0] * d]
     got = spin(n, seed, gens[:2]).basis
@@ -604,7 +607,7 @@ def power_krylov_minimal_polynomial(m):
     n = m.rows
     width = n * n
     red = linalg._Reducer(width + n + 1)
-    power = Mat.identity(n)
+    power = identity_mat(n)
     for k in count():
         marker = [0] * (n + 1)
         marker[k] = 1
@@ -934,7 +937,7 @@ def test_intertwiner_matches_sylvester_under_conjugation(p, d, basis, data):
     # subdiagonal
     n = d + 1
     rep = build_R(p, d, basis)
-    s = Mat.diagonal(data.draw(st.lists(nonzero, min_size=n, max_size=n)))
+    s = diagonal_mat(data.draw(st.lists(nonzero, min_size=n, max_size=n)))
     a, b = s * rep.A * inverse(s), s * rep.B * inverse(s)
     assert len(check_against_sylvester(rep.A, rep.B, a, b)) >= 1
     assert len(check_against_sylvester(a, b, rep.A, rep.B)) >= 1

@@ -7,7 +7,16 @@ from racah import Mat, ParamTriple, ShapeError, build_R, rat
 from racah.modules import BASES
 from racah.rational import Rat
 
-from conftest import commutator, lower_bidiagonal, rationals, tridiagonal, upper_bidiagonal
+from conftest import (
+    commutator,
+    diagonal_mat,
+    identity_mat,
+    lower_bidiagonal,
+    rationals,
+    tridiagonal,
+    upper_bidiagonal,
+    zero_mat,
+)
 
 
 def mats(n, m=None):
@@ -29,15 +38,15 @@ def test_add_sub_scale():
     a = Mat([[1, 2], [3, 4]])
     b = Mat([[rat(1, 2), 0], [0, rat(1, 2)]])
     assert a + b == Mat([[rat(3, 2), 2], [3, rat(9, 2)]])
-    assert a - a == Mat.zero(2)
+    assert a - a == zero_mat(2)
     assert a.scale(rat(1, 2)) == Mat([[rat(1, 2), 1], [rat(3, 2), 2]])
     assert a * rat(2) == Mat([[2, 4], [6, 8]])
 
 
 def test_identity_zero_diagonal():
-    assert Mat.identity(2) == Mat([[1, 0], [0, 1]])
-    assert Mat.zero(2, 3) == Mat([[0, 0, 0], [0, 0, 0]])
-    assert Mat.diagonal([1, 2]) == Mat([[1, 0], [0, 2]])
+    assert identity_mat(2) == Mat([[1, 0], [0, 1]])
+    assert zero_mat(2, 3) == Mat([[0, 0, 0], [0, 0, 0]]) == Mat([[1, 2, 3], [4, 5, 6]]).scale(0)
+    assert diagonal_mat([1, 2]) == Mat([[1, 0], [0, 2]])
 
 
 def test_shape_errors_name_both_shapes():
@@ -144,7 +153,7 @@ def test_mul_associative_add_distributive(a, b, c):
 @given(mats(3), mats(3))
 def test_trace_and_commutator_identities(a, b):
     assert (a * b).trace() == (b * a).trace()
-    assert commutator(a, b) + commutator(b, a) == Mat.zero(3)
+    assert commutator(a, b) + commutator(b, a) == zero_mat(3)
     assert commutator(a, b).trace() == 0
 
 

@@ -30,10 +30,11 @@ from racah.rational import HALF, ONE, ZERO, Rat
 
 from conftest import (
     ONTO_FORM,
-    commutator,
     combine_oracle,
+    commutator,
     first_nonzero,
     fraction_scalars,
+    identity_mat,
     lower_bidiagonal,
     module_points,
     mul_oracle,
@@ -43,6 +44,7 @@ from conftest import (
     tridiagonal,
     triples,
     upper_bidiagonal,
+    zero_mat,
 )
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
@@ -75,7 +77,7 @@ def test_build_d0():
     assert rep.A == Mat([[P.a * (P.a + 1)]])
     assert rep.B == Mat([[P.b * (P.b + 1)]])
     assert rep.C == Mat([[P.c * (P.c + 1)]])
-    assert rep.D == Mat.zero(1)
+    assert rep.D == zero_mat(1)
     assert verify_relations(rep).all_pass
 
 
@@ -152,7 +154,7 @@ def dense_c_and_d(rep):
     """C and D as build_R made them before it built them on their band:
     eta*I - A - B and the commutator [A,B]/2 over whole matrices.  Oracle
     for the band construction."""
-    c = Mat.identity(rep.dim).scale(rep.scalars.eta) - rep.A - rep.B
+    c = identity_mat(rep.dim).scale(rep.scalars.eta) - rep.A - rep.B
     return c, commutator(rep.A, rep.B).scale(HALF)
 
 
@@ -238,7 +240,7 @@ def verify_relations_oracle(rep):
     """verify_relations as dense Fraction Mat products and sums, before it
     ran on cleared integer rows.  Oracle for the integer route."""
     a, b, c, dd = rep.A, rep.B, rep.C, rep.D
-    ident = Mat.identity(rep.dim)
+    ident = identity_mat(rep.dim)
     zeta, zeta_star, eta, gamma = rep.scalars
 
     def compare(name, lhs, rhs):

@@ -48,7 +48,9 @@ from conftest import (
     fraction_pow,
     fraction_scale,
     fraction_sub,
+    identity_mat,
     rationals,
+    zero_mat,
 )
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
@@ -1028,7 +1030,7 @@ def dense_evaluate(x, rep):
     multiplied out as dense Fraction Mat products.  Oracle for evaluate."""
     if isinstance(x, NormalElement):
         x = x.to_free()
-    ident = Mat.identity(rep.dim)
+    ident = identity_mat(rep.dim)
     sc = rep.scalars
     table = {
         "A": rep.A,
@@ -1040,7 +1042,7 @@ def dense_evaluate(x, rep):
         "gamma": ident.scale(sc.gamma),
         "delta": ident.scale(sc.eta),
     }
-    total = Mat.zero(rep.dim)
+    total = zero_mat(rep.dim)
     for word, coeff in x.terms.items():
         acc = ident
         for sym in word:
@@ -1077,7 +1079,7 @@ def test_evaluate_each_letter_and_zero_match_dense_oracle(letter, basis):
     rep = build_R(ParamTriple.of("999983/999979", "-999961/999959", "999953/999931"), 4, basis)
     for x in (parse(letter), parse(f"999983/999979*{letter}^3 - 7/5"), FreeElement({})):
         assert evaluate(x, rep) == dense_evaluate(x, rep)
-    assert evaluate(NormalElement({}), rep) == Mat.zero(5)
+    assert evaluate(NormalElement({}), rep) == zero_mat(5)
 
 
 def test_normal_element_to_free():

@@ -17,7 +17,7 @@ from racah import (
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat
 from racah.verma import VermaCheck
 
-from conftest import nudged, presentation_identities_oracle, rationals, triples
+from conftest import identity_mat, nudged, presentation_identities_oracle, rationals, triples
 
 P = ParamTriple.of("1/3", "-2/5", "7/4")
 
@@ -135,7 +135,7 @@ def moved_checks_oracle(vt, d):
     quotient blocks compared entry by entry.  Oracle for verma_checks."""
     p, nu, n, window = vt.params, vt.nu, vt.dim, vt.safe_window
     a_mat, b_mat = vt.A, vt.B
-    ident = Mat.identity(n)
+    ident = identity_mat(n)
     zeta, zeta_star, eta, _ = vt.scalars
     e0 = unit(n, 0)
     th0, ts0, ts1 = theta(p, nu, 0), theta_star(p, nu, 0), theta_star(p, nu, 1)
