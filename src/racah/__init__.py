@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analyzer": (
         "AnalysisReport", "IdentifyResult", "IsoResult", "analyze", "diagonalizable",
-        "identify", "irreducible_criterion", "irreducible_oracle", "isomorphic", "l_matrix",
+        "identify", "irreducible_oracle", "isomorphic", "l_matrix",
     ),
     "errors": ("ConsistencyError", "ParseError", "RewriteLimitError"),
     "golden": ("golden_example",),

@@ -64,13 +64,6 @@ from .poly import PRIME, Poly, monic_scaled, squarefree_integer
 from .rational import ONE, Rat, format_rat, is_square
 
 
-def irreducible_criterion(p: ParamTriple, d: int) -> tuple[bool, list[Witness]]:
-    """Parameter-side irreducibility test (characteristic zero): the module
-    is irreducible iff none of the four linear forms lands in
-    {d/2 - i : i = 1..d}."""
-    return in_P(p, d)
-
-
 def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     """Matrix-side irreducibility test; returns a proper nonzero invariant
     subspace as witness when reducible.
@@ -538,7 +531,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
     traces (the cleared diagonal over den), the integer minimal
     polynomials and their squarefreeness, and the identification from the
     traces.  Only the reported minimal polynomials become rational."""
-    crit, witnesses = irreducible_criterion(p, d)
+    crit, witnesses = in_P(p, d)
     rep = build_R(p, d, "v")
     den, cleared, _ = clear([rep.A, rep.B, rep.C])
     oracle, bad_subspace = _irreducible_rows(cleared[0], cleared[1])

@@ -15,16 +15,10 @@ import json
 from importlib.resources import files
 from itertools import zip_longest
 
-from .analyzer import (
-    ConsistencyError,
-    diagonalizable,
-    identify,
-    irreducible_criterion,
-    irreducible_oracle,
-)
+from .analyzer import ConsistencyError, diagonalizable, identify, irreducible_oracle
 from .linalg import Subspace, eigenspace, minimal_polynomial
 from .modules import build_R, verify_relations
-from .params import ParamTriple, canonical
+from .params import ParamTriple, canonical, in_P
 from .poly import Poly, squarefree
 from .rational import ONE, ZERO, format_rat, rat
 from .serialize import rep_to_doc
@@ -135,8 +129,8 @@ def golden_example() -> dict:
         diag_detail,
     )
 
-    crit, _ = irreducible_criterion(p, d)
-    oracle, _ = irreducible_oracle(build_R(p, d, "v"))
+    crit, _ = in_P(p, d)
+    oracle, _ = irreducible_oracle(rep)
     _claim(
         claims,
         "irreducible by criterion and by spin oracle",

@@ -2,16 +2,17 @@
 eigenspaces, spinning a set of vectors under operators, and intertwiner
 spaces.
 
-All elimination is fraction-free and sparse.  A vector enters it once, as
-an integer row: its nonzero entries times the lcm of their denominators,
-held as a dict {column: int}.  Rows are combined by cross-multiplication
-(Bareiss 1968, Math. Comp. 22) and kept with their content divided out, so
-the loop does integer arithmetic on nonzero entries only.  The back pass
-that reduces the basis stays in integers too: a Subspace keeps each RREF
-row as primitive integers with a positive pivot, kernels are read off
-those rows in integers, and intertwiner_space() hands its basis to
-Mat.from_cleared with the pivot as den.  Entries become Fractions only
-when rref() or Subspace.basis is read.
+All elimination is fraction-free and sparse.  Rational vectors enter it
+once, cleared together as the rows of one Mat (racah.intmat.clear): each
+an integer row, held as a dict {column: int} of its nonzero entries.  An
+eigenvalue is cleared with its matrix the same way.  Rows are combined
+by cross-multiplication (Bareiss 1968, Math. Comp. 22) and kept with their
+content divided out, so the loop does integer arithmetic on nonzero
+entries only.  The back pass that reduces the basis stays in integers
+too: a Subspace keeps each RREF row as primitive integers with a positive
+pivot, kernels are read off those rows in integers, and
+intertwiner_space() hands its basis to Mat.from_cleared with the pivot as
+den.  Entries become Fractions only when rref() or Subspace.basis is read.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
@@ -42,13 +43,14 @@ Subspaces are stored with their reduced-row-echelon basis, each row scaled
 to primitive integers with a positive pivot.  RREF of a given row space is
 unique, and so is that scaling, so two Subspace values are equal iff they
 hold the same integer rows; no extra canonicalization step is ever needed.
+A Subspace pickles as those rows, which subspace_of_rows() takes back.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .intmat import Rows, apply_columns, clear, columns
+from .intmat import Rows, apply_columns, clear, columns, combine, scalar
 from .matrix import Mat, ShapeError
 from .poly import Poly, monic_scaled
 from .rational import Rat, ZERO, rat
@@ -65,15 +67,16 @@ def rref(vectors) -> list[tuple[Rat, ...]]:
     return [_rational_row(row, ncols) for row in _reduced(ncols, rows)]
 
 
-def _integer_rows(vectors) -> tuple[int, list[dict[int, int]]]:
-    """(length, sparse integer rows) of vectors of one length; 0 and no
-    rows for no vectors."""
-    vectors = [list(v) for v in vectors]
-    ncols = len(vectors[0]) if vectors else 0
-    for v in vectors:
-        if len(v) != ncols:
-            raise ShapeError("vectors of mixed lengths cannot span a subspace")
-    return ncols, [_integer_row(v) for v in vectors]
+def _integer_rows(vectors) -> tuple[int, Rows]:
+    """(length, sparse integer rows) of vectors of one length, cleared
+    together as the rows of one Mat; 0 and no rows for no vectors."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return 0, []
+    if len({len(v) for v in vectors}) > 1:
+        raise ShapeError("vectors of mixed lengths cannot span a subspace")
+    m = Mat(vectors)
+    return m.cols, clear([m])[1][0]
 
 
 def _reduced(ncols: int, rows: Rows) -> Rows:
@@ -121,8 +124,7 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     def __reduce__(self):
-        n = self.ambient_dim
-        return (Subspace, (n, [dense_row(row, n) for row in self._rows]))
+        return (subspace_of_rows, (self.ambient_dim, [dict(row) for row in self._rows]))
 
     @property
     def basis(self) -> tuple[tuple[Rat, ...], ...]:
@@ -185,23 +187,12 @@ def kernel(m: Mat) -> Subspace:
 
 
 def eigenspace(m: Mat, lam) -> Subspace:
-    """The kernel of M - lam I, from den*q*(M - lam I) = q*den*M - den*p I
-    for lam = p/q."""
+    """The kernel of M - lam I: M and lam are cleared together, and the
+    cleared lam is subtracted down the diagonal."""
     if m.rows != m.cols:
         raise ShapeError(f"eigenspace needs a square matrix, got {m.rows}x{m.cols}")
-    lam = rat(lam)
-    den, rows = m._cleared
-    q, shift = lam.denominator, lam.numerator * den
-    shifted = []
-    for i, row in enumerate(rows):
-        r = {j: q * x for j, x in row.items()}
-        y = r.get(i, 0) - shift
-        if y:
-            r[i] = y
-        else:
-            r.pop(i, None)
-        shifted.append(r)
-    return _kernel(m.cols, shifted)
+    _, (rows,), (shift,) = clear([m], [rat(lam)])
+    return _kernel(m.cols, combine((1, rows), (-1, scalar(m.rows, shift))))
 
 
 def _kernel(n: int, rows: Rows) -> Subspace:
@@ -228,22 +219,6 @@ def _kernel_rows(n: int, rows: Rows) -> Rows:
         g = gcd(*v.values())
         out.append(v if g == 1 else {j: x // g for j, x in v.items()})
     return out
-
-
-def _integer_row(vec) -> dict[int, int]:
-    """The nonzero entries of vec times the lcm of their denominators, as a
-    sparse row {column: int}.  Entries become rationals first, so a float
-    is rejected by rat()."""
-    row = {}
-    for j, x in enumerate(vec):
-        if x is ZERO:  # most entries, and cheaper than testing a Rat for zero
-            continue
-        if type(x) is not Rat and type(x) is not int:
-            x = rat(x)
-        if x:
-            row[j] = x
-    den = lcm(*[x.denominator for x in row.values()])
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
 class _Reducer:
@@ -305,16 +280,16 @@ class _Reducer:
 
 def spin(ambient_dim: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seed vectors and stable under every
-    operator.  The operators are cleared of denominators once: a span does
-    not change when its vectors are scaled, so spin_integer() runs on the
-    integer seeds and operators alone."""
+    operator.  The seeds are cleared together as one Mat, and each operator
+    once: a span does not change when its vectors are scaled, so
+    spin_integer() runs on the integer seeds and operators alone."""
     for op in operators:
         if op.shape() != (ambient_dim, ambient_dim):
             raise ShapeError(
                 f"operator {op.rows}x{op.cols} cannot act on dimension {ambient_dim}"
             )
     ops = [columns(clear([op])[1][0]) for op in operators]
-    rows = spin_integer(ambient_dim, map(_integer_row, seeds), ops)
+    rows = spin_integer(ambient_dim, _integer_rows(seeds)[1], ops)
     return subspace_of_rows(ambient_dim, rows)
 
 
@@ -334,14 +309,6 @@ def spin_integer(ambient_dim: int, seeds, ops) -> Rows:
         for cols in ops:
             red.keep(red.reduce(apply_columns(cols, v)))
     return red.rows
-
-
-def dense_row(row: dict[int, int], n: int) -> list[int]:
-    """The sparse integer row as a list of n ints."""
-    out = [0] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
 
 
 def minimal_polynomial(m: Mat) -> Poly:

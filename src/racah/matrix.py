@@ -8,7 +8,8 @@ Mat.from_cleared takes the form directly.  The entries, a tuple of row
 tuples of Rat, are derived on first read; only tests and the benchmark's
 tracer read them, and racah.serialize prints from the cleared form.
 Arithmetic runs on the integer rows (racah.intmat), over nonzero entries
-only.  Shape mismatches raise ShapeError naming both shapes.
+only; apply() is the product with a one-column Mat.  Shape mismatches
+raise ShapeError naming both shapes.
 """
 
 from __future__ import annotations
@@ -130,23 +131,14 @@ class Mat:
         return Rat(sum([row.get(i, 0) for i, row in enumerate(rows)]), den)
 
     def apply(self, vec):
-        """Matrix times column vector (a sequence of Rat or int), adding only
-        products of nonzero entries."""
+        """Matrix times column vector (a sequence of Rat or int): the
+        product with vec as a one-column Mat, read back as a tuple of Rat."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ShapeError(
                 f"cannot apply {self.rows}x{self.cols} to a vector of length {len(vec)}"
             )
-        values = {j: x if type(x) is Rat or type(x) is int else rat(x) for j, x in enumerate(vec) if x}
-        vden = lcm(*[x.denominator for x in values.values()])
-        ints = {j: x.numerator * (vden // x.denominator) for j, x in values.items()}
-        den, rows = self._cleared
-        den *= vden
-        out = []
-        for row in rows:
-            s = sum([x * ints[j] for j, x in row.items() if j in ints])
-            out.append(Rat(s, den) if s else ZERO)
-        return tuple(out)
+        return tuple(row[0] for row in (self * Mat([[x] for x in vec])).entries)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"

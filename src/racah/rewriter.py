@@ -334,11 +334,13 @@ class _Parser:
             if tok[0] != "num" or "/" in tok[1]:
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
             self.take()
-            e = int(tok[1])
-            if e > EXPONENT_LIMIT:
+            # compare the digits before int(), which refuses over 4300 of them
+            digits = tok[1].lstrip("0") or "0"
+            if len(digits) > len(str(EXPONENT_LIMIT)) or int(digits) > EXPONENT_LIMIT:
                 raise ParseError(
-                    f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", tok[2]
+                    f"exponent {digits} exceeds the limit {EXPONENT_LIMIT}", tok[2]
                 )
+            e = int(digits)
             words = len(value[1]) ** e
             _check_size("expansion", words, words * e * _longest(value[1]), caret)
             value = _power(value, e)
@@ -770,29 +772,16 @@ def _render(den: int, pieces) -> str:
     return " ".join(out) if out else "0"
 
 
-def _format_terms(den: int, items) -> str:
-    """items: iterable of (word tuple, int coefficient) over den.  Sorted
-    by total length descending, then alphabetically; powers are collapsed."""
-
-    def render_word(word) -> str:
-        parts = []
-        idx = 0
-        while idx < len(word):
-            run = 1
-            while idx + run < len(word) and word[idx + run] == word[idx]:
-                run += 1
-            parts.append(word[idx] if run == 1 else f"{word[idx]}^{run}")
-            idx += run
-        return "*".join(parts)
-
-    ordered = sorted(items, key=lambda wc: (-len(wc[0]), wc[0]))
-    return _render(den, [(render_word(word), coeff) for word, coeff in ordered])
-
-
-def _format_normal(den: int, terms: dict) -> str:
-    """_format_terms of the monomials' words, rendered from the exponents.
-    The initials A, D, B, a, d, b sort as the names do (A < B < D < alpha <
-    beta < delta), so a word sorts as its string of initials."""
+def format_element(x: NormalElement) -> str:
+    """Canonical text for a normal element, written from its cleared sum
+    with one gcd per coefficient; parse(format_element(x)) recovers x.
+    Terms are sorted by word length descending, then alphabetically, and
+    powers are collapsed.  The initials A, D, B, a, d, b sort as the names
+    do (A < B < D < alpha < beta < delta), so a word sorts as its string of
+    initials."""
+    if not isinstance(x, NormalElement):
+        raise TypeError(f"format_element takes a NormalElement, not {type(x).__name__}")
+    den, terms = x._cleared
     rows = []
     for (i, j, k, r, s, t), coeff in terms.items():
         code = "A" * i + "D" * j + "B" * k + "a" * r + "d" * s + "b" * t
@@ -812,13 +801,3 @@ def _format_normal(den: int, terms: dict) -> str:
         rows.append((-len(code), code, "*".join(parts), coeff))
     rows.sort()
     return _render(den, [(body, coeff) for _, _, body, coeff in rows])
-
-
-def format_element(x) -> str:
-    """Canonical text for a free or normal element, written from its
-    cleared sum with one gcd per coefficient; parse(format_element(x))
-    recovers x for normal elements."""
-    den, terms = x._cleared
-    if isinstance(x, NormalElement):
-        return _format_normal(den, terms)
-    return _format_terms(den, terms.items())

@@ -83,8 +83,8 @@ def mat_to_rows(m: Mat) -> list[list[str]]:
     return [_cleared_row(den, row, m.cols) for row in rows]
 
 
-def mat_to_text(m: Mat, row_sep: str = "\n") -> str:
-    return row_sep.join(" ".join(row) for row in mat_to_rows(m))
+def mat_to_text(m: Mat) -> str:
+    return "\n".join(" ".join(row) for row in mat_to_rows(m))
 
 
 def params_to_doc(p: ParamTriple) -> dict:

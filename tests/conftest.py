@@ -6,10 +6,11 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, rat
 from racah.intmat import apply_columns, clear, columns
-from racah.linalg import _integer_row, _local_minimal_polynomial, _poly_product
+from racah.linalg import _integer_rows, _local_minimal_polynomial, _poly_product
 from racah.params import sequences
 from racah.poly import PRIME, _degree_of_gcd_mod_q, _integer_gcd, _integers
-from racah.rational import HALF, ONE, ZERO, Rat
+from racah.rational import HALF, ONE, ZERO, Rat, format_rat
+from racah.rewriter import NormalElement
 
 settings.register_profile(
     "exact",
@@ -109,7 +110,7 @@ def zero_mat(rows, cols=None):
 def reducer_add(red, vec):
     """Reduce the rational vector vec into the linalg._Reducer red, and
     keep it if independent."""
-    return red.keep(red.reduce(_integer_row(vec)))
+    return red.keep(red.reduce(_integer_rows([vec])[1][0]))
 
 
 def in_span(s, v):
@@ -400,3 +401,52 @@ def fraction_pow(x, k):
     for _ in range(k):
         acc = fraction_mul(acc, x)
     return acc
+
+
+def fraction_render(pieces):
+    """Sum text of (word text, Fraction) pairs, in order."""
+    out = []
+    for body, coeff in pieces:
+        num, den = coeff.numerator, coeff.denominator
+        if body and den == 1 and abs(num) == 1:
+            text = body
+        else:
+            mag = format_rat(abs(coeff))
+            text = f"{mag}*{body}" if body else mag
+        if not out:
+            out.append(text if num > 0 else f"-{text}")
+        else:
+            out.append(f"+ {text}" if num > 0 else f"- {text}")
+    return " ".join(out) if out else "0"
+
+
+def fraction_format_words(items):
+    """Text of (word tuple, Fraction) pairs: longest words first, then
+    alphabetically, powers collapsed."""
+    def render_word(word):
+        parts, idx = [], 0
+        while idx < len(word):
+            run = 1
+            while idx + run < len(word) and word[idx + run] == word[idx]:
+                run += 1
+            parts.append(word[idx] if run == 1 else f"{word[idx]}^{run}")
+            idx += run
+        return "*".join(parts)
+
+    ordered = sorted(items, key=lambda wc: (-len(wc[0]), wc[0]))
+    return fraction_render([(render_word(w), c) for w, c in ordered])
+
+
+NAMES = ("A", "D", "B", "alpha", "delta", "beta")
+
+
+def fraction_format_element(x):
+    """format_element as it was, from the Fraction terms: a normal element
+    is written as the words of its monomials."""
+    if isinstance(x, NormalElement):
+        items = [
+            (tuple(name for name, e in zip(NAMES, key) for _ in range(e)), c)
+            for key, c in x.terms.items()
+        ]
+        return fraction_format_words(items)
+    return fraction_format_words(x.terms.items())

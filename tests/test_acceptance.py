@@ -26,7 +26,6 @@ from racah import (
     identify,
     in_P,
     invertible,
-    irreducible_criterion,
     irreducible_oracle,
     isomorphic,
     l_matrix,
@@ -150,7 +149,7 @@ def classification_suite():
         for form in FORMS:
             for i in range(1, d + 1):
                 p = _boundary_point(rng, form, d, i)
-                ok, wit = irreducible_criterion(p, d)
+                ok, wit = in_P(p, d)
                 assert not ok
                 assert any(w.form == form and w.i == i for w in wit)
                 boundary.append((p, d))
@@ -167,7 +166,7 @@ def test_criterion_3_criteria_match_oracles():
         boundary, extra = classification_suite()
         assert len(boundary) == 4 * 21  # every form, every (d, i) with d <= 6
         for p, d in boundary + extra:
-            crit, _ = irreducible_criterion(p, d)
+            crit, _ = in_P(p, d)
             oracle_ok, sub = irreducible_oracle(build_R(p, d))
             assert crit == oracle_ok, (p, d)
             if not crit:
@@ -188,7 +187,7 @@ def test_criterion_4_l_matrix_three_ways():
             assert l_matrix(p, d, "recurrence") == closed, (p, d)
             assert l_matrix(p, d, "direct") == closed, (p, d)
             det_nonzero = all(closed.entries[i][i] != 0 for i in range(d + 1))
-            assert det_nonzero == irreducible_criterion(p, d)[0], (p, d)
+            assert det_nonzero == in_P(p, d)[0], (p, d)
         for p, d in boundary:
             lm = l_matrix(p, d, "closed")
             assert any(lm.entries[i][i] == 0 for i in range(d + 1)), (p, d)

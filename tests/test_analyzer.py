@@ -22,7 +22,6 @@ from racah import (
     eigenspace,
     identify,
     in_P,
-    irreducible_criterion,
     irreducible_oracle,
     isomorphic,
     l_matrix,
@@ -66,14 +65,14 @@ SPIN_REDUCIBLE = ParamTriple.of("1/3", "4/3", 1)  # a-b+c = 0 = 2/2 - 1
 # ---------------------------------------------------------- irreducibility
 
 def test_generic_point_is_irreducible_both_ways():
-    ok, wit = irreducible_criterion(P, 3)
+    ok, wit = in_P(P, 3)
     assert ok and wit == []
     oracle_ok, sub = irreducible_oracle(build_R(P, 3))
     assert oracle_ok and sub is None
 
 
 def test_tail_reducible_point():
-    ok, wit = irreducible_criterion(TAIL_REDUCIBLE, 2)
+    ok, wit = in_P(TAIL_REDUCIBLE, 2)
     assert not ok
     assert [w.form for w in wit] == ["a+b+c+1"]
     rep = build_R(TAIL_REDUCIBLE, 2)
@@ -85,7 +84,7 @@ def test_tail_reducible_point():
 
 
 def test_spin_reducible_point():
-    ok, wit = irreducible_criterion(SPIN_REDUCIBLE, 2)
+    ok, wit = in_P(SPIN_REDUCIBLE, 2)
     assert not ok
     assert [w.form for w in wit] == ["a-b+c"]
     rep = build_R(SPIN_REDUCIBLE, 2)
@@ -107,7 +106,7 @@ def test_reducible_witness_is_invariant():
 
 def test_integer_reducible_point():
     p = ParamTriple.of(1, 1, 2)
-    ok, wit = irreducible_criterion(p, 2)
+    ok, wit = in_P(p, 2)
     assert not ok
     assert [(w.form, w.i) for w in wit] == [("a+b-c", 1)]
     oracle_ok, sub = irreducible_oracle(build_R(p, 2))
@@ -121,7 +120,7 @@ def test_oracle_requires_v_basis():
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))
 def test_criterion_matches_oracle(p, d):
-    ok, _ = irreducible_criterion(p, d)
+    ok, _ = in_P(p, d)
     oracle_ok, sub = irreducible_oracle(build_R(p, d))
     assert ok == oracle_ok
     if not ok:
@@ -217,7 +216,7 @@ def test_oracle_matches_eigenline_spins_on_each_boundary_form():
             got = irreducible_oracle(rep)
             assert got == spin_irreducible_oracle(rep), (p, d)
             assert not got[0] and 0 < got[1].dim <= d
-            assert irreducible_criterion(p, d)[0] is False
+            assert in_P(p, d)[0] is False
 
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 8))
@@ -250,7 +249,7 @@ def test_tampered_a_splits_the_graph(monkeypatch):
 
 
 def test_analyze_catches_a_split_graph(monkeypatch):
-    assert irreducible_criterion(P, 5)[0]
+    assert in_P(P, 5)[0]
     monkeypatch.setattr(analyzer, "build_R", tampered_build_R(("A", 3, 2, rat(-1))))
     assert analyzer.build_R(P, 5).A.entries[3][2] == 0
     with pytest.raises(ConsistencyError, match="irreducibility criterion"):
@@ -316,7 +315,7 @@ def repeated_point(rng, d, coords):
         p = random_triple(rng)
         fixed = {x: rat(rng.randint(1, 2 * d - 1) - d - 1, 2) for x in coords}
         p = ParamTriple(fixed.get("a", p.a), fixed.get("b", p.b), p.c)
-        if irreducible_criterion(p, d)[0] and (p.a in forbidden) == ("a" in coords) and (
+        if in_P(p, d)[0] and (p.a in forbidden) == ("a" in coords) and (
             p.b in forbidden
         ) == ("b" in coords):
             return p
@@ -410,7 +409,7 @@ def test_l_matrix_methods_agree(p, d):
         for j in range(i + 1, d + 1):
             assert closed.entries[i][j] == 0
     diag_nonzero = all(closed.entries[i][i] != 0 for i in range(d + 1))
-    assert diag_nonzero == irreducible_criterion(p, d)[0]
+    assert diag_nonzero == in_P(p, d)[0]
 
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))
@@ -434,7 +433,7 @@ def test_l_diagonal_is_the_diagonal_of_every_l_matrix():
         if d and rng.random() < 0.4:
             t = rat(d, 2) - rng.randint(1, d)
             p = ParamTriple(p.a, p.b, rng.choice(ONTO_FORM)(p.a, p.b, t))
-        reducible += not irreducible_criterion(p, d)[0]
+        reducible += not in_P(p, d)[0]
         got = analyzer._l_diagonal(d, sequences(p, d, d + 1))
         for method in ("closed", "recurrence", "direct"):
             m = l_matrix(p, d, method)
@@ -615,7 +614,7 @@ def test_diagonalizable_validation():
 
 @given(triples(max_num=5, max_den=2), st.integers(0, 4))
 def test_diagonalizable_agreement_on_irreducibles(p, d):
-    if not irreducible_criterion(p, d)[0]:
+    if not in_P(p, d)[0]:
         return
     for g in ("A", "B", "C"):
         diagonalizable(p, d, g)  # raises on disagreement
@@ -844,7 +843,7 @@ def mat_analyze(p, d):
     """analyze() as it ran before it cleared A, B and C once: each oracle
     reads the module's Mats, the minimal polynomials are Polys of
     Fractions, and the traces are Fraction sums.  Kept as its oracle."""
-    crit, witnesses = irreducible_criterion(p, d)
+    crit, witnesses = in_P(p, d)
     rep = analyzer.build_R(p, d, "v")
     oracle, bad_subspace = irreducible_oracle(rep)
     if crit != oracle:
@@ -927,7 +926,7 @@ def test_analyze_matches_the_mat_route_on_each_boundary_form():
     for form in range(4):
         for d in range(1, 11):
             p = boundary_point(rng, d, form)
-            assert not irreducible_criterion(p, d)[0]
+            assert not in_P(p, d)[0]
             assert_same_report(p, d)
 
 

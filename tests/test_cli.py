@@ -621,6 +621,22 @@ def test_deep_nesting_exits_2(command, expr):
     assert f"nesting exceeds the limit of {limit} levels at position {limit + 1}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["eval", *GENERIC, "--d", "2"]], ids=["reduce", "eval"])
+def test_huge_exponent_exits_2(command):
+    # more digits than int() reads: rejected as over the limit, not converted
+    proc = subprocess.run(
+        [sys.executable, "-m", "racah", command[0], "--expr", "A^" + "9" * 5000, *command[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [row for row in proc.stderr.splitlines() if "error" in row]
+    limit = racah.rewriter.EXPONENT_LIMIT
+    assert len(errors) == 1 and errors[0].endswith(f"exceeds the limit {limit} at position 3")
+
+
 # --------------------------------------------------- too large to print
 
 NINES = "9" * 4000

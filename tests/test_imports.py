@@ -66,8 +66,7 @@ def test_public_surface_is_pinned():
         "RewriteLimitError", "Scalars", "ShapeError", "SignFlip", "Subspace", "VermaTruncation",
         "Witness", "act", "analyze", "build_R", "build_verma", "canonical", "diagonalizable",
         "eigenspace", "evaluate", "format_element", "format_rat", "golden_example",
-        "identify", "in_P", "intertwiner_space", "invertible", "irreducible_criterion",
-        "irreducible_oracle", "isomorphic", "kernel", "l_matrix", "minimal_polynomial",
+        "identify", "in_P", "intertwiner_space", "invertible", "irreducible_oracle", "isomorphic", "kernel", "l_matrix", "minimal_polynomial",
         "normal_form", "parse", "parse_rat", "phi", "rank", "rat", "rref", "scalars",
         "spin", "squarefree", "theta", "theta_star", "trace_formula", "varphi", "verify_relations",
         "verma_checks",
@@ -95,6 +94,35 @@ def test_public_surface_is_pinned():
     # diagonalizable has one behaviour, and documents are written, not read
     assert list(inspect.signature(racah.diagonalizable).parameters) == ["p", "d", "generator"]
     assert not fnmatch.filter(vars(racah.serialize), "*_from_*")
+
+
+def _referenced_names(tree):
+    """The names a module's code uses: Name and Attribute nodes and the
+    names it imports.  A docstring or comment does not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2]
+
+
+def test_every_private_helper_is_used():
+    # a module-level _helper that no code in the package names is dead
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not unused
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
@@ -159,7 +187,12 @@ GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
             {"racah.analyzer"},
             {"concurrent.futures"},
         ),
-        (["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "2"], {"concurrent.futures"}, set()),
+        # the pool's forked workers inherit the analyzer the parent imported
+        (
+            ["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "2"],
+            {"racah.analyzer", "concurrent.futures"},
+            set(),
+        ),
     ],
     ids=["verify", "reduce", "sweep", "sweep-jobs-2"],
 )

@@ -114,6 +114,21 @@ def test_subspace_pickle_round_trip():
         assert back == s and back.pivots == s.pivots
 
 
+def test_rational_vectors_are_cleared_as_one_mat():
+    # rref, Subspace and spin clear their vectors as the rows of one Mat
+    assert rref([]) == [] and Subspace(3, []).dim == 0
+    assert Subspace(2, [[rat(1, 2), rat(1, 3)], [rat(2, 5), 0]]).dim == 2
+    for call in (rref, lambda v: Subspace(2, v), lambda v: spin(2, v, [])):
+        with pytest.raises(ShapeError, match="mixed lengths"):
+            call([[1, 2], [1]])
+        with pytest.raises(TypeError, match="only exact rationals"):
+            call([[1, 0.5]])
+    with pytest.raises(TypeError, match="only exact rationals"):
+        Mat([[1, 2]]).apply([1, 0.5])
+    with pytest.raises(TypeError, match="only exact rationals"):
+        eigenspace(Mat([[1]]), 0.5)
+
+
 def contains_space(big: Subspace, small: Subspace) -> bool:
     return all(in_span(big, v) for v in small.basis)
 
@@ -619,6 +634,14 @@ def power_krylov_minimal_polynomial(m):
         power = power * m
 
 
+def dense_row(row, n):
+    """The sparse integer row as a list of n ints."""
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
 def apply_spin(ambient_dim, seeds, operators):
     """The retired spin: each kept row, made dense, is hit by every
     rational operator through Mat.apply.  Oracle for the integer spin."""
@@ -627,11 +650,11 @@ def apply_spin(ambient_dim, seeds, operators):
         reducer_add(red, s)
     done = 0
     while done < red.dim < ambient_dim:
-        v = linalg.dense_row(red.rows[done], ambient_dim)
+        v = dense_row(red.rows[done], ambient_dim)
         done += 1
         for op in operators:
             reducer_add(red, op.apply(v))
-    return Subspace(ambient_dim, [linalg.dense_row(row, ambient_dim) for row in red.rows])
+    return Subspace(ambient_dim, [dense_row(row, ambient_dim) for row in red.rows])
 
 
 def unit_triangular(n, entries, lower):
@@ -702,7 +725,7 @@ def integer_square(n):
 @given(st.integers(1, 6).flatmap(integer_square))
 def test_minimal_polynomial_integer_matches_the_oracles(rows):
     n = len(rows)
-    m = Mat([linalg.dense_row(row, n) for row in rows])
+    m = Mat([dense_row(row, n) for row in rows])
     got = linalg.minimal_polynomial_integer(rows)
     assert all(type(c) is int for c in got) and got[-1] > 0
     assert math.gcd(*got) == 1

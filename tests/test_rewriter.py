@@ -37,12 +37,12 @@ from racah.rewriter import (
     _REWRITE_RULES,
     _accumulate,
     _eliminate,
-    _format_terms,
     _run,
 )
 
 from conftest import (
     fraction_add,
+    fraction_format_words,
     fraction_mul,
     fraction_neg,
     fraction_pow,
@@ -119,6 +119,17 @@ def test_exponent_limit_boundary():
     assert parse(f"A^{EXPONENT_LIMIT}").terms == {("A",) * EXPONENT_LIMIT: rat(1)}
     with pytest.raises(ParseError):
         parse(f"A^{EXPONENT_LIMIT + 1}")
+
+
+def test_exponent_is_compared_by_its_digits():
+    # int() refuses a string of more than sys.get_int_max_str_digits() digits
+    assert parse("A^0002") == parse("A^2")
+    assert parse("A^" + "0" * 5000 + "3") == parse("A^3")
+    with pytest.raises(ParseError, match=f"^exponent 65 exceeds the limit {EXPONENT_LIMIT} at position 3$"):
+        parse("A^065")
+    nines = "9" * 5000
+    with pytest.raises(ParseError, match=f"^exponent {nines} exceeds the limit {EXPONENT_LIMIT} at position 5$"):
+        parse("2*A^" + nines)
 
 
 @pytest.mark.parametrize(
@@ -431,13 +442,19 @@ def test_square_of_big_denominators_matches_fraction_oracle():
 # ------------------------------------------------------------- formatting
 
 def test_format_examples():
-    assert format_element(parse("[A,B]")) == "A*B - B*A"
-    assert format_element(parse("A*A*A")) == "A^3"
-    assert format_element(parse("3/2")) == "3/2"
-    assert format_element(FreeElement({})) == "0"
-    assert format_element(parse("-A + 2*B")) == "-A + 2*B"
+    assert format_element(normal_form(parse("A*A*A"))) == "A^3"
+    assert format_element(normal_form(parse("3/2"))) == "3/2"
+    assert format_element(normal_form(FreeElement({}))) == "0"
+    assert format_element(normal_form(parse("-A + 2*B"))) == "-A + 2*B"
     assert format_element(normal_form(parse("[A,B]"))) == "2*D"
     assert format_element(normal_form(parse("B*A"))) == "A*B - 2*D"
+
+
+def test_format_element_takes_only_normal_elements():
+    # the library prints normal forms only; a free sum's words are x.terms
+    for x in (parse("[A,B]"), FreeElement({}), "A"):
+        with pytest.raises(TypeError, match="format_element takes a NormalElement"):
+            format_element(x)
 
 
 def test_format_normal_form_of_da():
@@ -455,8 +472,8 @@ def test_format_normal_form_of_da():
     )
 )
 def test_format_parse_round_trip(items):
-    elem = element(items)
-    assert parse(format_element(elem)) == elem
+    normal = normal_form(element(items))
+    assert parse(format_element(normal)) == normal.to_free()
 
 
 exponents = st.tuples(*[st.sampled_from((0, 0, 1, 2, 12))] * 6)
@@ -470,8 +487,7 @@ signed_units = st.sampled_from((rat(1), rat(-1)))
 )
 def test_format_normal_element_matches_its_words(terms):
     x = NormalElement(terms)
-    den, words = x.to_free()._cleared
-    assert format_element(x) == _format_terms(den, words.items())
+    assert format_element(x) == fraction_format_words(x.to_free().terms.items())
 
 
 @pytest.mark.parametrize(
@@ -487,8 +503,7 @@ def test_format_normal_element_matches_its_words(terms):
 )
 def test_format_normal_element_examples(terms, text):
     x = NormalElement(terms)
-    den, words = x.to_free()._cleared
-    assert format_element(x) == text == _format_terms(den, words.items())
+    assert format_element(x) == text == fraction_format_words(x.to_free().terms.items())
 
 
 # ------------------------------------------------------------- elimination
