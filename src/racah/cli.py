@@ -12,8 +12,7 @@ Importing this module loads only argument parsing, output and the
 exceptions main maps to exit codes.  Each subcommand imports the modules
 it runs when it runs, and sweep starts its process pool (and imports
 concurrent.futures) only for --jobs above 1, so a call pays to import
-what it uses and nothing else.  Such a sweep imports racah.analyzer before
-the pool starts, so forked workers inherit it.
+what it uses and nothing else.
 """
 
 from __future__ import annotations
@@ -223,8 +222,6 @@ def run_sweep(points, jobs: int = 1) -> dict:
     points = list(points)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        from . import analyzer  # noqa: F401  (forked workers inherit it)
 
         with ProcessPoolExecutor(max_workers=min(jobs, max(len(points), 1))) as pool:
             rows = list(pool.map(_sweep_point, points, chunksize=8))

@@ -76,7 +76,7 @@ def _integer_rows(vectors) -> tuple[int, Rows]:
     if len({len(v) for v in vectors}) > 1:
         raise ShapeError("vectors of mixed lengths cannot span a subspace")
     m = Mat(vectors)
-    return m.cols, clear([m])[1][0]
+    return m.cols, m._cleared[1]
 
 
 def _reduced(ncols: int, rows: Rows) -> Rows:
