@@ -12,7 +12,6 @@ import time
 
 from racah import (
     FreeElement,
-    Mat,
     ModuleRep,
     ParamTriple,
     SignFlip,

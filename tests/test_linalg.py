@@ -1,6 +1,5 @@
 import math
 import pickle
-import random
 from itertools import count
 
 import pytest

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from racah.rational import BACKEND, Rat, format_rat, is_square, parse_rat, rat
 

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from racah import (
     FreeElement,
-    Mat,
     NormalElement,
     ParamTriple,
     ParseError,
