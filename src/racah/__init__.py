@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "analyzer": (
-        "AnalysisReport", "IdentifyResult", "IsoResult", "analyze", "diagonalizable",
-        "identify", "irreducible_oracle", "isomorphic", "l_matrix",
+        "AnalysisReport", "IdentifyResult", "IsoResult", "analyze", "identify",
+        "irreducible_oracle", "isomorphic", "l_matrix",
     ),
     "errors": ("ConsistencyError", "ParseError", "RewriteLimitError"),
     "golden": ("golden_example",),

@@ -349,46 +349,14 @@ def _l_products(d: int, seqs: tuple) -> tuple[list[int], list[int], list[int]]:
     return down, phi_tail, varphi_head
 
 
-_GENERATOR_COORD = {"A": 0, "B": 1, "C": 2}
-
-
-def diagonalizable(p: ParamTriple, d: int, generator: str) -> bool:
-    """Is the generator's matrix on R_d(a,b,c) diagonalizable?  As in
-    analyze(), the verdict is the oracle's, squarefreeness of the exact
-    minimal polynomial; at p in P(d), where the module is irreducible, the
-    coordinate criterion (the matching coordinate avoids
-    {(i-d-1)/2 : i = 1..2d-1}) must agree, or ConsistencyError is raised."""
-    if generator not in _GENERATOR_COORD:
-        raise ValueError(f"generator must be one of A, B, C, got {generator!r}")
-    _, (rows,), _ = clear([build_R(p, d, "v").generator(generator)])
-    minpoly = minimal_polynomial_integer(rows)
-    if in_P(p, d)[0]:
-        return _checked_diagonalizable(p, d, generator, minpoly)
-    return squarefree_integer(minpoly)
-
-
 def _coordinate_criterion(p: ParamTriple, d: int, generator: str) -> bool:
-    """Does the generator's coordinate x avoid {(i-d-1)/2 : i = 1..2d-1}?
-    Only an x with 2x an integer can meet it, and it meets it at
-    i = 2x + d + 1."""
-    x = p[_GENERATOR_COORD[generator]]
+    """Is the generator diagonalizable on an irreducible R_d(p)?  Yes iff
+    its coordinate x avoids {(i-d-1)/2 : i = 1..2d-1}.  Only an x with 2x
+    an integer can meet it, and it meets it at i = 2x + d + 1."""
+    x = p["ABC".index(generator)]
     if x.denominator > 2:
         return True
     return not 1 <= 2 * x.numerator // x.denominator + d + 1 <= 2 * d - 1
-
-
-def _checked_diagonalizable(p: ParamTriple, d: int, generator: str, minpoly: list[int]) -> bool:
-    """Oracle verdict from the generator's integer minimal polynomial
-    (racah.linalg.minimal_polynomial_integer), insisting that the
-    coordinate criterion (valid for irreducible p) agrees."""
-    verdict_o = squarefree_integer(minpoly)
-    verdict_c = _coordinate_criterion(p, d, generator)
-    if verdict_c != verdict_o:
-        raise ConsistencyError(
-            f"diagonalizability of {generator} at {p}, d={d}: "
-            f"criterion {verdict_c}, oracle {verdict_o}"
-        )
-    return verdict_o
 
 
 @dataclass(frozen=True)
@@ -472,13 +440,8 @@ def isomorphic(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
             "isomorphism testing is defined here for irreducible modules only"
         )
     basis = module_maps(build_R(p1, d, "v"), build_R(p2, d, "v"))
-    hom_dim = len(basis)
-    if hom_dim not in (0, 1):
-        raise ConsistencyError(
-            f"hom space between irreducible modules has dimension {hom_dim}"
-        )
     same_orbit, iso = orbit_check(p1, p2, d, basis)
-    return IsoResult(d, p1, p2, same_orbit, hom_dim, iso, basis[0] if iso else None)
+    return IsoResult(d, p1, p2, same_orbit, len(basis), iso, basis[0] if iso else None)
 
 
 def module_maps(r1: ModuleRep, r2: ModuleRep) -> list[Mat]:
@@ -492,8 +455,13 @@ def module_maps(r1: ModuleRep, r2: ModuleRep) -> list[Mat]:
 
 def orbit_check(p1: ParamTriple, p2: ParamTriple, d: int, maps: list[Mat]) -> tuple[bool, bool]:
     """(same_orbit, iso) for irreducible R_d(p1), R_d(p2), given a basis of
-    the module maps between them; raises ConsistencyError when the orbit
-    criterion and the intertwiner oracle disagree."""
+    the module maps between them, in any pair of bases; raises
+    ConsistencyError when that basis has more than one map (Schur's lemma)
+    or when the orbit criterion and the intertwiner oracle disagree."""
+    if len(maps) > 1:
+        raise ConsistencyError(
+            f"hom space between irreducible modules has dimension {len(maps)}"
+        )
     same_orbit = canonical(p1)[0] == canonical(p2)[0]
     iso = len(maps) == 1 and invertible(maps[0])
     if iso != same_orbit:
@@ -554,10 +522,14 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
         )
 
     minpolys = {name: minimal_polynomial_integer(rows) for name, rows in zip(names, cleared)}
-    diag = {
-        name: _checked_diagonalizable(p, d, name, mp) if crit else squarefree_integer(mp)
-        for name, mp in minpolys.items()
-    }
+    # the oracle's verdict; the criterion classifies irreducible modules only
+    diag = {name: squarefree_integer(mp) for name, mp in minpolys.items()}
+    for name, verdict in diag.items():
+        if crit and _coordinate_criterion(p, d, name) != verdict:
+            raise ConsistencyError(
+                f"diagonalizability of {name} at {p}, d={d}: "
+                f"criterion {not verdict}, oracle {verdict}"
+            )
 
     l_diag = _l_diagonal(d, rep._sequences)
     det_nonzero = all(x != 0 for x in l_diag)

@@ -4,9 +4,12 @@ golden_example() rebuilds the module from scratch and compares its JSON
 document (racah.serialize.rep_to_doc) with the stored fixture, the
 canonical strings of A, B, C and D entry by entry.  Then it checks a
 battery of independently known facts: the relation set, the central
-scalars, traces, the quintic minimal polynomial, the three one-dimensional
-B-eigenlines, non-diagonalizability of all three generators (oracle and
-criterion), irreducibility by both routes, and trace identification.
+scalars and the three one-dimensional B-eigenlines on that module, and,
+from one racah.analyzer.analyze() report, the traces, the quintic minimal
+polynomial, non-diagonalizability of all three generators, irreducibility
+and trace identification.  analyze() checks each of these by criterion and
+oracle and raises ConsistencyError when the two split, so golden_example()
+does too.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import json
 from importlib.resources import files
 from itertools import zip_longest
 
-from .analyzer import ConsistencyError, diagonalizable, identify, irreducible_oracle
-from .linalg import Subspace, eigenspace, minimal_polynomial
+from .analyzer import analyze
+from .linalg import Subspace, eigenspace
 from .modules import build_R, verify_relations
-from .params import ParamTriple, canonical, in_P
-from .poly import Poly, squarefree
+from .params import ParamTriple
+from .poly import Poly
 from .rational import ONE, ZERO, format_rat, rat
 from .serialize import rep_to_doc
 
@@ -74,7 +77,8 @@ def golden_example() -> dict:
         f"zeta={format_rat(sc.zeta)} zeta_star={format_rat(sc.zeta_star)} eta={format_rat(sc.eta)}",
     )
 
-    tr = {name: rep.generator(name).trace() for name in ("A", "B", "C")}
+    analysis = analyze(p, d)
+    tr = analysis.traces
     _claim(
         claims,
         "all three generator traces are 35/4",
@@ -85,8 +89,8 @@ def golden_example() -> dict:
     quintic = Poly.from_roots(
         [rat(-1, 4), rat(3, 4), rat(3, 4), rat(15, 4), rat(15, 4)]
     )
-    mp_a = minimal_polynomial(rep.A)
-    mp_b = minimal_polynomial(rep.B)
+    mp_a = analysis.minimal_polynomials["A"]
+    mp_b = analysis.minimal_polynomials["B"]
     _claim(
         claims,
         "minimal polynomial of A and B is (x+1/4)(x-3/4)^2(x-15/4)^2",
@@ -114,36 +118,25 @@ def golden_example() -> dict:
         "; ".join(detail),
     )
 
-    diag_ok = not squarefree(mp_a) and not squarefree(mp_b)
-    diag_detail = ""
-    try:
-        crit_says = [diagonalizable(p, d, g) for g in ("A", "B", "C")]
-        agree = not any(crit_says)
-    except ConsistencyError as exc:
-        agree = False
-        diag_detail = str(exc)
     _claim(
         claims,
         "no generator is diagonalizable (both routes)",
-        diag_ok and agree,
-        diag_detail,
+        not any(analysis.diagonalizable.values()),
     )
 
-    crit, _ = in_P(p, d)
-    oracle, _ = irreducible_oracle(rep)
+    irreducible = analysis.irreducible
     _claim(
         claims,
         "irreducible by criterion and by spin oracle",
-        crit and oracle,
-        f"criterion={crit} oracle={oracle}",
+        irreducible,
+        f"criterion={irreducible} oracle={irreducible}",
     )
 
-    ident = identify(rep.A, rep.B, rep.C)
-    canon, _ = canonical(p)
+    ident = analysis.identification
     _claim(
         claims,
         "trace identification recovers the canonical triple",
-        ident.candidate == canon,
+        ident.candidate == analysis.canonical_params,
         f"candidate={ident.candidate}",
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rational import Rat, ZERO, ONE, rat, format_rat
+from .rational import Rat, ZERO, ONE, rat, format_sum
 
 
 class Poly:
@@ -60,23 +60,13 @@ class Poly:
         return hash(self.coeffs)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = format_rat(abs(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                body = xs if abs(c) == 1 else f"{format_rat(abs(c))}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        den = lcm(*[c.denominator for c in self.coeffs])
+        pieces = [
+            ("" if i == 0 else "x" if i == 1 else f"x^{i}", c.numerator * (den // c.denominator))
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        ]
+        return format_sum(den, pieces)
 
     def __repr__(self):
         return f"Poly({self})"

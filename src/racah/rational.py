@@ -79,6 +79,24 @@ def format_ratio(num: int, den: int) -> str:
         ) from None
 
 
+def format_sum(den: int, pieces) -> str:
+    """Signed-sum text of (body text, int coefficient) pairs over den > 0,
+    in order: "body" for a coefficient of magnitude 1, "mag*body" otherwise,
+    and the magnitude alone for an empty body; "0" for no pieces."""
+    out = []
+    for body, num in pieces:
+        mag = format_ratio(abs(num), den)
+        if body and mag == "1":
+            text = body
+        else:
+            text = f"{mag}*{body}" if body else mag
+        if not out:
+            out.append(text if num > 0 else f"-{text}")
+        else:
+            out.append(f"+ {text}" if num > 0 else f"- {text}")
+    return " ".join(out) if out else "0"
+
+
 def is_square(x: Rat) -> tuple[bool, Rat]:
     """Is x the square of a rational?  Returns (flag, nonnegative root)."""
     if x < 0:

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 from .errors import ParseError, RewriteLimitError
 from .intmat import clear, combine, mul, scalar
 from .matrix import Mat
-from .rational import Rat, format_ratio, parse_rat, rat
+from .rational import Rat, format_sum, parse_rat, rat
 
 if TYPE_CHECKING:
     from .modules import ModuleRep
@@ -756,22 +756,6 @@ def evaluate(x, rep: ModuleRep) -> Mat:
 
 # -------------------------------------------------------------- formatting
 
-def _render(den: int, pieces) -> str:
-    """Sum text of (word text, int coefficient) pairs over den, in order."""
-    out = []
-    for body, num in pieces:
-        mag = format_ratio(abs(num), den)
-        if body and mag == "1":
-            text = body
-        else:
-            text = f"{mag}*{body}" if body else mag
-        if not out:
-            out.append(text if num > 0 else f"-{text}")
-        else:
-            out.append(f"+ {text}" if num > 0 else f"- {text}")
-    return " ".join(out) if out else "0"
-
-
 def format_element(x: NormalElement) -> str:
     """Canonical text for a normal element, written from its cleared sum
     with one gcd per coefficient; parse(format_element(x)) recovers x.
@@ -800,4 +784,4 @@ def format_element(x: NormalElement) -> str:
             parts.append("beta" if t == 1 else f"beta^{t}")
         rows.append((-len(code), code, "*".join(parts), coeff))
     rows.sort()
-    return _render(den, [(body, coeff) for _, _, body, coeff in rows])
+    return format_sum(den, [(body, coeff) for _, _, body, coeff in rows])

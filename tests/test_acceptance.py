@@ -16,10 +16,10 @@ from racah import (
     ParamTriple,
     SignFlip,
     act,
+    analyze,
     build_R,
     build_verma,
     canonical,
-    diagonalizable,
     evaluate,
     golden_example,
     identify,
@@ -171,9 +171,8 @@ def test_criterion_3_criteria_match_oracles():
             if not crit:
                 assert 0 < sub.dim <= d
             else:
-                for g in ("A", "B", "C"):
-                    # raises ConsistencyError on any split
-                    diagonalizable(p, d, g)
+                # raises ConsistencyError on any split, diagonalizability included
+                analyze(p, d)
 
 
 def test_criterion_4_l_matrix_three_ways():

@@ -18,7 +18,6 @@ from racah import (
     analyze,
     build_R,
     canonical,
-    diagonalizable,
     eigenspace,
     identify,
     in_P,
@@ -577,19 +576,18 @@ def test_direct_l_matrix_failure_names_the_point_and_entry(monkeypatch):
 # -------------------------------------------------------- diagonalizability
 
 def test_diagonalizable_generic_point():
-    for g in ("A", "B", "C"):
-        assert diagonalizable(P, 3, g)
+    assert analyze(P, 3).diagonalizable == {"A": True, "B": True, "C": True}
 
 
 def test_not_diagonalizable_at_half_integer_point():
     p = ParamTriple.of("-1/2", "-1/2", "-1/2")
     for g in ("A", "B", "C"):
         assert analyzer._coordinate_criterion(p, 4, g) is False
-        assert diagonalizable(p, 4, g) is False
+    assert analyze(p, 4).diagonalizable == {"A": False, "B": False, "C": False}
 
 
 def test_diagonalizable_d0():
-    assert diagonalizable(P, 0, "A")
+    assert analyze(P, 0).diagonalizable["A"]
 
 
 @pytest.mark.parametrize(
@@ -602,22 +600,20 @@ def test_diagonalizable_at_reducible_points_is_the_oracle_verdict(p, d):
     # the coordinate criterion classifies only irreducible modules: at
     # (0, 0, 0) and (1/2, -1/2, 1) it calls B not diagonalizable, and B is
     assert not in_P(p, d)[0]
+    report = analyze(p, d)
     for g in ("A", "B", "C"):
         expect = squarefree(minimal_polynomial(build_R(p, d).generator(g)))
-        assert diagonalizable(p, d, g) == expect
-
-
-def test_diagonalizable_validation():
-    with pytest.raises(ValueError):
-        diagonalizable(P, 2, "D")
+        assert report.diagonalizable[g] == expect
 
 
 @given(triples(max_num=5, max_den=2), st.integers(0, 4))
 def test_diagonalizable_agreement_on_irreducibles(p, d):
     if not in_P(p, d)[0]:
         return
+    # analyze raises on disagreement, and reports the verdict both share
+    report = analyze(p, d)
     for g in ("A", "B", "C"):
-        diagonalizable(p, d, g)  # raises on disagreement
+        assert report.diagonalizable[g] == analyzer._coordinate_criterion(p, d, g)
 
 
 # ---------------------------------------------------------------- identify
@@ -765,12 +761,6 @@ def test_analyze_catches_diagonalizability_split(monkeypatch):
     _negate_criterion(monkeypatch)
     with pytest.raises(ConsistencyError, match="diagonalizability of A"):
         analyze(P, 2)
-
-
-def test_diagonalizable_both_catches_split(monkeypatch):
-    _negate_criterion(monkeypatch)
-    with pytest.raises(ConsistencyError, match="diagonalizability of B"):
-        diagonalizable(P, 2, "B")
 
 
 def test_isomorphic_catches_orbit_split(monkeypatch):

@@ -5,18 +5,22 @@ racah.serialize and format_element print from them.  The rational views
 (Mat.entries, Subspace.basis, terms) are derived on first read.  Here the
 printing and elimination they replaced are kept as oracles and compared
 byte for byte with the new code, serialize.dumps is compared with
-json.dumps, and every subcommand runs with the three views made to raise.
+json.dumps, and every subcommand runs with the three views, Mat.trace and
+the Fraction-facing wrappers over analyze's integer cores made to raise.
 """
 
 import json
 import random
+import sys
 from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import racah.analyzer as analyzer
 import racah.linalg as linalg
+import racah.poly as poly
 import racah.rewriter as rw
 from racah import (
     FreeElement,
@@ -333,9 +337,30 @@ def _refuse(self):
     raise ViewRead(type(self).__name__)
 
 
+# the Fraction-facing wrappers over the integer cores that analyze runs
+WRAPPERS = (
+    analyzer.irreducible_oracle, analyzer.identify, linalg.minimal_polynomial, poly.squarefree,
+)
+
+
+def _refuse_everywhere(monkeypatch, original):
+    """Make original raise wherever a loaded racah module binds it."""
+    def refuse(*args, **kwargs):
+        raise ViewRead(original.__name__)
+
+    for name, module in list(sys.modules.items()):
+        if name == "racah" or name.startswith("racah."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
 @pytest.mark.parametrize("argv", GUARDED, ids=[_id(argv) for argv in GUARDED])
 def test_subcommands_read_no_rational_view(fixed_width, monkeypatch, argv):
     monkeypatch.setattr(Mat, "entries", property(_refuse))
     monkeypatch.setattr(Subspace, "basis", property(_refuse))
     monkeypatch.setattr(rw._Element, "terms", property(_refuse))
+    monkeypatch.setattr(Mat, "trace", _refuse)
+    for original in WRAPPERS:
+        _refuse_everywhere(monkeypatch, original)
     assert digest(argv) == PINNED[_id(argv)]

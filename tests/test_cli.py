@@ -360,6 +360,18 @@ def test_intertwine_across_bases_catches_orbit_split(capsys, monkeypatch):
     assert "internal cross-check failed" in err
 
 
+def test_intertwine_across_bases_checks_schur(capsys, monkeypatch):
+    # two maps between irreducible modules break Schur's lemma in any pair of bases
+    one = Mat([[1 if i == j else 0 for j in range(3)] for i in range(3)])
+    monkeypatch.setattr(racah.analyzer, "module_maps", lambda r1, r2: [one, one.scale(2)])
+    argv = ["intertwine", *GENERIC, "--a2", "1/2", "--b2", "1/2", "--c2", "1/2", "--d", "2"]
+    code, out, err = run_cli(capsys, [*argv, "--basis", "w", "--basis2", "u"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "internal cross-check failed: hom space between irreducible modules has dimension 2\n"
+    )
+
+
 def test_intertwine_partial_second_triple(capsys):
     code, out, err = run_cli(
         capsys, ["intertwine", *GENERIC, "--d", "2", "--a2", "0"]
@@ -730,6 +742,15 @@ def test_golden_reports_the_first_mismatch_with_the_fixture(monkeypatch, tamper,
         "name": "construction reproduces the stored matrices", "ok": False, "detail": detail,
     }
     assert all(claim["ok"] for claim in rest)
+
+
+def test_golden_split_exits_like_every_subcommand(capsys, monkeypatch):
+    real = racah.analyzer._coordinate_criterion
+    monkeypatch.setattr(racah.analyzer, "_coordinate_criterion", lambda *args: not real(*args))
+    code, out, err = run_cli(capsys, ["golden"])
+    assert (code, out) == (1, "")
+    assert err.startswith("internal cross-check failed: diagonalizability of A at ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------- module runner

@@ -9,8 +9,8 @@ from racah.poly import monic_scaled, squarefree_integer
 from racah.rational import Rat
 
 from conftest import (
-    euclid_gcd, poly_derivative, poly_divmod, poly_gcd, poly_monic, poly_mul, poly_squarefree,
-    rationals,
+    euclid_gcd, fraction_render, poly_derivative, poly_divmod, poly_gcd, poly_monic, poly_mul,
+    poly_squarefree, rationals,
 )
 
 
@@ -48,6 +48,13 @@ def test_str_rendering():
     assert str(Poly([rat(1, 2)])) == "1/2"
     assert str(Poly([0, -1])) == "-x"
     assert str(Poly([2, rat(-3, 2), 1])) == "x^2 - 3/2*x + 2"
+
+
+@given(polys())
+def test_str_matches_the_fraction_printer(p):
+    # str clears the coefficients to one den and prints them with format_sum
+    pieces = [("" if i == 0 else "x" if i == 1 else f"x^{i}", c) for i, c in enumerate(p.coeffs) if c]
+    assert str(p) == fraction_render(pieces[::-1])
 
 
 def test_gcd_known():
