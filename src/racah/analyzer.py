@@ -21,13 +21,18 @@ annihilators, so either certifies the module.  A zero superdiagonal of B,
 or a point neither certificate settles, goes to the exact route, which
 spins eigenlines of B.
 
-analyze() clears A, B and C of a module of denominators once, together
-(racah.intmat.clear), and runs every oracle on those integer rows.  Each
-public function it would otherwise call is a thin wrapper over the integer
-core it calls instead: irreducible_oracle() over _irreducible_rows(),
-racah.linalg.minimal_polynomial() over minimal_polynomial_integer(),
-racah.poly.squarefree() over squarefree_integer(), and identify() over
-_identify_traces(), which takes the traces analyze() already holds.
+analyze() reads A, B and C as the integer bands they are built from
+(racah.modules.build_bands(): q times each matrix, for the common
+denominator q of racah.params.sequences), so it forms no D, no Mat and no
+cleared copy.  Each public function it would otherwise call is a thin
+wrapper over the integer core it calls instead: irreducible_oracle() over
+_irreducible_rows(), racah.linalg.minimal_polynomial() over
+minimal_polynomial_integer(), and identify() over _identify_traces(),
+which takes the traces analyze() already holds.  Diagonalizability is read
+off the diagonal when the generator is bidiagonal with a nonzero
+off-diagonal throughout (A always, B unless a varphi_i vanishes), and is
+otherwise the squarefreeness of the minimal polynomial,
+racah.poly.squarefree_integer(), the core of racah.poly.squarefree().
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .errors import ConsistencyError
 from .intmat import Rows, clear, columns, combine, mul, scalar
 from .linalg import (
     Subspace,
+    _lower_bidiagonal,
     intertwiner_space,
     invertible,
     minimal_polynomial_integer,
@@ -48,7 +54,7 @@ from .linalg import (
     subspace_of_rows,
 )
 from .matrix import Mat
-from .modules import ModuleRep, build_R
+from .modules import ModuleRep, build_bands, build_R
 from .params import (
     ParamTriple,
     Scalars,
@@ -359,6 +365,29 @@ def _coordinate_criterion(p: ParamTriple, d: int, generator: str) -> bool:
     return not 1 <= 2 * x.numerator // x.denominator + d + 1 <= 2 * d - 1
 
 
+def _diagonalizable(rows: Rows, minpoly: list[int]) -> bool:
+    """Is the square integer matrix with sparse rows rows and integer
+    minimal polynomial minpoly diagonalizable over the algebraic closure?
+
+    A bidiagonal matrix whose off-diagonal is nonzero throughout is an
+    unreduced Hessenberg matrix, or the transpose of one, so it is
+    nonderogatory: its minimal polynomial is prod (x - lambda_i) over its
+    diagonal, squarefree iff the diagonal entries are distinct.  A of the
+    modules always has this shape, and B whenever no varphi_i vanishes.
+    Any other matrix is decided by the squarefreeness of minpoly."""
+    if _unreduced_bidiagonal(rows):
+        return len({row.get(i, 0) for i, row in enumerate(rows)}) == len(rows)
+    return squarefree_integer(minpoly)
+
+
+def _unreduced_bidiagonal(rows: Rows) -> bool:
+    """Is the square matrix zero off its diagonal and one of its two
+    neighbouring diagonals, and nonzero on the whole of that neighbour?"""
+    return _lower_bidiagonal(rows) or (
+        _upper_bidiagonal(rows) and all(i + 1 in rows[i] for i in range(len(rows) - 1))
+    )
+
+
 @dataclass(frozen=True)
 class GeneratorIdentification:
     trace: Rat
@@ -494,25 +523,25 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
     """Full classification report for one parameter point, with every
     criterion checked against its oracle on the spot.
 
-    A, B and C of the module are cleared of denominators once, together;
-    every oracle reads those integer rows: the irreducibility oracle, the
-    traces (the cleared diagonal over den), the integer minimal
-    polynomials and their squarefreeness, and the identification from the
-    traces.  Only the reported minimal polynomials become rational."""
+    A, B and C come as integer rows over q from build_bands(), and every
+    oracle reads those rows: the irreducibility oracle, the traces (the
+    diagonal over q), the integer minimal polynomials, diagonalizability
+    (see _diagonalizable()) and the identification from the traces.  No
+    D and no Mat is formed; only the reported minimal polynomials become
+    rational."""
     crit, witnesses = in_P(p, d)
-    rep = build_R(p, d, "v")
-    den, cleared, _ = clear([rep.A, rep.B, rep.C])
-    oracle, bad_subspace = _irreducible_rows(cleared[0], cleared[1])
+    bands = build_bands(p, d, "v")
+    q = bands.q
+    gens = {"A": bands.A, "B": bands.B, "C": bands.C}
+    oracle, bad_subspace = _irreducible_rows(bands.A, bands.B)
     if crit != oracle:
         raise ConsistencyError(
             f"irreducibility criterion ({crit}) disagrees with spin oracle "
             f"({oracle}) at {p}, d={d}"
         )
 
-    names = ("A", "B", "C")
     traces = {
-        name: Rat(sum([row.get(i, 0) for i, row in enumerate(rows)]), den)
-        for name, rows in zip(names, cleared)
+        name: Rat(sum([row.get(i, 0) for i, row in enumerate(m)]), q) for name, m in gens.items()
     }
     formula = trace_formula(p, d)
     if traces != formula:
@@ -521,9 +550,9 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
             f"at {p}, d={d}"
         )
 
-    minpolys = {name: minimal_polynomial_integer(rows) for name, rows in zip(names, cleared)}
+    minpolys = {name: minimal_polynomial_integer(m) for name, m in gens.items()}
     # the oracle's verdict; the criterion classifies irreducible modules only
-    diag = {name: squarefree_integer(mp) for name, mp in minpolys.items()}
+    diag = {name: _diagonalizable(m, minpolys[name]) for name, m in gens.items()}
     for name, verdict in diag.items():
         if crit and _coordinate_criterion(p, d, name) != verdict:
             raise ConsistencyError(
@@ -531,7 +560,7 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
                 f"criterion {not verdict}, oracle {verdict}"
             )
 
-    l_diag = _l_diagonal(d, rep._sequences)
+    l_diag = _l_diagonal(d, bands.sequences)
     det_nonzero = all(x != 0 for x in l_diag)
     if det_nonzero != crit:
         raise ConsistencyError(
@@ -550,14 +579,14 @@ def analyze(p: ParamTriple, d: int) -> AnalysisReport:
     return AnalysisReport(
         params=p,
         d=d,
-        scalars=rep.scalars,
+        scalars=bands.scalars,
         canonical_params=canon,
         flip=flip,
         irreducible=crit,
         witnesses=tuple(witnesses),
         reducible_subspace=bad_subspace,
         traces=traces,
-        minimal_polynomials={name: monic_scaled(mp, den) for name, mp in minpolys.items()},
+        minimal_polynomials={name: monic_scaled(mp, q) for name, mp in minpolys.items()},
         diagonalizable=diag,
         l_diagonal=l_diag,
         l_det_nonzero=det_nonzero,

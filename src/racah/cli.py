@@ -217,13 +217,16 @@ def _sweep_point(point) -> dict:
 
 def run_sweep(points, jobs: int = 1) -> dict:
     """Analyze every (params, d) point; returns the full per-point list and
-    the aggregate counts.  Output is independent of the job count; no more
-    workers start than there are points."""
+    the aggregate counts.  Output is independent of the job count.  A pool
+    of min(jobs, number of points) workers starts only when that is two or
+    more; otherwise, one point or jobs = 1, the points run in this
+    process, with no fork and no worker import."""
     points = list(points)
-    if jobs > 1:
+    workers = min(jobs, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, max(len(points), 1))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points, chunksize=8))
     else:
         rows = [_sweep_point(pt) for pt in points]

@@ -12,11 +12,14 @@ Three distinguished bases are supported:
      and superdiagonal phi_d..phi_1.
 In every basis C = eta*I - A - B and D = (AB - BA)/2, both tridiagonal, and
 all four are integer bands (params.sequences): A, B, C over q, D over 2q^2.
+build_bands() forms the rows of A, B and C, which is all analyze() reads;
+build_R() adds D and wraps the four into Mats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intmat import Rows, clear, combine, mul, scalar
 from .matrix import Mat
@@ -50,45 +53,80 @@ class ModuleRep:
             raise ValueError(f"unknown generator {name!r}") from None
 
 
-def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
-    """The (d+1)-dimensional module with parameters p in the given basis."""
+class Bands(NamedTuple):
+    """A, B and C of R_d(p) in one basis, each as sparse integer rows over
+    the common denominator q of params.sequences (q times the matrix, no
+    zero stored, no common factor divided out), with the central scalars
+    and the sequences at indices 0..d they were formed from."""
+
+    q: int
+    A: Rows
+    B: Rows
+    C: Rows
+    scalars: Scalars
+    sequences: tuple
+
+
+def build_bands(p: ParamTriple, d: int, basis: str = "v") -> Bands:
+    """The integer bands of A, B and C that build_R wraps into Mats,
+    evaluating params.sequences and params.scalars once."""
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    n = d + 1
-    q, th, ts, ph, vp = seqs = sequences(p, d, n)
-    if basis == "v":
-        a, b, u = th, ts, vp[1:]
-    elif basis == "w":
-        a, b, u = th[::-1], ts, ph[1:]
-    else:  # u
-        a, b, u = th, ts[::-1], ph[:0:-1]
+    seqs = sequences(p, d, d + 1)
+    q = seqs[0]
+    a, b, u = _diagonals(seqs, basis)
     sc = scalars(p, d)
     eta = sc.eta.numerator * (q // sc.eta.denominator)  # eta * q
     # a, b and B's superdiagonal u are at scale q; A's subdiagonal is all ones
-    zeros, uu = [0] * d, [0, *u, 0]
-    a_mat = _band(q, a, [q] * d, zeros)
-    b_mat = _band(q, b, zeros, u)
-    c_mat = _band(q, [eta - x - y for x, y in zip(a, b)], [-q] * d, [-x for x in u])
-    d_mat = _band(
-        2 * q * q,
+    zeros = [0] * d
+    return Bands(
+        q,
+        _band_rows(a, [q] * d, zeros),
+        _band_rows(b, zeros, u),
+        _band_rows([eta - x - y for x, y in zip(a, b)], [-q] * d, [-x for x in u]),
+        sc,
+        seqs,
+    )
+
+
+def _diagonals(seqs: tuple, basis: str) -> tuple[list[int], list[int], list[int]]:
+    """The diagonals of A and B and the superdiagonal of B in the basis,
+    from params.sequences, all at its scale q."""
+    _, th, ts, ph, vp = seqs
+    if basis == "v":
+        return th, ts, vp[1:]
+    if basis == "w":
+        return th[::-1], ts, ph[1:]
+    return th, ts[::-1], ph[:0:-1]  # u
+
+
+def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
+    """The (d+1)-dimensional module with parameters p in the given basis:
+    the bands of build_bands() and D = (AB - BA)/2, over 2q^2, as Mats."""
+    bands = build_bands(p, d, basis)
+    n, q = d + 1, bands.q
+    a, b, u = _diagonals(bands.sequences, basis)
+    uu = [0, *u, 0]
+    d_rows = _band_rows(
         [(uu[i] - uu[i + 1]) * q for i in range(n)],
         [(b[i] - b[i + 1]) * q for i in range(d)],
         [(a[i] - a[i + 1]) * x for i, x in enumerate(u)],
     )
-    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, sc, seqs)
+    a_mat, b_mat, c_mat = (Mat.from_cleared(q, rows, n) for rows in (bands.A, bands.B, bands.C))
+    d_mat = Mat.from_cleared(2 * q * q, d_rows, n)
+    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, bands.scalars, bands.sequences)
 
 
-def _band(den: int, diag: list[int], sub: list[int], sup: list[int]) -> Mat:
-    """The square matrix over den with an integer diagonal, sub- and
-    superdiagonal; Mat.from_cleared divides out their common factor."""
+def _band_rows(diag: list[int], sub: list[int], sup: list[int]) -> Rows:
+    """The sparse rows of the square integer matrix with the given
+    diagonal, subdiagonal and superdiagonal, zeros dropped."""
     sub, sup = [0, *sub], [*sup, 0]
-    rows = [
+    return [
         {j: x for j, x in ((i - 1, sub[i]), (i, y), (i + 1, sup[i])) if x}
         for i, y in enumerate(diag)
     ]
-    return Mat.from_cleared(den, rows, len(diag))
 
 
 @dataclass(frozen=True)

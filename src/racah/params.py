@@ -152,12 +152,7 @@ def scalars(p: ParamTriple, nu) -> Scalars:
 
 
 # The four linear forms whose values decide irreducibility.
-_FORMS = (
-    ("a+b+c+1", lambda a, b, c: a + b + c + 1),
-    ("-a+b+c", lambda a, b, c: -a + b + c),
-    ("a-b+c", lambda a, b, c: a - b + c),
-    ("a+b-c", lambda a, b, c: a + b - c),
-)
+_FORMS = ("a+b+c+1", "-a+b+c", "a-b+c", "a+b-c")
 
 
 class Witness(NamedTuple):
@@ -169,16 +164,20 @@ class Witness(NamedTuple):
 def in_P(p: ParamTriple, d: int) -> tuple[bool, list[Witness]]:
     """Membership in the good parameter set for dimension d+1: none of the
     four linear forms may land in {d/2 - i : i = 1..d}.  Returns the verdict
-    and every violation found."""
+    and every violation found.
+
+    The forms are evaluated on integers: with L = lcm(den a, den b, den c),
+    L times a form's value is an integer V, and the value is d/2 - i iff
+    d L - 2V = 2 L i.  Only a witness's value is made a rational."""
     if d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d}")
-    half_d = rat(d) * HALF
+    lcd = lcm(*(x.denominator for x in p))
+    a, b, c = (x.numerator * (lcd // x.denominator) for x in p)
     witnesses = []
-    for name, form in _FORMS:
-        value = form(p.a, p.b, p.c)
-        diff = half_d - value  # forbidden iff diff is an integer in 1..d
-        if diff.denominator == 1 and 1 <= diff <= d:
-            witnesses.append(Witness(name, value, int(diff)))
+    for name, value in zip(_FORMS, (a + b + c + lcd, -a + b + c, a - b + c, a + b - c)):
+        i, rest = divmod(d * lcd - 2 * value, 2 * lcd)
+        if not rest and 1 <= i <= d:
+            witnesses.append(Witness(name, Rat(value, lcd), i))
     return (not witnesses), witnesses
 
 

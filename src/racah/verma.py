@@ -18,7 +18,7 @@ from typing import Optional
 
 from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat
-from .modules import _band, build_R, presentation_identities
+from .modules import _band_rows, build_R, presentation_identities
 from .params import ParamTriple, Scalars, scalars, sequences
 from .rational import Rat, format_rat, rat
 
@@ -61,8 +61,8 @@ def build_verma(p: ParamTriple, nu, cutoff: Optional[int] = None) -> VermaTrunca
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     n = cutoff + 1
     q, th, ts, _, vp = seqs = sequences(p, nu, n)
-    a_mat = _band(q, th, [q] * cutoff, [0] * cutoff)
-    b_mat = _band(q, ts, [0] * cutoff, vp[1:])
+    a_mat = Mat.from_cleared(q, _band_rows(th, [q] * cutoff, [0] * cutoff), n)
+    b_mat = Mat.from_cleared(q, _band_rows(ts, [0] * cutoff, vp[1:]), n)
     return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu), seqs)
 
 

@@ -4,11 +4,16 @@ from math import lcm
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, rat
+from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, Witness, rat
 from racah.intmat import apply_columns, clear, columns
-from racah.linalg import _integer_rows, _local_minimal_polynomial, _poly_product
+from racah.linalg import (
+    _integer_rows,
+    _local_minimal_polynomial,
+    _poly_product,
+    minimal_polynomial_integer,
+)
 from racah.params import sequences
-from racah.poly import PRIME, _degree_of_gcd_mod_q, _integer_gcd, _integers
+from racah.poly import PRIME, _degree_of_gcd_mod_q, _integer_gcd, _integers, squarefree_integer
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat
 from racah.rewriter import NormalElement
 
@@ -172,6 +177,36 @@ def fraction_scalars(p, nu):
     zeta_star = (a - c) * (a + c + 1) * (b - half_nu) * (b + half_nu + 1)
     eta = half_nu * (half_nu + 1) + a * (a + 1) + b * (b + 1) + c * (c + 1)
     return Scalars(zeta, zeta_star, eta, -zeta - zeta_star)
+
+
+_FRACTION_FORMS = (
+    ("a+b+c+1", lambda a, b, c: a + b + c + 1),
+    ("-a+b+c", lambda a, b, c: -a + b + c),
+    ("a-b+c", lambda a, b, c: a - b + c),
+    ("a+b-c", lambda a, b, c: a + b - c),
+)
+
+
+def fraction_in_P(p, d):
+    """params.in_P with each linear form evaluated on Fractions, before it
+    ran on integers over lcm(den a, den b, den c); kept as its oracle."""
+    if d < 0:
+        raise ValueError(f"d must be a nonnegative integer, got {d}")
+    half_d = rat(d) * HALF
+    witnesses = []
+    for name, form in _FRACTION_FORMS:
+        value = form(p.a, p.b, p.c)
+        diff = half_d - value  # forbidden iff diff is an integer in 1..d
+        if diff.denominator == 1 and 1 <= diff <= d:
+            witnesses.append(Witness(name, value, int(diff)))
+    return (not witnesses), witnesses
+
+
+def squarefree_diagonalizable(rows):
+    """analyze's diagonalizability verdict before it was read off the band:
+    the squarefreeness of the integer minimal polynomial, for any square
+    integer matrix; kept as the oracle of the band verdict."""
+    return squarefree_integer(minimal_polynomial_integer(rows))
 
 
 def random_rat(rng: random.Random, max_num=9, max_den=9):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import racah.analyzer as analyzer
+import racah.modules as modules
 from racah import (
     ConsistencyError,
     IDENTITY_FLIP,
@@ -35,13 +37,15 @@ from racah import (
 )
 from racah import ALL_FLIPS
 from racah.intmat import clear, columns
-from racah.linalg import Subspace
+from racah.linalg import Subspace, minimal_polynomial_integer
 from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
 from conftest import (
     ONTO_FORM,
     first_nonzero,
+    fraction_in_P,
+    squarefree_diagonalizable,
     identity_mat,
     in_span,
     l_matrix_fraction_oracle,
@@ -249,7 +253,8 @@ def test_tampered_a_splits_the_graph(monkeypatch):
 
 def test_analyze_catches_a_split_graph(monkeypatch):
     assert in_P(P, 5)[0]
-    monkeypatch.setattr(analyzer, "build_R", tampered_build_R(("A", 3, 2, rat(-1))))
+    tamper(monkeypatch, ("A", 3, 2, rat(-1)))
+    assert 2 not in analyzer.build_bands(P, 5).A[3]
     assert analyzer.build_R(P, 5).A.entries[3][2] == 0
     with pytest.raises(ConsistencyError, match="irreducibility criterion"):
         analyze(P, 5)
@@ -540,6 +545,37 @@ def tampered_build_R(*nudges):
     return build
 
 
+def tampered_bands(*nudges):
+    """build_bands with delta added to entry (i, j) of generator gen, for
+    each (gen, i, j, delta) in nudges: the rows are first brought to q
+    times the lcm of the deltas' denominators, so that each delta is an
+    integer there.  build_R wraps the same rows, so the Mats of the module
+    carry the same nudges."""
+    real = modules.build_bands
+
+    def build(p, d, basis="v"):
+        bands = real(p, d, basis)
+        k = math.lcm(*(delta.denominator for *_, delta in nudges))
+        q = bands.q * k
+        gens = {g: [{j: x * k for j, x in row.items()} for row in getattr(bands, g)] for g in "ABC"}
+        for gen, i, j, delta in nudges:
+            row = gens[gen][i]
+            row[j] = row.get(j, 0) + delta.numerator * (q // delta.denominator)
+            if not row[j]:
+                del row[j]
+        return bands._replace(q=q, **gens)
+
+    return build
+
+
+def tamper(monkeypatch, *nudges):
+    """Make build_bands, wherever racah.modules and racah.analyzer read it,
+    carry the nudges: analyze and every module build_R builds see them."""
+    build = tampered_bands(*nudges)
+    monkeypatch.setattr(modules, "build_bands", build)
+    monkeypatch.setattr(analyzer, "build_bands", build)
+
+
 @given(triples(max_num=9, max_den=6), st.integers(1, 8), st.sampled_from("AB"),
        rationals(9, 6).filter(bool), st.data())
 def test_tampered_direct_l_matrix_matches_the_oracle(p, d, gen, delta, data):
@@ -588,6 +624,64 @@ def test_not_diagonalizable_at_half_integer_point():
 
 def test_diagonalizable_d0():
     assert analyze(P, 0).diagonalizable["A"]
+
+
+@st.composite
+def integer_bands(draw):
+    """A square integer matrix as sparse rows, lower or upper bidiagonal,
+    its diagonal drawn from a few values so that entries often repeat, its
+    off-diagonal nonzero; in some draws one off-diagonal entry is zeroed,
+    and in some one entry is placed off the band."""
+    n = draw(st.integers(1, 7))
+    lower = draw(st.booleans())
+    diagonal = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = [{i: x} if x else {} for i, x in enumerate(diagonal)]
+    nonzero = st.integers(-4, 4).filter(bool)
+    place = (lambda i: (i + 1, i)) if lower else (lambda i: (i, i + 1))
+    for i in range(n - 1):
+        r, c = place(i)
+        rows[r][c] = draw(nonzero)
+    if n > 1 and draw(st.booleans()):
+        r, c = place(draw(st.integers(0, n - 2)))
+        del rows[r][c]
+    if n > 1 and draw(st.booleans()):
+        band = (-1, 0) if lower else (0, 1)
+        off = [(i, j) for i in range(n) for j in range(n) if j - i not in band]
+        i, j = draw(st.sampled_from(off))
+        rows[i][j] = draw(nonzero)
+    return rows
+
+
+@given(integer_bands())
+def test_band_verdict_matches_the_squarefree_oracle(rows):
+    minpoly = minimal_polynomial_integer(rows)
+    assert analyzer._diagonalizable(rows, minpoly) == squarefree_diagonalizable(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, expect",
+    [
+        ([{0: 1}, {0: 1, 1: 1}], False),  # a Jordan block: unreduced, diagonal repeats
+        ([{0: 1, 1: 2}, {1: 3}], True),  # unreduced upper, distinct diagonal
+        ([{0: 1}, {1: 1}], True),  # a zero off-diagonal and a repeated diagonal: x - 1
+        ([{1: 1}, {0: -1, 1: -2}], False),  # off the band, distinct diagonal: (x + 1)^2
+    ],
+    ids=["jordan", "distinct", "identity", "off-band"],
+)
+def test_band_verdict_reads_the_diagonal_only_on_unreduced_bands(rows, expect):
+    minpoly = minimal_polynomial_integer(rows)
+    assert analyzer._diagonalizable(rows, minpoly) == squarefree_diagonalizable(rows) == expect
+
+
+def test_analyze_takes_the_gcd_only_off_the_unreduced_bands(monkeypatch):
+    calls = []
+    real = analyzer.squarefree_integer
+    monkeypatch.setattr(analyzer, "squarefree_integer", lambda ints: calls.append(ints) or real(ints))
+    analyze(P, 4)  # A and B are unreduced bidiagonal: only C goes to the gcd
+    assert len(calls) == 1
+    calls.clear()
+    analyze(TAIL_REDUCIBLE, 2)  # varphi_2 = 0, so B goes to it too
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -796,7 +890,7 @@ def test_runtime_checks_survive_optimize():
     assert proc.stdout.split() == ["shape", "consistency", "optimize", "1"]
 
 
-# ------------------- differential: one cleared copy of A, B, C vs the Mat route
+# ------------------- differential: the integer bands of A, B, C vs the Mat route
 
 def fraction_coordinate_criterion(p, d, generator):
     """The coordinate criterion as d - 1 comparisons of Fractions, before
@@ -832,8 +926,10 @@ def fraction_identify(a_mat, b_mat, c_mat):
 def mat_analyze(p, d):
     """analyze() as it ran before it cleared A, B and C once: each oracle
     reads the module's Mats, the minimal polynomials are Polys of
-    Fractions, and the traces are Fraction sums.  Kept as its oracle."""
-    crit, witnesses = in_P(p, d)
+    Fractions and their squarefreeness is the diagonalizability verdict,
+    the traces are Fraction sums, and the linear forms are Fractions.
+    Kept as its oracle."""
+    crit, witnesses = fraction_in_P(p, d)
     rep = analyzer.build_R(p, d, "v")
     oracle, bad_subspace = irreducible_oracle(rep)
     if crit != oracle:
@@ -911,6 +1007,26 @@ def test_analyze_matches_the_mat_route(point):
     assert_same_report(*point)
 
 
+@given(st.one_of(module_points(max_d=12), st.tuples(triples(max_num=4, max_den=2), st.integers(0, 12))))
+def test_analyze_matches_the_mat_route_at_random_points(point):
+    # half-integer triples repeat diagonal entries and zero a varphi often
+    assert_same_report(*point)
+
+
+@given(st.integers(0, 12), st.data())
+def test_in_P_matches_the_fraction_oracle(d, data):
+    coordinate = st.one_of(rationals(9, 6), st.just(-HALF), rationals(10**6, 10**6))
+    a, b, c = (data.draw(coordinate) for _ in range(3))
+    if data.draw(st.booleans()):
+        # a form at d/2 - i for i = 0..d+1: on the forbidden set and just off it
+        t = rat(d, 2) - data.draw(st.integers(0, d + 1))
+        c = data.draw(st.sampled_from(ONTO_FORM))(a, b, t)
+    p = ParamTriple(a, b, c)
+    got = in_P(p, d)
+    assert got == fraction_in_P(p, d)
+    assert all(type(w.value) is Rat and type(w.i) is int for w in got[1])
+
+
 def test_analyze_matches_the_mat_route_on_each_boundary_form():
     rng = random.Random(4242)
     for form in range(4):
@@ -933,7 +1049,7 @@ def test_tampered_analyze_matches_the_mat_route(p, d, gen, delta, data):
     # one entry of A, B or C moved, anywhere, off the band included
     i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analyzer, "build_R", tampered_build_R((gen, i, j, delta)))
+        tamper(mp, (gen, i, j, delta))
         assert outcome(analyze, p, d) == outcome(mat_analyze, p, d)
 
 
@@ -948,26 +1064,32 @@ def test_tampered_analyze_matches_the_mat_route(p, d, gen, delta, data):
     ],
 )
 def test_tampered_analyze_raises_the_mat_route_error(nudge, message, monkeypatch):
-    monkeypatch.setattr(analyzer, "build_R", tampered_build_R(nudge))
+    tamper(monkeypatch, nudge)
     got, expect = outcome(analyze, P, 5), outcome(mat_analyze, P, 5)
     assert got == expect
     if message is not None:
         assert got[0] is ConsistencyError and message in got[1]
 
 
-def test_analyze_clears_the_module_once(monkeypatch):
+def test_analyze_reads_the_bands_once(monkeypatch):
     calls = []
-    real = analyzer.clear
+    real = analyzer.build_bands
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analyzer, "clear", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze forms no Mat and clears nothing")
+
+    monkeypatch.setattr(analyzer, "build_bands", counting)
+    for name in ("build_R", "clear"):
+        monkeypatch.setattr(analyzer, name, refuse)
+    monkeypatch.setattr(Mat, "from_cleared", classmethod(refuse))
     for p, d in [(P, 4), (TAIL_REDUCIBLE, 2), (SPIN_REDUCIBLE, 2), FALLBACKS["repeated theta*"]]:
         calls.clear()
         analyze(p, d)
-        assert len(calls) == 1, (p, d)
+        assert calls == [(p, d, "v")], (p, d)
 
 
 def test_identify_matches_the_fraction_route():

@@ -263,19 +263,25 @@ def snapshot(mats):
     return [copy.deepcopy(m._cleared) for m in mats]
 
 
-def recording_build_R(monkeypatch):
-    """Patch analyzer.build_R to record each module it builds with a copy
-    of its generators' cleared forms taken on the way out."""
+def recording_bands(monkeypatch):
+    """Patch build_bands, where racah.modules and racah.analyzer read it,
+    to record the bands of each module built, analyze's and build_R's,
+    with a copy of their rows taken on the way out."""
     built = []
-    real = analyzer.build_R
+    real = modules.build_bands
 
     def build(p, d, basis="v"):
-        rep = real(p, d, basis)
-        built.append((rep, snapshot(generators(rep))))
-        return rep
+        bands = real(p, d, basis)
+        built.append((bands, copy.deepcopy(abc_rows(bands))))
+        return bands
 
-    monkeypatch.setattr(analyzer, "build_R", build)
+    monkeypatch.setattr(modules, "build_bands", build)
+    monkeypatch.setattr(analyzer, "build_bands", build)
     return built
+
+
+def abc_rows(bands):
+    return [bands.A, bands.B, bands.C]
 
 
 @pytest.mark.parametrize("p, d", [(P, 4), (SIX_DIGITS, 3), (boundary_points(3)[1], 3)])
@@ -297,15 +303,15 @@ def test_consumers_keep_the_cleared_form_of_their_inputs(p, d, monkeypatch):
     verma_checks(vt, d)
     assert snapshot(mats) == before
 
-    built = recording_build_R(monkeypatch)
+    built = recording_bands(monkeypatch)
     analyze(p, d)
     l_matrix(p, d, "direct")
     q = ParamTriple(-p.a - 1, p.b, p.c)
     if analyzer.in_P(p, d)[0]:
         isomorphic(p, q, d)
     assert len(built) == (4 if analyzer.in_P(p, d)[0] else 2)
-    for rep, taken in built:
-        assert snapshot(generators(rep)) == taken
+    for bands, taken in built:
+        assert abc_rows(bands) == taken
 
 
 @pytest.fixture

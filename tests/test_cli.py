@@ -270,9 +270,15 @@ def test_sweep_starts_no_more_workers_than_points(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    code, doc, _ = run_json(capsys, ["sweep", "--grid", "a=0;b=0;c=0;d=1", "--jobs", str(MAX_JOBS)])
-    assert code == 0 and doc["summary"]["total"] == 1
-    assert workers == [1]
+    code, doc, _ = run_json(capsys, ["sweep", "--grid", "a=0;b=0;c=0;d=1,2", "--jobs", str(MAX_JOBS)])
+    assert code == 0 and doc["summary"]["total"] == 2
+    assert workers == [2]
+    # one point runs in process: no pool, and the bytes of --jobs 1
+    argv = ["sweep", "--grid", "a=0;b=0;c=0;d=1"]
+    code2, out2, _ = run_cli(capsys, [*argv, "--jobs", "2"])
+    code1, out1, _ = run_cli(capsys, [*argv, "--jobs", "1"])
+    assert code2 == code1 == 0 and out2 == out1
+    assert workers == [2]
 
 
 # ------------------------------------------------------------ intertwine

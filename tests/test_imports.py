@@ -187,8 +187,13 @@ GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
             {"concurrent.futures"},
         ),
         (["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "2"], {"concurrent.futures"}, set()),
+        (
+            ["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1", "--jobs", "2"],
+            {"racah.analyzer"},
+            {"concurrent.futures"},
+        ),
     ],
-    ids=["verify", "reduce", "sweep", "sweep-jobs-2"],
+    ids=["verify", "reduce", "sweep", "sweep-jobs-2", "sweep-one-point-jobs-2"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded(_MAIN, *argv)
