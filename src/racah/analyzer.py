@@ -8,18 +8,16 @@ two must agree; analyze() raises ConsistencyError when they do not, which
 is the package's standing cross-check of the formulas against the linear
 algebra.
 
-The irreducibility oracle reads A in an eigenbasis of B: when B is upper
-bidiagonal with distinct diagonal entries, the module is irreducible iff
-the nonzero entries y_j A x_i (i != j) form a strongly connected directed
-graph (for Leonard pairs A acts tridiagonally there, Terwilliger 2001,
-Linear Algebra Appl. 330; the oracle assumes no such shape).  Entries that
-are nonzero mod 2^61 - 1 certify irreducibility.  When B's diagonal repeats
-or the graph is not certified connected, the same certificate runs on the
-transposed pair, B^T read in an eigenbasis of the upper bidiagonal A^T:
-{A, B} and {A^T, B^T} have the same invariant subspaces up to taking
-annihilators, so either certifies the module.  A zero superdiagonal of B,
-or a point neither certificate settles, goes to the exact route, which
-spins eigenlines of B.
+The irreducibility oracle is Norton's irreducibility test, the MeatAxe
+criterion (Parker 1984; Holt and Rees 1994, J. Austral. Math. Soc. 57):
+take theta = B - lambda_d, for lambda_d the last diagonal entry of the
+upper bidiagonal B.  When no superdiagonal entry of B vanishes, the kernel
+of theta is one eigenline of B and its left kernel is e_d, which A^T alone
+spins to all of V* when A is lower bidiagonal with a nonzero subdiagonal.
+So the module is irreducible iff one exact spin of that eigenline under
+{A, B} reaches V.  A reducible module, or a pair off those bands, goes to
+the witness loop, which spins the eigenline of each distinct eigenvalue
+of B in index order and returns the first proper span.
 
 analyze() reads A, B and C as the integer bands they are built from
 (racah.modules.build_bands(): q times each matrix, for the common
@@ -38,7 +36,6 @@ racah.poly.squarefree_integer(), the core of racah.poly.squarefree().
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,7 +63,7 @@ from .params import (
     sequences,
     trace_formula,
 )
-from .poly import PRIME, Poly, monic_scaled, squarefree_integer
+from .poly import Poly, monic_scaled, squarefree_integer
 from .rational import ONE, Rat, format_rat, is_square
 
 
@@ -80,30 +77,18 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     contains one of its (one-dimensional) eigenlines; the module is
     irreducible iff each eigenline generates everything under {A, B}.
 
-    A and B are cleared of denominators together once.  When B is upper
-    bidiagonal with distinct diagonal entries, its invariant subspaces are
-    the spans of sets S of its eigenvectors x_i, and such a span is
-    A-invariant iff no entry of A in that eigenbasis leads from S to
-    outside S.  So the module is irreducible iff the directed graph with an
-    edge i -> j whenever y_j A x_i != 0 (y_j the left eigenvectors, i != j)
-    is strongly connected.  _eigenbasis_certificate() computes those
-    entries mod the prime q = 2^61 - 1 and returns True only when the
-    nonzero ones already form a strongly connected graph: a nonzero residue
-    proves a nonzero exact entry, so True proves irreducibility.  It
-    returns False, and the exact loop below decides, when B leaves the
-    bidiagonal band, has a repeated diagonal entry, or has two diagonal
-    entries congruent mod q (a denominator or an eigenvalue gap divisible
-    by q), and when the certified edges miss strong connectivity.
-
-    Then, if B is upper bidiagonal, the certificate runs once more on the
-    transposed pair, with B^T in the role of A and the upper bidiagonal
-    A^T, whose diagonal is theta, in the role of B.  A subspace U is
-    invariant under A and B iff its annihilator is invariant under A^T and
-    B^T, so the two pairs are irreducible together, and this settles the
-    irreducible points where only theta* repeats.  A reducible point is
-    never certified either way.  The exact loop spins the eigenline of
-    each distinct eigenvalue of B, in index order, and returns the first
-    proper span as the witness.
+    A and B are cleared of denominators together once.  When A is lower
+    bidiagonal with a nonzero subdiagonal and B is upper bidiagonal,
+    Norton's test needs one spin: take theta = B - lambda_d.  Were U a
+    proper nonzero invariant subspace meeting ker(theta), the lambda_d
+    eigenline, in 0 only, theta would map U onto itself, so the left kernel
+    of theta, spanned by e_d, would annihilate U.  The annihilator of U is
+    invariant under A^T, and A^T spins e_d to all of V*, so U = 0.  Hence
+    every proper nonzero invariant subspace contains the lambda_d
+    eigenline, and the module is irreducible iff that eigenline spins to V.
+    When it does not, or when A or B is off its band, the witness loop
+    spins the eigenline of each distinct eigenvalue of B, in index order,
+    and returns the first proper span.
     """
     if rep.basis != "v":
         raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
@@ -118,13 +103,14 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
     for i in range(1, n):
         if i not in b_rows[i - 1]:
             return False, subspace_of_rows(n, [{h: 1} for h in range(i, n)])
-    if _eigenbasis_certificate(a_rows, b_rows):
-        return True, None
     # the columns of a square matrix are its transpose as rows; a B off
-    # its band goes to the spin, whose eigenlines report it
+    # its band goes to the loop, whose eigenlines report it
     ops = [columns(a_rows), columns(b_rows)]
-    if _upper_bidiagonal(b_rows) and _eigenbasis_certificate(ops[1], ops[0]):
-        return True, None
+    if _lower_bidiagonal(a_rows) and _upper_bidiagonal(b_rows):
+        last = b_rows[-1].get(n - 1, 0)
+        first = next(i for i, row in enumerate(b_rows) if row.get(i, 0) == last)
+        if len(spin_integer(n, [_eigenline(b_rows, first)], ops)) == n:
+            return True, None
     seen = set()
     for i, row in enumerate(b_rows):
         lam = row.get(i, 0)
@@ -137,74 +123,9 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
     return True, None
 
 
-def _eigenbasis_certificate(a_rows: Rows, b_rows: Rows) -> bool:
-    """True only if the integer B is upper bidiagonal with distinct
-    diagonal entries mod PRIME, and the entries y_j A x_i (i != j) that are
-    nonzero mod PRIME form a strongly connected directed graph i -> j.
-
-    With lam_k the diagonal and s_k = -B[k][k+1], the integer vectors
-        x_i[k] = prod_(m=k..i-1) s_m * prod_(m<k) (lam_m - lam_i),   k <= i,
-        y_j[k] = prod_(m=j..k-1) s_m * prod_(m>k) (lam_m - lam_j),   k >= j,
-    are right and left eigenvectors of B for lam_i and lam_j (back- and
-    forward substitution, scaled to need no division), nonzero since the
-    diagonal is distinct.  Only their residues are computed."""
-    n = len(b_rows)
-    if not _upper_bidiagonal(b_rows):
-        return False
-    lam = [row.get(i, 0) % PRIME for i, row in enumerate(b_rows)]
-    if len(set(lam)) < n:
-        return False
-    s = [-b_rows[k].get(k + 1, 0) % PRIME for k in range(n - 1)]
-    xs, ys = [], []
-    for i in range(n):
-        before = [1] * n  # before[k] = prod_(m<k) (lam_m - lam_i)
-        for k in range(1, i + 1):
-            before[k] = before[k - 1] * (lam[k - 1] - lam[i]) % PRIME
-        x, t = [0] * n, 1
-        for k in range(i, -1, -1):
-            x[k] = t * before[k] % PRIME
-            if k:
-                t = t * s[k - 1] % PRIME
-        after = [1] * n  # after[k] = prod_(m>k) (lam_m - lam_i)
-        for k in range(n - 2, i - 1, -1):
-            after[k] = after[k + 1] * (lam[k + 1] - lam[i]) % PRIME
-        y, t = [0] * n, 1
-        for k in range(i, n):
-            y[k] = t * after[k] % PRIME
-            if k < n - 1:
-                t = t * s[k] % PRIME
-        xs.append(x)
-        ys.append(y)
-    # z_i = A x_i, with A read as stored
-    zs = [
-        [sum([c * x[col] for col, c in row.items()]) % PRIME for row in a_rows] for x in xs
-    ]
-    out = [
-        [j for j, y in enumerate(ys) if j != i and sum(map(operator.mul, y, z)) % PRIME]
-        for i, z in enumerate(zs)
-    ]
-    into = [[] for _ in range(n)]
-    for i, js in enumerate(out):
-        for j in js:
-            into[j].append(i)
-    return _reaches_all(out) and _reaches_all(into)
-
-
 def _upper_bidiagonal(rows: Rows) -> bool:
     """Is the square matrix zero off its diagonal and first superdiagonal?"""
     return not any(row.keys() - {i, i + 1} for i, row in enumerate(rows))
-
-
-def _reaches_all(edges: list[list[int]]) -> bool:
-    """Does every node of the directed graph lie on a path from node 0?"""
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in edges[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(edges)
 
 
 def _eigenline(b_rows: Rows, i: int) -> dict[int, int]:
@@ -462,12 +383,15 @@ def isomorphic(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
     Oracle: the space of module maps, i.e. matrices intertwining both A and
     B (A and B generate, together with the central scalars; for the scalars
     to match, eta must agree, and unequal eta forces the zero map)."""
-    ok1, _ = in_P(p1, d)
-    ok2, _ = in_P(p2, d)
-    if not (ok1 and ok2):
+    if not (in_P(p1, d)[0] and in_P(p2, d)[0]):
         raise ValueError(
             "isomorphism testing is defined here for irreducible modules only"
         )
+    return _isomorphic_irreducible(p1, p2, d)
+
+
+def _isomorphic_irreducible(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
+    """isomorphic() for triples the caller has already found in P(d)."""
     basis = module_maps(build_R(p1, d, "v"), build_R(p2, d, "v"))
     same_orbit, iso = orbit_check(p1, p2, d, basis)
     return IsoResult(d, p1, p2, same_orbit, len(basis), iso, basis[0] if iso else None)

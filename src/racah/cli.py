@@ -408,7 +408,7 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
 
 
 def _cmd_intertwine(args) -> tuple[dict, str, int]:
-    from .analyzer import isomorphic, module_maps, orbit_check
+    from .analyzer import _isomorphic_irreducible, module_maps, orbit_check
     from .modules import build_R
 
     p1 = _triple(args)
@@ -417,9 +417,9 @@ def _cmd_intertwine(args) -> tuple[dict, str, int]:
         raise _Refused("give all of --a2 --b2 --c2 or none")
     p2 = ParamTriple(*second) if second[0] is not None else p1
     d = args.d
-    irreducible = in_P(p1, d)[0] and in_P(p2, d)[0]
+    irreducible = all(in_P(p, d)[0] for p in {p1, p2})
     if args.basis == args.basis2 == "v" and irreducible:
-        result = isomorphic(p1, p2, d)
+        result = _isomorphic_irreducible(p1, p2, d)
         doc = {**iso_to_doc(result), "verdict": "isomorphic" if result.iso else "distinct"}
     else:
         basis = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))

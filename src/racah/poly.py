@@ -124,7 +124,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-PRIME = 2**61 - 1  # the modulus of the certificates, here and in racah.analyzer
+PRIME = 2**61 - 1  # the modulus of squarefree_integer()'s certificate
 
 
 def squarefree(p: Poly) -> bool:

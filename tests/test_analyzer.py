@@ -37,7 +37,7 @@ from racah import (
 )
 from racah import ALL_FLIPS
 from racah.intmat import clear, columns
-from racah.linalg import Subspace, minimal_polynomial_integer
+from racah.linalg import Subspace, _lower_bidiagonal, minimal_polynomial_integer, spin_integer
 from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
@@ -130,7 +130,7 @@ def test_criterion_matches_oracle(p, d):
         assert 0 < sub.dim < d + 1
 
 
-# ------------------------- differential: the eigenbasis graph vs eigenline spins
+# ------------------ differential: Norton's spin and the witness loop vs eigenline spins
 
 Q = 2**61 - 1
 
@@ -138,8 +138,8 @@ Q = 2**61 - 1
 def spin_irreducible_oracle(rep):
     """The retired irreducible_oracle: after the tail check, spin the
     eigenline of each distinct diagonal entry of B (a dense Fraction kernel)
-    under A and B, and return the first proper span.  Oracle for the
-    eigenbasis certificate and its exact fallback."""
+    under A and B, and return the first proper span.  Oracle for Norton's
+    one spin and the witness loop behind it."""
     n = rep.dim
     b = rep.B
     for i in range(1, n):
@@ -163,21 +163,8 @@ def spin_irreducible_oracle(rep):
     return True, None
 
 
-def certified(rep):
-    """Does the eigenbasis certificate settle rep by itself?"""
-    _, (a, b), _ = clear([rep.A, rep.B])
-    return analyzer._eigenbasis_certificate(a, b)
-
-
-def dual_certified(rep):
-    """Does the eigenbasis certificate settle the transposed pair, with A^T
-    in the role of B?"""
-    _, (a, b), _ = clear([rep.A, rep.B])
-    return analyzer._eigenbasis_certificate(columns(b), columns(a))
-
-
 def exact_spins(rep, monkeypatch):
-    """(oracle result, number of spins of the exact fallback) for rep."""
+    """(oracle result, number of exact spins) for rep."""
     calls = []
     real = analyzer.spin_integer
 
@@ -187,6 +174,11 @@ def exact_spins(rep, monkeypatch):
 
     monkeypatch.setattr(analyzer, "spin_integer", counting)
     return irreducible_oracle(rep), len(calls)
+
+
+def has_gap(rep):
+    """Does a superdiagonal entry varphi_i of B vanish?"""
+    return any(rep.B.entries[i - 1][i] == 0 for i in range(1, rep.dim))
 
 
 def boundary_point(rng, d, form):
@@ -229,10 +221,34 @@ def test_oracle_matches_eigenline_spins_on_small_triples(p, d):
     assert irreducible_oracle(rep) == spin_irreducible_oracle(rep)
 
 
-def test_certificate_settles_generic_irreducible_points(monkeypatch):
-    rep = build_R(P, 6)
-    assert certified(rep)
-    assert exact_spins(rep, monkeypatch) == ((True, None), 0)
+@st.composite
+def half_integer_modules(draw):
+    """build_R at coordinates k/2 with |k| <= 2d, where theta and theta*
+    both repeat, and sometimes one entry moved: anywhere in A (its
+    subdiagonal zeroed included), or on B's band, where the oracle's
+    eigenlines are defined."""
+    d = draw(st.integers(0, 16))
+    coords = [rat(draw(st.integers(-2 * d, 2 * d)), 2) for _ in range(3)]
+    rep = build_R(ParamTriple(*coords), d)
+    if d and draw(st.booleans()):
+        gen = draw(st.sampled_from("AB"))
+        i = draw(st.integers(0, d))
+        j = draw(st.integers(0, d) if gen == "A" else st.integers(i, min(i + 1, d)))
+        m = rep.generator(gen)
+        delta = draw(st.sampled_from([-m.entries[i][j], HALF, rat(-3)]))
+        rep = dataclasses.replace(rep, **{gen: nudged(m, i, j, delta)})
+    return rep
+
+
+@given(half_integer_modules())
+def test_oracle_matches_eigenline_spins_on_half_integer_grids(rep):
+    assert irreducible_oracle(rep) == spin_irreducible_oracle(rep)
+    # Norton's premise: with A lower bidiagonal and its subdiagonal nonzero,
+    # e_d spins to all of V* under A^T and B^T, whose columns are the rows
+    # of A and B
+    _, (a, b), _ = clear([rep.A, rep.B])
+    if _lower_bidiagonal(a) and analyzer._upper_bidiagonal(b):
+        assert len(spin_integer(rep.dim, [{rep.d: 1}], [a, b])) == rep.dim
 
 
 def split_a(p, d, k):
@@ -242,9 +258,12 @@ def split_a(p, d, k):
     return dataclasses.replace(rep, A=nudged(rep.A, k, k - 1, -rep.A.entries[k][k - 1]))
 
 
-def test_tampered_a_splits_the_graph(monkeypatch):
+def test_split_a_skips_the_norton_spin(monkeypatch):
     rep = split_a(P, 5, 3)
-    assert not certified(rep)
+    # the lambda_d eigenline still spins to V here: only the band check on
+    # A keeps this reducible module from being called irreducible
+    _, (a, b), _ = clear([rep.A, rep.B])
+    assert len(spin_integer(6, [analyzer._eigenline(b, 5)], [columns(a), columns(b)])) == 6
     (ok, sub), spins = exact_spins(rep, monkeypatch)
     assert (ok, sub) == spin_irreducible_oracle(rep)
     assert not ok and spins == 1
@@ -263,51 +282,29 @@ def test_analyze_catches_a_split_graph(monkeypatch):
 FALLBACKS = {
     # theta*_0 = theta*_2 = 3/4
     "repeated theta*": (ParamTriple.of("1/3", "-1/2", "2/7"), 4),
-    # q in the denominators of A's diagonal
+    # the large prime Q in the denominators of A's diagonal
     "denominator q": (ParamTriple(rat(1, Q), rat(1, 3), rat(2, 5)), 3),
-    # theta*_0 - theta*_1 = -(2b + d) = -q
+    # theta*_0 - theta*_1 = -(2b + d) = -Q
     "gap q": (ParamTriple(rat(1, 3), rat(Q - 2, 2), rat(2, 5)), 2),
     # theta_1 = theta_3 and theta*_0 = theta*_2
     "repeated theta and theta*": (ParamTriple.of("-1/2", "-1/2", "2/7"), 4),
-    # theta_0 - theta_1 = 2a + d = q and theta*_0 - theta*_1 = -q
+    # theta_0 - theta_1 = 2a + d = Q and theta*_0 - theta*_1 = -Q
     "gap q twice": (ParamTriple(rat(Q - 2, 2), rat(Q - 2, 2), rat(2, 5)), 2),
 }
-
-# the FALLBACKS whose transposed pair the certificate settles: A's
-# diagonal is distinct there, and only B's repeats or meets q
-DUAL_SETTLED = {"repeated theta*", "gap q"}
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_each_fallback_matches_eigenline_spins(name, monkeypatch):
     p, d = FALLBACKS[name]
     rep = build_R(p, d)
-    assert not certified(rep)
-    assert dual_certified(rep) == (name in DUAL_SETTLED)
-    got, spins = exact_spins(rep, monkeypatch)
-    assert got == spin_irreducible_oracle(rep) == (True, None)
-    if name in DUAL_SETTLED:
-        assert spins == 0
-    else:
-        assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
-    # the same fallback on a boundary point finds the witness
+    assert exact_spins(rep, monkeypatch) == ((True, None), 1)
+    assert spin_irreducible_oracle(rep) == (True, None)
+    # the same point moved onto a boundary form gives the witness loop's span
     q = ParamTriple(p.a, p.b, ONTO_FORM[2](p.a, p.b, rat(d, 2) - 1))
     rep = build_R(q, d)
-    got = irreducible_oracle(rep)
+    got, spins = exact_spins(rep, monkeypatch)
     assert got == spin_irreducible_oracle(rep)
-    assert not got[0]
-
-
-@pytest.mark.parametrize("last", [2, 2 + Q])
-def test_congruent_diagonal_entries_never_certify(last):
-    # past the distinctness check, these rows would give a strongly
-    # connected graph; an equal or congruent pair of eigenvalues voids the
-    # proof, so the certificate must refuse before looking at the graph
-    b_rows = [{0: 2, 1: 1}, {1: 1, 2: -1}, {2: last}]
-    a_rows = [{0: -2, 2: 1}, {1: 1, 2: 1}, {0: 2, 1: -1, 2: 2}]
-    assert not analyzer._eigenbasis_certificate(a_rows, b_rows)
-    b_rows[2][2] = 3
-    assert analyzer._eigenbasis_certificate(a_rows, b_rows)
+    assert not got[0] and ((spins == 0) if has_gap(rep) else (spins >= 2))
 
 
 def repeated_point(rng, d, coords):
@@ -325,40 +322,30 @@ def repeated_point(rng, d, coords):
             return p
 
 
-def test_dual_certificate_settles_a_repeated_theta_star(monkeypatch):
-    rng = random.Random(1729)
-    for _ in range(40):
+@pytest.mark.parametrize("coords", ["", "a", "b", "ab"])
+def test_one_spin_settles_each_irreducible_point(coords, monkeypatch):
+    # the lambda_d eigenline decides alone, whether theta, theta* or both
+    # repeat
+    rng = random.Random(coords)
+    for _ in range(30):
         d = rng.randint(2, 10)
-        rep = build_R(repeated_point(rng, d, "b"), d)
-        assert len({rep.B.entries[i][i] for i in range(d + 1)}) < d + 1
-        assert not certified(rep) and dual_certified(rep)
-        got, spins = exact_spins(rep, monkeypatch)
-        assert got == spin_irreducible_oracle(rep) == (True, None)
-        assert spins == 0
+        rep = build_R(repeated_point(rng, d, coords), d)
+        assert exact_spins(rep, monkeypatch) == ((True, None), 1)
+        assert spin_irreducible_oracle(rep) == (True, None)
 
 
-def test_repeated_theta_and_theta_star_fall_through_to_the_spin(monkeypatch):
-    rng = random.Random(1730)
-    for _ in range(40):
-        d = rng.randint(2, 10)
-        rep = build_R(repeated_point(rng, d, "ab"), d)
-        assert not certified(rep) and not dual_certified(rep)
-        got, spins = exact_spins(rep, monkeypatch)
-        assert got == spin_irreducible_oracle(rep) == (True, None)
-        assert spins == len({rep.B.entries[i][i] for i in range(d + 1)})
-
-
-def test_reducible_points_are_never_certified(monkeypatch):
-    # a certificate proves irreducibility, and the witness comes from the spin
+def test_reducible_points_return_the_witness_loops_span(monkeypatch):
+    # the Norton spin only proves irreducibility; the witness is the first
+    # proper span in index order, and a gap in B needs no spin at all
     rng = random.Random(1731)
     for form in range(4):
         for _ in range(15):
             d = rng.randint(1, 10)
             rep = build_R(boundary_point(rng, d, form), d)
-            assert not certified(rep) and not dual_certified(rep)
-            got, _ = exact_spins(rep, monkeypatch)
+            got, spins = exact_spins(rep, monkeypatch)
             assert got == spin_irreducible_oracle(rep)
             assert not got[0]
+            assert (spins == 0) if has_gap(rep) else (spins >= 2)
 
 
 def test_tail_fallback_matches_eigenline_spins(monkeypatch):
@@ -368,12 +355,13 @@ def test_tail_fallback_matches_eigenline_spins(monkeypatch):
     assert spins == 0 and got[1].dim == 1
 
 
-def test_b_off_its_band_raises():
+def test_b_off_its_band_raises(monkeypatch):
     rep = build_R(P, 2)
     rep = dataclasses.replace(rep, B=nudged(rep.B, 1, 0, rat(1, 3)))
-    assert not certified(rep)
-    with pytest.raises(ConsistencyError, match="B is not upper bidiagonal"):
-        irreducible_oracle(rep)
+    # the witness loop reports it at its first eigenline, index 0: the
+    # Norton spin, whose eigenline sits at index 2, is skipped
+    with pytest.raises(ConsistencyError, match="B is not upper bidiagonal.* diagonal entry 0$"):
+        exact_spins(rep, monkeypatch)
     with pytest.raises(ConsistencyError):
         spin_irreducible_oracle(rep)
 
