@@ -88,7 +88,8 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     eigenline, and the module is irreducible iff that eigenline spins to V.
     When it does not, or when A or B is off its band, the witness loop
     spins the eigenline of each distinct eigenvalue of B, in index order,
-    and returns the first proper span.
+    and returns the first proper span; at lambda_d it takes the span of
+    Norton's spin instead of spinning that eigenline again.
     """
     if rep.basis != "v":
         raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
@@ -106,10 +107,12 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
     # the columns of a square matrix are its transpose as rows; a B off
     # its band goes to the loop, whose eigenlines report it
     ops = [columns(a_rows), columns(b_rows)]
+    spun = {}  # index of an eigenvalue's first occurrence -> its eigenline's span
     if _lower_bidiagonal(a_rows) and _upper_bidiagonal(b_rows):
         last = b_rows[-1].get(n - 1, 0)
         first = next(i for i, row in enumerate(b_rows) if row.get(i, 0) == last)
-        if len(spin_integer(n, [_eigenline(b_rows, first)], ops)) == n:
+        spun[first] = spin_integer(n, [_eigenline(b_rows, first)], ops)
+        if len(spun[first]) == n:
             return True, None
     seen = set()
     for i, row in enumerate(b_rows):
@@ -117,7 +120,7 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
         if lam in seen:
             continue
         seen.add(lam)
-        generated = spin_integer(n, [_eigenline(b_rows, i)], ops)
+        generated = spun[i] if i in spun else spin_integer(n, [_eigenline(b_rows, i)], ops)
         if len(generated) < n:
             return False, subspace_of_rows(n, generated)
     return True, None
@@ -400,7 +403,7 @@ def _isomorphic_irreducible(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResu
 def module_maps(r1: ModuleRep, r2: ModuleRep) -> list[Mat]:
     """Basis of the module maps from r1 to r2, in any pair of bases.  The
     central eta acts on each module as a scalar, so unequal eta forces the
-    zero map and skips the linear solve."""
+    zero map and skips intertwiner_space()."""
     if r1.scalars.eta != r2.scalars.eta:
         return []
     return intertwiner_space(r1.A, r1.B, r2.A, r2.B)

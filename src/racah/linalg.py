@@ -1,6 +1,6 @@
 """Exact linear algebra: canonical subspaces, kernels, minimal polynomials,
 eigenspaces, spinning a set of vectors under operators, and intertwiner
-spaces.
+spaces, each map built from its image of e_0.
 
 All elimination is fraction-free and sparse.  Rational vectors enter it
 once, cleared together as the rows of one Mat (racah.intmat.clear): each
@@ -11,8 +11,9 @@ content divided out, so the loop does integer arithmetic on nonzero
 entries only.  The back pass that reduces the basis stays in integers
 too: a Subspace keeps each RREF row as primitive integers with a positive
 pivot, kernels are read off those rows in integers, and
-intertwiner_space() hands its basis to Mat.from_cleared with the pivot as
-den.  Entries become Fractions only when rref() or Subspace.basis is read.
+intertwiner_space() builds each map in integers and hands its canonical
+basis to Mat.from_cleared with the pivot as den.  Entries become Fractions
+only when rref() or Subspace.basis is read.
 
 spin() and minimal_polynomial() also act with integer operators: a matrix
 is cleared once (racah.intmat) to sparse integer columns, den*M, and
@@ -32,12 +33,13 @@ by the continuant recurrence.  A and C of the modules always qualify, and
 B does whenever all its varphi or all its phi are nonzero.  Any other
 matrix falls back to Krylov sequences of unit vectors through the reducer.
 
-intertwiner_space() solves A2 X = X A1, B2 X = X B1 by substitution
-through A, which must be lower bidiagonal with a nonzero subdiagonal on
-both sides (the shape of A in every basis of the modules): each row of X
-follows from the row below it, so the unknowns are the n entries of the
-last row, and only the row-0 A-equations and the B-equations reach the
-reducer.  Any other A is rejected with ShapeError.
+intertwiner_space() builds each X with A2 X = X A1, B2 X = X B1 from
+x = X e_0.  A1 and A2 must be lower bidiagonal with a nonzero subdiagonal
+(the shape of A in every basis of the modules; any other A raises
+ShapeError), so e_0 generates Q^n under A1 and X e_(j+1) follows from
+X e_j through A2.  When B1 e_0 = lam e_0, as for the upper bidiagonal B,
+x lies in ker(B2 - lam), and only the residual equations on its
+coefficients in a basis of that kernel, usually one, reach the reducer.
 
 Subspaces are stored with their reduced-row-echelon basis, each row scaled
 to primitive integers with a positive pivot.  RREF of a given row space is
@@ -48,9 +50,10 @@ A Subspace pickles as those rows, which subspace_of_rows() takes back.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
-from .intmat import Rows, apply_columns, clear, columns, combine, scalar
+from .intmat import Rows, apply_columns, clear, columns, combine, mul, scalar
 from .matrix import Mat, ShapeError
 from .poly import Poly, monic_scaled
 from .rational import Rat, ZERO, rat
@@ -229,7 +232,8 @@ class _Reducer:
     the pivots of the rows kept before it.  keep(reduce(v)) keeps the
     sparse integer row v if it is independent; rows are never normalized
     here.  The one elimination loop: it drives rref(), rank(),
-    spin_integer(), minimal_polynomial() and intertwiner_space()."""
+    spin_integer(), minimal_polynomial(), and the residual equations on
+    the coefficients of X e_0 in intertwiner_space()."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -448,71 +452,62 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     The four matrices are cleared of denominators once, A1 with A2 and B1
     with B2.  A1 and A2 must be lower bidiagonal with a nonzero
     subdiagonal, as in every basis of the modules; anything else raises
-    ShapeError.  B1 and B2 may be any square matrices.  A2 X = X A1 gives
-    row i-1 of X from row i, so each entry of X is an integer linear form
-    in the n entries of the last row, and only the row-0 A-equations and
-    the B-equations remain: n unknowns.
+    ShapeError.  B1 and B2 may be any square matrices.
 
-    Equations go to a _Reducer last row of X first.  Once one reduces to
-    zero, X is assembled in integers for each solution of the kept
-    equations, and every later equation these X satisfy is skipped.  The
-    solutions are canonicalized as the RREF of vec(X) in integers
-    (_reduced()); each row becomes one Mat over its pivot.
+    A1 e_j = a_j e_j + s_j e_(j+1) with s_j != 0, so X is fixed by X e_0:
+    X e_(j+1) = (A2 - a_j) X e_j / s_j.  X e_0 lies in ker(B2 - lam) when
+    B1 e_0 = lam e_0, as for the upper bidiagonal B of the modules, and
+    anywhere in Q^m otherwise; a basis of that space gives the candidates.
+    The residuals (A2 - a_(n-1)) X e_(n-1) and B2 X - X B1 of their X, at
+    one scale, are the equations on the candidates' coefficients.  Each
+    solution's vec(X) goes to _reduced(), in integers, and each row of the
+    result becomes one Mat over its pivot.
     """
-    n = a1.rows
-    m = a2.rows
+    n, m = a1.rows, a2.rows
     for mat, dim, name in ((a1, n, "A1"), (b1, n, "B1"), (a2, m, "A2"), (b2, m, "B2")):
         if mat.shape() != (dim, dim):
             raise ShapeError(f"{name} must be square of the right size, got {mat.rows}x{mat.cols}")
     _, (ia1, ia2), _ = clear([a1, a2])
     _, (ib1, ib2), _ = clear([b1, b2])
     for rows, name in ((ia1, "A1"), (ia2, "A2")):
-        if not _lower_bidiagonal(rows):  # X is solved for row by row through A
+        if not _lower_bidiagonal(rows):  # X is built column by column through A
             raise ShapeError(f"{name} must be lower bidiagonal with a nonzero subdiagonal")
-    forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
-    weights = [scales[0] // c for c in scales]  # X times scales[0], in integers
-
-    def solution(y):
-        rows, _ = _substituted_rows(ia1, ia2, [{0: y[j]} if j in y else {} for j in range(n)])
-        return [[w * f.get(0, 0) for f in row] for row, w in zip(rows, weights)]
-
-    # the last rows of X first: their forms are the smallest, and they
-    # usually leave few candidate solutions
-    b_cols, a_cols = columns(ib1), columns(ia1)
-    conditions = [(ib2, b_cols, i) for i in reversed(range(m))]
-    conditions.append((ia2, a_cols, 0))
-    red = _Reducer(n)
-    xs = None  # X for each solution of the kept equations, once one reduced to zero
-    for lhs, rhs_cols, i in conditions:
-        left = list(lhs[i].items())
-        top = scales[min([i] + [k for k, _ in left])]
-        for j, right in enumerate(rhs_cols):
-            if xs is not None and not any(
-                sum([c * sol[k][j] for k, c in left])
-                != sum([sol[i][k] * c for k, c in right.items()])
-                for sol in xs
-            ):
-                continue
-            # (LHS X - X RHS)[i][j] in the unknowns, times the scale of the
-            # topmost row it involves (every lower row's scale divides it)
-            terms = [(c * (top // scales[k]), forms[k][j]) for k, c in left]
-            terms += [(-c * (top // scales[i]), forms[i][k]) for k, c in right.items()]
-            eq: dict[int, int] = {}
-            for c, f in terms:
-                for k, x in f.items():
-                    eq[k] = eq.get(k, 0) + c * x
-            eq = {k: x for k, x in eq.items() if x}
-            if not eq:  # holds for every X, and says nothing about the solutions
-                continue
-            if red.keep(red.reduce(eq)):
-                xs = None
-                if red.dim == n:
-                    return []
-            elif xs is None:
-                xs = [solution(y) for y in _null_space(red)]
-    if xs is None:
-        xs = [solution(y) for y in _null_space(red)]
-    vecs = [{i * n + j: x for i, row in enumerate(sol) for j, x in enumerate(row) if x} for sol in xs]
+    ident = scalar(m, 1)
+    if any(0 in row for row in ib1[1:]):  # e_0 is no eigenvector of B1
+        cands = [{i: 1} for i in range(m)]
+    else:
+        lam = ib1[0].get(0, 0)
+        cands = _kernel_rows(m, _reduced(m, combine((1, ib2), (-lam, ident))))
+    r = len(cands)
+    if not r:
+        return []
+    # steps[j] holds X e_j times s_0 ... s_(j-1) for each candidate, one
+    # column per candidate; steps[n] is the A-residual
+    steps = [[{c: v[i] for c, v in enumerate(cands) if i in v} for i in range(m)]]
+    for j in range(n):
+        steps.append(mul(combine((1, ia2), (-ia1[j].get(j, 0), ident)), steps[j]))
+    cols, scale = steps[:n], 1  # X e_j times s_0 ... s_(n-2)
+    for j in range(n - 2, -1, -1):
+        scale *= ia1[j + 1][j]
+        cols[j] = [{c: scale * x for c, x in row.items()} for row in cols[j]]
+    b_cols = columns(ib1)
+    b_residuals = (  # (B2 X - X B1) e_j
+        combine((1, mul(ib2, cols[j])), *[(-x, cols[k]) for k, x in b_cols[j].items()])
+        for j in range(n)
+    )
+    red = _Reducer(r)
+    for eq in chain(steps[n], chain.from_iterable(b_residuals)):
+        if red.keep(red.reduce(eq)) and red.dim == r:
+            return []
+    vecs = []
+    for y in _kernel_rows(r, _reduced(r, red.rows)):
+        vec = {}
+        for j, col in enumerate(cols):
+            for i, row in enumerate(col):
+                x = sum([c * row[k] for k, c in y.items() if k in row])
+                if x:
+                    vec[i * n + j] = x
+        vecs.append(vec)
     out = []
     for vec in _reduced(m * n, vecs):
         rows: Rows = [{} for _ in range(m)]
@@ -528,41 +523,3 @@ def _lower_bidiagonal(rows: Rows) -> bool:
     return all(
         row.keys() <= {i - 1, i} and (i == 0 or i - 1 in row) for i, row in enumerate(rows)
     )
-
-
-def _substituted_rows(a1: Rows, a2: Rows, last: Rows):
-    """(rows, scales) for the integer lower bidiagonal A1 (n x n) and A2
-    (m x m), given the last row of X as n sparse integer forms: row i of X
-    is rows[i] / scales[i] when A2 X = X A1.  Entry (i, j) of that
-    equation reads t X[i-1][j] = (A1[j][j] - A2[i][i]) X[i][j] +
-    A1[j+1][j] X[i][j+1] with t = A2[i][i-1], so each row carries the
-    product of the A2 subdiagonal entries below it as its scale, and no
-    division is needed.  With forms {j: 1} the rows are the forms of X in
-    the last row's entries; with {0: y_j} they are X at that last row."""
-    n, m = len(a1), len(a2)
-    row = last
-    rows, scales = [row], [1]
-    for i in range(m - 1, 0, -1):
-        beta = a2[i].get(i, 0)
-        nxt = []
-        for j in range(n):
-            c = a1[j].get(j, 0) - beta
-            f = {k: c * x for k, x in row[j].items()} if c else {}
-            if j + 1 < n:
-                s = a1[j + 1][j]
-                for k, x in row[j + 1].items():
-                    y = f.get(k, 0) + s * x
-                    if y:
-                        f[k] = y
-                    else:
-                        del f[k]
-            nxt.append(f)
-        row = nxt
-        rows.append(row)
-        scales.append(scales[-1] * a2[i][i - 1])
-    return rows[::-1], scales[::-1]
-
-
-def _null_space(red: _Reducer) -> Rows:
-    """An integer basis of the vectors orthogonal to the kept rows."""
-    return _kernel_rows(red.ncols, _reduced(red.ncols, [dict(row) for row in red.rows]))

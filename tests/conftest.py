@@ -7,9 +7,12 @@ from hypothesis import HealthCheck, settings, strategies as st
 from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, Witness, rat
 from racah.intmat import apply_columns, clear, columns
 from racah.linalg import (
+    _Reducer,
     _integer_rows,
+    _kernel_rows,
     _local_minimal_polynomial,
     _poly_product,
+    _reduced,
     minimal_polynomial_integer,
 )
 from racah.params import sequences
@@ -277,6 +280,102 @@ def l_matrix_fraction_oracle(p, d, method):
         return Mat(grid)
 
     raise ValueError(f"no Fraction oracle for method {method!r}")
+
+
+def substitution_intertwiners(a1, b1, a2, b2):
+    """linalg.intertwiner_space as it was before it built X from X e_0:
+    for A1 and A2 lower bidiagonal with a nonzero subdiagonal, A2 X = X A1
+    gives row i-1 of X from row i, so each entry of X is an integer linear
+    form in the n entries of the last row, and only the row-0 A-equations
+    and the B-equations are solved.  Once an equation reduces to zero, X is
+    assembled for each solution of those kept, and every later equation
+    these X satisfy is skipped.  Kept as the oracle of the route from e_0."""
+    n, m = a1.rows, a2.rows
+    _, (ia1, ia2), _ = clear([a1, a2])
+    _, (ib1, ib2), _ = clear([b1, b2])
+    forms, scales = _substituted_rows(ia1, ia2, [{j: 1} for j in range(n)])
+    weights = [scales[0] // c for c in scales]  # X times scales[0], in integers
+
+    def solution(y):
+        rows, _ = _substituted_rows(ia1, ia2, [{0: y[j]} if j in y else {} for j in range(n)])
+        return [[w * f.get(0, 0) for f in row] for row, w in zip(rows, weights)]
+
+    def null_space(red):
+        return _kernel_rows(red.ncols, _reduced(red.ncols, [dict(row) for row in red.rows]))
+
+    b_cols, a_cols = columns(ib1), columns(ia1)
+    conditions = [(ib2, b_cols, i) for i in reversed(range(m))]
+    conditions.append((ia2, a_cols, 0))
+    red = _Reducer(n)
+    xs = None
+    for lhs, rhs_cols, i in conditions:
+        left = list(lhs[i].items())
+        top = scales[min([i] + [k for k, _ in left])]
+        for j, right in enumerate(rhs_cols):
+            if xs is not None and not any(
+                sum([c * sol[k][j] for k, c in left])
+                != sum([sol[i][k] * c for k, c in right.items()])
+                for sol in xs
+            ):
+                continue
+            # (LHS X - X RHS)[i][j] in the unknowns, times the scale of the
+            # topmost row it involves
+            terms = [(c * (top // scales[k]), forms[k][j]) for k, c in left]
+            terms += [(-c * (top // scales[i]), forms[i][k]) for k, c in right.items()]
+            eq = {}
+            for c, f in terms:
+                for k, x in f.items():
+                    eq[k] = eq.get(k, 0) + c * x
+            eq = {k: x for k, x in eq.items() if x}
+            if not eq:
+                continue
+            if red.keep(red.reduce(eq)):
+                xs = None
+                if red.dim == n:
+                    return []
+            elif xs is None:
+                xs = [solution(y) for y in null_space(red)]
+    if xs is None:
+        xs = [solution(y) for y in null_space(red)]
+    vecs = [{i * n + j: x for i, row in enumerate(sol) for j, x in enumerate(row) if x} for sol in xs]
+    out = []
+    for vec in _reduced(m * n, vecs):
+        rows = [{} for _ in range(m)]
+        for k, x in vec.items():
+            rows[k // n][k % n] = x
+        out.append(Mat.from_cleared(vec[min(vec)], rows, n))
+    return out
+
+
+def _substituted_rows(a1, a2, last):
+    """(rows, scales) for the integer lower bidiagonal A1 (n x n) and A2
+    (m x m), given the last row of X as n sparse integer forms: row i of X
+    is rows[i] / scales[i] when A2 X = X A1.  Entry (i, j) of that
+    equation reads t X[i-1][j] = (A1[j][j] - A2[i][i]) X[i][j] +
+    A1[j+1][j] X[i][j+1] with t = A2[i][i-1], so each row carries the
+    product of the A2 subdiagonal entries below it as its scale."""
+    n, m = len(a1), len(a2)
+    row = last
+    rows, scales = [row], [1]
+    for i in range(m - 1, 0, -1):
+        beta = a2[i].get(i, 0)
+        nxt = []
+        for j in range(n):
+            c = a1[j].get(j, 0) - beta
+            f = {k: c * x for k, x in row[j].items()} if c else {}
+            if j + 1 < n:
+                s = a1[j + 1][j]
+                for k, x in row[j + 1].items():
+                    y = f.get(k, 0) + s * x
+                    if y:
+                        f[k] = y
+                    else:
+                        del f[k]
+            nxt.append(f)
+        row = nxt
+        rows.append(row)
+        scales.append(scales[-1] * a2[i][i - 1])
+    return rows[::-1], scales[::-1]
 
 
 def commutator(x, y):

@@ -176,6 +176,25 @@ def exact_spins(rep, monkeypatch):
     return irreducible_oracle(rep), len(calls)
 
 
+def loop_spins(rep):
+    """The exact spins irreducible_oracle makes at a reducible point with
+    no gap in B: one per distinct eigenvalue of B that the witness loop
+    visits in index order up to its first proper span (the spans of
+    spin_irreducible_oracle), and Norton's spin of the lambda_d eigenline,
+    which the loop reuses when it visits lambda_d rather than spinning it
+    again."""
+    n, b = rep.dim, rep.B
+    visited = []
+    for i in range(n):
+        lam = b.entries[i][i]
+        if lam in visited:
+            continue
+        visited.append(lam)
+        if spin(n, eigenspace(b, lam).basis, [rep.A, rep.B]).dim < n:
+            break
+    return len({*visited, b.entries[n - 1][n - 1]})
+
+
 def has_gap(rep):
     """Does a superdiagonal entry varphi_i of B vanish?"""
     return any(rep.B.entries[i - 1][i] == 0 for i in range(1, rep.dim))
@@ -304,7 +323,7 @@ def test_each_fallback_matches_eigenline_spins(name, monkeypatch):
     rep = build_R(q, d)
     got, spins = exact_spins(rep, monkeypatch)
     assert got == spin_irreducible_oracle(rep)
-    assert not got[0] and ((spins == 0) if has_gap(rep) else (spins >= 2))
+    assert not got[0] and spins == (0 if has_gap(rep) else loop_spins(rep))
 
 
 def repeated_point(rng, d, coords):
@@ -345,7 +364,7 @@ def test_reducible_points_return_the_witness_loops_span(monkeypatch):
             got, spins = exact_spins(rep, monkeypatch)
             assert got == spin_irreducible_oracle(rep)
             assert not got[0]
-            assert (spins == 0) if has_gap(rep) else (spins >= 2)
+            assert spins == (0 if has_gap(rep) else loop_spins(rep))
 
 
 def test_tail_fallback_matches_eigenline_spins(monkeypatch):

@@ -107,7 +107,7 @@ def battery() -> list[list[str]]:
         rows.append(["golden", *fmt])
     # six-digit entries at the largest accepted d: the relations and the
     # module in each basis, minimal polynomials by the continuant
-    # recurrence, intertwiners by substitution through A
+    # recurrence, intertwiners from the image of e_0
     for basis in BASES:
         rows.append(["verify", *SIX, "--basis", basis])
         rows.append(["construct", *SIX, "--basis", basis])

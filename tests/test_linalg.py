@@ -42,6 +42,7 @@ from conftest import (
     poly_mul,
     rationals,
     reducer_add,
+    substitution_intertwiners,
     triples,
     zero_mat,
 )
@@ -848,7 +849,7 @@ def test_spin_matches_apply_spin(n, data):
 def sylvester_system(a1, b1, a2, b2):
     """The retired intertwiner system: the entries of A2 X - X A1 and
     B2 X - X B1 as dense rows over vec(X) (row-major), 2mn x mn.  Oracle
-    for the substitution through A."""
+    for the route from e_0."""
     n, m = a1.rows, a2.rows
     nvars = m * n
 
@@ -877,9 +878,11 @@ def sylvester_intertwiners(a1, b1, a2, b2):
 
 
 def check_against_sylvester(a1, b1, a2, b2):
-    """intertwiner_space equals the retired Sylvester solve."""
+    """intertwiner_space equals the retired Sylvester and substitution
+    solves."""
     got = intertwiner_space(a1, b1, a2, b2)
     assert got == sylvester_intertwiners(a1, b1, a2, b2)
+    assert got == substitution_intertwiners(a1, b1, a2, b2)
     assert all(all_rat(x.entries) for x in got)
     for x in got:
         assert a2 * x == x * a1 and b2 * x == x * b1
@@ -945,7 +948,8 @@ def test_intertwiner_matches_sylvester_on_rectangular_pairs(n, k, data):
 
 def lower_bidiagonal_shape(a):
     """Zero off the diagonal and first subdiagonal, nonzero on that
-    subdiagonal: the shape the substitution through A needs."""
+    subdiagonal: the shape intertwiner_space and substitution_intertwiners
+    need."""
     return all(
         (x != 0) if j == i - 1 else (j == i or x == 0)
         for i, row in enumerate(a.entries)
