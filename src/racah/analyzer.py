@@ -68,8 +68,8 @@ from .rational import ONE, Rat, format_rat, is_square
 
 
 def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
-    """Matrix-side irreducibility test; returns a proper nonzero invariant
-    subspace as witness when reducible.
+    """Matrix-side irreducibility test on a module in any basis (each is a v
+    basis); returns a proper nonzero invariant subspace as witness when reducible.
 
     A vanishing superdiagonal entry varphi_i of B hands us the invariant
     tail span(v_i..v_d) directly.  Otherwise B is nonderogatory with all
@@ -91,8 +91,6 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
     and returns the first proper span; at lambda_d it takes the span of
     Norton's spin instead of spinning that eigenline again.
     """
-    if rep.basis != "v":
-        raise ValueError("the oracle walks the v-basis; build the module with basis='v'")
     _, (a_rows, b_rows), _ = clear([rep.A, rep.B])
     return _irreducible_rows(a_rows, b_rows)
 
@@ -156,8 +154,9 @@ def _eigenline(b_rows: Rows, i: int) -> dict[int, int]:
 
 
 def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
-    """Lower-triangular transition matrix between the w-basis and the
-    v-basis, in three independently computable ways.
+    """Lower-triangular module map L from the v basis to the u basis,
+    L A_v = A_u L and L B_v = B_u L, in three independently computable ways;
+    up to scale the only one when R_d(p) is irreducible (Schur's lemma).
 
     closed:     binomial closed form for each entry,
                 L[i][j] = C(d-i+j, j) C(i, j) / C(d, j)
@@ -390,11 +389,6 @@ def isomorphic(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
         raise ValueError(
             "isomorphism testing is defined here for irreducible modules only"
         )
-    return _isomorphic_irreducible(p1, p2, d)
-
-
-def _isomorphic_irreducible(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
-    """isomorphic() for triples the caller has already found in P(d)."""
     basis = module_maps(build_R(p1, d, "v"), build_R(p2, d, "v"))
     same_orbit, iso = orbit_check(p1, p2, d, basis)
     return IsoResult(d, p1, p2, same_orbit, len(basis), iso, basis[0] if iso else None)

@@ -408,7 +408,7 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
 
 
 def _cmd_intertwine(args) -> tuple[dict, str, int]:
-    from .analyzer import _isomorphic_irreducible, module_maps, orbit_check
+    from .analyzer import IsoResult, module_maps, orbit_check
     from .modules import build_R
 
     p1 = _triple(args)
@@ -418,23 +418,25 @@ def _cmd_intertwine(args) -> tuple[dict, str, int]:
     p2 = ParamTriple(*second) if second[0] is not None else p1
     d = args.d
     irreducible = all(in_P(p, d)[0] for p in {p1, p2})
+    maps = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
+    verdict = "unclassified"
+    if irreducible:
+        same_orbit, iso = orbit_check(p1, p2, d, maps)
+        verdict = "isomorphic" if iso else "distinct"
     if args.basis == args.basis2 == "v" and irreducible:
-        result = _isomorphic_irreducible(p1, p2, d)
-        doc = {**iso_to_doc(result), "verdict": "isomorphic" if result.iso else "distinct"}
+        result = IsoResult(d, p1, p2, same_orbit, len(maps), iso, maps[0] if iso else None)
+        doc = iso_to_doc(result)
     else:
-        basis = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
         doc = {
             "d": d,
             "params_1": params_to_doc(p1),
             "basis_1": args.basis,
             "params_2": params_to_doc(p2),
             "basis_2": args.basis2,
-            "hom_dim": len(basis),
-            "intertwiners": [mat_to_rows(m) for m in basis],
-            "verdict": "unclassified",
+            "hom_dim": len(maps),
+            "intertwiners": [mat_to_rows(m) for m in maps],
         }
-        if irreducible:
-            doc["verdict"] = "isomorphic" if orbit_check(p1, p2, d, basis)[1] else "distinct"
+    doc["verdict"] = verdict
     return doc, f"hom_dim {doc['hom_dim']}  verdict {doc['verdict']}\n", 0
 
 

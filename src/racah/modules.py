@@ -1,15 +1,13 @@
 """Construction of the (d+1)-dimensional modules R_d(a,b,c) and structural
 verification of the defining relations on them.
 
-Three distinguished bases are supported:
-  v: A lower bidiagonal (diagonal theta_0..theta_d, subdiagonal 1),
-     B upper bidiagonal (diagonal theta*_0..theta*_d, superdiagonal
-     varphi_1..varphi_d);
-  w: A lower bidiagonal with reversed diagonal theta_d..theta_0,
-     B upper bidiagonal (diagonal theta*_0..theta*_d, superdiagonal
-     phi_1..phi_d);
-  u: A as in v, B upper bidiagonal with reversed diagonal theta*_d..theta*_0
-     and superdiagonal phi_d..phi_1.
+The v basis is the one layout: A lower bidiagonal (diagonal
+theta_0..theta_d, subdiagonal 1), B upper bidiagonal (diagonal
+theta*_0..theta*_d, superdiagonal varphi_1..varphi_d).  The w and u bases
+of R_d(p) are the v bases of R_d(act(p, f_a)) and R_d(act(p, f_b)), for
+f_a = SignFlip(-1, 1, 1) and f_b = SignFlip(1, -1, 1): w reverses A's
+diagonal and has B's superdiagonal phi_1..phi_d, u reverses B's diagonal
+and has phi_d..phi_1.  f_c = SignFlip(1, 1, -1) leaves the v basis as it is.
 In every basis C = eta*I - A - B and D = (AB - BA)/2, both tridiagonal, and
 all four are integer bands (params.sequences): A, B, C over q, D over 2q^2.
 build_bands() forms the rows of A, B and C, which is all analyze() reads;
@@ -23,10 +21,11 @@ from typing import NamedTuple
 
 from .intmat import Rows, clear, combine, mul, scalar
 from .matrix import Mat
-from .params import ParamTriple, Scalars, scalars, sequences
+from .params import IDENTITY_FLIP, ParamTriple, Scalars, SignFlip, act, scalars, sequences
 from .rational import Rat
 
 BASES = ("v", "w", "u")
+_FLIPS = {"v": IDENTITY_FLIP, "w": SignFlip(-1, 1, 1), "u": SignFlip(1, -1, 1)}
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class ModuleRep:
     C: Mat
     D: Mat
     scalars: Scalars
-    # params.sequences at indices 0..d, as build_R evaluated them
+    # params.sequences at indices 0..d of the flipped triple, as build_R evaluated them
     _sequences: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -57,7 +56,7 @@ class Bands(NamedTuple):
     """A, B and C of R_d(p) in one basis, each as sparse integer rows over
     the common denominator q of params.sequences (q times the matrix, no
     zero stored, no common factor divided out), with the central scalars
-    and the sequences at indices 0..d they were formed from."""
+    and the flipped triple's sequences at indices 0..d they were formed from."""
 
     q: int
     A: Rows
@@ -68,38 +67,28 @@ class Bands(NamedTuple):
 
 
 def build_bands(p: ParamTriple, d: int, basis: str = "v") -> Bands:
-    """The integer bands of A, B and C that build_R wraps into Mats,
-    evaluating params.sequences and params.scalars once."""
+    """The integer bands of A, B and C that build_R wraps into Mats: the v
+    bands of the flipped triple, evaluating its sequences and scalars once."""
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+    p = act(p, _FLIPS[basis])
     seqs = sequences(p, d, d + 1)
-    q = seqs[0]
-    a, b, u = _diagonals(seqs, basis)
+    q, th, ts, _, vp = seqs
     sc = scalars(p, d)
     eta = sc.eta.numerator * (q // sc.eta.denominator)  # eta * q
-    # a, b and B's superdiagonal u are at scale q; A's subdiagonal is all ones
+    # th, ts and B's superdiagonal u are at scale q; A's subdiagonal is all ones
+    u = vp[1:]
     zeros = [0] * d
     return Bands(
         q,
-        _band_rows(a, [q] * d, zeros),
-        _band_rows(b, zeros, u),
-        _band_rows([eta - x - y for x, y in zip(a, b)], [-q] * d, [-x for x in u]),
+        _band_rows(th, [q] * d, zeros),
+        _band_rows(ts, zeros, u),
+        _band_rows([eta - x - y for x, y in zip(th, ts)], [-q] * d, [-x for x in u]),
         sc,
         seqs,
     )
-
-
-def _diagonals(seqs: tuple, basis: str) -> tuple[list[int], list[int], list[int]]:
-    """The diagonals of A and B and the superdiagonal of B in the basis,
-    from params.sequences, all at its scale q."""
-    _, th, ts, ph, vp = seqs
-    if basis == "v":
-        return th, ts, vp[1:]
-    if basis == "w":
-        return th[::-1], ts, ph[1:]
-    return th, ts[::-1], ph[:0:-1]  # u
 
 
 def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
@@ -107,12 +96,12 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
     the bands of build_bands() and D = (AB - BA)/2, over 2q^2, as Mats."""
     bands = build_bands(p, d, basis)
     n, q = d + 1, bands.q
-    a, b, u = _diagonals(bands.sequences, basis)
-    uu = [0, *u, 0]
+    _, th, ts, _, vp = bands.sequences
+    uu = [*vp, 0]  # B's superdiagonal between two zeros: varphi_0 = 0
     d_rows = _band_rows(
         [(uu[i] - uu[i + 1]) * q for i in range(n)],
-        [(b[i] - b[i + 1]) * q for i in range(d)],
-        [(a[i] - a[i + 1]) * x for i, x in enumerate(u)],
+        [(ts[i] - ts[i + 1]) * q for i in range(d)],
+        [(th[i] - th[i + 1]) * x for i, x in enumerate(vp[1:])],
     )
     a_mat, b_mat, c_mat = (Mat.from_cleared(q, rows, n) for rows in (bands.A, bands.B, bands.C))
     d_mat = Mat.from_cleared(2 * q * q, d_rows, n)

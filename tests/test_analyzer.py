@@ -38,6 +38,7 @@ from racah import (
 from racah import ALL_FLIPS
 from racah.intmat import clear, columns
 from racah.linalg import Subspace, _lower_bidiagonal, minimal_polynomial_integer, spin_integer
+from racah.modules import BASES
 from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
@@ -116,18 +117,18 @@ def test_integer_reducible_point():
     assert not oracle_ok and 0 < sub.dim < 3
 
 
-def test_oracle_requires_v_basis():
-    with pytest.raises(ValueError):
-        irreducible_oracle(build_R(P, 2, "w"))
-
-
-@given(triples(max_num=5, max_den=3), st.integers(0, 4))
-def test_criterion_matches_oracle(p, d):
+@given(triples(max_num=5, max_den=3), st.integers(0, 4), st.sampled_from(BASES))
+def test_criterion_matches_oracle(p, d, basis):
+    # a w or u module is the v module of a flipped triple, with the same verdict
     ok, _ = in_P(p, d)
-    oracle_ok, sub = irreducible_oracle(build_R(p, d))
+    rep = build_R(p, d, basis)
+    oracle_ok, sub = irreducible_oracle(rep)
     assert ok == oracle_ok
     if not ok:
         assert 0 < sub.dim < d + 1
+        for v in sub.basis:
+            assert in_span(sub, rep.A.apply(v))
+            assert in_span(sub, rep.B.apply(v))
 
 
 # ------------------ differential: Norton's spin and the witness loop vs eigenline spins
@@ -421,6 +422,15 @@ def test_l_matrix_methods_agree(p, d):
             assert closed.entries[i][j] == 0
     diag_nonzero = all(closed.entries[i][i] != 0 for i in range(d + 1))
     assert diag_nonzero == in_P(p, d)[0]
+    # every route is a module map from the v basis to the u basis
+    v, u = build_R(p, d, "v"), build_R(p, d, "u")
+    for method in ("closed", "recurrence", "direct"):
+        lm = l_matrix(p, d, method)
+        assert lm * v.A == u.A * lm
+        assert lm * v.B == u.B * lm
+    # and at an irreducible point the only one, up to scale (Schur's lemma)
+    if diag_nonzero:
+        assert analyzer.module_maps(v, u) == [closed.scale(1 / closed.entries[0][0])]
 
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))

@@ -290,24 +290,18 @@ def test_intertwine_self_is_isomorphic(capsys):
     assert doc["hom_dim"] == 1
 
 
-def test_intertwine_flip_partner(capsys):
-    code, doc, _ = run_json(
-        capsys,
-        [
-            "intertwine",
-            *GENERIC,
-            "--d",
-            "2",
-            "--a2",
-            "-4/3",
-            "--b2",
-            "-2/5",
-            "--c2",
-            "7/4",
-        ],
-    )
+@pytest.mark.parametrize(
+    "partner", [("-4/3", "-2/5", "7/4"), ("1/3", "-2/5", "-11/4")], ids=["a-flip", "c-flip"]
+)
+def test_intertwine_flip_partner(capsys, partner):
+    a2, b2, c2 = partner
+    argv = ["intertwine", *GENERIC, "--d", "2", "--a2", a2, "--b2", b2, "--c2", c2]
+    code, doc, _ = run_json(capsys, argv)
     assert code == 0
     assert doc["verdict"] == "isomorphic"
+    if c2 == "-11/4":
+        # the c flip leaves the v basis as it is, so the map is the identity
+        assert doc["intertwiner"] == [["1" if i == j else "0" for j in range(3)] for i in range(3)]
 
 
 def test_intertwine_distinct(capsys):

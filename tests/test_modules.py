@@ -118,20 +118,6 @@ def test_relations_hold_in_every_basis(p, d, basis):
     assert report.all_pass, report.failures
 
 
-@given(triples(max_num=6, max_den=4), st.integers(0, 4))
-def test_w_basis_is_v_basis_of_a_flip(p, d):
-    w = build_R(p, d, "w")
-    v = build_R(act(p, SignFlip(-1, 1, 1)), d, "v")
-    assert (w.A, w.B, w.C, w.D) == (v.A, v.B, v.C, v.D)
-
-
-@given(triples(max_num=6, max_den=4), st.integers(0, 4))
-def test_u_basis_is_v_basis_of_b_flip(p, d):
-    u = build_R(p, d, "u")
-    v = build_R(act(p, SignFlip(1, -1, 1)), d, "v")
-    assert (u.A, u.B, u.C, u.D) == (v.A, v.B, v.C, v.D)
-
-
 def test_scalars_attached_to_rep():
     rep = build_R(P, 3)
     assert rep.scalars == scalars(P, 3)
@@ -214,6 +200,23 @@ def assert_same_module(p, d, basis):
 @given(module_points(), st.sampled_from(BASES))
 def test_build_R_matches_the_fraction_construction(point, basis):
     assert_same_module(*point, basis)
+
+
+@pytest.mark.parametrize(
+    "basis, flip",
+    [("w", SignFlip(-1, 1, 1)), ("u", SignFlip(1, -1, 1)), ("v", SignFlip(1, 1, -1))],
+    ids=["w-f_a", "u-f_b", "v-f_c"],
+)
+@given(module_points())
+def test_w_basis_is_v_basis_of_a_flip(basis, flip, point):
+    # build_R builds every basis as the v basis of a flipped triple, and the
+    # Fraction construction builds each of the three layouts on its own
+    p, d = point
+    want = fraction_build_R(p, d, basis)
+    got = build_R(act(p, flip), d, "v")
+    assert (got.A, got.B, got.C, got.D, got.scalars) == (
+        want.A, want.B, want.C, want.D, want.scalars
+    ), (p, d, basis)
 
 
 @pytest.mark.parametrize("form", range(4))
