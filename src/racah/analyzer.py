@@ -14,10 +14,17 @@ take theta = B - lambda_d, for lambda_d the last diagonal entry of the
 upper bidiagonal B.  When no superdiagonal entry of B vanishes, the kernel
 of theta is one eigenline of B and its left kernel is e_d, which A^T alone
 spins to all of V* when A is lower bidiagonal with a nonzero subdiagonal.
-So the module is irreducible iff one exact spin of that eigenline under
-{A, B} reaches V.  A reducible module, or a pair off those bands, goes to
-the witness loop, which spins the eigenline of each distinct eigenvalue
-of B in index order and returns the first proper span.
+So the module is irreducible iff the spin of that eigenline under {A, B}
+reaches V.  Before any spin, an O(d^2) certificate reads the bands
+(racah.linalg._is_cyclic()): A is cyclic with cyclic vector e_0, so the
+eigenline x is f(A) e_0 for a polynomial f, and x is cyclic for A iff f
+vanishes at no diagonal entry of A.  Then the A-cyclic span of x, which
+lies in its {A, B}-spin, is already V, and the module is irreducible with
+no spin run.  Only when x is not cyclic does the exact spin run.  A
+reducible module, or a pair off those bands, goes to the witness loop,
+which takes the eigenline of each distinct eigenvalue of B in index
+order, skips one that is cyclic for A (when A is on its band), spins the
+others and returns the first proper span.
 
 analyze() reads A, B and C as the integer bands they are built from
 (racah.modules.build_bands(): q times each matrix, for the common
@@ -27,9 +34,9 @@ wrapper over the integer core it calls instead: irreducible_oracle() over
 _irreducible_rows(), racah.linalg.minimal_polynomial() over
 minimal_polynomial_integer(), and identify() over _identify_traces(),
 which takes the traces analyze() already holds.  Diagonalizability is read
-off the diagonal when the generator is bidiagonal with a nonzero
-off-diagonal throughout (A always, B unless a varphi_i vanishes), and is
-otherwise the squarefreeness of the minimal polynomial,
+off the diagonal of each unreduced block when the generator is bidiagonal
+(A and B; B splits into blocks where a varphi_i vanishes), and is
+otherwise, for C, the squarefreeness of the minimal polynomial,
 racah.poly.squarefree_integer(), the core of racah.poly.squarefree().
 """
 
@@ -43,6 +50,8 @@ from .errors import ConsistencyError
 from .intmat import Rows, clear, columns, combine, mul, scalar
 from .linalg import (
     Subspace,
+    _bidiagonal_blocks,
+    _is_cyclic,
     _lower_bidiagonal,
     intertwiner_space,
     invertible,
@@ -79,17 +88,31 @@ def irreducible_oracle(rep: ModuleRep) -> tuple[bool, Optional[Subspace]]:
 
     A and B are cleared of denominators together once.  When A is lower
     bidiagonal with a nonzero subdiagonal and B is upper bidiagonal,
-    Norton's test needs one spin: take theta = B - lambda_d.  Were U a
-    proper nonzero invariant subspace meeting ker(theta), the lambda_d
+    Norton's test reads one eigenline: take theta = B - lambda_d.  Were U
+    a proper nonzero invariant subspace meeting ker(theta), the lambda_d
     eigenline, in 0 only, theta would map U onto itself, so the left kernel
     of theta, spanned by e_d, would annihilate U.  The annihilator of U is
     invariant under A^T, and A^T spins e_d to all of V*, so U = 0.  Hence
     every proper nonzero invariant subspace contains the lambda_d
     eigenline, and the module is irreducible iff that eigenline spins to V.
-    When it does not, or when A or B is off its band, the witness loop
-    spins the eigenline of each distinct eigenvalue of B, in index order,
-    and returns the first proper span; at lambda_d it takes the span of
-    Norton's spin instead of spinning that eigenline again.
+
+    The cyclic certificate settles most points without a spin.  A e_j =
+    theta_j e_j + s_j e_(j+1) with every s_j != 0, so e_0 is cyclic for A
+    and the eigenline is x = f(A) e_0 for a polynomial f in the Newton
+    basis of A's diagonal.  x is cyclic for A, that is x, Ax, A^2 x, ...
+    span V, iff f vanishes at no diagonal entry theta_i;
+    racah.linalg._is_cyclic() evaluates f there on integers in O(d^2).
+    The spin of x under {A, B} contains its spin under A alone, so a
+    cyclic x spins to V, and the module is irreducible.  When x is not
+    cyclic nothing is proved, and the exact spin runs.
+
+    When that spin does not reach V, or when A or B is off its band, the
+    witness loop takes the eigenline of each distinct eigenvalue of B, in
+    index order, and returns the first proper span.  At lambda_d it takes
+    the span of Norton's spin instead of spinning that eigenline again,
+    and it skips an eigenline that is cyclic for A, whose spin is V, when
+    A is on its band.  Every eigenline is checked against B by
+    _eigenline() before it is tested or spun.
     """
     _, (a_rows, b_rows), _ = clear([rep.A, rep.B])
     return _irreducible_rows(a_rows, b_rows)
@@ -102,14 +125,21 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
     for i in range(1, n):
         if i not in b_rows[i - 1]:
             return False, subspace_of_rows(n, [{h: 1} for h in range(i, n)])
+    # on A's band, an eigenline cyclic for A alone spins to V unspun
+    a_band = _lower_bidiagonal(a_rows)
+    norton = a_band and _upper_bidiagonal(b_rows)
+    if norton:
+        last = b_rows[-1].get(n - 1, 0)
+        first = next(i for i, row in enumerate(b_rows) if row.get(i, 0) == last)
+        line = _eigenline(b_rows, first)
+        if _is_cyclic(a_rows, line):
+            return True, None
     # the columns of a square matrix are its transpose as rows; a B off
     # its band goes to the loop, whose eigenlines report it
     ops = [columns(a_rows), columns(b_rows)]
     spun = {}  # index of an eigenvalue's first occurrence -> its eigenline's span
-    if _lower_bidiagonal(a_rows) and _upper_bidiagonal(b_rows):
-        last = b_rows[-1].get(n - 1, 0)
-        first = next(i for i, row in enumerate(b_rows) if row.get(i, 0) == last)
-        spun[first] = spin_integer(n, [_eigenline(b_rows, first)], ops)
+    if norton:
+        spun[first] = spin_integer(n, [line], ops)
         if len(spun[first]) == n:
             return True, None
     seen = set()
@@ -118,7 +148,13 @@ def _irreducible_rows(a_rows: Rows, b_rows: Rows) -> tuple[bool, Optional[Subspa
         if lam in seen:
             continue
         seen.add(lam)
-        generated = spun[i] if i in spun else spin_integer(n, [_eigenline(b_rows, i)], ops)
+        if i in spun:
+            generated = spun[i]
+        else:
+            line = _eigenline(b_rows, i)
+            if a_band and _is_cyclic(a_rows, line):
+                continue
+            generated = spin_integer(n, [line], ops)
         if len(generated) < n:
             return False, subspace_of_rows(n, generated)
     return True, None
@@ -292,23 +328,19 @@ def _diagonalizable(rows: Rows, minpoly: list[int]) -> bool:
     """Is the square integer matrix with sparse rows rows and integer
     minimal polynomial minpoly diagonalizable over the algebraic closure?
 
-    A bidiagonal matrix whose off-diagonal is nonzero throughout is an
-    unreduced Hessenberg matrix, or the transpose of one, so it is
-    nonderogatory: its minimal polynomial is prod (x - lambda_i) over its
-    diagonal, squarefree iff the diagonal entries are distinct.  A of the
-    modules always has this shape, and B whenever no varphi_i vanishes.
-    Any other matrix is decided by the squarefreeness of minpoly."""
-    if _unreduced_bidiagonal(rows):
-        return len({row.get(i, 0) for i, row in enumerate(rows)}) == len(rows)
+    An upper or lower bidiagonal matrix is the direct sum of the unreduced
+    blocks between the zeros of its off-diagonal (_bidiagonal_blocks()).
+    Each block is an unreduced Hessenberg matrix, or the transpose of one,
+    so it is nonderogatory: its minimal polynomial is prod (x - lambda_i)
+    over its diagonal, squarefree iff the block's diagonal entries are
+    distinct.  So the matrix is diagonalizable iff every block's are.  A
+    and B of the modules always have this shape, A as one block, and B as
+    one block unless a varphi_i vanishes.  Any other matrix, C of the
+    modules, is decided by the squarefreeness of minpoly."""
+    blocks = _bidiagonal_blocks(rows)
+    if blocks is not None:
+        return all(len(set(block)) == len(block) for block in blocks)
     return squarefree_integer(minpoly)
-
-
-def _unreduced_bidiagonal(rows: Rows) -> bool:
-    """Is the square matrix zero off its diagonal and one of its two
-    neighbouring diagonals, and nonzero on the whole of that neighbour?"""
-    return _lower_bidiagonal(rows) or (
-        _upper_bidiagonal(rows) and all(i + 1 in rows[i] for i in range(len(rows) - 1))
-    )
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,21 @@ for the primitive integer polynomial P of den*M, and turns P into the
 monic rational polynomial once.  racah.analyzer clears a module's A, B and
 C once and calls both cores on those integer rows.
 
-minimal_polynomial_integer() has two routes.  A tridiagonal matrix whose
+minimal_polynomial_integer() has three routes.  A tridiagonal matrix whose
 subdiagonal or superdiagonal is nonzero throughout is, or transposes to, an
 unreduced Hessenberg matrix, which is nonderogatory: its minimal
 polynomial is its characteristic polynomial, read off the band in O(n^2)
 by the continuant recurrence.  A and C of the modules always qualify, and
-B does whenever all its varphi or all its phi are nonzero.  Any other
-matrix falls back to Krylov sequences of unit vectors through the reducer.
+B does whenever all its varphi or all its phi are nonzero.  A bidiagonal
+matrix split by zeros on its off-diagonal, as B is when a varphi_i
+vanishes, is the direct sum of unreduced blocks, and its minimal
+polynomial is read off their diagonals.  Any other matrix falls back to
+Krylov sequences of unit vectors through the reducer.
+
+_is_cyclic() decides in O(n^2) whether a vector is cyclic for a lower
+bidiagonal matrix with a nonzero subdiagonal, A in every basis of the
+modules, by evaluating the vector's Newton-basis polynomial at A's
+diagonal; racah.analyzer reads it as a certificate of irreducibility.
 
 intertwiner_space() builds each X with A2 X = X A1, B2 X = X B1 from
 x = X e_0.  A1 and A2 must be lower bidiagonal with a nonzero subdiagonal
@@ -332,18 +340,35 @@ def minimal_polynomial_integer(rows: Rows) -> list[int]:
     sparse rows, as a primitive integer polynomial P with a positive
     leading coefficient, lowest degree first.
 
-    Two routes.  When N is tridiagonal and every entry of its subdiagonal,
-    or every entry of its superdiagonal, is nonzero, N or its transpose is
-    an unreduced Hessenberg matrix.  Such a matrix is nonderogatory (e_0
-    generates everything under it, or under its transpose), so P is the
-    characteristic polynomial, monic with integer coefficients, and
-    _continuant() computes it in O(n^2).  A and C of the modules take this
-    route in every basis, since their subdiagonal is nonzero; B takes it
-    whenever all its varphi or all its phi are nonzero.  Every other
-    matrix, a tridiagonal one with zeros on both off-diagonals included,
-    goes to _krylov_minimal_polynomial()."""
+    Three routes, tried in order.  When N is tridiagonal and every entry
+    of its subdiagonal, or every entry of its superdiagonal, is nonzero, N
+    or its transpose is an unreduced Hessenberg matrix.  Such a matrix is
+    nonderogatory (e_0 generates everything under it, or under its
+    transpose), so P is the characteristic polynomial, monic with integer
+    coefficients, and _continuant() computes it in O(n^2).  A and C of the
+    modules take this route in every basis, since their subdiagonal is
+    nonzero; B takes it whenever all its varphi or all its phi are
+    nonzero.  An upper or lower bidiagonal N with zeros on its
+    off-diagonal, B when a varphi_i vanishes, is the direct sum of the
+    unreduced blocks of _bidiagonal_blocks(), each with the minimal
+    polynomial prod (x - lambda) over its diagonal.  So P is
+    prod_lambda (x - lambda)^k, for k the largest multiplicity of lambda on
+    one block's diagonal, monic and so primitive.  Every other matrix, a
+    tridiagonal one with zeros on both off-diagonals included, goes to
+    _krylov_minimal_polynomial()."""
     if _unreduced_tridiagonal(rows):
         return _continuant(rows)
+    blocks = _bidiagonal_blocks(rows)
+    if blocks is not None:
+        power = {}  # each eigenvalue -> its largest multiplicity in one block
+        for block in blocks:
+            for lam in block:
+                power[lam] = max(power.get(lam, 0), block.count(lam))
+        p = [1]
+        for lam, k in power.items():
+            for _ in range(k):
+                p = [a - lam * b for a, b in zip([0, *p], [*p, 0])]
+        return p
     return _krylov_minimal_polynomial(rows)
 
 
@@ -523,3 +548,52 @@ def _lower_bidiagonal(rows: Rows) -> bool:
     return all(
         row.keys() <= {i - 1, i} and (i == 0 or i - 1 in row) for i, row in enumerate(rows)
     )
+
+
+def _is_cyclic(rows: Rows, x: dict[int, int]) -> bool:
+    """Is the sparse integer vector x cyclic for the integer matrix A given
+    by its rows, lower bidiagonal with a nonzero subdiagonal
+    (_lower_bidiagonal())?  That is, do x, Ax, A^2 x, ... span Q^n?
+
+    A e_j = theta_j e_j + s_j e_(j+1) with s_j != 0, so A is cyclic with
+    cyclic vector e_0, and e_j = N_j(A) e_0 / (s_0 ... s_(j-1)) for the
+    Newton basis N_j(t) = prod_(h<j) (t - theta_h).  So x = f(A) e_0 for
+    f = sum_j x_j N_j / (s_0 ... s_(j-1)), and x is cyclic iff f is prime
+    to the characteristic polynomial prod_i (t - theta_i): iff
+    f(theta_i) != 0 at every distinct theta_i.  Times s_0 ... s_(i-1),
+    f(theta_i) is the integer
+    sum_(j<=i) x_j prod_(j<=h<i) s_h prod_(h<j) (theta_i - theta_h),
+    which a Horner sweep from j = i down to 0 gives in O(i) products, so
+    the test costs O(n^2)."""
+    theta = [row.get(i, 0) for i, row in enumerate(rows)]
+    seen = set()
+    for i, t in enumerate(theta):
+        if t in seen:
+            continue
+        seen.add(t)
+        value, s = x.get(i, 0), 1
+        for j in range(i - 1, -1, -1):
+            s *= rows[j + 1][j]
+            value = (t - theta[j]) * value + s * x.get(j, 0)
+        if not value:
+            return False
+    return True
+
+
+def _bidiagonal_blocks(rows: Rows) -> list[list[int]] | None:
+    """The diagonals of the unreduced blocks, in order, of a square upper
+    or lower bidiagonal matrix, split at each zero of its off-diagonal
+    (a diagonal matrix splits into 1 x 1 blocks); None for any other
+    matrix.  Such a matrix is the direct sum of its blocks, each
+    nonderogatory with the characteristic polynomial prod (x - lambda) over
+    its diagonal."""
+    upper = any(i + 1 in row for i, row in enumerate(rows))
+    off = 1 if upper else -1
+    blocks = []
+    for i, row in enumerate(rows):
+        if not row.keys() <= {i, i + off}:
+            return None
+        if not i or (i not in rows[i - 1] if upper else i - 1 not in row):
+            blocks.append([])
+        blocks[-1].append(row.get(i, 0))
+    return blocks

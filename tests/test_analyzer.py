@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,7 +184,8 @@ def loop_spins(rep):
     visits in index order up to its first proper span (the spans of
     spin_irreducible_oracle), and Norton's spin of the lambda_d eigenline,
     which the loop reuses when it visits lambda_d rather than spinning it
-    again."""
+    again.  An eigenline that A alone spins to V is certified cyclic and
+    not spun."""
     n, b = rep.dim, rep.B
     visited = []
     for i in range(n):
@@ -193,7 +195,10 @@ def loop_spins(rep):
         visited.append(lam)
         if spin(n, eigenspace(b, lam).basis, [rep.A, rep.B]).dim < n:
             break
-    return len({*visited, b.entries[n - 1][n - 1]})
+    return sum(
+        spin(n, eigenspace(b, lam).basis, [rep.A]).dim < n
+        for lam in {*visited, b.entries[n - 1][n - 1]}
+    )
 
 
 def has_gap(rep):
@@ -317,7 +322,8 @@ FALLBACKS = {
 def test_each_fallback_matches_eigenline_spins(name, monkeypatch):
     p, d = FALLBACKS[name]
     rep = build_R(p, d)
-    assert exact_spins(rep, monkeypatch) == ((True, None), 1)
+    # the lambda_d eigenline is cyclic for A, so no spin runs
+    assert exact_spins(rep, monkeypatch) == ((True, None), 0)
     assert spin_irreducible_oracle(rep) == (True, None)
     # the same point moved onto a boundary form gives the witness loop's span
     q = ParamTriple(p.a, p.b, ONTO_FORM[2](p.a, p.b, rat(d, 2) - 1))
@@ -345,12 +351,13 @@ def repeated_point(rng, d, coords):
 @pytest.mark.parametrize("coords", ["", "a", "b", "ab"])
 def test_one_spin_settles_each_irreducible_point(coords, monkeypatch):
     # the lambda_d eigenline decides alone, whether theta, theta* or both
-    # repeat
+    # repeat: it is cyclic for A, so the certificate settles the point
+    # and no spin runs
     rng = random.Random(coords)
     for _ in range(30):
         d = rng.randint(2, 10)
         rep = build_R(repeated_point(rng, d, coords), d)
-        assert exact_spins(rep, monkeypatch) == ((True, None), 1)
+        assert exact_spins(rep, monkeypatch) == ((True, None), 0)
         assert spin_irreducible_oracle(rep) == (True, None)
 
 
@@ -384,6 +391,83 @@ def test_b_off_its_band_raises(monkeypatch):
         exact_spins(rep, monkeypatch)
     with pytest.raises(ConsistencyError):
         spin_irreducible_oracle(rep)
+
+
+# ------------------ differential: the cyclic certificate on random band pairs
+
+def rows_oracle(a_rows, b_rows):
+    """spin_irreducible_oracle on the pair given by sparse integer rows."""
+    n = len(a_rows)
+    a, b = (Mat.from_cleared(1, [dict(row) for row in rows], n) for rows in (a_rows, b_rows))
+    return spin_irreducible_oracle(types.SimpleNamespace(dim=n, A=a, B=b))
+
+
+@st.composite
+def band_pairs(draw, min_n=1):
+    """(A, B) as sparse integer rows: A lower bidiagonal with a nonzero
+    subdiagonal, B upper bidiagonal with a nonzero superdiagonal, both
+    diagonals drawn from a few values so that they repeat."""
+    n = draw(st.integers(min_n, 6))
+    a, b = (
+        [{i: x} if x else {} for i, x in enumerate(
+            draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        )]
+        for _ in range(2)
+    )
+    nonzero = st.integers(-3, 3).filter(bool)
+    for i in range(n - 1):
+        a[i + 1][i] = draw(nonzero)
+        b[i][i + 1] = draw(nonzero)
+    return a, b
+
+
+@given(band_pairs())
+def test_certified_eigenlines_spin_to_v_on_random_band_pairs(pair):
+    a, b = pair
+    n = len(a)
+    ops = [columns(a), columns(b)]
+    firsts = {}  # each eigenvalue of B -> the first index holding it
+    for i, row in enumerate(b):
+        firsts.setdefault(row.get(i, 0), i)
+    for i in firsts.values():
+        x = analyzer._eigenline(b, i)
+        if analyzer._is_cyclic(a, x):
+            assert len(spin_integer(n, [x], ops)) == n
+    assert analyzer._irreducible_rows(a, b) == rows_oracle(a, b)
+
+
+@given(band_pairs(min_n=2), st.data())
+def test_a_off_its_band_never_reaches_the_certificate(pair, data):
+    # a zero on A's subdiagonal leaves span(e_0..e_(k-1)) A-invariant, and
+    # _is_cyclic's premise false
+    a, b = pair
+    k = data.draw(st.integers(1, len(a) - 1))
+    del a[k][k - 1]
+
+    def refuse(*args):
+        raise AssertionError("the cyclic certificate ran on A off its band")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "_is_cyclic", refuse)
+        assert analyzer._irreducible_rows(a, b) == rows_oracle(a, b)
+
+
+def test_uncertified_eigenline_falls_back_to_the_norton_spin(monkeypatch):
+    # A's diagonal (-1, 0, -1) repeats.  The lambda_d eigenline of B,
+    # x = e_0 - 2 e_1, is f(A) e_0 for f(t) = 1 - (t + 1), and f(0) = 0, so
+    # x is not cyclic for A; B moves it out of its A-cyclic span, and
+    # Norton's one spin reaches V
+    a = [{0: -1}, {0: 2}, {1: 2, 2: -1}]
+    b = [{0: -1, 1: -1}, {1: 1, 2: -2}, {2: 1}]
+    x = analyzer._eigenline(b, 1)
+    assert x == {0: 1, 1: -2}
+    assert not analyzer._is_cyclic(a, x)
+    assert len(spin_integer(3, [x], [columns(a)])) < 3
+    calls = []
+    real = analyzer.spin_integer
+    monkeypatch.setattr(analyzer, "spin_integer", lambda *args: calls.append(args) or real(*args))
+    assert analyzer._irreducible_rows(a, b) == rows_oracle(a, b) == (True, None)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- l_matrix
@@ -697,8 +781,8 @@ def test_analyze_takes_the_gcd_only_off_the_unreduced_bands(monkeypatch):
     analyze(P, 4)  # A and B are unreduced bidiagonal: only C goes to the gcd
     assert len(calls) == 1
     calls.clear()
-    analyze(TAIL_REDUCIBLE, 2)  # varphi_2 = 0, so B goes to it too
-    assert len(calls) == 2
+    analyze(TAIL_REDUCIBLE, 2)  # varphi_2 = 0 splits B, whose blocks decide it
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,24 @@ def _surface(cls):
     return {name for name, value in vars(cls).items() if not name.startswith("_") or callable(value)}
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a module imports, each relative import
+    (the package's only kind) by the module it names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_criterion_and_oracle_modules_stay_independent():
+    # the closed-form criterion (params) and the matrix oracles (linalg,
+    # intmat, poly) share nothing but the rational type
+    assert _package_imports(PACKAGE / "params.py") == {"rational"}
+    for name in ("linalg", "intmat", "poly"):
+        assert "params" not in _package_imports(PACKAGE / f"{name}.py"), name
+
+
 def test_public_surface_is_pinned():
     # a name joins or leaves the API only through an edit of these sets
     assert len(racah.__all__) == len(set(racah.__all__))

@@ -5,6 +5,7 @@ from itertools import count
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import racah.analyzer as analyzer
 import racah.linalg as linalg
 from racah import (
     ALL_FLIPS,
@@ -26,8 +27,9 @@ from racah import (
     rref,
     spin,
 )
+from racah.intmat import columns
 from racah.modules import BASES
-from racah.poly import monic_scaled
+from racah.poly import monic_scaled, squarefree_integer
 from racah.rational import Rat, parse_rat
 
 from conftest import (
@@ -805,6 +807,71 @@ def test_dense_and_gapped_matrices_take_the_krylov_route(monkeypatch):
     one_side = [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 1, 2: 1}]
     assert linalg.minimal_polynomial_integer(one_side) == real(one_side)
     assert len(calls) == 2
+
+
+# ------------------ differential: split bidiagonal blocks and the cyclic test
+
+@st.composite
+def split_bidiagonal(draw):
+    """A square integer upper or lower bidiagonal matrix as sparse rows,
+    its diagonal drawn from a few values so that entries repeat within and
+    across blocks, each off-diagonal entry zero in about half the draws."""
+    n = draw(st.integers(1, 8))
+    lower = draw(st.booleans())
+    rows = [{i: x} if x else {} for i, x in enumerate(draw(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    ))]
+    for i in range(n - 1):
+        x = draw(st.one_of(st.just(0), st.integers(-4, 4)))
+        if x:
+            if lower:
+                rows[i + 1][i] = x
+            else:
+                rows[i][i + 1] = x
+    return rows
+
+
+@given(split_bidiagonal())
+def test_block_minimal_polynomial_matches_krylov(rows):
+    blocks = linalg._bidiagonal_blocks(rows)
+    assert [x for block in blocks for x in block] == [row.get(i, 0) for i, row in enumerate(rows)]
+    krylov = linalg._krylov_minimal_polynomial(rows)
+    minpoly = linalg.minimal_polynomial_integer(rows)
+    assert minpoly == krylov
+    assert analyzer._diagonalizable(rows, minpoly) == squarefree_integer(krylov)
+
+
+def test_only_bidiagonal_matrices_split_into_blocks():
+    split = linalg._bidiagonal_blocks
+    assert split([{0: 1, 1: 2}, {1: 1}, {2: 3}]) == [[1, 1], [3]]  # upper, varphi_2 = 0
+    assert split([{0: 1}, {1: 1}, {1: 5, 2: 3}]) == [[1], [1, 3]]  # lower
+    assert split([{}, {1: 4}]) == [[0], [4]]  # diagonal
+    assert split([{0: 1, 1: 1}, {1: 1}, {1: 1, 2: 1}]) is None  # both off-diagonals
+    assert split([{0: 1, 2: 1}, {1: 1}, {2: 1}]) is None  # off the band
+
+
+@st.composite
+def lower_bands_and_vectors(draw):
+    """(A, x): A lower bidiagonal with a nonzero subdiagonal as sparse
+    integer rows, its diagonal often repeating, and a sparse integer x."""
+    n = draw(st.integers(1, 7))
+    diagonal = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    sub = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n - 1, max_size=n - 1))
+    a = [{i: x} if x else {} for i, x in enumerate(diagonal)]
+    for i, s in enumerate(sub):
+        a[i + 1][i] = s
+    x = draw(st.lists(st.one_of(st.just(0), st.integers(-3, 3)), min_size=n, max_size=n))
+    return a, {j: v for j, v in enumerate(x) if v}
+
+
+@given(lower_bands_and_vectors())
+def test_cyclic_test_matches_the_spin_under_a(case):
+    # x is cyclic for A iff A alone spins it to all of Q^n
+    a, x = case
+    n = len(a)
+    assert linalg._lower_bidiagonal(a)
+    cyclic = len(linalg.spin_integer(n, [x], [columns(a)])) == n
+    assert linalg._is_cyclic(a, x) == cyclic
 
 
 def reducible_triple(form, d, x, y, i):
