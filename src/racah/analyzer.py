@@ -43,8 +43,7 @@ racah.poly.squarefree_integer(), the core of racah.poly.squarefree().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError
 from .intmat import Rows, clear, columns, combine, mul, scalar
@@ -205,9 +204,9 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
                 the theta differences are integers over a divisor r of q,
                 so column j is an integer over q^d r^j, lifted to (qr)^d;
     direct:     read off row 0 of prod_h (B - theta*_h) times the partial
-                A-products, straight from the v-basis matrices (products
-                of their cleared integer rows), row i at den^(2d-i) for the
-                den that clears A, B and the shifts, lifted to den^(2d).
+                A-products, straight from the v-basis integer bands of A
+                and B over q (build_bands()), row i at q^(2d-i), lifted to
+                q^(2d).
 
     q is the common denominator of params.sequences: closed and recurrence
     run on its integer sequences alone.
@@ -254,13 +253,14 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         return Mat.from_cleared(q**d * r**d, rows, n)
 
     if method == "direct":
-        # the direct route reads the sequences build_R evaluated for its module
-        rep = build_R(p, d, "v")
-        q, th, ts, _, _ = rep._sequences
-        # on A and B cleared together with the theta_h and theta*_h, so
-        # that a product of k factors (A - theta_h) or (B - theta*_h) sits
-        # at den^k
-        den, (a, b), shifts = clear((rep.A, rep.B), [Rat(x, q) for x in th + ts])
+        # on the v bands of A and B over q, with the theta_h and theta*_h
+        # of the sequences they were formed from brought to q (a multiple
+        # of the sequences' own), so that a product of k factors
+        # (A - theta_h) or (B - theta*_h) sits at q^k
+        bands = build_bands(p, d, "v")
+        q, a, b = bands.q, bands.A, bands.B
+        seq_q, th, ts, _, _ = bands.sequences
+        shifts = [x * (q // seq_q) for x in th + ts]
         ident = scalar(n, 1)
         prod_b = ident
         for h in range(1, n):
@@ -271,10 +271,10 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
         for i in range(d - 1, -1, -1):
             partial = mul(partial, combine((1, a), (-shifts[i + 1], ident)))
             partials[i] = partial
-        rows = []  # row i of L at den^(2d - i), brought up to den^(2d)
+        rows = []  # row i of L at q^(2d - i), brought up to q^(2d)
         for i in range(n):
             m = mul(prod_b, partials[i])
-            scale = den ** (2 * d - i)
+            scale = q ** (2 * d - i)
             below = next(((r, min(row)) for r, row in enumerate(m) if r and row), None)
             if below is not None:
                 r, j = below
@@ -283,9 +283,9 @@ def l_matrix(p: ParamTriple, d: int, method: str = "closed") -> Mat:
                     f"for partial product i={i} it has {format_rat(Rat(m[r][j], scale))} "
                     f"at row {r}, column {j}"
                 )
-            lift = den**i
+            lift = q**i
             rows.append({j: x * lift for j, x in m[0].items()})
-        return Mat.from_cleared(den ** (2 * d), rows, n)
+        return Mat.from_cleared(q ** (2 * d), rows, n)
 
     raise ValueError(f"method must be closed, recurrence or direct, got {method!r}")
 
@@ -343,15 +343,13 @@ def _diagonalizable(rows: Rows, minpoly: list[int]) -> bool:
     return squarefree_integer(minpoly)
 
 
-@dataclass(frozen=True)
-class GeneratorIdentification:
+class GeneratorIdentification(NamedTuple):
     trace: Rat
     quadratic: Poly
     roots: Optional[tuple[Rat, Rat]]  # (canonical root >= -1/2, its partner)
 
 
-@dataclass(frozen=True)
-class IdentifyResult:
+class IdentifyResult(NamedTuple):
     d: int
     per_generator: dict  # name -> GeneratorIdentification
     candidate: Optional[ParamTriple]  # canonical triple, when all roots rational
@@ -401,8 +399,7 @@ def _identify_traces(d: int, traces: dict) -> IdentifyResult:
     return IdentifyResult(d, per, candidate, all_rational)
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     d: int
     p1: ParamTriple
     p2: ParamTriple
@@ -454,8 +451,7 @@ def orbit_check(p1: ParamTriple, p2: ParamTriple, d: int, maps: list[Mat]) -> tu
     return same_orbit, iso
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     params: ParamTriple
     d: int
     scalars: Scalars

@@ -16,7 +16,6 @@ build_R() adds D and wraps the four into Mats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .intmat import Rows, clear, combine, mul, scalar
@@ -28,8 +27,7 @@ BASES = ("v", "w", "u")
 _FLIPS = {"v": IDENTITY_FLIP, "w": SignFlip(-1, 1, 1), "u": SignFlip(1, -1, 1)}
 
 
-@dataclass(frozen=True)
-class ModuleRep:
+class ModuleRep(NamedTuple):
     d: int
     params: ParamTriple
     basis: str
@@ -38,8 +36,6 @@ class ModuleRep:
     C: Mat
     D: Mat
     scalars: Scalars
-    # params.sequences at indices 0..d of the flipped triple, as build_R evaluated them
-    _sequences: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -105,7 +101,7 @@ def build_R(p: ParamTriple, d: int, basis: str = "v") -> ModuleRep:
     )
     a_mat, b_mat, c_mat = (Mat.from_cleared(q, rows, n) for rows in (bands.A, bands.B, bands.C))
     d_mat = Mat.from_cleared(2 * q * q, d_rows, n)
-    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, bands.scalars, bands.sequences)
+    return ModuleRep(d, p, basis, a_mat, b_mat, c_mat, d_mat, bands.scalars)
 
 
 def _band_rows(diag: list[int], sub: list[int], sup: list[int]) -> Rows:
@@ -118,20 +114,18 @@ def _band_rows(diag: list[int], sub: list[int], sup: list[int]) -> Rows:
     ]
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     ok: bool
     # on failure: (row, col, lhs entry, rhs entry) of the first mismatch
     mismatch: tuple[int, int, Rat, Rat] | None = None
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     d: int
     params: ParamTriple
     basis: str
-    checks: tuple[RelationCheck, ...] = field(default_factory=tuple)
+    checks: tuple[RelationCheck, ...] = ()
 
     @property
     def all_pass(self) -> bool:

@@ -13,8 +13,7 @@ becomes a submodule, and the quotient is the (d+1)-dimensional module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .intmat import clear, columns, combine, mul, scalar
 from .matrix import Mat
@@ -23,16 +22,13 @@ from .params import ParamTriple, Scalars, scalars, sequences
 from .rational import Rat, format_rat, rat
 
 
-@dataclass(frozen=True)
-class VermaTruncation:
+class VermaTruncation(NamedTuple):
     params: ParamTriple
     nu: Rat
     cutoff: int
     A: Mat
     B: Mat
     scalars: Scalars
-    # params.sequences at indices 0..cutoff, as build_verma evaluated them
-    _sequences: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -60,21 +56,19 @@ def build_verma(p: ParamTriple, nu, cutoff: Optional[int] = None) -> VermaTrunca
     if cutoff < 3:
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     n = cutoff + 1
-    q, th, ts, _, vp = seqs = sequences(p, nu, n)
+    q, th, ts, _, vp = sequences(p, nu, n)
     a_mat = Mat.from_cleared(q, _band_rows(th, [q] * cutoff, [0] * cutoff), n)
     b_mat = Mat.from_cleared(q, _band_rows(ts, [0] * cutoff, vp[1:]), n)
-    return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu), seqs)
+    return VermaTruncation(p, nu, cutoff, a_mat, b_mat, scalars(p, nu))
 
 
-@dataclass(frozen=True)
-class VermaCheck:
+class VermaCheck(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VermaReport:
+class VermaReport(NamedTuple):
     params: ParamTriple
     nu: Rat
     cutoff: int
@@ -104,7 +98,7 @@ def verma_checks(vt: VermaTruncation, d: int) -> VermaReport:
     window = vt.safe_window
     a_mat, b_mat = vt.A, vt.B
     zeta, zeta_star, eta, _ = vt.scalars
-    q, th, ts, _, vp = vt._sequences
+    q, th, ts, _, vp = sequences(p, nu, n)
     ts0, ts1, vp1 = Rat(ts[0], q), Rat(ts[1], q), Rat(vp[1], q)
     checks: list[VermaCheck] = []
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import subprocess
@@ -261,7 +260,7 @@ def half_integer_modules(draw):
         j = draw(st.integers(0, d) if gen == "A" else st.integers(i, min(i + 1, d)))
         m = rep.generator(gen)
         delta = draw(st.sampled_from([-m.entries[i][j], HALF, rat(-3)]))
-        rep = dataclasses.replace(rep, **{gen: nudged(m, i, j, delta)})
+        rep = rep._replace(**{gen: nudged(m, i, j, delta)})
     return rep
 
 
@@ -280,7 +279,7 @@ def split_a(p, d, k):
     """build_R(p, d) with A's subdiagonal entry at row k zeroed, so that
     span(v_0..v_(k-1)) is invariant under A and B."""
     rep = build_R(p, d)
-    return dataclasses.replace(rep, A=nudged(rep.A, k, k - 1, -rep.A.entries[k][k - 1]))
+    return rep._replace(A=nudged(rep.A, k, k - 1, -rep.A.entries[k][k - 1]))
 
 
 def test_split_a_skips_the_norton_spin(monkeypatch):
@@ -384,7 +383,7 @@ def test_tail_fallback_matches_eigenline_spins(monkeypatch):
 
 def test_b_off_its_band_raises(monkeypatch):
     rep = build_R(P, 2)
-    rep = dataclasses.replace(rep, B=nudged(rep.B, 1, 0, rat(1, 3)))
+    rep = rep._replace(B=nudged(rep.B, 1, 0, rat(1, 3)))
     # the witness loop reports it at its first eigenline, index 0: the
     # Norton spin, whose eigenline sits at index 2, is skipped
     with pytest.raises(ConsistencyError, match="B is not upper bidiagonal.* diagonal entry 0$"):
@@ -632,20 +631,6 @@ def test_direct_l_matrix_at_a_large_six_digit_point():
     assert l_matrix(p, 12, "direct") == direct_l_matrix_oracle(build_R(p, 12, "v"), p, 12)
 
 
-def tampered_build_R(*nudges):
-    """build_R with delta added to entry (i, j) of generator gen, for each
-    (gen, i, j, delta) in nudges."""
-    real = analyzer.build_R
-
-    def build(p, d, basis="v"):
-        rep = real(p, d, basis)
-        for gen, i, j, delta in nudges:
-            rep = dataclasses.replace(rep, **{gen: nudged(rep.generator(gen), i, j, delta)})
-        return rep
-
-    return build
-
-
 def tampered_bands(*nudges):
     """build_bands with delta added to entry (i, j) of generator gen, for
     each (gen, i, j, delta) in nudges: the rows are first brought to q
@@ -671,7 +656,8 @@ def tampered_bands(*nudges):
 
 def tamper(monkeypatch, *nudges):
     """Make build_bands, wherever racah.modules and racah.analyzer read it,
-    carry the nudges: analyze and every module build_R builds see them."""
+    carry the nudges: analyze, l_matrix's direct route and every module
+    build_R builds see them."""
     build = tampered_bands(*nudges)
     monkeypatch.setattr(modules, "build_bands", build)
     monkeypatch.setattr(analyzer, "build_bands", build)
@@ -682,10 +668,9 @@ def tamper(monkeypatch, *nudges):
 def test_tampered_direct_l_matrix_matches_the_oracle(p, d, gen, delta, data):
     # one entry of A or B moved, anywhere, off the band included
     i, j = data.draw(st.integers(0, d)), data.draw(st.integers(0, d))
-    build = tampered_build_R((gen, i, j, delta))
-    expect = direct_l_matrix_oracle(build(p, d), p, d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analyzer, "build_R", build)
+        tamper(mp, (gen, i, j, delta))
+        expect = direct_l_matrix_oracle(build_R(p, d), p, d)
         if isinstance(expect, Mat):
             assert l_matrix(p, d, "direct") == expect
         else:
@@ -697,9 +682,7 @@ def test_tampered_direct_l_matrix_matches_the_oracle(p, d, gen, delta, data):
 def test_direct_l_matrix_failure_names_the_point_and_entry(monkeypatch):
     # B(1, 0) != 0 moves the B-annihilator product off the top row, and
     # A(0, 2) != 0 fills row 1 of the product in columns 0 to 2
-    monkeypatch.setattr(
-        analyzer, "build_R", tampered_build_R(("B", 1, 0, rat(1, 3)), ("A", 0, 2, rat(2, 5)))
-    )
+    tamper(monkeypatch, ("B", 1, 0, rat(1, 3)), ("A", 0, 2, rat(2, 5)))
     with pytest.raises(ConsistencyError) as err:
         l_matrix(P, 3, "direct")
     message = str(err.value)

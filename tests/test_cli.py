@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import subprocess
 import sys
@@ -124,7 +123,7 @@ def test_verify_failure_names_the_first_mismatch(capsys, monkeypatch):
 
     def doubled_d(*args):
         rep = real(*args)
-        return dataclasses.replace(rep, D=rep.D.scale(2))
+        return rep._replace(D=rep.D.scale(2))
 
     monkeypatch.setattr(racah.modules, "build_R", doubled_d)
     argv = ["verify", *GENERIC, "--d", "2"]

@@ -198,6 +198,32 @@ GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
             {"racah.modules"},
             {"racah.rewriter", "racah.analyzer", "racah.verma", "racah.golden", "concurrent.futures"},
         ),
+        (
+            ["construct", *GENERIC, "--d", "2"],
+            {"racah.modules"},
+            {"racah.analyzer", "racah.linalg", "racah.rewriter", "racah.verma", "racah.golden"},
+        ),
+        (
+            ["analyze", *GENERIC, "--d", "2"],
+            {"racah.analyzer"},
+            {"racah.rewriter", "racah.verma", "racah.golden", "concurrent.futures"},
+        ),
+        (
+            ["intertwine", *GENERIC, "--d", "2", "--basis2", "u"],
+            {"racah.analyzer", "racah.linalg"},
+            {"racah.rewriter", "racah.verma", "racah.golden"},
+        ),
+        (
+            ["verma", *GENERIC, "--nu", "3"],
+            {"racah.verma"},
+            {"racah.analyzer", "racah.linalg", "racah.rewriter", "racah.golden"},
+        ),
+        (
+            ["eval", *GENERIC, "--d", "2", "--expr", "[A,B]"],
+            {"racah.rewriter", "racah.modules"},
+            {"racah.analyzer", "racah.linalg", "racah.verma", "racah.golden"},
+        ),
+        (["golden"], {"racah.golden", "racah.analyzer"}, {"racah.rewriter", "racah.verma"}),
         (["reduce", "--expr", "[A,B]"], {"racah.rewriter"}, {"racah.analyzer", "racah.linalg"}),
         (
             ["sweep", "--grid", "a=1/3;b=1/2;c=1/4;d=1,2", "--jobs", "1"],
@@ -211,9 +237,13 @@ GENERIC = ["--a", "1/3", "--b", "-2/5", "--c", "7/4"]
             {"concurrent.futures"},
         ),
     ],
-    ids=["verify", "reduce", "sweep", "sweep-jobs-2", "sweep-one-point-jobs-2"],
+    ids=[
+        "verify", "construct", "analyze", "intertwine", "verma", "eval", "golden", "reduce",
+        "sweep", "sweep-jobs-2", "sweep-one-point-jobs-2",
+    ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, used, unused):
     loaded = _loaded(_MAIN, *argv)
     assert used <= loaded
-    assert not unused & loaded
+    # the records are NamedTuples: no subcommand pays for dataclasses and inspect
+    assert not (unused | {"dataclasses", "inspect"}) & loaded

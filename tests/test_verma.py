@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +13,7 @@ from racah import (
     verma_checks,
 )
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat
-from racah.verma import VermaCheck
+from racah.verma import VermaCheck, VermaTruncation
 
 from conftest import identity_mat, nudged, presentation_identities_oracle, rationals, triples
 
@@ -43,6 +41,16 @@ def test_specialized_nu_all_checks_pass():
     assert len(report.checks) == 8
     assert report.all_pass
     assert all(c.status == "pass" for c in report.checks)
+
+
+@pytest.mark.parametrize("nu, cutoff, d", [(3, None, 3), (rat(5, 2), 7, 2)])
+def test_truncation_rebuilt_from_its_public_fields_checks_as_built(nu, cutoff, d):
+    # the record holds nothing beyond its fields, so verma_checks evaluates
+    # the sequences it reads
+    vt = build_verma(P, nu, cutoff)
+    rebuilt = VermaTruncation(vt.params, vt.nu, vt.cutoff, vt.A, vt.B, vt.scalars)
+    assert rebuilt == vt
+    assert verma_checks(rebuilt, d) == verma_checks(vt, d)
 
 
 def test_superdiagonal_entry_vanishes_at_integral_nu():
@@ -111,7 +119,7 @@ def test_check_preconditions():
 def test_tampered_truncation_fails_annihilator():
     vt = build_verma(P, 2, cutoff=4)
     bump = Mat([[1 if (i, j) == (0, 0) else 0 for j in range(5)] for i in range(5)])
-    bad = dataclasses.replace(vt, B=vt.B + bump)
+    bad = vt._replace(B=vt.B + bump)
     report = verma_checks(bad, 2)
     assert by_name(report, "U1 annihilates the highest vector").status == "fail"
     assert not report.all_pass
@@ -276,7 +284,7 @@ def test_tampered_truncations_match_the_fraction_oracle(p, d, gen, delta, integr
     nu = d if integral else rat(2 * d + 1, 2)
     vt = build_verma(p, nu, d + 4)
     i, j = data.draw(st.integers(0, vt.cutoff)), data.draw(st.integers(0, vt.cutoff))
-    assert_matches_oracle(dataclasses.replace(vt, **{gen: nudged(getattr(vt, gen), i, j, delta)}), d)
+    assert_matches_oracle(vt._replace(**{gen: nudged(getattr(vt, gen), i, j, delta)}), d)
 
 
 @pytest.mark.parametrize("gen, i, j, statuses", [
@@ -289,13 +297,13 @@ def test_tampered_truncations_match_the_fraction_oracle(p, d, gen, delta, integr
 def test_tampered_truncation_reports_the_moved_checks(gen, i, j, statuses):
     vt = build_verma(P, 3)
     bad = nudged(getattr(vt, gen), i, j, rat(1, 7))
-    report = assert_matches_oracle(dataclasses.replace(vt, **{gen: bad}), 3)
+    report = assert_matches_oracle(vt._replace(**{gen: bad}), 3)
     assert tuple(c.status for c in report.checks[2:6]) == statuses
 
 
 @pytest.mark.parametrize("gen, i, j", [("A", 3, 3), ("B", 3, 2), ("A", 0, 3)])
 def test_quotient_check_sees_the_last_row_and_column(gen, i, j):
     vt = build_verma(P, 3)
-    bad = dataclasses.replace(vt, **{gen: nudged(getattr(vt, gen), i, j, rat(1, 7))})
+    bad = vt._replace(**{gen: nudged(getattr(vt, gen), i, j, rat(1, 7))})
     report = assert_matches_oracle(bad, 3)
     assert by_name(report, "quotient matches the finite module").status == "fail"
