@@ -38,6 +38,11 @@ off the diagonal of each unreduced block when the generator is bidiagonal
 (A and B; B splits into blocks where a varphi_i vanishes), and is
 otherwise, for C, the squarefreeness of the minimal polynomial,
 racah.poly.squarefree_integer(), the core of racah.poly.squarefree().
+
+isomorphic() and module_maps() read bands too: the module maps come from
+racah.linalg._intertwiner_rows(), the integer core of intertwiner_space(),
+and orbit_check() decides whether the one map between irreducible modules
+is invertible by the same cyclic test, applied to its image of e_0.
 """
 
 from __future__ import annotations
@@ -46,20 +51,19 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import ConsistencyError
-from .intmat import Rows, clear, columns, combine, mul, scalar
+from .intmat import Rows, clear, columns, combine, common, lowest_terms, mul, scalar
 from .linalg import (
     Subspace,
     _bidiagonal_blocks,
+    _intertwiner_rows,
     _is_cyclic,
     _lower_bidiagonal,
-    intertwiner_space,
-    invertible,
     minimal_polynomial_integer,
     spin_integer,
     subspace_of_rows,
 )
 from .matrix import Mat
-from .modules import ModuleRep, build_bands, build_R
+from .modules import Bands, ModuleRep, build_bands
 from .params import (
     ParamTriple,
     Scalars,
@@ -413,42 +417,71 @@ def isomorphic(p1: ParamTriple, p2: ParamTriple, d: int) -> IsoResult:
     """Are R_d(p1) and R_d(p2) isomorphic?  Criterion: same flip orbit.
     Oracle: the space of module maps, i.e. matrices intertwining both A and
     B (A and B generate, together with the central scalars; for the scalars
-    to match, eta must agree, and unequal eta forces the zero map)."""
+    to match, eta must agree, and unequal eta forces the zero map), solved
+    on the integer v bands of the two modules (build_bands()), with no D
+    and no Mat formed for them; a map found is invertible iff its image
+    of e_0 is cyclic for A2 (orbit_check())."""
     if not (in_P(p1, d)[0] and in_P(p2, d)[0]):
         raise ValueError(
             "isomorphism testing is defined here for irreducible modules only"
         )
-    basis = module_maps(build_R(p1, d, "v"), build_R(p2, d, "v"))
-    same_orbit, iso = orbit_check(p1, p2, d, basis)
+    target = build_bands(p2, d, "v")
+    basis = module_maps(build_bands(p1, d, "v"), target)
+    same_orbit, iso = orbit_check(p1, p2, d, basis, target.A)
     return IsoResult(d, p1, p2, same_orbit, len(basis), iso, basis[0] if iso else None)
 
 
-def module_maps(r1: ModuleRep, r2: ModuleRep) -> list[Mat]:
-    """Basis of the module maps from r1 to r2, in any pair of bases.  The
-    central eta acts on each module as a scalar, so unequal eta forces the
-    zero map and skips intertwiner_space()."""
+def module_maps(r1: Bands, r2: Bands) -> list[Mat]:
+    """Basis of the module maps from the module with bands r1 to the one
+    with bands r2, in any pair of bases (build_bands()).  The central eta
+    acts on each module as a scalar, so unequal eta forces the zero map and
+    skips the solve.  Otherwise the A pair and the B pair are each brought
+    to lowest terms and one common denominator, as racah.matrix and
+    racah.intmat.clear() would bring the Mats of build_R(), and go to
+    racah.linalg._intertwiner_rows(), the integer core of
+    intertwiner_space()."""
     if r1.scalars.eta != r2.scalars.eta:
         return []
-    return intertwiner_space(r1.A, r1.B, r2.A, r2.B)
+    _, (a1, a2), _ = common([lowest_terms(r1.q, r1.A), lowest_terms(r2.q, r2.A)])
+    _, (b1, b2), _ = common([lowest_terms(r1.q, r1.B), lowest_terms(r2.q, r2.B)])
+    return _intertwiner_rows(a1, b1, a2, b2)
 
 
-def orbit_check(p1: ParamTriple, p2: ParamTriple, d: int, maps: list[Mat]) -> tuple[bool, bool]:
+def orbit_check(
+    p1: ParamTriple, p2: ParamTriple, d: int, maps: list[Mat], a2: Rows
+) -> tuple[bool, bool]:
     """(same_orbit, iso) for irreducible R_d(p1), R_d(p2), given a basis of
-    the module maps between them, in any pair of bases; raises
+    the module maps between them, in any pair of bases, and the integer
+    rows of the target's A at any scale (build_bands()); raises
     ConsistencyError when that basis has more than one map (Schur's lemma)
-    or when the orbit criterion and the intertwiner oracle disagree."""
+    or when the orbit criterion and the intertwiner oracle disagree.
+
+    A single map X is invertible iff x = X e_0 is cyclic for A2, which
+    racah.linalg._is_cyclic() decides in O(d^2) on the bands.  For A1 e_j =
+    a_j e_j + s_j e_(j+1) with every s_j != 0, A2 X = X A1 gives
+    X e_(j+1) = (A2 - a_j) X e_j / s_j, so X e_j = p_j(A2) x for a
+    polynomial p_j of degree exactly j.  The p_j for j < d+1 span the
+    polynomials of degree at most d, so the columns of X span the Krylov
+    space of x under A2, and X has full rank iff that space is everything."""
     if len(maps) > 1:
         raise ConsistencyError(
             f"hom space between irreducible modules has dimension {len(maps)}"
         )
     same_orbit = canonical(p1)[0] == canonical(p2)[0]
-    iso = len(maps) == 1 and invertible(maps[0])
+    iso = len(maps) == 1 and _invertible_map(a2, maps[0])
     if iso != same_orbit:
         raise ConsistencyError(
             f"orbit criterion ({same_orbit}) disagrees with intertwiner oracle "
             f"({iso}) at {p1} vs {p2}, d={d}"
         )
     return same_orbit, iso
+
+
+def _invertible_map(a2: Rows, x: Mat) -> bool:
+    """Is the square module map x invertible?  That is, is its first
+    column, read in integers, cyclic for the target's A given by its
+    integer rows (orbit_check())?"""
+    return _is_cyclic(a2, {i: row[0] for i, row in enumerate(x._cleared[1]) if 0 in row})
 
 
 class AnalysisReport(NamedTuple):

@@ -409,7 +409,7 @@ def _cmd_sweep(args) -> tuple[dict, str, int]:
 
 def _cmd_intertwine(args) -> tuple[dict, str, int]:
     from .analyzer import IsoResult, module_maps, orbit_check
-    from .modules import build_R
+    from .modules import build_bands
 
     p1 = _triple(args)
     second = [args.a2, args.b2, args.c2]
@@ -418,10 +418,11 @@ def _cmd_intertwine(args) -> tuple[dict, str, int]:
     p2 = ParamTriple(*second) if second[0] is not None else p1
     d = args.d
     irreducible = all(in_P(p, d)[0] for p in {p1, p2})
-    maps = module_maps(build_R(p1, d, args.basis), build_R(p2, d, args.basis2))
+    target = build_bands(p2, d, args.basis2)
+    maps = module_maps(build_bands(p1, d, args.basis), target)
     verdict = "unclassified"
     if irreducible:
-        same_orbit, iso = orbit_check(p1, p2, d, maps)
+        same_orbit, iso = orbit_check(p1, p2, d, maps, target.A)
         verdict = "isomorphic" if iso else "distinct"
     if args.basis == args.basis2 == "v" and irreducible:
         result = IsoResult(d, p1, p2, same_orbit, len(maps), iso, maps[0] if iso else None)

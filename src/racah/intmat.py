@@ -3,8 +3,11 @@
 Several Mat values (and scalars) are cleared together: each is multiplied
 by den, the lcm of all their denominators, and held as sparse rows, one
 dict {column: int} of the nonzero entries per row: the cleared form each
-Mat carries (racah.matrix), rescaled to the common den.  Products and
-linear combinations run on Python ints over nonzero entries only.  Input
+Mat carries (racah.matrix), rescaled to the common den.  common() does
+the same for cleared forms held without a Mat, each first brought to
+lowest terms by lowest_terms(), as Mat.from_cleared() brings its own.
+Products and linear combinations run on Python ints over nonzero
+entries only.  Input
 rows store no zero, and mul and combine rely on it: a product of nonzero
 ints is never zero, so each kernel drops only a sum that cancels, as it
 adds.  Results store no zero either, so two matrices at the same scale
@@ -15,7 +18,7 @@ den.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 Rows = list[dict[int, int]]  # the sparse integer rows of a matrix
 
@@ -25,11 +28,26 @@ def clear(mats, scalars=()) -> tuple[int, list[Rows], list[int]]:
     of the matrices and of the scalars, rows[k] is den*mats[k] as sparse
     integer rows and ints[k] is den*scalars[k].  The rows are new dicts,
     free for the caller to consume."""
-    forms = [m._cleared for m in mats]
+    return common([m._cleared for m in mats], scalars)
+
+
+def common(forms, scalars=()) -> tuple[int, list[Rows], list[int]]:
+    """clear() on cleared forms (den, rows), each in lowest terms
+    (lowest_terms()), in place of Mats."""
     den = lcm(*[d for d, _ in forms], *[x.denominator for x in scalars])
     scales = [den // d for d, _ in forms]
     rows = [[{j: x * f for j, x in row.items()} for row in r] for f, (_, r) in zip(scales, forms)]
     return den, rows, [x.numerator * (den // x.denominator) for x in scalars]
+
+
+def lowest_terms(den: int, rows: Rows) -> tuple[int, Rows]:
+    """(den, rows) for den > 0 with gcd(den, every entry) divided out: the
+    cleared form of the matrix rows/den.  The rows are taken, not copied,
+    when nothing divides out."""
+    g = gcd(den, *[x for row in rows for x in row.values()])
+    if g == 1:
+        return den, rows
+    return den // g, [{j: x // g for j, x in row.items()} for row in rows]
 
 
 def scalar(n: int, c: int) -> Rows:

@@ -48,6 +48,12 @@ ShapeError), so e_0 generates Q^n under A1 and X e_(j+1) follows from
 X e_j through A2.  When B1 e_0 = lam e_0, as for the upper bidiagonal B,
 x lies in ker(B2 - lam), and only the residual equations on its
 coefficients in a basis of that kernel, usually one, reach the reducer.
+It is a thin wrapper, like spin() and minimal_polynomial(): it checks
+the shapes, clears the Mats, and calls the integer core
+_intertwiner_rows(), which runs each candidate x's ladder as one dense
+integer column per step, read straight off A2's diagonal and
+subdiagonal, with no matrix product.  racah.analyzer.module_maps() calls
+the core on a module's integer bands.
 
 Subspaces are stored with their reduced-row-echelon basis, each row scaled
 to primitive integers with a positive pivot.  RREF of a given row space is
@@ -58,10 +64,9 @@ A Subspace pickles as those rows, which subspace_of_rows() takes back.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, lcm
 
-from .intmat import Rows, apply_columns, clear, columns, combine, mul, scalar
+from .intmat import Rows, apply_columns, clear, columns, combine, scalar
 from .matrix import Mat, ShapeError
 from .poly import Poly, monic_scaled
 from .rational import Rat, ZERO, rat
@@ -474,19 +479,11 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     basis of vec(X) (row-major) reshaped into matrices.
 
     X is m x n where the pair (A1,B1) acts on dimension n and (A2,B2) on m.
-    The four matrices are cleared of denominators once, A1 with A2 and B1
-    with B2.  A1 and A2 must be lower bidiagonal with a nonzero
-    subdiagonal, as in every basis of the modules; anything else raises
-    ShapeError.  B1 and B2 may be any square matrices.
-
-    A1 e_j = a_j e_j + s_j e_(j+1) with s_j != 0, so X is fixed by X e_0:
-    X e_(j+1) = (A2 - a_j) X e_j / s_j.  X e_0 lies in ker(B2 - lam) when
-    B1 e_0 = lam e_0, as for the upper bidiagonal B of the modules, and
-    anywhere in Q^m otherwise; a basis of that space gives the candidates.
-    The residuals (A2 - a_(n-1)) X e_(n-1) and B2 X - X B1 of their X, at
-    one scale, are the equations on the candidates' coefficients.  Each
-    solution's vec(X) goes to _reduced(), in integers, and each row of the
-    result becomes one Mat over its pivot.
+    A1 and A2 must be lower bidiagonal with a nonzero subdiagonal, as in
+    every basis of the modules; anything else raises ShapeError.  B1 and B2
+    may be any square matrices.  This wrapper checks the shapes, clears A1
+    with A2 and B1 with B2 of denominators once, and hands the integer rows
+    to _intertwiner_rows(), which builds each X from X e_0.
     """
     n, m = a1.rows, a2.rows
     for mat, dim, name in ((a1, n, "A1"), (b1, n, "B1"), (a2, m, "A2"), (b2, m, "B2")):
@@ -497,42 +494,83 @@ def intertwiner_space(a1: Mat, b1: Mat, a2: Mat, b2: Mat) -> list[Mat]:
     for rows, name in ((ia1, "A1"), (ia2, "A2")):
         if not _lower_bidiagonal(rows):  # X is built column by column through A
             raise ShapeError(f"{name} must be lower bidiagonal with a nonzero subdiagonal")
-    ident = scalar(m, 1)
-    if any(0 in row for row in ib1[1:]):  # e_0 is no eigenvector of B1
+    return _intertwiner_rows(ia1, ib1, ia2, ib2)
+
+
+def _intertwiner_rows(a1: Rows, b1: Rows, a2: Rows, b2: Rows) -> list[Mat]:
+    """intertwiner_space() on integer rows: A1 and A2 at one scale, lower
+    bidiagonal with a nonzero subdiagonal (not checked here), and B1 and B2
+    at one scale, any square matrices.  The rows are not consumed.
+
+    A1 e_j = a_j e_j + s_j e_(j+1) with s_j != 0, so X is fixed by X e_0:
+    X e_(j+1) = (A2 - a_j) X e_j / s_j.  X e_0 lies in ker(B2 - lam) when
+    B1 e_0 = lam e_0, as for the upper bidiagonal B of the modules, and
+    anywhere in Q^m otherwise; a basis of that space gives the candidates.
+    Each candidate's ladder runs as one dense integer column per step,
+    read straight off A2's diagonal and subdiagonal.  The residuals
+    (A2 - a_(n-1)) X e_(n-1) and B2 X - X B1 of the candidates' X, at one
+    scale, are the equations on their coefficients, fed to the reducer
+    one column of X at a time until they have full rank.  Each
+    solution's vec(X) goes to _reduced(), in integers, and each row of the
+    result becomes one Mat over its pivot.
+    """
+    n, m = len(a1), len(a2)
+    if any(0 in row for row in b1[1:]):  # e_0 is no eigenvector of B1
         cands = [{i: 1} for i in range(m)]
     else:
-        lam = ib1[0].get(0, 0)
-        cands = _kernel_rows(m, _reduced(m, combine((1, ib2), (-lam, ident))))
+        lam = b1[0].get(0, 0)
+        cands = _kernel_rows(m, _reduced(m, combine((1, b2), (-lam, scalar(m, 1)))))
     r = len(cands)
     if not r:
         return []
-    # steps[j] holds X e_j times s_0 ... s_(j-1) for each candidate, one
-    # column per candidate; steps[n] is the A-residual
-    steps = [[{c: v[i] for c, v in enumerate(cands) if i in v} for i in range(m)]]
-    for j in range(n):
-        steps.append(mul(combine((1, ia2), (-ia1[j].get(j, 0), ident)), steps[j]))
-    cols, scale = steps[:n], 1  # X e_j times s_0 ... s_(n-2)
-    for j in range(n - 2, -1, -1):
-        scale *= ia1[j + 1][j]
-        cols[j] = [{c: scale * x for c, x in row.items()} for row in cols[j]]
-    b_cols = columns(ib1)
-    b_residuals = (  # (B2 X - X B1) e_j
-        combine((1, mul(ib2, cols[j])), *[(-x, cols[k]) for k, x in b_cols[j].items()])
-        for j in range(n)
-    )
+    diag = [row.get(i, 0) for i, row in enumerate(a2)]
+    sub = [a2[i][i - 1] for i in range(1, m)]
+    # ladders[c][j] is candidate c's X e_j times s_0 ... s_(n-2), dense;
+    # residual[c] is its (A2 - a_(n-1)) X e_(n-1) times s_0 ... s_(n-2)
+    ladders, residual = [], []
+    for v in cands:
+        col = [v.get(i, 0) for i in range(m)]
+        ladder = [col]  # X e_j times s_0 ... s_(j-1)
+        for j in range(n):
+            t = a1[j].get(j, 0)
+            col = [(diag[0] - t) * col[0]] + [
+                (x - t) * y + s * z for x, y, s, z in zip(diag[1:], col[1:], sub, col)
+            ]
+            ladder.append(col)
+        residual.append(ladder.pop())
+        scale = 1
+        for j in range(n - 2, -1, -1):
+            scale *= a1[j + 1][j]
+            ladder[j] = [scale * x for x in ladder[j]]
+        ladders.append(ladder)
+    b_cols = columns(b1)
+    b2_entries = [(i, k, x) for i, row in enumerate(b2) for k, x in row.items()]
     red = _Reducer(r)
-    for eq in chain(steps[n], chain.from_iterable(b_residuals)):
-        if red.keep(red.reduce(eq)) and red.dim == r:
-            return []
+    for j in range(-1, n):
+        if j >= 0:  # (B2 X - X B1) e_j of each candidate
+            residual = []
+            for ladder in ladders:
+                col, out = ladder[j], [0] * m
+                for i, k, x in b2_entries:
+                    out[i] += x * col[k]
+                for k, x in b_cols[j].items():
+                    out = [y - x * z for y, z in zip(out, ladder[k])]
+                residual.append(out)
+        if not any(map(any, residual)):  # every equation of this block is 0 = 0
+            continue
+        for i in range(m):
+            eq = {c: col[i] for c, col in enumerate(residual) if col[i]}
+            if eq and red.keep(red.reduce(eq)) and red.dim == r:
+                return []
     vecs = []
     for y in _kernel_rows(r, _reduced(r, red.rows)):
         vec = {}
-        for j, col in enumerate(cols):
-            for i, row in enumerate(col):
-                x = sum([c * row[k] for k, c in y.items() if k in row])
-                if x:
-                    vec[i * n + j] = x
-        vecs.append(vec)
+        for k, c in y.items():
+            for j, col in enumerate(ladders[k]):
+                for i, x in enumerate(col):
+                    if x:
+                        vec[i * n + j] = vec.get(i * n + j, 0) + c * x
+        vecs.append({k: x for k, x in vec.items() if x})
     out = []
     for vec in _reduced(m * n, vecs):
         rows: Rows = [{} for _ in range(m)]

@@ -14,9 +14,9 @@ raise ShapeError naming both shapes.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
-from .intmat import combine, mul
+from .intmat import combine, lowest_terms, mul
 from .rational import Rat, ZERO, rat
 
 
@@ -53,9 +53,7 @@ class Mat:
     def from_cleared(cls, den: int, rows: list, ncols: int) -> "Mat":
         """The Mat rows/den for den > 0 and sparse integer rows storing no
         zero, gcd(den, every entry) divided out; the rows are taken, not copied."""
-        g = gcd(den, *[x for row in rows for x in row.values()])
-        if g != 1:
-            den, rows = den // g, [{j: x // g for j, x in row.items()} for row in rows]
+        den, rows = lowest_terms(den, rows)
         m = object.__new__(cls)
         _set(m, den, rows, ncols)
         return m

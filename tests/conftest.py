@@ -1,11 +1,12 @@
 import math
 import random
+from itertools import chain
 from math import lcm
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from racah import Mat, ParamTriple, Poly, Scalars, ShapeError, Subspace, Witness, rat
-from racah.intmat import apply_columns, clear, columns
+from racah.intmat import apply_columns, clear, columns, combine, mul, scalar
 from racah.linalg import (
     _Reducer,
     _integer_rows,
@@ -338,6 +339,61 @@ def substitution_intertwiners(a1, b1, a2, b2):
     if xs is None:
         xs = [solution(y) for y in null_space(red)]
     vecs = [{i * n + j: x for i, row in enumerate(sol) for j, x in enumerate(row) if x} for sol in xs]
+    out = []
+    for vec in _reduced(m * n, vecs):
+        rows = [{} for _ in range(m)]
+        for k, x in vec.items():
+            rows[k // n][k % n] = x
+        out.append(Mat.from_cleared(vec[min(vec)], rows, n))
+    return out
+
+
+def ladder_intertwiners(a1, b1, a2, b2):
+    """linalg.intertwiner_space as it was before its integer core ran each
+    candidate's ladder as a dense column: all candidates step together as
+    the sparse columns of one m x r matrix, X e_(j+1) times s_0 ... s_j is
+    the product (A2 - a_j) X e_j built by combine() and mul(), and each B
+    residual is one more product.  For A1 and A2 lower bidiagonal with a
+    nonzero subdiagonal.  Kept as the oracle of the dense ladder."""
+    n, m = a1.rows, a2.rows
+    _, (ia1, ia2), _ = clear([a1, a2])
+    _, (ib1, ib2), _ = clear([b1, b2])
+    ident = scalar(m, 1)
+    if any(0 in row for row in ib1[1:]):  # e_0 is no eigenvector of B1
+        cands = [{i: 1} for i in range(m)]
+    else:
+        lam = ib1[0].get(0, 0)
+        cands = _kernel_rows(m, _reduced(m, combine((1, ib2), (-lam, ident))))
+    r = len(cands)
+    if not r:
+        return []
+    # steps[j] holds X e_j times s_0 ... s_(j-1) for each candidate, one
+    # column per candidate; steps[n] is the A-residual
+    steps = [[{c: v[i] for c, v in enumerate(cands) if i in v} for i in range(m)]]
+    for j in range(n):
+        steps.append(mul(combine((1, ia2), (-ia1[j].get(j, 0), ident)), steps[j]))
+    cols, scale = steps[:n], 1  # X e_j times s_0 ... s_(n-2)
+    for j in range(n - 2, -1, -1):
+        scale *= ia1[j + 1][j]
+        cols[j] = [{c: scale * x for c, x in row.items()} for row in cols[j]]
+    b_cols = columns(ib1)
+    b_residuals = (  # (B2 X - X B1) e_j
+        combine((1, mul(ib2, cols[j])), *[(-x, cols[k]) for k, x in b_cols[j].items()])
+        for j in range(n)
+    )
+    red = _Reducer(r)
+    for eq in chain(steps[n], chain.from_iterable(b_residuals)):
+        if red.keep(red.reduce(eq)) and red.dim == r:
+            return []
+    vecs = []
+    for y in _kernel_rows(r, _reduced(r, red.rows)):
+        vec = {}
+        for j, col in enumerate(cols):
+            for i, row in enumerate(col):
+                x = sum([c * row[k] for k, c in y.items() if k in row])
+                if x:
+                    vec[i * n + j] = x
+        vecs.append(vec)
     out = []
     for vec in _reduced(m * n, vecs):
         rows = [{} for _ in range(m)]

@@ -23,11 +23,13 @@ from racah import (
     eigenspace,
     identify,
     in_P,
+    invertible,
     irreducible_oracle,
     isomorphic,
     l_matrix,
     minimal_polynomial,
     phi,
+    rank,
     rat,
     spin,
     squarefree,
@@ -38,7 +40,7 @@ from racah import (
 from racah import ALL_FLIPS
 from racah.intmat import clear, columns
 from racah.linalg import Subspace, _lower_bidiagonal, minimal_polynomial_integer, spin_integer
-from racah.modules import BASES
+from racah.modules import BASES, build_bands
 from racah.params import sequences, trace_formula
 from racah.rational import HALF, ONE, ZERO, Rat, format_rat, is_square
 
@@ -298,7 +300,7 @@ def test_analyze_catches_a_split_graph(monkeypatch):
     assert in_P(P, 5)[0]
     tamper(monkeypatch, ("A", 3, 2, rat(-1)))
     assert 2 not in analyzer.build_bands(P, 5).A[3]
-    assert analyzer.build_R(P, 5).A.entries[3][2] == 0
+    assert build_R(P, 5).A.entries[3][2] == 0
     with pytest.raises(ConsistencyError, match="irreducibility criterion"):
         analyze(P, 5)
 
@@ -513,7 +515,8 @@ def test_l_matrix_methods_agree(p, d):
         assert lm * v.B == u.B * lm
     # and at an irreducible point the only one, up to scale (Schur's lemma)
     if diag_nonzero:
-        assert analyzer.module_maps(v, u) == [closed.scale(1 / closed.entries[0][0])]
+        maps = analyzer.module_maps(build_bands(p, d, "v"), build_bands(p, d, "u"))
+        assert maps == [closed.scale(1 / closed.entries[0][0])]
 
 
 @given(triples(max_num=5, max_den=3), st.integers(0, 4))
@@ -688,7 +691,7 @@ def test_direct_l_matrix_failure_names_the_point_and_entry(monkeypatch):
     message = str(err.value)
     assert message.startswith(f"B-annihilator product must land in the top row at {P}, d=3: ")
     assert "partial product i=0" in message and "at row 1, column 0" in message
-    expect = direct_l_matrix_oracle(analyzer.build_R(P, 3), P, 3)
+    expect = direct_l_matrix_oracle(build_R(P, 3), P, 3)
     assert expect[:3] == (0, 1, 0)
     assert message == direct_route_failure(expect, P, 3)
 
@@ -885,6 +888,42 @@ def test_isomorphic_dimension_zero():
     assert res.iso and res.hom_dim == 1
 
 
+@given(triples(5, 3), st.integers(0, 6), st.sampled_from(BASES), st.sampled_from(BASES),
+       st.sampled_from(ALL_FLIPS), st.booleans(), st.data())
+def test_cyclic_verdict_matches_invertible_on_module_maps(p, d, basis1, basis2, flip, onto, data):
+    # a flip partner (isomorphic at an irreducible point) and the three
+    # sigma-permuted triples, all with the same eta; on a reducibility form
+    # the hom space can be 2-dimensional with a singular map in it, and a
+    # combination of its two maps is a module map too
+    if d and onto:
+        t = rat(d, 2) - data.draw(st.integers(1, d))
+        p = ParamTriple(p.a, p.b, data.draw(st.sampled_from(ONTO_FORM))(p.a, p.b, t))
+    source = build_bands(p, d, basis1)
+    partners = (act(p, flip), ParamTriple(p.b, p.a, p.c), ParamTriple(p.c, p.b, p.a),
+                ParamTriple(p.a, p.c, p.b))
+    for q in partners:
+        target = build_bands(q, d, basis2)
+        maps = analyzer.module_maps(source, target)
+        if len(maps) == 2:
+            maps.append(maps[0] + maps[1].scale(data.draw(rationals(5, 3))))
+        for x in maps:
+            assert analyzer._invertible_map(target.A, x) == invertible(x)
+
+
+def test_cyclic_verdict_on_a_singular_module_map():
+    # R_2(-1, -1/2, -1/2) is reducible, and its endomorphisms are spanned
+    # by the identity and a rank-one map whose x = X e_0 = (0, 1, -1/2) is
+    # nonzero but not cyclic for A
+    p = ParamTriple.of(-1, "-1/2", "-1/2")
+    bands = build_bands(p, 2, "v")
+    one, singular = analyzer.module_maps(bands, bands)
+    assert one == identity_mat(3)
+    assert singular == Mat([[0, 0, 0], [1, 0, 0], [rat(-1, 2), 0, 0]])
+    assert analyzer._invertible_map(bands.A, one) and invertible(one)
+    assert not analyzer._invertible_map(bands.A, singular)
+    assert not invertible(singular) and rank(singular) == 1
+
+
 # ------------------------------------------------------------------ analyze
 
 def test_analyze_generic_point():
@@ -1014,7 +1053,7 @@ def mat_analyze(p, d):
     the traces are Fraction sums, and the linear forms are Fractions.
     Kept as its oracle."""
     crit, witnesses = fraction_in_P(p, d)
-    rep = analyzer.build_R(p, d, "v")
+    rep = build_R(p, d, "v")
     oracle, bad_subspace = irreducible_oracle(rep)
     if crit != oracle:
         raise ConsistencyError(
@@ -1167,8 +1206,9 @@ def test_analyze_reads_the_bands_once(monkeypatch):
         raise AssertionError("analyze forms no Mat and clears nothing")
 
     monkeypatch.setattr(analyzer, "build_bands", counting)
-    for name in ("build_R", "clear"):
-        monkeypatch.setattr(analyzer, name, refuse)
+    assert not hasattr(analyzer, "build_R")  # a module-level import would dodge the patch below
+    monkeypatch.setattr(modules, "build_R", refuse)
+    monkeypatch.setattr(analyzer, "clear", refuse)
     monkeypatch.setattr(Mat, "from_cleared", classmethod(refuse))
     for p, d in [(P, 4), (TAIL_REDUCIBLE, 2), (SPIN_REDUCIBLE, 2), FALLBACKS["repeated theta*"]]:
         calls.clear()

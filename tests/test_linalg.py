@@ -27,8 +27,8 @@ from racah import (
     rref,
     spin,
 )
-from racah.intmat import columns
-from racah.modules import BASES
+from racah.intmat import columns, lowest_terms
+from racah.modules import BASES, build_bands
 from racah.poly import monic_scaled, squarefree_integer
 from racah.rational import Rat, parse_rat
 
@@ -36,6 +36,7 @@ from conftest import (
     diagonal_mat,
     identity_mat,
     in_span,
+    ladder_intertwiners,
     lower_bidiagonal,
     poly_divmod,
     poly_gcd,
@@ -945,14 +946,27 @@ def sylvester_intertwiners(a1, b1, a2, b2):
 
 
 def check_against_sylvester(a1, b1, a2, b2):
-    """intertwiner_space equals the retired Sylvester and substitution
-    solves."""
+    """intertwiner_space, whose integer core runs each candidate's ladder
+    as a dense column, equals the retired Sylvester and substitution
+    solves and the sparse combine/mul ladder the core replaced."""
     got = intertwiner_space(a1, b1, a2, b2)
     assert got == sylvester_intertwiners(a1, b1, a2, b2)
     assert got == substitution_intertwiners(a1, b1, a2, b2)
+    assert got == ladder_intertwiners(a1, b1, a2, b2)
     assert all(all_rat(x.entries) for x in got)
     for x in got:
         assert a2 * x == x * a1 and b2 * x == x * b1
+    return got
+
+
+def check_modules(p1, basis1, p2, basis2, d):
+    """check_against_sylvester on build_R's Mats of R_d(p1) and R_d(p2),
+    and, when their etas agree, module_maps on the bands of the same two
+    modules equal to it."""
+    r1, r2 = build_R(p1, d, basis1), build_R(p2, d, basis2)
+    got = check_against_sylvester(r1.A, r1.B, r2.A, r2.B)
+    if r1.scalars.eta == r2.scalars.eta:
+        assert analyzer.module_maps(build_bands(p1, d, basis1), build_bands(p2, d, basis2)) == got
     return got
 
 
@@ -961,11 +975,23 @@ def check_against_sylvester(a1, b1, a2, b2):
 def test_intertwiner_matches_sylvester_across_bases(p, d, flip, basis1, basis2):
     # a flip partner in another basis, and two permutations of the triple:
     # the same eta, usually not isomorphic
-    r1 = build_R(p, d, basis1)
+    eta = build_R(p, d, basis1).scalars.eta
     for q in (act(p, flip), ParamTriple(p.b, p.a, p.c), ParamTriple(p.c, p.b, p.a)):
-        r2 = build_R(q, d, basis2)
-        assert r2.scalars.eta == r1.scalars.eta
-        check_against_sylvester(r1.A, r1.B, r2.A, r2.B)
+        assert build_R(q, d, basis2).scalars.eta == eta
+        check_modules(p, basis1, q, basis2, d)
+
+
+@pytest.mark.parametrize("basis1, basis2", [("v", "v"), ("v", "w"), ("w", "u"), ("u", "v")])
+def test_intertwiner_matches_sylvester_on_six_digit_coordinates(basis1, basis2):
+    # A's bands over q reduce to lowest terms with a much smaller
+    # denominator here (42 of 122 bits at d = 3), so module_maps takes the
+    # lowest-terms step on each side before the common denominator
+    p = ParamTriple(rat(999983, 999979), rat(-999961, 999959), rat(999953, 999931))
+    d = 3
+    for bands in (build_bands(p, d, basis1), build_bands(p, d, basis2)):
+        assert lowest_terms(bands.q, bands.A)[0] < bands.q
+    for q in (p, act(p, ALL_FLIPS[3])):
+        assert len(check_modules(p, basis1, q, basis2, d)) == 1
 
 
 @given(st.sampled_from(["a+b+c+1", "-a+b+c", "a-b+c", "a+b-c"]), st.integers(1, 5),
@@ -973,8 +999,7 @@ def test_intertwiner_matches_sylvester_across_bases(p, d, flip, basis1, basis2):
        st.data())
 def test_intertwiner_matches_sylvester_at_reducible_points(form, d, x, y, basis1, basis2, data):
     p = reducible_triple(form, d, x, y, data.draw(st.integers(1, d)))
-    r1, r2 = build_R(p, d, basis1), build_R(p, d, basis2)
-    check_against_sylvester(r1.A, r1.B, r2.A, r2.B)
+    check_modules(p, basis1, p, basis2, d)
 
 
 @pytest.mark.parametrize(
@@ -986,8 +1011,7 @@ def test_intertwiners_of_reducible_modules_with_two_dimensional_hom(form, d, x, 
     p = reducible_triple(form, d, parse_rat(x), parse_rat(y), i)
     for basis1 in BASES:
         for basis2 in BASES:
-            r1, r2 = build_R(p, d, basis1), build_R(p, d, basis2)
-            assert len(check_against_sylvester(r1.A, r1.B, r2.A, r2.B)) == 2
+            assert len(check_modules(p, basis1, p, basis2, d)) == 2
 
 
 nonzero = rationals(5, 3).filter(bool)
@@ -1011,6 +1035,38 @@ def test_intertwiner_matches_sylvester_on_rectangular_pairs(n, k, data):
     into = check_against_sylvester(a2, b2, a1, b1)
     assert into and (into[0].rows, into[0].cols) == (size, k)
     check_against_sylvester(a1, b1, a2, b2)
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.booleans(), st.data())
+def test_dense_ladder_matches_the_sparse_ladder(n, m, upper, conjugate, data):
+    # lower bidiagonal A's and any B's, at sizes past the Sylvester solve's
+    # reach: the dense ladder of the integer core against the sparse
+    # combine/mul ladder it replaced and the substitution solve.  An upper
+    # triangular B1 has e_0 as an eigenvector, so the candidates come from
+    # a kernel of B2; otherwise every unit vector is one.  A diagonal
+    # conjugate of the first pair has the conjugating map into it
+    def pair(k):
+        diag = data.draw(st.lists(rationals(5, 3), min_size=k, max_size=k))
+        sub = data.draw(st.lists(nonzero, min_size=k - 1, max_size=k - 1))
+        b = data.draw(sparse_square(k))
+        if upper:
+            b = Mat([[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(b.entries)])
+        return lower_bidiagonal(diag, sub), b
+
+    a1, b1 = pair(n)
+    if conjugate:
+        s = diagonal_mat(data.draw(st.lists(nonzero, min_size=n, max_size=n)))
+        a2, b2 = s * a1 * inverse(s), s * b1 * inverse(s)
+    else:
+        a2, b2 = pair(m)
+    got = intertwiner_space(a1, b1, a2, b2)
+    assert got == ladder_intertwiners(a1, b1, a2, b2)
+    assert got == substitution_intertwiners(a1, b1, a2, b2)
+    for x in got:
+        assert a2 * x == x * a1 and b2 * x == x * b1
+    if conjugate:  # s lies in the span of the maps found
+        vecs = [[y for row in x.entries for y in row] for x in [*got, s]]
+        assert rank(Mat(vecs)) == len(got)
 
 
 def lower_bidiagonal_shape(a):
